@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
 
 
@@ -87,16 +89,11 @@ def brute_force_day_optimal(snapshot):
     return best
 
 
-def clairvoyant_stage1_select(bookings, target):
-    """First `target` bookings, in request order, that survive the window and
-    show on the service day. Needs realized outcomes attached."""
-    selected = []
-    for rec in bookings:
-        if len(selected) >= target:
-            break
-        if rec.survives_stage1 and rec.shows:
-            selected.append(rec)
-    return selected
+def clairvoyant_stage1_select(survives, shows, target):
+    """Positions of the first `target` bookings, in request order, that
+    survive the window and show on the service day (parallel arrays of a
+    day's bookings with realized outcomes)."""
+    return np.flatnonzero(survives & shows)[:max(target, 0)]
 
 
 def lower_bound_instance(iota, T=1000, seed=0):

@@ -303,7 +303,9 @@ def fit_model(rows, capacity, n_components=2, seed=0, min_walkin_count=0):
                    if r.is_canceled and r.cancel_lead_days > 0]
     if not cancel_ints:
         cancel_ints = [1, 2]  # no cancellations: nominal law, pi_c = 0
-    days = {r.arrival_date for r in rows}
+    # sorted, not set order: the count order seeds the EM restarts, and set
+    # order follows the interpreter's hash seed
+    days = sorted({r.arrival_date for r in rows})
     walkin_counts = {d: 0 for d in days}
     for r in rows:
         if r.is_walk_in:
@@ -351,7 +353,7 @@ def scenario_from_fit(model, econ, iota, alpha, grid=200):
     densities are uniform.
     """
     from .engine import ScenarioConfig
-    from .policies import DassParams
+    from .policies import AdaptivePolicy
 
     if econ.T < econ.k0:
         raise ValueError("horizon shorter than the booking window")
@@ -397,7 +399,7 @@ def scenario_from_fit(model, econ, iota, alpha, grid=200):
         reward=econ.reward, overbook_penalty=econ.overbook_penalty,
         profiles=profiles,
     )
-    return scenario, DassParams(iota=iota, alpha=alpha)
+    return scenario, AdaptivePolicy(iota=iota, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +489,9 @@ def fit_report(model, rows):
     reserved = [r for r in rows if not r.is_walk_in]
     leads = np.array([r.lead_days for r in reserved if r.lead_days > 0],
                      dtype=float)
-    days = {r.arrival_date for r in rows}
+    # sorted, not set order: the count order seeds the EM restarts, and set
+    # order follows the interpreter's hash seed
+    days = sorted({r.arrival_date for r in rows})
     walkin_counts = {d: 0 for d in days}
     for r in rows:
         if r.is_walk_in:

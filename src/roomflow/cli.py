@@ -18,7 +18,6 @@ import dataclasses
 import datetime
 import hashlib
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
@@ -27,7 +26,13 @@ import numpy as np
 from . import calibration, engine
 from .benchmarks import lower_bound_instance
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
-from .policies import check_busy_season, check_call_timing
+from .policies import (
+    AdaptivePolicy,
+    HeuristicPolicy,
+    OraclePolicy,
+    check_busy_season,
+    check_call_timing,
+)
 
 PRESETS = ("fig2", "fig3", "fig4", "lower-bound")
 
@@ -93,18 +98,18 @@ def parse_policies(cfg):
         raise ConfigError("[policies]: section missing")
     out = {}
     for name, spec in cfg.items("policies"):
-        parts = spec.split()
-        kind, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
+        kind, *parts = spec.split() or [""]
+        if kind not in ("adaptive", "heuristic", "oracle"):
+            raise ConfigError(f"[policies] {name}: unknown kind {kind!r}")
         try:
+            kv = dict(p.split("=", 1) for p in parts)
             if kind == "adaptive":
-                out[name] = engine.AdaptivePolicy(
+                out[name] = AdaptivePolicy(
                     iota=float(kv["iota"]), alpha=float(kv["alpha"]))
             elif kind == "heuristic":
-                out[name] = engine.HeuristicPolicy(beta=float(kv["beta"]))
-            elif kind == "oracle":
-                out[name] = engine.OraclePolicy()
+                out[name] = HeuristicPolicy(beta=float(kv["beta"]))
             else:
-                raise ConfigError(f"[policies] {name}: unknown kind {kind!r}")
+                out[name] = OraclePolicy()
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"[policies] {name}: {exc}") from exc
     if not out:
@@ -189,7 +194,6 @@ def _multiday_cell(payload):
     cfg.read_dict(cfg_dict)
     key = _cell_key(coords)
     overrides = dict(coords)
-    t0 = time.perf_counter()
     curves = {n: [] for n in policies}
     for rep in range(reps):
         sc = build_scenario(cfg, overrides, seed=cell_seed(master, key, rep))
@@ -198,15 +202,13 @@ def _multiday_cell(payload):
             curves[n].append((rpt.cumulative_regret,
                               rpt.stage1_component.sum(),
                               rpt.stage2_component.sum()))
-    runtime = time.perf_counter() - t0
     rows, series = [], []
     for n, items in curves.items():
         cum = [c for c, _, _ in items]
         _, mean, stderr = engine.aggregate(cum)
         rows.append((coords, n, float(mean[-1]), float(stderr[-1]),
                      float(np.mean([s1 for _, s1, _ in items])),
-                     float(np.mean([s2 for _, _, s2 in items])),
-                     runtime / max(len(curves), 1)))
+                     float(np.mean([s2 for _, _, s2 in items]))))
         for day, (m, se) in enumerate(zip(mean, stderr), start=1):
             series.append((coords, n, day, float(m), float(se)))
     return rows, series
@@ -237,12 +239,11 @@ def run_multiday_grid(cfg, axes, policies, master, reps, out, jobs):
                      f"mean_regret={best[2]:.6g}\n")
         fh.write(",".join(axis_names + [
             "policy", "mean_cumulative_regret", "stderr",
-            "mean_stage1_regret", "mean_stage2_regret", "runtime_s"]) + "\n")
-        for coords, n, m, se, s1, s2, rt in all_rows:
+            "mean_stage1_regret", "mean_stage2_regret"]) + "\n")
+        for coords, n, m, se, s1, s2 in all_rows:
             vals = [f"{v:g}" for _, v in coords]
             fh.write(",".join(vals + [n, f"{m:.10g}", f"{se:.10g}",
-                                      f"{s1:.10g}", f"{s2:.10g}",
-                                      f"{rt:.3f}"]) + "\n")
+                                      f"{s1:.10g}", f"{s2:.10g}"]) + "\n")
     series_path = str(out) + ".series"
     with _open_out(series_path) as fh:
         fh.write(",".join(axis_names + [
@@ -276,7 +277,6 @@ def _singleday_cell(payload):
     profiles = build_profiles(cfg, {**overrides, "lambda1": 1.0,
                                     "keep_p0": 1.0, "k0": 1.0})
     reward = scalar("reward", 1.0)
-    t0 = time.perf_counter()
     rows = []
     for name, (kind, alpha) in policy_specs.items():
         regrets, losses, mismatches = [], [], []
@@ -306,8 +306,7 @@ def _singleday_cell(payload):
             obj = objective
         rows.append((coords, name, float(losses.mean()), _se(losses),
                      float(regrets.mean()), _se(regrets),
-                     float(mismatches.mean()), _se(mismatches), obj,
-                     time.perf_counter() - t0))
+                     float(mismatches.mean()), _se(mismatches), obj))
     return rows
 
 
@@ -315,9 +314,9 @@ def run_singleday_grid(cfg, axes, policies, master, reps, sims, out, jobs,
                        objective="auto"):
     specs = {}
     for name, pol in policies.items():
-        if isinstance(pol, engine.AdaptivePolicy):
+        if isinstance(pol, AdaptivePolicy):
             specs[name] = ("adaptive", pol.alpha)
-        elif isinstance(pol, engine.OraclePolicy):
+        elif isinstance(pol, OraclePolicy):
             specs[name] = ("oracle", 0.0)
         else:
             specs[name] = ("heuristic", 0.0)
@@ -345,14 +344,12 @@ def run_singleday_grid(cfg, axes, policies, master, reps, sims, out, jobs,
                      f"mean_{best[8]}={row_objective(best):.6g}\n")
         fh.write(",".join(axis_names + [
             "policy", "mean_loss", "loss_stderr", "mean_regret",
-            "regret_stderr", "mean_mismatch", "mismatch_stderr",
-            "runtime_s"]) + "\n")
-        for coords, n, ml, mse, rm, rse, mm, mmse, _, rt in all_rows:
+            "regret_stderr", "mean_mismatch", "mismatch_stderr"]) + "\n")
+        for coords, n, ml, mse, rm, rse, mm, mmse, _ in all_rows:
             vals = [f"{v:g}" for _, v in coords]
             fh.write(",".join(vals + [n, f"{ml:.10g}", f"{mse:.10g}",
                                       f"{rm:.10g}", f"{rse:.10g}",
-                                      f"{mm:.10g}", f"{mmse:.10g}",
-                                      f"{rt:.3f}"]) + "\n")
+                                      f"{mm:.10g}", f"{mmse:.10g}"]) + "\n")
     return all_rows
 
 
@@ -414,8 +411,7 @@ def cmd_fit(args):
         print("notice: walk-in-only dataset; Gamma lead-time and Weibull "
               "cancellation fitters skipped (nominal parameters written)")
         stays = [r.stay_nights for r in rows]
-        days = {r.arrival_date for r in rows}
-        counts = {d: 0 for d in days}
+        counts = {d: 0 for d in sorted({r.arrival_date for r in rows})}
         for r in rows:
             counts[r.arrival_date] += 1
         model = calibration.FittedModel(
@@ -437,35 +433,55 @@ def cmd_fit(args):
     return 0
 
 
+def _check_targets(cfg, single_day):
+    """(C, v values, day profile) that `check` judges. A single-day
+    scenario has no horizon or booking rate; its v values are its sweep
+    axis when it sweeps v."""
+    if not single_day:
+        sc = build_scenario(cfg, {}, seed=0)
+        return sc.C, [sc.v], sc.profiles_for(1)
+    C = int(_get(cfg, "scenario", "C", float))
+    axes = dict(_axes_from_config(cfg, 2))
+    vs = axes.get("v", [_get(cfg, "scenario", "v", float, 0.0)])
+    return C, vs, build_profiles(cfg, {"lambda1": 1.0, "keep_p0": 1.0,
+                                       "k0": 1.0})
+
+
 def cmd_check(args):
     cfg = load_config(args.preset, args.config)
-    sc = build_scenario(cfg, {}, seed=0)
+    single_day = _get(cfg, "scenario", "mode", str, "multiday") == "single-day"
+    C, vs, prof = _check_targets(cfg, single_day)
     iota = _get(cfg, "check", "iota", float, None) if cfg.has_section(
         "check") else None
     alpha = 0.4
     for pol in parse_policies(cfg).values():
-        if isinstance(pol, engine.AdaptivePolicy):
+        if isinstance(pol, AdaptivePolicy):
             iota = pol.iota if iota is None else iota
             alpha = pol.alpha
     if iota is None:
         raise ConfigError("[check] iota: no adaptive policy or iota given")
-    prof = sc.profiles_for(1)
     rpt = check_busy_season(prof.stage1_rate.mass, prof.walkin_rate.mass,
-                            prof.duration_law, sc.C, prof.show_prob, iota)
-    print(f"booking condition: {'holds' if rpt.booking_ok else 'fails'} "
-          f"(lambda1={prof.stage1_rate.mass:g}, "
-          f"required={rpt.required_lambda1:.4g})")
+                            prof.duration_law, C, prof.show_prob, iota)
+    if single_day:
+        print("booking condition: not applicable (single-day scenario with "
+              "a fixed number of bookings)")
+    else:
+        print(f"booking condition: {'holds' if rpt.booking_ok else 'fails'} "
+              f"(lambda1={prof.stage1_rate.mass:g}, "
+              f"required={rpt.required_lambda1:.4g})")
     print(f"walk-in condition: {'holds' if rpt.walkin_ok else 'fails'} "
           f"(lambda2={prof.walkin_rate.mass:g}, "
           f"required={rpt.required_lambda2:.4g})")
-    try:
-        timing_ok = check_call_timing(
-            prof.walkin_rate.mass_after(sc.v_effective), sc.v_effective,
-            alpha, prof.duration_law.delta, sc.C, iota)
-    except ValueError as exc:
-        print(f"call-timing condition: not applicable ({exc})")
-    else:
-        print(f"call-timing condition at v={sc.v:g}: "
+    for v in vs:
+        v_eff = max(v, 0.0)
+        try:
+            timing_ok = check_call_timing(
+                prof.walkin_rate.mass_after(v_eff), v_eff, alpha,
+                prof.duration_law.delta, C, iota)
+        except ValueError as exc:
+            print(f"call-timing condition: not applicable ({exc})")
+            break
+        print(f"call-timing condition at v={v:g}: "
               f"{'holds' if timing_ok else 'fails'}")
     return 0
 

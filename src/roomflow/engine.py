@@ -13,8 +13,9 @@ Stage-I and Stage-II components.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -24,18 +25,20 @@ from .flows import (
     StageProfiles,
     attach_stage2_outcomes,
     sample_stage1_day,
+    sample_stage2_day,
     sample_walkins,
     substream,
 )
 from .policies import (
+    AdaptivePolicy,
+    HeuristicPolicy,
+    OraclePolicy,
     StageTwoState,
+    booking_caps,
     dass2_decide_walkin,
     heuristic2_decide_walkin,
     heuristic_stage1_threshold,
     heuristic_stage2_standard,
-    max_bookings_within,
-    stage1_threshold,
-    type1_checkin_decide,
 )
 from .policies import estimated_capacity as _estimated_capacity
 
@@ -78,184 +81,214 @@ class ScenarioConfig:
 
 
 class OccupancyLedger:
-    """Committed room-nights by absolute day, truncated at the horizon."""
+    """Committed rooms per day, truncated at the horizon, as a difference
+    array: a guest adds one to the open day and one to the "leaves on day j"
+    counter of the day after its last night, so admission costs one write
+    per guest, not one per room-night.
+
+    Days open in increasing order and only the open day admits guests.
+    Stays are contiguous, so no later day holds more of the guests admitted
+    so far than the open day does: checking the open day at each admission
+    catches every capacity violation.
+    """
 
     def __init__(self, C, T):
         self.C = C
         self.T = T
-        self.committed = {}
+        self.day = 1
+        self._occupied = 0
+        self._leaves = [0] * (T + 2)
         self.total_room_nights = 0
 
     def occupied(self, day):
-        return self.committed.get(day, 0)
+        """Rooms committed on `day`, which becomes the open day."""
+        if day < self.day:
+            raise ValueError(f"day {day} is closed (open day {self.day})")
+        while self.day < day:
+            self.day += 1
+            self._occupied -= self._leaves[self.day]
+        return self._occupied
 
-    def admit(self, day, duration):
-        last = min(day + duration - 1, self.T)
-        for j in range(day, last + 1):
-            n = self.committed.get(j, 0) + 1
-            if n > self.C:
-                raise CapacityError(f"day {j}: committed {n} > capacity {self.C}")
-            self.committed[j] = n
-        self.total_room_nights += max(0, last - day + 1)
+    def admit(self, day, stays):
+        """Check in guests on `day`, one stay length (>= 1 night) each."""
+        occupied = self.occupied(day) + len(stays)
+        if occupied > self.C:
+            raise CapacityError(
+                f"day {day}: committed {occupied} > capacity {self.C}")
+        end = self.T + 1
+        leaves = self._leaves
+        nights = 0
+        for d in stays:
+            j = day + d
+            if j > end:
+                j = end
+            leaves[j] += 1
+            nights += j - day
+        self._occupied = occupied
+        self.total_room_nights += nights
 
 
 # ---------------------------------------------------------------------------
-# policies
-
-@dataclass(frozen=True)
-class AdaptivePolicy:
-    """Safety-stock booking control + expected shown-ups check-in control."""
-
-    iota: float
-    alpha: float
-
-
-@dataclass(frozen=True)
-class HeuristicPolicy:
-    """Fixed booking cap (1+beta) delta C / q1 + constant q1 B standard."""
-
-    beta: float
-
-
-@dataclass(frozen=True)
-class OraclePolicy:
-    """Clairvoyant Stage-I fill + single-day offline-optimal Stage II."""
-
+# Stage-I and Stage-II replays
 
 hat_capacity = lru_cache(maxsize=None)(_estimated_capacity)
 
 
-def replay_stage1(bookings, decide):
-    """Run booking requests and cancellations of accepted bookings in time
-    order through an admission rule decide(t, B_alive) -> bool.
+def replay_stage1(times, cancel_times, caps):
+    """Replay one day's booking requests, and the cancellations of accepted
+    ones, in time order. Request i is accepted iff B_alive + 1 <= caps[i];
+    caps may be a list or any iterable (itertools.repeat for a fixed cap).
+    cancel_times[i] is nan for a request that survives the window.
 
     Cancellations are processed before requests at equal timestamps.
-    Returns the accepted records.
+    Returns the positions of the accepted requests.
     """
+    heappop, heappush = heapq.heappop, heapq.heappush
     cancels = []
     alive = 0
     accepted = []
-    for rec in bookings:
-        while cancels and cancels[0] <= rec.request_time:
-            heapq.heappop(cancels)
+    i = -1
+    for t, c, cap in zip(times, cancel_times, caps):
+        i += 1
+        while cancels and cancels[0] <= t:
+            heappop(cancels)
             alive -= 1
-        if decide(rec.request_time, alive):
+        if alive + 1 <= cap:
             alive += 1
-            accepted.append(rec)
-            if not rec.survives_stage1:
-                heapq.heappush(cancels, rec.cancel_time)
+            accepted.append(i)
+            if c == c:  # not nan: the booking cancels
+                heappush(cancels, c)
     return accepted
 
 
 def stage1_accept(policy, bookings, profiles, C):
-    """Accepted bookings for one day under the given policy's Stage-I rule."""
+    """Positions of the bookings accepted on one day under the policy's
+    Stage-I rule.
+
+    The adaptive rule accepts request i iff stage1_threshold(B_alive + 1,
+    p_i, iota) <= hat_C, that is iff B_alive + 1 is at most the request's
+    cap max_bookings_within(hat_C, p_i, iota); the caps come from the keep
+    values sampled with the day, so the keep curve is evaluated once per
+    day.
+    """
     law = profiles.duration_law
     q1 = profiles.show_prob
-    curve = profiles.keep_curve
     if isinstance(policy, AdaptivePolicy):
         hat_C = hat_capacity(law, C, q1, policy.iota)
-        iota = policy.iota
-
-        def decide(t, alive):
-            p = float(curve.value(t))
-            return stage1_threshold(alive + 1, p, iota) <= hat_C
-
+        caps = booking_caps(hat_C, bookings.keep, policy.iota)
     elif isinstance(policy, HeuristicPolicy):
-        from .policies import HeuristicParams
-        cap = heuristic_stage1_threshold(HeuristicParams(policy.beta), law, C, q1)
-
-        def decide(t, alive):
-            return alive + 1 <= cap
-
+        caps = repeat(heuristic_stage1_threshold(policy, law, C, q1))
     else:
         raise TypeError(f"no Stage-I rule for {type(policy).__name__}")
-    return replay_stage1(bookings, decide)
+    return replay_stage1(bookings.lists.time, bookings.lists.cancel_time,
+                         caps)
 
 
 @dataclass
 class Stage2Result:
-    served_type1: list
-    served_walkins: list
+    served_type1: np.ndarray  # positions in the reserved-customer arrays
+    served_walkins: list | range  # positions in the walk-in arrays
     overbooked: int
 
 
-def replay_stage2(survivors, walkins, C_tilde, C_rooms, v, q1, alpha,
+def replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms, v, q1, alpha,
                   walkin_rate, kind, standard=None):
     """Replay one service day through a check-in rule.
 
-    kind: "adaptive" (confirmation reveal at v), "oracle" (reveal at 0),
-    or "heuristic" (constant standard, no reveal). Reserved customers are
-    processed before walk-ins at equal timestamps; the reveal is processed
-    before any event at or after v.
+    arrival, shows: the reserved customers, in any order (ties in arrival
+    keep that order); walkin_time: walk-ins in time order. kind: "adaptive"
+    (confirmation reveal at v) or "heuristic" (constant standard, no
+    reveal). Reserved customers are processed before walk-ins at equal
+    timestamps; the reveal is processed before any event at or after v.
+
+    A showing reserved customer gets a room iff one is free, so between two
+    walk-ins the shows fill free rooms in arrival order and the rest are
+    overbooked; only walk-ins need a decision. The walk-in loop stops at
+    the first walk-in that meets a full house, or that a rule turns away
+    while its test can only tighten: the heuristic test and the post-call
+    adaptive one (B1 + revealed_B3 = all shows while rooms are free) grow
+    with B1 + W1 alone, so every later walk-in would be turned away too.
+    The walk-in mass after u is computed only for walk-ins before v, once a
+    decision needs it.
     """
-    if kind == "oracle":
-        kind, v = "adaptive", 0.0
-    events = [(r.arrival_time, 0, r) for r in survivors]
-    events += [(r.arrival_time, 1, r) for r in walkins]
-    events.sort(key=lambda e: (e[0], e[1]))
+    B = len(arrival)
+    if B:
+        order = np.argsort(arrival, kind="stable")
+        ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
+        show_pos = order[ranks]
+        # reserved customers processed before each walk-in, and the shows
+        # among them
+        before = np.searchsorted(arrival[order], walkin_time, side="right")
+        shows_before = np.searchsorted(ranks, before).tolist()
+        before = before.tolist()
+    else:
+        show_pos = np.empty(0, dtype=np.intp)
+        before = shows_before = [0] * len(walkin_time)
+    shows_total = len(show_pos)
+    adaptive = kind == "adaptive"
+    state = StageTwoState(B=B, C_tilde=C_tilde, C_rooms=C_rooms)
+    decided = overbooked = 0  # shows decided so far, and those overbooked
+    served_wk = []
+    mass = None
+    for j, (u, n, s) in enumerate(zip(walkin_time.tolist(), before,
+                                      shows_before)):
+        free = C_rooms - state.B1 - state.W1
+        take = min(s - decided, free)
+        state.B1 += take
+        overbooked += s - decided - take
+        decided = s
+        if state.B1 + state.W1 >= C_rooms:
+            break
+        state.B2 = n - s
+        pre_call = adaptive and u < v
+        if pre_call:
+            if mass is None:
+                mass = walkin_rate.mass_after(
+                    walkin_time[walkin_time < v]).tolist()
+            state.remaining_walkin_mass = mass[j]
+            accept = dass2_decide_walkin(state, u, v, q1, alpha)
+        elif adaptive:
+            # confirmed future check-ins: total shows minus decided ones
+            state.revealed_B3 = shows_total - s
+            accept = dass2_decide_walkin(state, u, v, q1, alpha)
+        else:
+            accept = heuristic2_decide_walkin(state, standard)
+        if accept:
+            served_wk.append(j)
+        elif not pre_call:
+            break
+    take = min(shows_total - decided,
+               max(C_rooms - state.B1 - state.W1, 0))
+    state.B1 += take
+    overbooked += shows_total - decided - take
+    return Stage2Result(show_pos[:state.B1], served_wk, overbooked)
 
-    state = StageTwoState(B=len(survivors), C_tilde=C_tilde, C_rooms=C_rooms)
-    shows_total = sum(1 for r in survivors if r.shows)
-    served_t1, served_wk = [], []
-    overbooked = 0
-    revealed = False
 
-    def reveal():
-        # confirmed future check-ins = total shows minus those already decided
-        state.revealed_B3 = shows_total - state.B1 - overbooked
-
-    if kind == "adaptive" and v <= 0.0:
-        reveal()
-        revealed = True
-    for u, tag, rec in events:
-        if kind == "adaptive" and not revealed and u >= v:
-            reveal()
-            revealed = True
-        if tag == 0:  # reserved customer
-            if rec.shows:
-                if revealed:
-                    state.revealed_B3 -= 1
-                if type1_checkin_decide(state):
-                    state.B1 += 1
-                    served_t1.append(rec)
-                else:
-                    overbooked += 1
-            else:
-                state.B2 += 1
-        else:  # walk-in
-            if kind == "adaptive":
-                if not revealed:
-                    state.remaining_walkin_mass = walkin_rate.mass_after(u)
-                accept = dass2_decide_walkin(state, u, v, q1, alpha)
-            else:
-                accept = heuristic2_decide_walkin(state, standard)
-            if accept:
-                served_wk.append(rec)
-    return Stage2Result(served_t1, served_wk, overbooked)
-
-
-def stage2_run(policy, survivors, walkins, C_tilde, C_rooms, profiles, v):
+def stage2_run(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
+               profiles, v):
     q1 = profiles.show_prob
     if isinstance(policy, AdaptivePolicy):
-        return replay_stage2(survivors, walkins, C_tilde, C_rooms, max(v, 0.0),
-                             q1, policy.alpha, profiles.walkin_rate, "adaptive")
+        return replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms,
+                             max(v, 0.0), q1, policy.alpha,
+                             profiles.walkin_rate, "adaptive")
     if isinstance(policy, HeuristicPolicy):
-        standard = heuristic_stage2_standard(len(survivors), q1)
-        return replay_stage2(survivors, walkins, C_tilde, C_rooms, max(v, 0.0),
-                             q1, 0.0, profiles.walkin_rate, "heuristic",
-                             standard=standard)
+        standard = heuristic_stage2_standard(len(arrival), q1)
+        return replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms,
+                             max(v, 0.0), q1, 0.0, profiles.walkin_rate,
+                             "heuristic", standard=standard)
     raise TypeError(f"no Stage-II rule for {type(policy).__name__}")
 
 
-def oracle_stage2(survivors, walkins, C_rooms):
+def oracle_stage2(arrival, shows, n_walkins, C_rooms):
     """Single-day offline optimum on realized outcomes: serve all showing
-    reserved customers if they fit, then the earliest walk-ins."""
-    finals = [r for r in survivors if r.shows]
-    finals.sort(key=lambda r: r.arrival_time)
+    reserved customers if they fit, then the earliest walk-ins; otherwise
+    the earliest-arriving shows, up to capacity."""
+    finals = np.flatnonzero(shows)
     if len(finals) <= C_rooms:
-        served_wk = walkins[:C_rooms - len(finals)]
-        return Stage2Result(finals, served_wk, 0)
-    return Stage2Result(finals[:C_rooms], [], len(finals) - C_rooms)
+        return Stage2Result(finals, range(min(n_walkins,
+                                              C_rooms - len(finals))), 0)
+    first = finals[np.argsort(arrival[finals], kind="stable")[:C_rooms]]
+    return Stage2Result(first, range(0), len(finals) - C_rooms)
 
 
 # ---------------------------------------------------------------------------
@@ -282,52 +315,79 @@ def allocated_capacity(scenario, ledger, k, profiles):
     return float(free), free
 
 
-def _finish_day(scenario, ledger, k, B, result, C_tilde):
-    for rec in result.served_type1:
-        ledger.admit(k, rec.duration)
-    for rec in result.served_walkins:
-        ledger.admit(k, rec.duration)
+def _finish_day(scenario, ledger, k, B, result, C_tilde, realization,
+                reserved):
+    """Admit the served guests and price the day. reserved: booking
+    positions (an index array) of the reserved customers the Stage-II
+    result indexes."""
+    served = result.served_type1
+    stays = (realization.bookings.duration[reserved[served]].tolist()
+             if len(served) else [])
+    walkin_durations = realization.walkins.lists.duration
+    stays += [walkin_durations[j] for j in result.served_walkins]
+    if stays:
+        ledger.admit(k, stays)
     idle = scenario.C - ledger.occupied(k)
     loss = (scenario.overbook_penalty * result.overbooked
             + scenario.reward * idle)
     return DayOutcome(
         day=k, B_accepted=B,
-        type1_served=len(result.served_type1),
+        type1_served=len(served),
         walkins_served=len(result.served_walkins),
         overbooked=result.overbooked, idle=idle, day_loss=loss,
         C_tilde_used=C_tilde,
     )
 
 
+def _survivors(realization, accepted):
+    """Index array of the accepted bookings that survive the window."""
+    accepted = np.array(accepted, dtype=np.intp)
+    return accepted[realization.bookings.survives[accepted]]
+
+
 def run_day(k, realization, stage1_policy, stage2_policy, ledger, scenario,
-            accepted=None):
-    """One day of the policy trajectory; admits guests into the ledger."""
+            survivors=None):
+    """One day of the policy trajectory; admits guests into the ledger.
+    survivors: positions of the accepted bookings that survive the window,
+    if the Stage-I replay has already run."""
     profiles = scenario.profiles_for(k)
-    if accepted is None:
-        accepted = stage1_accept(stage1_policy, realization.bookings,
-                                 profiles, scenario.C)
-    survivors = [r for r in accepted if r.survives_stage1]
+    bookings = realization.bookings
+    if survivors is None:
+        survivors = _survivors(realization, stage1_accept(
+            stage1_policy, bookings, profiles, scenario.C))
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
-    result = stage2_run(stage2_policy, survivors, realization.walkins,
+    result = stage2_run(stage2_policy, bookings.arrival_time[survivors],
+                        bookings.shows[survivors], realization.walkins.time,
                         C_tilde, C_rooms, profiles, scenario.v)
-    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde)
+    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
+                       realization, survivors)
 
 
-def run_oracle_day(k, survivors, walkins, ledger, scenario):
-    """One day with offline-optimal Stage II on a given surviving set."""
+def run_oracle_day(k, realization, survivors, ledger, scenario):
+    """One day with offline-optimal Stage II on the surviving bookings at
+    the given positions."""
     profiles = scenario.profiles_for(k)
+    bookings = realization.bookings
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
-    result = oracle_stage2(survivors, walkins, C_rooms)
-    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde)
+    result = oracle_stage2(bookings.arrival_time[survivors],
+                           bookings.shows[survivors],
+                           len(realization.walkins), C_rooms)
+    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
+                       realization, survivors)
 
 
 def run_benchmark_day(k, realization, ledger, scenario):
     """Clairvoyant Stage-I fill + offline-optimal Stage II."""
     profiles = scenario.profiles_for(k)
+    bookings = realization.bookings
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
-    selected = clairvoyant_stage1_select(realization.bookings, C_rooms)
-    result = oracle_stage2(selected, realization.walkins, C_rooms)
-    return _finish_day(scenario, ledger, k, len(selected), result, C_tilde)
+    selected = clairvoyant_stage1_select(bookings.survives, bookings.shows,
+                                         C_rooms)
+    result = oracle_stage2(bookings.arrival_time[selected],
+                           bookings.shows[selected],
+                           len(realization.walkins), C_rooms)
+    return _finish_day(scenario, ledger, k, len(selected), result, C_tilde,
+                       realization, selected)
 
 
 def warm_start_ledger(scenario, rng):
@@ -344,14 +404,11 @@ def warm_start_ledger(scenario, rng):
     if law.kind == "geometric":
         if law.q_stay > 0.0:
             extras = rng.geometric(1.0 - law.q_stay, scenario.C) - 1
-            for extra in extras:
-                if extra > 0:
-                    ledger.admit(1, int(extra))
+            ledger.admit(1, [e for e in extras.tolist() if e > 0])
     else:
         per_class = scenario.C // law.d
-        for age in range(1, law.d):
-            for _ in range(per_class):
-                ledger.admit(1, law.d - age)
+        ledger.admit(1, [law.d - age for age in range(1, law.d)
+                         for _ in range(per_class)])
     return ledger
 
 
@@ -435,10 +492,11 @@ def run_experiment(scenario, policies, rep=0):
 
     policies: dict name -> AdaptivePolicy | HeuristicPolicy | OraclePolicy.
     Stage-I acceptances depend only on the Stage-I stream, so each policy's
-    accepted set is shared between its own and its hybrid trajectory.
-    Returns dict name -> RegretReport.
+    accepted set is shared between its own and its hybrid trajectory. An
+    OraclePolicy is the benchmark itself, so it reports the benchmark's
+    losses. Returns dict name -> RegretReport.
     """
-    names = list(policies)
+    names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
     warm = lambda: warm_start_ledger(  # noqa: E731 - one-line factory
         scenario, substream(scenario.seed, rep, 0, 0))
     bench_ledger = warm()
@@ -454,22 +512,15 @@ def run_experiment(scenario, policies, rep=0):
         profiles = scenario.profiles_for(k)
         for n in names:
             policy = policies[n]
-            if isinstance(policy, OraclePolicy):
-                outcomes[n].append(run_benchmark_day(
-                    k, realization, ledgers[n], scenario))
-                hybrid_outcomes[n].append(run_benchmark_day(
-                    k, realization, hybrid_ledgers[n], scenario))
-                continue
-            accepted = stage1_accept(policy, realization.bookings, profiles,
-                                     scenario.C)
-            survivors = [r for r in accepted if r.survives_stage1]
+            survivors = _survivors(realization, stage1_accept(
+                policy, realization.bookings, profiles, scenario.C))
             outcomes[n].append(run_day(k, realization, policy, policy,
-                                       ledgers[n], scenario, accepted=accepted))
+                                       ledgers[n], scenario, survivors))
             hybrid_outcomes[n].append(run_oracle_day(
-                k, survivors, realization.walkins, hybrid_ledgers[n], scenario))
-    return {n: compute_regret(outcomes[n], bench_outcomes, scenario,
-                              hybrid_outcomes[n])
-            for n in names}
+                k, realization, survivors, hybrid_ledgers[n], scenario))
+    return {n: compute_regret(outcomes.get(n, bench_outcomes), bench_outcomes,
+                              scenario, hybrid_outcomes.get(n, bench_outcomes))
+            for n in policies}
 
 
 @dataclass
@@ -550,6 +601,8 @@ def single_day_cell(B, C, profiles, v, alpha, kind, n_sims, master_seed,
     ora_losses = np.empty(n_sims)
     rejected = np.empty(n_sims)
     count_based = kind == "oracle" or (kind == "adaptive" and v <= 0.0)
+    if kind == "heuristic":
+        standard = heuristic_stage2_standard(B, q1)
     for i in range(n_sims):
         rng = substream(master_seed, *cell, i)
         if count_based:
@@ -559,21 +612,22 @@ def single_day_cell(B, C, profiles, v, alpha, kind, n_sims, master_seed,
             pol_losses[i] = ora_losses[i] = ora
             rejected[i] = n_wk - min(n_wk, max(0, C - finals))
             continue
-        from .flows import sample_stage2_day
         type1, walkins = sample_stage2_day(profiles, B, 1, rng)
-        finals = sum(1 for r in type1 if r.shows)
-        ora_losses[i] = _count_loss(finals, len(walkins), C, reward,
-                                    overbook_penalty)
+        n_wk = len(walkins)
+        ora_losses[i] = _count_loss(int(np.count_nonzero(type1.shows)), n_wk,
+                                    C, reward, overbook_penalty)
         if kind == "adaptive":
-            res = replay_stage2(type1, walkins, float(C), C, max(v, 0.0), q1,
-                                alpha, profiles.walkin_rate, "adaptive")
+            res = replay_stage2(type1.time, type1.shows, walkins.time,
+                                float(C), C, max(v, 0.0), q1, alpha,
+                                profiles.walkin_rate, "adaptive")
         else:
-            res = replay_stage2(type1, walkins, float(C), C, 0.0, q1, 0.0,
+            res = replay_stage2(type1.time, type1.shows, walkins.time,
+                                float(C), C, 0.0, q1, 0.0,
                                 profiles.walkin_rate, "heuristic",
-                                standard=heuristic_stage2_standard(B, q1))
+                                standard=standard)
         idle = C - len(res.served_type1) - len(res.served_walkins)
         pol_losses[i] = overbook_penalty * res.overbooked + reward * idle
-        rejected[i] = len(walkins) - len(res.served_walkins)
+        rejected[i] = n_wk - len(res.served_walkins)
     return pol_losses, ora_losses, rejected
 
 

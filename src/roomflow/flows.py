@@ -7,11 +7,18 @@ mass plus a normalized density, which makes a scaled Beta density and a
 piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
 streams be sampled exactly by count-then-order-statistics (draw a Poisson
 count for the total mass, then i.i.d. times from the density).
+
+A sampled day is held as parallel numpy arrays (struct of arrays), not as one
+object per customer. Vectorized draws take the same values from a Generator
+as the equivalent sequence of scalar draws, so the per-stream draw order
+below is the seed contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import betainc
@@ -90,34 +97,44 @@ class RateFunction:
             return self.t0 + (self.t1 - self.t0) * rng.beta(self.a, self.b, n)
         if self.mass <= 0:
             raise ValueError("cannot sample from a zero-mass rate")
-        w = self.piece_mass / self.mass
-        idx = rng.choice(len(w), size=n, p=w)
+        # the piece draw of rng.choice(len(w), size=n, p=w), without its
+        # per-call validation of w: the same uniforms and the same pieces
+        idx = self._piece_cdf.searchsorted(rng.random(n), side="right")
         u = rng.random(n)
         lo = self.breaks[idx]
         hi = self.breaks[idx + 1]
         return lo + u * (hi - lo)
 
+    @cached_property
+    def _piece_cdf(self):
+        cdf = (self.piece_mass / self.mass).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     def mass_between(self, lo, hi):
-        lo = max(lo, self.t0)
-        hi = min(hi, self.t1)
-        if hi <= lo:
-            return 0.0
+        """Mass over [lo, hi]; lo and hi may be arrays of the same shape."""
+        lo = np.maximum(lo, self.t0)
+        hi = np.minimum(hi, self.t1)
         if self.kind == "beta":
             span = self.t1 - self.t0
             zlo = (lo - self.t0) / span
             zhi = (hi - self.t0) / span
-            return self.mass * float(betainc(self.a, self.b, zhi)
-                                     - betainc(self.a, self.b, zlo))
+            mass = self.mass * (betainc(self.a, self.b, zhi)
+                                - betainc(self.a, self.b, zlo))
+        else:
+            mass = self._cdf(hi) - self._cdf(lo)
+        mass = np.where(hi <= lo, 0.0, mass)
+        return float(mass) if mass.ndim == 0 else mass
+
+    def _cdf(self, x):
+        """Piecewise mass up to x, for x inside the domain."""
         cum = np.concatenate([[0.0], np.cumsum(self.piece_mass)])
-
-        def cdf(x):
-            i = np.searchsorted(self.breaks, x, side="right") - 1
-            i = min(max(i, 0), len(self.piece_mass) - 1)
-            seg = self.breaks[i + 1] - self.breaks[i]
-            frac = 0.0 if seg == 0 else (x - self.breaks[i]) / seg
-            return cum[i] + frac * self.piece_mass[i]
-
-        return float(cdf(hi) - cdf(lo))
+        i = np.searchsorted(self.breaks, x, side="right") - 1
+        i = np.clip(i, 0, len(self.piece_mass) - 1)
+        seg = self.breaks[i + 1] - self.breaks[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(seg == 0, 0.0, (x - self.breaks[i]) / seg)
+        return cum[i] + frac * self.piece_mass[i]
 
     def mass_after(self, u):
         return self.mass_between(u, self.t1)
@@ -177,28 +194,33 @@ class KeepCurve:
         return np.interp(t, self.times, self.values)
 
     def _inverse(self, y):
-        """inf{t : p(t) >= y} for scalar y in (0, 1]."""
-        i = int(np.searchsorted(self.values, y, side="left"))
-        if i == 0:
-            return float(self.times[0])
-        v0, v1 = self.values[i - 1], self.values[i]
-        t0, t1 = self.times[i - 1], self.times[i]
-        if v1 == v0:
-            return float(t0)
-        return float(t0 + (y - v0) / (v1 - v0) * (t1 - t0))
+        """inf{t : p(t) >= y} for each y in (0, 1]."""
+        i = np.searchsorted(self.values, y, side="left")
+        j = np.maximum(i, 1)
+        v0, v1 = self.values[j - 1], self.values[j]
+        t0, t1 = self.times[j - 1], self.times[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(v1 == v0, t0, t0 + (y - v0) / (v1 - v0) * (t1 - t0))
+        return np.where(i == 0, self.times[0], t)
 
-    def cancel_time(self, s, rng):
-        """Cancellation time for a non-surviving request booked at s."""
-        p_s = float(self.value(s))
-        if p_s >= 1.0:
+    def cancel_times(self, s, p, rng):
+        """Cancellation times of non-surviving requests booked at times s,
+        with keep probabilities p = value(s) < 1.
+
+        Requests with p > 0 each take one uniform, in order; requests with
+        p = 0 cannot survive and cancel immediately, without a draw.
+        """
+        if np.any(p >= 1.0):
             raise ValueError("a request with keep probability 1 cannot cancel")
-        if p_s <= 0.0:
-            # survival is impossible; the request cancels immediately
-            return min(self.t_end, s + 1e-12 * max(1.0, self.t_end - self.t_start))
-        u = 1.0 - rng.random()  # in (0, 1]
-        y = p_s / (1.0 - u * (1.0 - p_s))
-        tau = self._inverse(min(y, 1.0))
-        return max(tau, s)
+        out = np.minimum(self.t_end,
+                         s + 1e-12 * max(1.0, self.t_end - self.t_start))
+        live = p > 0.0
+        if live.any():
+            p_s = p[live]
+            u = 1.0 - rng.random(len(p_s))  # in (0, 1]
+            y = p_s / (1.0 - u * (1.0 - p_s))
+            out[live] = np.maximum(self._inverse(np.minimum(y, 1.0)), s[live])
+        return out
 
 
 @dataclass(frozen=True)
@@ -260,53 +282,65 @@ class StageProfiles:
         return self.stage1_rate.t1 - self.stage1_rate.t0
 
 
-@dataclass
-class BookingRecord:
-    """One Stage-I booking request with its realized outcome.
+@dataclass(eq=False)
+class Bookings:
+    """One day's booking requests as parallel arrays, in request order.
 
-    request_time and cancel_time are relative to the window start.
-    arrival_time/shows hold the would-be Stage-II outcome of this customer;
-    they are attached at sampling time so that different admission policies
-    replay the same randomness.
+    time is relative to the window start; keep is p(time); cancel_time is
+    nan for requests that survive the window. arrival_time/shows hold each
+    customer's would-be Stage-II outcome. They are drawn for every request,
+    admitted or not, so that every admission rule replays the same
+    randomness.
     """
 
-    request_time: float
-    survives_stage1: bool
-    cancel_time: float | None
-    duration: int
-    arrival_time: float | None = None
-    shows: bool | None = None
+    time: np.ndarray
+    keep: np.ndarray
+    survives: np.ndarray
+    cancel_time: np.ndarray
+    duration: np.ndarray
+    arrival_time: np.ndarray | None = None
+    shows: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.survives_stage1 != (self.cancel_time is None):
-            raise ValueError("cancel_time must be present iff the booking cancels")
-        if self.cancel_time is not None and self.cancel_time < self.request_time:
-            raise ValueError("cancel_time before request_time")
+    def __len__(self):
+        return len(self.time)
 
-
-@dataclass
-class CheckInRecord:
-    """A Stage-II arrival: reserved customer (type1) or walk-in (type2)."""
-
-    arrival_time: float
-    shows: bool
-    duration: int
-    kind: str  # "type1" | "type2"
-
-    def __post_init__(self):
-        if self.kind not in ("type1", "type2"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "type2" and not self.shows:
-            raise ValueError("walk-ins always show")
+    @cached_property
+    def lists(self):
+        """time and cancel_time as Python lists, for the Stage-I replays,
+        which read them one element at a time."""
+        return _as_lists(self, "time", "cancel_time")
 
 
-@dataclass
+@dataclass(eq=False)
+class CheckIns:
+    """Stage-II arrivals as parallel arrays, in time order: reserved
+    customers (with a show flag) or walk-ins (shows is None: they always
+    show)."""
+
+    time: np.ndarray
+    duration: np.ndarray
+    shows: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.time)
+
+    @cached_property
+    def lists(self):
+        """duration as a Python list, read per served guest."""
+        return _as_lists(self, "duration")
+
+
+def _as_lists(arrays, *names):
+    return SimpleNamespace(**{n: getattr(arrays, n).tolist() for n in names})
+
+
+@dataclass(eq=False)
 class DayRealization:
     """One sampled day: the full Stage-I and Stage-II event stream."""
 
     day: int
-    bookings: list = field(default_factory=list)   # sorted by request_time
-    walkins: list = field(default_factory=list)    # sorted by arrival_time
+    bookings: Bookings
+    walkins: CheckIns
 
 
 def sample_nhpp(rate, rng):
@@ -322,78 +356,59 @@ def sample_nhpp(rate, rng):
 
 
 def sample_stage1_day(profiles, k, rng):
-    """Booking requests for day k with survival and cancellation outcomes."""
+    """Booking requests for day k with survival and cancellation outcomes.
+
+    Draw order: Poisson count and request times, one survival uniform per
+    request, the stay lengths, then one uniform per cancelling request with
+    p > 0 (KeepCurve.cancel_times).
+    """
     curve = profiles.keep_curve
-    if curve.values[-1] != 1.0:
-        raise ValueError("keep probability must equal 1 at the window end")
-    times = sample_nhpp(profiles.stage1_rate, rng)
-    n = len(times)
-    p = np.atleast_1d(curve.value(times))
-    survives = rng.random(n) < p
-    durations = profiles.duration_law.sample(rng, n)
-    records = []
-    for i in range(n):
-        cancel = None if survives[i] else curve.cancel_time(times[i], rng)
-        records.append(BookingRecord(
-            request_time=float(times[i]),
-            survives_stage1=bool(survives[i]),
-            cancel_time=cancel,
-            duration=int(durations[i]),
-        ))
-    return records
+    time = sample_nhpp(profiles.stage1_rate, rng)
+    n = len(time)
+    keep = curve.value(time)
+    survives = rng.random(n) < keep
+    duration = profiles.duration_law.sample(rng, n)
+    cancel = np.full(n, np.nan)
+    gone = ~survives
+    if gone.any():
+        cancel[gone] = curve.cancel_times(time[gone], keep[gone], rng)
+    return Bookings(time, keep, survives, cancel, duration)
+
+
+def _reserved_outcomes(profiles, n, rng):
+    """Unsorted arrival times and show flags of n reserved customers."""
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=bool)
+    arrival = profiles.arrival_density.sample_times(n, rng)
+    return arrival, rng.random(n) < profiles.show_prob
 
 
 def sample_stage2_day(profiles, B, k, rng):
     """Stage-II events for day k given B surviving bookings.
 
-    Returns (type1_checkins, walkins), both time-sorted. Type-I records get
-    an arrival time from the arrival density and show with probability q1;
-    walk-ins follow the walk-in rate and always show.
+    Returns (type1, walkins), both CheckIns in time order (ties keep draw
+    order). Reserved customers get an arrival time from the arrival
+    density, show with probability q1 and draw a stay length; walk-ins
+    follow the walk-in rate and always show.
     """
     if B < 0:
         raise ValueError("B must be nonnegative")
-    arr, shows, dur = _sample_type1(profiles, B, rng)
-    order = np.argsort(arr, kind="stable")
-    type1 = [CheckInRecord(float(arr[i]), bool(shows[i]), int(dur[i]), "type1")
-             for i in order]
-    walkins = sample_walkins(profiles, rng)
-    return type1, walkins
-
-
-def _sample_type1(profiles, n, rng):
-    """Unsorted Stage-II outcome arrays for n reserved customers."""
-    if n == 0:
-        z = np.empty(0)
-        return z, z.astype(bool), z.astype(int)
-    arr = profiles.arrival_density.sample_times(n, rng)
-    shows = rng.random(n) < profiles.show_prob
-    dur = profiles.duration_law.sample(rng, n)
-    return arr, shows, np.atleast_1d(dur)
+    arrival, shows = _reserved_outcomes(profiles, B, rng)
+    duration = np.atleast_1d(profiles.duration_law.sample(rng, B))
+    order = np.argsort(arrival, kind="stable")
+    type1 = CheckIns(arrival[order], duration[order], shows[order])
+    return type1, sample_walkins(profiles, rng)
 
 
 def sample_walkins(profiles, rng):
-    times = sample_nhpp(profiles.walkin_rate, rng)
-    dur = profiles.duration_law.sample(rng, len(times))
-    return [CheckInRecord(float(t), True, int(d), "type2")
-            for t, d in zip(times, np.atleast_1d(dur))]
+    time = sample_nhpp(profiles.walkin_rate, rng)
+    duration = np.atleast_1d(profiles.duration_law.sample(rng, len(time)))
+    return CheckIns(time, duration)
 
 
 def attach_stage2_outcomes(bookings, profiles, rng):
-    """Attach would-be Stage-II outcomes to every booking request.
-
-    Outcomes are drawn for all requests, admitted or not, so clairvoyant
-    selection and any admission policy replay identical randomness.
-    """
-    arr, shows, dur = _sample_type1(profiles, len(bookings), rng)
-    for i, rec in enumerate(bookings):
-        rec.arrival_time = float(arr[i])
-        rec.shows = bool(shows[i])
+    """Attach would-be Stage-II outcomes (arrival time, shows) to every
+    booking request."""
+    bookings.arrival_time, bookings.shows = _reserved_outcomes(
+        profiles, len(bookings), rng)
     return bookings
-
-
-def sample_day(profiles, k, rng):
-    """Full realization of day k: bookings with outcomes, plus walk-ins."""
-    bookings = sample_stage1_day(profiles, k, rng)
-    attach_stage2_outcomes(bookings, profiles, rng)
-    walkins = sample_walkins(profiles, rng)
-    return DayRealization(day=k, bookings=bookings, walkins=walkins)

@@ -13,21 +13,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .flows import DurationLaw
+import numpy as np
 
 
 @dataclass(frozen=True)
-class DassParams:
-    """Safety-stock coefficient iota and walk-in weight alpha."""
+class AdaptivePolicy:
+    """Safety-stock booking control + expected shown-ups check-in control:
+    safety-stock coefficient iota >= 0 and walk-in weight alpha in (0, 1)."""
 
     iota: float
     alpha: float
 
     def __post_init__(self):
-        if self.iota < 0:
-            raise ValueError("iota must be nonnegative")
+        if not 0.0 <= self.iota < math.inf:
+            raise ValueError("iota must be finite and nonnegative")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class HeuristicPolicy:
+    """Fixed booking cap (1+beta) delta C / q1 + constant q1 B standard,
+    with beta in [-1, 1]."""
+
+    beta: float
+
+    def __post_init__(self):
+        if not abs(self.beta) <= 1.0:
+            raise ValueError("beta must be in [-1, 1]")
+
+
+@dataclass(frozen=True)
+class OraclePolicy:
+    """Clairvoyant Stage-I fill + single-day offline-optimal Stage II."""
 
 
 @dataclass(frozen=True)
@@ -46,17 +64,6 @@ class EconomicParams:
             raise ValueError("capacity must be at least 1")
         if not -self.k0 < self.confirmation_time <= 1.0:
             raise ValueError("confirmation time outside (-k0, 1]")
-
-
-@dataclass
-class StageOneState:
-    day: int
-    B_t: int        # accepted and uncancelled reservations
-    hat_C: float    # cached estimated capacity for the day
-
-    def __post_init__(self):
-        if self.B_t < 0 or self.hat_C <= 0:
-            raise ValueError("invalid Stage-I state")
 
 
 @dataclass
@@ -85,15 +92,6 @@ class StageTwoState:
             raise ValueError("negative walk-in count")
 
 
-@dataclass(frozen=True)
-class HeuristicParams:
-    beta: float
-
-    def __post_init__(self):
-        if abs(self.beta) > 1.0:
-            raise ValueError("beta must be in [-1, 1]")
-
-
 def stage1_threshold(B_t, p_t, iota):
     """Upper confidence bound on final surviving bookings.
 
@@ -101,35 +99,87 @@ def stage1_threshold(B_t, p_t, iota):
     """
     if B_t < 0 or not 0.0 <= p_t <= 1.0 or iota < 0:
         raise ValueError("stage1_threshold domain violation")
-    a = iota * (1.0 - p_t) / 3.0
-    return p_t * B_t + a + math.sqrt(a * a + 2.0 * iota * B_t * p_t * (1.0 - p_t))
+    return _threshold(B_t, p_t, iota, math.sqrt)
+
+
+def _threshold(B, p, iota, sqrt):
+    # one formula for scalars (math.sqrt) and arrays (np.sqrt); both give
+    # the same correctly rounded float for the same inputs
+    a = iota * (1.0 - p) / 3.0
+    return p * B + a + sqrt(a * a + 2.0 * iota * B * p * (1.0 - p))
 
 
 def max_bookings_within(hat_C, p_t, iota):
     """Largest integer B with stage1_threshold(B, p_t, iota) <= hat_C.
 
     Returns -1 when even B=0 exceeds hat_C, and math.inf when the threshold
-    does not grow with B (p_t = 0). Closed-form inversion of the threshold
-    with a one-step floor correction against the direct formula.
+    does not grow with B (p_t = 0) or grows so slowly that the bound passes
+    2**53, beyond any count of bookings. Closed-form inversion of the
+    threshold with a floor correction against the direct formula, which is
+    nondecreasing in B in floating point too, so `B <= result` decides
+    `stage1_threshold(B, p_t, iota) <= hat_C` exactly.
     """
-    a = iota * (1.0 - p_t) / 3.0
     if stage1_threshold(0, p_t, iota) > hat_C:
         return -1
     if p_t == 0.0:
         return math.inf
     if p_t == 1.0 or iota == 0.0:
-        return math.floor(hat_C / p_t)
-    b = iota * p_t * (1.0 - p_t)
-    # solve p^2 n^2 - 2(p(hat_C - a) + b) n + (hat_C - a)^2 - a^2 = 0
-    h = hat_C - a
-    disc = (p_t * h + b) ** 2 - p_t * p_t * (h * h - a * a)
-    n = ((p_t * h + b) - math.sqrt(max(disc, 0.0))) / (p_t * p_t)
-    n = math.floor(n)
+        est = hat_C / p_t  # the threshold is p_t * B
+    else:
+        est = float(_cap_estimate(hat_C, p_t, iota))
+    if not est < 2.0 ** 53:
+        return math.inf
+    n = math.floor(est)
     while n >= 0 and stage1_threshold(n, p_t, iota) > hat_C:
         n -= 1
     while stage1_threshold(n + 1, p_t, iota) <= hat_C:
         n += 1
     return n
+
+
+def _cap_estimate(hat_C, p, iota):
+    # closed-form inverse of the threshold for p > 0: the smaller root of
+    # p^2 n^2 - 2(p(hat_C - a) + b) n + (hat_C - a)^2 - a^2, written without
+    # dividing by p^2, which underflows for tiny p; hat_C / p where the
+    # safety terms vanish (then the root's denominator is 0)
+    with np.errstate(all="ignore"):
+        a = iota * (1.0 - p) / 3.0
+        b = iota * p * (1.0 - p)
+        h = hat_C - a
+        c = p * h + b
+        den = c + np.sqrt(np.maximum(c * c - p * p * (h * h - a * a), 0.0))
+        return np.where(den > 0.0, (h * h - a * a) / den, hat_C / p)
+
+
+# below this many requests a day, the scalar closed form beats numpy's
+# per-call overhead
+_SCALAR_CAPS_BELOW = 8
+
+
+def booking_caps(hat_C, p, iota):
+    """Stage-I caps of a day's m requests with keep probabilities p (an
+    array): min(max_bookings_within(hat_C, p_i, iota), m) for each. No more
+    than m bookings are ever alive, so the clip at m changes no decision
+    and keeps every cap finite."""
+    m = len(p)
+    if m < _SCALAR_CAPS_BELOW:
+        return [min(max_bookings_within(hat_C, x, iota), m)
+                for x in p.tolist()]
+    flat = p == 0.0
+    q = np.where(flat, 1.0, p)  # p = 0 is settled after the correction
+    n = np.clip(np.floor(_cap_estimate(hat_C, q, iota)), -1.0, m)
+    n[np.isnan(n)] = -1.0
+    with np.errstate(invalid="ignore"):
+        while True:  # at n = -1 the threshold is nan and never compared
+            over = (n >= 0.0) & (_threshold(n, q, iota, np.sqrt) > hat_C)
+            under = (n < m) & (_threshold(n + 1.0, q, iota, np.sqrt)
+                               <= hat_C)
+            if not (over.any() or under.any()):
+                break
+            n = n - over + under
+    if flat.any():
+        n[flat] = m if _threshold(0, 0.0, iota, math.sqrt) <= hat_C else -1.0
+    return n.tolist()
 
 
 def _capacity_lhs(x, q1, iota):
@@ -170,16 +220,6 @@ def estimated_capacity(law, C, q1, iota, tol=1e-9):
             hi = mid
 
 
-def dass1_decide(state, request_time, keep_curve, params):
-    """Accept iff the threshold with the candidate counted stays within
-    hat_C; acceptance increments B_t."""
-    p = float(keep_curve.value(request_time))
-    accept = stage1_threshold(state.B_t + 1, p, params.iota) <= state.hat_C
-    if accept:
-        state.B_t += 1
-    return accept
-
-
 def expected_shownups(state, u, v, q1, alpha):
     """Expected final occupied rooms from the Stage-II viewpoint at time u."""
     if not 0.0 <= u <= 1.0:
@@ -210,11 +250,11 @@ def type1_checkin_decide(state):
     return state.B1 + state.W1 < state.C_rooms
 
 
-def heuristic_stage1_threshold(params, law, C, q1):
+def heuristic_stage1_threshold(policy, law, C, q1):
     """Fixed booking cap (1+beta) * delta * C / q1."""
     if q1 <= 0:
         raise ValueError("q1 must be positive")
-    return (1.0 + params.beta) * law.delta * C / q1
+    return (1.0 + policy.beta) * law.delta * C / q1
 
 
 def heuristic_stage2_standard(B, q1):

@@ -13,10 +13,9 @@ import roomflow.engine as E
 from roomflow.benchmarks import (DayDemandSnapshot, brute_force_day_optimal,
                                  lower_bound_instance,
                                  single_day_offline_optimal)
-from roomflow.flows import (CheckInRecord, DurationLaw, KeepCurve,
-                            RateFunction, StageProfiles,
-                            attach_stage2_outcomes, sample_stage1_day,
-                            substream)
+from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
+                            StageProfiles, attach_stage2_outcomes,
+                            sample_stage1_day, substream)
 from roomflow.policies import (EconomicParams, estimated_capacity,
                                stage1_threshold)
 
@@ -113,17 +112,12 @@ class TestImmediateCallIdentity:
             q1 = float(rng.uniform(0.1, 0.9))
             C = int(rng.integers(1, 9))
             B = int(rng.integers(0, 13))
-            survivors = sorted(
-                (CheckInRecord(float(rng.random()),
-                               bool(rng.random() < q1), 1, "type1")
-                 for _ in range(B)), key=lambda r: r.arrival_time)
-            walkins = sorted(
-                (CheckInRecord(float(rng.random()), True, 1, "type2")
-                 for _ in range(int(rng.integers(0, 10)))),
-                key=lambda r: r.arrival_time)
-            res = E.replay_stage2(survivors, walkins, float(C), C, 0.0,
+            arrival = rng.random(B)
+            shows = rng.random(B) < q1
+            walkins = np.sort(rng.random(int(rng.integers(0, 10))))
+            res = E.replay_stage2(arrival, shows, walkins, float(C), C, 0.0,
                                   q1, 0.4, rate, "adaptive")
-            ref = E.oracle_stage2(survivors, walkins, C)
+            ref = E.oracle_stage2(arrival, shows, len(walkins), C)
             assert len(res.served_type1) == len(ref.served_type1)
             assert len(res.served_walkins) == len(ref.served_walkins)
             assert res.overbooked == ref.overbooked
@@ -197,7 +191,7 @@ class TestStageOneConcentration:
         for day in range(10_000):
             recs = sample_stage1_day(prof, day, substream(2024, 7, day, 1))
             accepted = E.stage1_accept(pol, recs, prof, 100)
-            survivors = sum(1 for r in accepted if r.survives_stage1)
+            survivors = int(recs.survives[accepted].sum())
             exceed += survivors > hat_C
         assert exceed / 10_000 <= 0.1
 
@@ -250,6 +244,7 @@ class TestInvariantSuite:
         for _ in range(8):
             sc = self.random_scenario(rng)
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+            committed = []
             for k in range(1, sc.T + 1):
                 out = E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
                 # daily conservation: idle + occupied = C, priced at r
@@ -258,18 +253,16 @@ class TestInvariantSuite:
                 assert out.day_loss == pytest.approx(
                     sc.overbook_penalty * out.overbooked
                     + sc.reward * out.idle)
-            assert led.total_room_nights == sum(led.committed.values())
+                committed.append(led.occupied(k))
+            assert led.total_room_nights == sum(committed)
 
     def test_survival_law_three_sigma(self):
         # empirical window survival per request-time bin vs the keep value
         prof = reference_profiles(p0=0.4)
-        times, survived = [], []
-        for day in range(300):
-            for rec in sample_stage1_day(prof, day, substream(9, 0, day, 1)):
-                times.append(rec.request_time)
-                survived.append(rec.survives_stage1)
-        times = np.asarray(times)
-        survived = np.asarray(survived)
+        days = [sample_stage1_day(prof, day, substream(9, 0, day, 1))
+                for day in range(300)]
+        times = np.concatenate([d.time for d in days])
+        survived = np.concatenate([d.survives for d in days])
         for lo in np.arange(0.0, 1.0, 0.25):
             sel = (times >= lo) & (times < lo + 0.25)
             n = int(sel.sum())
@@ -284,9 +277,8 @@ class TestInvariantSuite:
         for day in range(400):
             recs = sample_stage1_day(prof, day, substream(10, 0, day, 1))
             attach_stage2_outcomes(recs, prof, substream(10, 0, day, 2))
-            alive = [r for r in recs if r.survives_stage1]
-            total_B += len(alive)
-            total_shows += sum(r.shows for r in alive)
+            total_B += int(recs.survives.sum())
+            total_shows += int((recs.shows & recs.survives).sum())
         expect = 0.35 * total_B
         sigma = np.sqrt(total_B * 0.35 * 0.65)
         assert abs(total_shows - expect) <= 3.0 * sigma

@@ -11,7 +11,7 @@ from roomflow.benchmarks import (
     lower_bound_instance,
     single_day_offline_optimal,
 )
-from roomflow.flows import BookingRecord, substream
+from roomflow.flows import substream
 
 
 def snap(finals, n_walkins, C, r=1.0, ell=1.0):
@@ -62,31 +62,29 @@ class TestSingleDayOfflineOptimal:
             brute_force_day_optimal(snap(1, 21, 5))
 
 
-class TestClairvoyantSelect:
-    def _rec(self, t, survives, shows):
-        return BookingRecord(
-            request_time=t, survives_stage1=survives,
-            cancel_time=None if survives else t + 0.01, duration=1,
-            arrival_time=0.5, shows=shows,
-        )
+def outcomes(*pairs):
+    """survives, shows arrays of bookings in request order."""
+    survives, shows = zip(*pairs)
+    return np.array(survives), np.array(shows)
 
+
+class TestClairvoyantSelect:
     def test_takes_first_surviving_showing_in_request_order(self):
-        recs = [
-            self._rec(0.1, True, True),
-            self._rec(0.2, False, True),   # cancels in the window
-            self._rec(0.3, True, False),   # survives but no-shows
-            self._rec(0.4, True, True),
-            self._rec(0.5, True, True),
-        ]
-        sel = clairvoyant_stage1_select(recs, 2)
-        assert [r.request_time for r in sel] == [0.1, 0.4]
+        survives, shows = outcomes(
+            (True, True),
+            (False, True),   # cancels in the window
+            (True, False),   # survives but no-shows
+            (True, True),
+            (True, True),
+        )
+        sel = clairvoyant_stage1_select(survives, shows, 2)
+        assert sel.tolist() == [0, 3]
 
     def test_short_demand_returns_everything_available(self):
-        recs = [self._rec(0.1, True, True)]
-        assert len(clairvoyant_stage1_select(recs, 5)) == 1
+        assert len(clairvoyant_stage1_select(*outcomes((True, True)), 5)) == 1
 
     def test_zero_target_selects_nothing(self):
-        assert clairvoyant_stage1_select([self._rec(0.1, True, True)], 0) == []
+        assert clairvoyant_stage1_select(*outcomes((True, True)), 0).size == 0
 
 
 class TestLowerBoundInstance:

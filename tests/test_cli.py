@@ -1,5 +1,10 @@
 """Command-line driver: config parsing, reproducibility, subcommands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,6 +140,22 @@ class TestParsePolicies:
         with pytest.raises(cli.ConfigError, match="alpha"):
             cli.parse_policies(cfg)
 
+    @pytest.mark.parametrize("spec, field", [
+        ("adaptive iota=2.0 alpha=1.5", "alpha"),
+        ("adaptive iota=-1 alpha=0.4", "iota"),
+        ("heuristic beta=5", "beta"),
+    ])
+    def test_invalid_parameters_exit_1(self, tmp_path, capsys, spec, field):
+        cfg = write_cfg(tmp_path, MULTIDAY.replace(
+            "adaptive = adaptive iota=2.0 alpha=0.4", f"bad = {spec}"))
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: [policies] bad: ")
+        assert field in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_option_case_preserved(self, tmp_path):
         cfg = cli.load_config(None, write_cfg(
             tmp_path, "[sweep]\nB = 1,2\n[scenario]\nT = 1\n"))
@@ -175,6 +196,15 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_no_runtime_column(self, tmp_path):
+        # result files hold results only, so reruns are byte-identical
+        cfg = write_cfg(tmp_path, MULTIDAY)
+        out = str(tmp_path / "x.csv")
+        cli.main(["simulate", "--config", cfg, "--out", out])
+        assert body(out)[0].rstrip("\n").split(",") == [
+            "policy", "mean_cumulative_regret", "stderr",
+            "mean_stage1_regret", "mean_stage2_regret"]
+
     def test_series_file_has_one_row_per_day(self, tmp_path):
         cfg = write_cfg(tmp_path, MULTIDAY)
         out = str(tmp_path / "x.csv")
@@ -190,7 +220,10 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         lines = body(out)
         assert lines[0].startswith("# argmin best:")
-        assert lines[1].split(",")[:3] == ["B", "lambda2", "policy"]
+        assert lines[1].rstrip("\n").split(",") == [
+            "B", "lambda2", "policy", "mean_loss", "loss_stderr",
+            "mean_regret", "regret_stderr", "mean_mismatch",
+            "mismatch_stderr"]
         assert len(lines) == 2 + 4  # argmin + header + 4 cells
 
     def test_jobs_matches_serial(self, tmp_path):
@@ -254,6 +287,25 @@ class TestFit:
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1
 
+    def test_model_independent_of_hash_seed(self, tmp_path):
+        # the walk-in day counts seed the EM restarts; their order must not
+        # follow the interpreter's set order
+        data = tmp_path / "b.csv"
+        calib.write_bookings(
+            calib.simulate_booking_records(self.MODEL, 60, seed=5), data)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"model{hash_seed}.txt"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "roomflow.cli", "fit",
+                            "--config", str(data), "--out", str(out),
+                            "--capacity", "40", "--seed", "1"],
+                           env=env, check=True, capture_output=True)
+            outputs.append((out.read_text(),
+                            Path(str(out) + ".report").read_text()))
+        assert outputs[0] == outputs[1]
+
 
 class TestCheck:
     def test_fig4_scenario_verdicts(self, capsys):
@@ -262,6 +314,19 @@ class TestCheck:
         assert "booking condition: holds" in out
         assert "walk-in condition: fails" in out
         assert "call-timing condition" in out
+
+    def test_single_day_preset(self, capsys):
+        # a single-day scenario has no horizon; check reads only what it
+        # judges, and reports call timing along the v sweep
+        assert cli.main(["check", "--preset", "fig3"]) == 0
+        out = capsys.readouterr().out
+        assert "booking condition: not applicable" in out
+        assert "walk-in condition: fails (lambda2=30," in out
+        # lambda2 = 30 is below the second call-timing branch (about 93)
+        # at every v
+        assert out.count("call-timing condition at v=") == 11
+        assert "call-timing condition at v=0: fails" in out
+        assert "call-timing condition at v=1: fails" in out
 
     def test_missing_adaptive_policy_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MULTIDAY.replace(

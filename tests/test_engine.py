@@ -8,8 +8,6 @@ import pytest
 import roomflow.engine as E
 from roomflow.benchmarks import lower_bound_instance
 from roomflow.flows import (
-    BookingRecord,
-    CheckInRecord,
     DurationLaw,
     KeepCurve,
     RateFunction,
@@ -38,29 +36,44 @@ def scenario(T=40, C=100, v=0.0, seed=5, **kw):
 class TestOccupancyLedger:
     def test_admit_spans_duration(self):
         led = E.OccupancyLedger(C=3, T=100)
-        led.admit(5, 3)
-        assert [led.occupied(d) for d in (4, 5, 6, 7, 8)] == [0, 1, 1, 1, 0]
+        before = led.occupied(4)
+        led.admit(5, [3])
+        assert [before] + [led.occupied(d) for d in (5, 6, 7, 8)] \
+            == [0, 1, 1, 1, 0]
 
     def test_truncates_at_horizon(self):
         led = E.OccupancyLedger(C=3, T=6)
-        led.admit(5, 10)
+        led.admit(5, [10])
         assert led.occupied(6) == 1 and led.occupied(7) == 0
         assert led.total_room_nights == 2
 
     def test_capacity_violation_raises(self):
         led = E.OccupancyLedger(C=1, T=10)
-        led.admit(2, 1)
+        led.admit(2, [1])
         with pytest.raises(E.CapacityError):
-            led.admit(2, 1)
+            led.admit(2, [1])
+        # a later day holds no more of the guests than the open day
+        led = E.OccupancyLedger(C=2, T=10)
+        led.admit(1, [3, 1])
+        led.admit(2, [2])
+        with pytest.raises(E.CapacityError):
+            led.admit(3, [1, 1])
+
+    def test_closed_days_are_final(self):
+        led = E.OccupancyLedger(C=3, T=10)
+        led.admit(4, [1])
+        with pytest.raises(ValueError):
+            led.admit(3, [1])
 
 
 class TestWarmStart:
     def test_geometric_day1_within_capacity(self):
         sc = scenario(C=50, q_stay=0.6)
         led = E.warm_start_ledger(sc, substream(1, 0, 0, 0))
-        assert 0 < led.occupied(1) <= 50
+        day1 = led.occupied(1)
+        assert 0 < day1 <= 50
         # memoryless residual: day-1 occupancy is Binomial(C, q_stay)-like
-        assert led.occupied(2) <= led.occupied(1)
+        assert led.occupied(2) <= day1
 
     def test_constant_duration_age_classes(self):
         prof = dataclasses.replace(geometric_profiles(),
@@ -80,34 +93,31 @@ class TestWarmStart:
         assert led.occupied(1) == 0
 
 
+NAN = float("nan")
+
+
 class TestStage1Replay:
     def test_cancellation_frees_a_slot_before_later_request(self):
-        recs = [
-            BookingRecord(0.1, False, 0.3, 1),
-            BookingRecord(0.2, True, None, 1),
-            BookingRecord(0.4, True, None, 1),
-        ]
+        # (request time, cancel time or nan if the booking survives)
+        times, cancels = [0.1, 0.2, 0.4], [0.3, NAN, NAN]
         # cap of 2 alive: third request admitted only because the first
         # cancelled at 0.3 < 0.4
-        accepted = E.replay_stage1(recs, lambda t, alive: alive < 2)
+        accepted = E.replay_stage1(times, cancels, [2, 2, 2])
         assert len(accepted) == 3
 
     def test_tie_processes_cancellation_first(self):
-        recs = [
-            BookingRecord(0.1, False, 0.4, 1),
-            BookingRecord(0.4, True, None, 1),
-        ]
-        accepted = E.replay_stage1(recs, lambda t, alive: alive < 1)
+        accepted = E.replay_stage1([0.1, 0.4], [0.4, NAN], [1, 1])
         assert len(accepted) == 2
 
 
+def arrays(times, shows=None):
+    times = np.asarray(times, dtype=float)
+    if shows is None:
+        return times
+    return times, np.asarray(shows, dtype=bool)
+
+
 class TestStage2Replay:
-    def wk(self, t):
-        return CheckInRecord(t, True, 1, "type2")
-
-    def t1(self, t, shows=True):
-        return CheckInRecord(t, shows, 1, "type1")
-
     def test_oracle_equivalence_random_instances(self):
         # event-driven v=0 replay against the direct offline construction
         rate = RateFunction.constant(10.0, 0.0, 1.0)
@@ -115,39 +125,42 @@ class TestStage2Replay:
         for _ in range(400):
             B = int(rng.integers(0, 12))
             C = int(rng.integers(1, 8))
-            survivors = sorted(
-                (self.t1(float(rng.random()), bool(rng.random() < 0.6))
-                 for _ in range(B)), key=lambda r: r.arrival_time)
-            walkins = sorted((self.wk(float(rng.random()))
-                              for _ in range(int(rng.integers(0, 9)))),
-                             key=lambda r: r.arrival_time)
-            res = E.replay_stage2(survivors, walkins, float(C), C, 0.0,
+            arrival, shows = arrays(rng.random(B), rng.random(B) < 0.6)
+            walkins = np.sort(rng.random(int(rng.integers(0, 9))))
+            res = E.replay_stage2(arrival, shows, walkins, float(C), C, 0.0,
                                   0.6, 0.4, rate, "adaptive")
-            ref = E.oracle_stage2(survivors, walkins, C)
+            ref = E.oracle_stage2(arrival, shows, len(walkins), C)
             assert len(res.served_type1) == len(ref.served_type1)
             assert res.overbooked == ref.overbooked
-            assert ([r.arrival_time for r in res.served_walkins]
-                    == [r.arrival_time for r in ref.served_walkins])
+            assert (walkins[list(res.served_walkins)].tolist()
+                    == walkins[list(ref.served_walkins)].tolist())
 
     def test_reveal_processed_before_event_at_v(self):
         # one confirmed no-show: a walk-in exactly at v sees the revealed
         # count (1 future show), not the expected one
-        survivors = [self.t1(0.9, True), self.t1(0.8, False)]
-        walkins = [self.wk(0.5)]
+        arrival, shows = arrays([0.9, 0.8], [True, False])
         rate = RateFunction.constant(4.0, 0.0, 1.0)
-        res = E.replay_stage2(survivors, walkins, 2.0, 2, 0.5, 0.9, 0.4,
-                              rate, "adaptive")
+        res = E.replay_stage2(arrival, shows, arrays([0.5]), 2.0, 2, 0.5,
+                              0.9, 0.4, rate, "adaptive")
         assert len(res.served_walkins) == 1
         assert len(res.served_type1) == 1
 
     def test_heuristic_ignores_reveal(self):
-        survivors = [self.t1(0.9, False), self.t1(0.95, False)]
-        walkins = [self.wk(0.5)]
+        arrival, shows = arrays([0.9, 0.95], [False, False])
         rate = RateFunction.constant(4.0, 0.0, 1.0)
-        res = E.replay_stage2(survivors, walkins, 2.0, 2, 0.0, 0.9, 0.4,
-                              rate, "heuristic", standard=1.8)
+        res = E.replay_stage2(arrival, shows, arrays([0.5]), 2.0, 2, 0.0,
+                              0.9, 0.4, rate, "heuristic", standard=1.8)
         # standard 1.8 + 0 accepted >= C_tilde 2 is false, so accept
         assert len(res.served_walkins) == 1
+
+    def test_reserved_before_walkin_at_equal_times(self):
+        # the reserved customer at 0.5 takes the last room first
+        arrival, shows = arrays([0.5], [True])
+        rate = RateFunction.constant(4.0, 0.0, 1.0)
+        res = E.replay_stage2(arrival, shows, arrays([0.5]), 1.0, 1, 0.0,
+                              0.9, 0.4, rate, "heuristic", standard=0.0)
+        assert res.served_type1.tolist() == [0]
+        assert list(res.served_walkins) == []
 
 
 class TestRunHorizonAccounting:
@@ -181,9 +194,11 @@ class TestRunHorizonAccounting:
         sc = scenario(T=25)
         pol = E.AdaptivePolicy(2.0, 0.4)
         led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+        committed = []
         for k in range(1, sc.T + 1):
             E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
-        assert led.total_room_nights == sum(led.committed.values())
+            committed.append(led.occupied(k))
+        assert led.total_room_nights == sum(committed)
 
 
 class TestRegret:
@@ -259,6 +274,6 @@ class TestSingleDayCell:
         for i in range(150):
             rng = substream(42, i)
             type1, walkins = sample_stage2_day(prof, 30, 1, rng)
-            res = E.oracle_stage2(type1, walkins, 20)
+            res = E.oracle_stage2(type1.time, type1.shows, len(walkins), 20)
             idle = 20 - len(res.served_type1) - len(res.served_walkins)
             assert ora[i] == pytest.approx(res.overbooked + idle)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import roomflow.engine as E
 from roomflow.flows import (
-    BookingRecord,
-    CheckInRecord,
     DurationLaw,
     KeepCurve,
     RateFunction,
     StageProfiles,
     attach_stage2_outcomes,
-    sample_day,
     sample_nhpp,
     sample_stage1_day,
     sample_stage2_day,
@@ -100,23 +98,21 @@ class TestKeepCurve:
 
     def test_constant_curve_cancels_at_window_end(self):
         curve = KeepCurve.constant(0.5, 0.0, 1.0)
-        rng = substream(4)
-        for _ in range(50):
-            assert curve.cancel_time(0.3, rng) == pytest.approx(1.0)
+        s = np.full(50, 0.3)
+        tau = curve.cancel_times(s, curve.value(s), substream(4))
+        assert tau == pytest.approx(np.ones(50))
 
     def test_linear_curve_survival_law(self):
         # p(t) = t on [0, 1], booked at s=0.25:
         # P(uncancelled at 0.5) = p(s)/p(0.5) = 0.5
         curve = KeepCurve.linear(0.0, 0.0, 1.0)
-        s = 0.25
         rng = substream(5)
         n = 100_000
-        alive = 0
-        for _ in range(n):
-            if rng.random() < curve.value(s):
-                alive += 1  # survives the whole window
-            elif curve.cancel_time(s, rng) > 0.5:
-                alive += 1
+        s = np.full(n, 0.25)
+        p = curve.value(s)
+        survives = rng.random(n) < p  # survives the whole window
+        tau = curve.cancel_times(s[~survives], p[~survives], rng)
+        alive = survives.sum() + (tau > 0.5).sum()
         assert abs(alive / n - 0.5) < 0.01
 
 
@@ -146,8 +142,9 @@ class TestDurationLaw:
 class TestStage1Day:
     def test_no_cancellation(self):
         profiles = simple_profiles(keep=KeepCurve.always(0.0, 1.0))
-        recs = sample_stage1_day(profiles, 1, substream(9))
-        assert all(r.survives_stage1 and r.cancel_time is None for r in recs)
+        day = sample_stage1_day(profiles, 1, substream(9))
+        assert len(day) > 0
+        assert day.survives.all() and np.isnan(day.cancel_time).all()
 
     def test_constant_half_survival(self):
         profiles = simple_profiles(keep=KeepCurve.constant(0.5, 0.0, 1.0),
@@ -155,19 +152,19 @@ class TestStage1Day:
         rng = substream(10)
         total = survived = 0
         while total < 100_000:
-            recs = sample_stage1_day(profiles, 1, rng)
-            total += len(recs)
-            survived += sum(r.survives_stage1 for r in recs)
+            day = sample_stage1_day(profiles, 1, rng)
+            total += len(day)
+            survived += int(day.survives.sum())
         assert abs(survived / total - 0.5) < 0.005
 
     def test_records_sorted_and_consistent(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0))
-        recs = sample_stage1_day(profiles, 1, substream(11))
-        times = [r.request_time for r in recs]
+        day = sample_stage1_day(profiles, 1, substream(11))
+        times = day.time.tolist()
         assert times == sorted(times)
-        for r in recs:
-            if not r.survives_stage1:
-                assert r.cancel_time >= r.request_time
+        gone = ~day.survives
+        assert gone.any()
+        assert np.all(day.cancel_time[gone] >= day.time[gone])
 
     def test_survival_fraction_matches_curve_midwindow(self):
         # among bookings alive at t, the fraction ultimately surviving is p(t)
@@ -177,11 +174,11 @@ class TestStage1Day:
         t = 0.6
         alive = surv = 0
         for _ in range(2000):
-            for r in sample_stage1_day(profiles, 1, rng):
-                if r.request_time <= t and (r.survives_stage1
-                                            or r.cancel_time > t):
-                    alive += 1
-                    surv += r.survives_stage1
+            day = sample_stage1_day(profiles, 1, rng)
+            # nan cancel times (survivors) compare False
+            live = (day.time <= t) & (day.survives | (day.cancel_time > t))
+            alive += int(live.sum())
+            surv += int((live & day.survives).sum())
         p_hat = surv / alive
         sigma = np.sqrt(curve.value(t) * (1 - curve.value(t)) / alive)
         assert abs(p_hat - curve.value(t)) < 3 * sigma + 1e-9
@@ -191,12 +188,12 @@ class TestStage2Day:
     def test_empty(self):
         profiles = simple_profiles(lam2=0.0)
         t1, wk = sample_stage2_day(profiles, 0, 1, substream(13))
-        assert t1 == [] and wk == []
+        assert len(t1) == 0 and len(wk) == 0
 
     def test_show_count_mean(self):
         profiles = simple_profiles(q1=0.5)
         rng = substream(14)
-        shows = [sum(r.shows for r in sample_stage2_day(profiles, 360, 1, rng)[0])
+        shows = [int(sample_stage2_day(profiles, 360, 1, rng)[0].shows.sum())
                  for _ in range(10_000)]
         assert abs(np.mean(shows) - 180.0) < 1.0
 
@@ -213,16 +210,16 @@ class TestStage2Day:
         t1_times, wk_times = [], []
         for _ in range(2000):
             t1, wk = sample_stage2_day(profiles, 30, 1, rng)
-            t1_times += [r.arrival_time for r in t1]
-            wk_times += [r.arrival_time for r in wk]
+            t1_times += t1.time.tolist()
+            wk_times += wk.time.tolist()
         assert abs(np.mean(t1_times) - 0.5) < 0.005
         assert abs(np.mean(wk_times) - 0.5) < 0.005
 
     def test_lists_sorted(self):
         profiles = simple_profiles()
         t1, wk = sample_stage2_day(profiles, 50, 1, substream(16))
-        assert [r.arrival_time for r in t1] == sorted(r.arrival_time for r in t1)
-        assert [r.arrival_time for r in wk] == sorted(r.arrival_time for r in wk)
+        assert t1.time.tolist() == sorted(t1.time.tolist())
+        assert wk.time.tolist() == sorted(wk.time.tolist())
 
     def test_conditional_binomial_after_u(self):
         # conditioning on the counts determined by time u, the post-u shows
@@ -234,9 +231,9 @@ class TestStage2Day:
         post_shows, remaining = [], []
         for _ in range(20_000):
             t1, _ = sample_stage2_day(profiles, B, 1, rng)
-            rem = [r for r in t1 if r.arrival_time > u]
-            remaining.append(len(rem))
-            post_shows.append(sum(r.shows for r in rem))
+            rem = t1.time > u
+            remaining.append(int(rem.sum()))
+            post_shows.append(int(t1.shows[rem].sum()))
         post_shows = np.asarray(post_shows, dtype=float)
         remaining = np.asarray(remaining, dtype=float)
         n = len(post_shows)
@@ -250,35 +247,61 @@ class TestStage2Day:
         assert abs(resid.var() - var_expected) < 4 * sd_var
 
 
+def scenario_for(profiles, seed):
+    return E.ScenarioConfig(T=5, C=10, k0=1, v=0.0, reward=1.0,
+                            overbook_penalty=1.0, profiles=profiles,
+                            seed=seed)
+
+
+def day_arrays(day):
+    b, w = day.bookings, day.walkins
+    return [b.time, b.keep, b.survives, b.cancel_time, b.duration,
+            b.arrival_time, b.shows, w.time, w.duration]
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_streams(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.3, 0.0, 1.0),
                                    law=DurationLaw("geometric", q_stay=0.3))
-        d1 = sample_day(profiles, 3, substream(42, 0, 3, 0))
-        d2 = sample_day(profiles, 3, substream(42, 0, 3, 0))
-        assert d1 == d2
+        d1 = E.realize_day(scenario_for(profiles, 42), 0, 3)
+        d2 = E.realize_day(scenario_for(profiles, 42), 0, 3)
+        for a, b in zip(day_arrays(d1), day_arrays(d2)):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_paths_differ(self):
         profiles = simple_profiles()
-        d1 = sample_day(profiles, 3, substream(42, 0, 3, 0))
-        d2 = sample_day(profiles, 3, substream(42, 1, 3, 0))
-        assert d1 != d2
+        sc = scenario_for(profiles, 42)
+        d1 = E.realize_day(sc, 0, 3)
+        d2 = E.realize_day(sc, 1, 3)
+        assert d1.bookings.time.tolist() != d2.bookings.time.tolist()
 
 
 class TestRecords:
     def test_booking_record_invariants(self):
-        with pytest.raises(ValueError):
-            BookingRecord(0.5, True, 0.7, 1)
-        with pytest.raises(ValueError):
-            BookingRecord(0.5, False, 0.3, 1)
+        # cancel_time is present (not nan) iff the booking cancels, and
+        # never before its request
+        profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0),
+                                   lam1=200.0)
+        day = sample_stage1_day(profiles, 1, substream(20))
+        np.testing.assert_array_equal(np.isnan(day.cancel_time),
+                                      day.survives)
+        gone = ~day.survives
+        assert np.all(day.cancel_time[gone] >= day.time[gone])
 
     def test_walkins_always_show(self):
-        with pytest.raises(ValueError):
-            CheckInRecord(0.5, False, 1, "type2")
+        # walk-ins carry no show flag, and with rooms to spare a zero
+        # standard serves every one of them
+        profiles = simple_profiles(lam2=30.0)
+        t1, wk = sample_stage2_day(profiles, 0, 1, substream(21))
+        assert wk.shows is None and len(wk) > 0
+        res = E.replay_stage2(t1.time, t1.shows, wk.time, 1000.0, 1000,
+                              0.0, 0.5, 0.0, profiles.walkin_rate,
+                              "heuristic", standard=0.0)
+        assert list(res.served_walkins) == list(range(len(wk)))
 
     def test_attach_outcomes_covers_all_bookings(self):
         profiles = simple_profiles(keep=KeepCurve.constant(0.5, 0.0, 1.0))
-        recs = sample_stage1_day(profiles, 1, substream(18))
-        attach_stage2_outcomes(recs, profiles, substream(19))
-        assert all(r.arrival_time is not None and r.shows is not None
-                   for r in recs)
+        day = sample_stage1_day(profiles, 1, substream(18))
+        attach_stage2_outcomes(day, profiles, substream(19))
+        assert len(day.arrival_time) == len(day.shows) == len(day) > 0
+        assert day.shows.dtype == bool

@@ -2,19 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roomflow.engine import replay_stage1
 from roomflow.flows import DurationLaw, KeepCurve
 from roomflow.policies import (
-    DassParams,
-    HeuristicParams,
-    StageOneState,
+    AdaptivePolicy,
+    HeuristicPolicy,
     StageTwoState,
+    booking_caps,
     check_busy_season,
     check_call_timing,
-    dass1_decide,
     dass2_decide_walkin,
     departure_floor,
     estimated_capacity,
@@ -121,37 +122,40 @@ class TestEstimatedCapacity:
             assert abs(lhs - rhs) < 1e-8
 
 
+def stage1_accepted(times, curve, hat_C, iota):
+    """Accepted positions of never-cancelling requests at `times` under the
+    adaptive Stage-I rule (per-request caps from the keep values)."""
+    times = np.asarray(times, dtype=float)
+    caps = booking_caps(hat_C, curve.value(times), iota)
+    return replay_stage1(times.tolist(), [math.nan] * len(times), caps)
+
+
 class TestDass1Decide:
     def test_p_one_hard_cap(self):
-        hat_C = 50.0
-        st1 = StageOneState(day=1, B_t=49, hat_C=hat_C)
+        # p = 1: the threshold is B itself, so the 50th booking fits a
+        # capacity estimate of 50 and the 51st does not
         curve = KeepCurve.always(0.0, 1.0)
-        params = DassParams(iota=2.0, alpha=0.4)
-        assert dass1_decide(st1, 0.5, curve, params)
-        assert st1.B_t == 50
-        assert not dass1_decide(st1, 0.6, curve, params)
-        assert st1.B_t == 50
+        accepted = stage1_accepted(np.linspace(0.0, 0.9, 51), curve, 50.0,
+                                   2.0)
+        assert accepted == list(range(50))
 
     def test_boundary_reject(self):
         hat_C = estimated_capacity(GEO, 100, 0.4, 2.0)
         curve = KeepCurve.constant(0.5, 0.0, 1.0)
-        params = DassParams(iota=2.0, alpha=0.4)
-        st1 = StageOneState(day=1, B_t=214, hat_C=hat_C)
-        assert dass1_decide(st1, 0.5, curve, params)      # B_t+1 = 215
-        assert not dass1_decide(st1, 0.5, curve, params)  # B_t+1 = 216
+        accepted = stage1_accepted(np.full(216, 0.5), curve, hat_C, 2.0)
+        assert len(accepted) == 215  # B_t+1 = 215 accepted, 216 rejected
 
     def test_invariant_after_decisions(self):
         # after any accept, the threshold at the current state stays within hat_C
         hat_C = estimated_capacity(GEO, 100, 0.4, 2.0)
         curve = KeepCurve.linear(0.3, 0.0, 1.0)
-        params = DassParams(iota=2.0, alpha=0.4)
-        st1 = StageOneState(day=1, B_t=0, hat_C=hat_C)
-        t = 0.0
-        while t < 1.0:
-            dass1_decide(st1, t, curve, params)
+        times = np.arange(0.0, 1.0, 0.01)
+        accepted = set(stage1_accepted(times, curve, hat_C, 2.0))
+        B_t = 0
+        for i, t in enumerate(times):
+            B_t += i in accepted
             p = float(curve.value(t))
-            assert stage1_threshold(st1.B_t, p, params.iota) <= hat_C + 1e-9
-            t += 0.01
+            assert stage1_threshold(B_t, p, 2.0) <= hat_C + 1e-9
 
 
 class TestExpectedShownups:
@@ -228,10 +232,10 @@ class TestType1CheckIn:
 
 class TestHeuristics:
     def test_cap_values(self):
-        assert heuristic_stage1_threshold(HeuristicParams(0.0), GEO, 100, 0.4) \
+        assert heuristic_stage1_threshold(HeuristicPolicy(0.0), GEO, 100, 0.4) \
             == pytest.approx(175.0)
-        assert heuristic_stage1_threshold(HeuristicParams(-1.0), GEO, 100, 0.4) == 0.0
-        assert heuristic_stage1_threshold(HeuristicParams(0.2), GEO, 100, 0.4) \
+        assert heuristic_stage1_threshold(HeuristicPolicy(-1.0), GEO, 100, 0.4) == 0.0
+        assert heuristic_stage1_threshold(HeuristicPolicy(0.2), GEO, 100, 0.4) \
             == pytest.approx(210.0)
 
     def test_stage2_standard(self):
@@ -240,7 +244,7 @@ class TestHeuristics:
         assert heuristic_stage2_standard(100, 1.0) == 100.0
 
     def test_stage1_cap_linear_in_C_but_adaptive_is_not(self):
-        h = HeuristicParams(0.1)
+        h = HeuristicPolicy(0.1)
         h100 = heuristic_stage1_threshold(h, GEO, 100, 0.4)
         h200 = heuristic_stage1_threshold(h, GEO, 200, 0.4)
         assert h200 == pytest.approx(2 * h100)
@@ -293,13 +297,17 @@ class TestCallTiming:
 class TestParamValidation:
     def test_dass_params(self):
         with pytest.raises(ValueError):
-            DassParams(iota=-1.0, alpha=0.4)
+            AdaptivePolicy(iota=-1.0, alpha=0.4)
         with pytest.raises(ValueError):
-            DassParams(iota=1.0, alpha=1.0)
+            AdaptivePolicy(iota=1.0, alpha=1.0)
+        with pytest.raises(ValueError):
+            AdaptivePolicy(iota=math.nan, alpha=0.4)
 
     def test_heuristic_params(self):
         with pytest.raises(ValueError):
-            HeuristicParams(1.5)
+            HeuristicPolicy(1.5)
+        with pytest.raises(ValueError):
+            HeuristicPolicy(math.nan)
 
     def test_stage_two_state(self):
         with pytest.raises(ValueError):
