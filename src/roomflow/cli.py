@@ -69,15 +69,39 @@ def load_config(preset, config_path):
 _REQUIRED = object()
 
 
-def _get(cfg, section, key, conv, default=_REQUIRED):
-    if not cfg.has_option(section, key):
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"[{section}] {key}: missing")
-    try:
-        return conv(cfg.get(section, key))
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+class _Fields:
+    """One config section's values, with `overlay` laid over them. Each read
+    converts a value and marks its key read; `reject_unread` fails on the
+    keys no parse step asked for, so a typo never falls back to a default
+    silently."""
+
+    def __init__(self, cfg, section, overlay=()):
+        self.section = section
+        self.values = dict(cfg.items(section)) if cfg.has_section(
+            section) else {}
+        self.values.update(overlay)
+        self.unread = set(self.values)
+
+    def get(self, key, conv, default=_REQUIRED):
+        self.unread.discard(key)
+        if key not in self.values:
+            if default is not _REQUIRED:
+                return default
+            raise ConfigError(f"[{self.section}] {key}: missing")
+        try:
+            return conv(self.values[key])
+        except ValueError as exc:
+            raise ConfigError(f"[{self.section}] {key}: {exc}") from exc
+
+    def reject_unread(self, mode, axes=()):
+        if self.unread:
+            key = min(self.unread)
+            where = "[sweep]" if key in axes else f"[{self.section}]"
+            raise ConfigError(f"{where} {key}: not read in mode {mode!r}")
+
+
+def _whole(text):
+    return int(float(text))
 
 
 def parse_axis(text):
@@ -117,58 +141,188 @@ def parse_policies(cfg):
     return out
 
 
-def build_profiles(cfg, overrides):
-    def g(key, default=_REQUIRED):
-        if key in overrides:
-            return overrides[key]
-        return _get(cfg, "scenario", key, float, default)
-    k0 = g("k0", 1.0)
-    lam1 = g("lambda1")
-    lam2 = g("lambda2")
-    q1 = g("q1")
-    p0 = g("keep_p0", 1.0)
+def _profiles(f, lam1, p0, k0):
+    """Day profiles from [scenario]; lam1, p0 and k0 describe the booking
+    window."""
+    lam2 = f.get("lambda2", float)
+    q1 = f.get("q1", float)
     curve = (KeepCurve.always(0.0, k0) if p0 >= 1.0
              else KeepCurve.linear(p0, 0.0, k0))
-    aa, ab = g("arrival_beta_a", 1.0), g("arrival_beta_b", 1.0)
-    wa, wb = g("walkin_beta_a", 1.0), g("walkin_beta_b", 1.0)
-    arrival = (RateFunction.constant(1.0, 0.0, 1.0) if aa == ab == 1.0
-               else RateFunction.beta_shaped(1.0, aa, ab))
-    walkin = (RateFunction.constant(lam2, 0.0, 1.0) if wa == wb == 1.0
-              else RateFunction.beta_shaped(lam2, wa, wb))
-    kind = overrides.get("duration",
-                         _get(cfg, "scenario", "duration", str, "geometric"))
-    if kind == "geometric":
-        law = DurationLaw("geometric", q_stay=g("q_stay", 0.0))
+
+    def day_rate(prefix, mass):  # Beta(a, b)-shaped, flat when a = b = 1
+        a, b = (f.get(f"{prefix}_beta_{x}", float, 1.0) for x in "ab")
+        return (RateFunction.constant(mass, 0.0, 1.0) if a == b == 1.0
+                else RateFunction.beta_shaped(mass, a, b))
+
+    arrival = day_rate("arrival", 1.0)
+    walkin = day_rate("walkin", lam2)
+    kind = f.get("duration", str, "geometric")
+    if kind == "constant":
+        law = DurationLaw(kind, d=int(f.get("d", float, 1.0)))
     else:
-        law = DurationLaw("constant", d=int(g("d", 1.0)))
-    try:
-        return StageProfiles(
-            stage1_rate=RateFunction.constant(lam1 / k0, 0.0, k0),
-            keep_curve=curve, show_prob=q1, arrival_density=arrival,
-            walkin_rate=walkin, duration_law=law)
-    except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
+        law = DurationLaw(kind, q_stay=f.get("q_stay", float, 0.0))
+    return StageProfiles(
+        stage1_rate=RateFunction.constant(lam1 / k0, 0.0, k0),
+        keep_curve=curve, show_prob=q1, arrival_density=arrival,
+        walkin_rate=walkin, duration_law=law)
 
 
-def build_scenario(cfg, overrides, seed=0):
-    mode = _get(cfg, "scenario", "mode", str, "multiday")
-    if mode == "lower-bound":
-        iota = overrides.get("iota", _get(cfg, "scenario", "iota", float))
-        T = int(_get(cfg, "scenario", "T", float))
-        return lower_bound_instance(iota, T=T, seed=seed)
+def _multiday(f):
+    k0 = f.get("k0", float, 1.0)
+    return engine.ScenarioConfig(
+        T=f.get("T", _whole), C=f.get("C", _whole), k0=int(k0),
+        v=f.get("v", float, 0.0), reward=f.get("reward", float, 1.0),
+        overbook_penalty=f.get("overbook_penalty", float, 1.0),
+        profiles=_profiles(f, f.get("lambda1", float),
+                           f.get("keep_p0", float, 1.0), k0))
+
+
+def _single_day(f):
+    # one day with B surviving bookings: no booking window to describe
+    return (f.get("B", _whole), f.get("C", _whole), f.get("v", float, 0.0),
+            _profiles(f, 1.0, 1.0, 1.0), f.get("reward", float, 1.0),
+            f.get("overbook_penalty", float, 1.0))
+
+
+def _lower_bound(f):
+    return lower_bound_instance(f.get("iota", float), T=f.get("T", _whole))
+
+
+_MODES = {"multiday": _multiday, "single-day": _single_day,
+          "lower-bound": _lower_bound}
+
+
+def build_scenario(cfg, coords=(), axes=()):
+    """(mode, typed inputs) of one grid cell: the cell's coordinates laid
+    over [scenario], then one typed parse that rejects every key it leaves
+    unread. The inputs are a ScenarioConfig (seed 0) for multiday and
+    lower-bound, and (B, C, v, profiles, reward, overbook_penalty) for
+    single-day."""
+    f = _Fields(cfg, "scenario", coords)
+    mode = f.get("mode", str, "multiday")
+    if mode not in _MODES:
+        raise ConfigError(f"[scenario] mode: unknown value {mode!r}")
     try:
-        return engine.ScenarioConfig(
-            T=int(overrides.get("T", _get(cfg, "scenario", "T", float))),
-            C=int(overrides.get("C", _get(cfg, "scenario", "C", float))),
-            k0=int(overrides.get("k0", _get(cfg, "scenario", "k0", float, 1.0))),
-            v=overrides.get("v", _get(cfg, "scenario", "v", float, 0.0)),
-            reward=_get(cfg, "scenario", "reward", float, 1.0),
-            overbook_penalty=_get(cfg, "scenario", "overbook_penalty",
-                                  float, 1.0),
-            profiles=build_profiles(cfg, overrides),
-            seed=seed)
+        inputs = _MODES[mode](f)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"[scenario]: {exc}") from exc
+    f.reject_unread(mode, axes)
+    return mode, inputs
+
+
+def _axes_from_config(cfg, limit):
+    axes = []
+    if cfg.has_section("sweep"):
+        for name, text in cfg.items("sweep"):
+            try:
+                axes.append((name, parse_axis(text)))
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] {name}: {exc}") from exc
+    if len(axes) > limit:
+        raise ConfigError(f"[sweep]: at most {limit} axes supported")
+    total = int(np.prod([len(v) for _, v in axes])) if axes else 1
+    if total > 10_000:
+        raise ConfigError(f"[sweep]: grid of {total} cells exceeds 10000")
+    return axes
+
+
+def _plan(cfg, args, limit):
+    """Everything a grid command needs, parsed and checked before any cell
+    runs: the policies, the axis names, each cell's coordinates and typed
+    inputs, the mode, and the [run] settings (master seed, reps, output
+    path, and for single-day the draws per cell and the objective)."""
+    policies = parse_policies(cfg)
+    axes = _axes_from_config(cfg, limit)
+    names = [name for name, _ in axes]
+    grid = [()]
+    for name, values in axes:
+        grid = [cell + ((name, v),) for cell in grid for v in values]
+    cells = [(coords, build_scenario(cfg, coords, names)) for coords in grid]
+    mode = cells[0][1][0]
+    f = _Fields(cfg, "run")
+    master = f.get("seed", int, 0)
+    reps = f.get("reps", int, 1)
+    out = f.get("out", str, "results.csv")
+    sims = objective = None
+    if mode == "single-day":
+        sims = f.get("sims", int, 1000)
+        objective = f.get("objective", str, "auto")
+        if objective not in ("auto", "loss", "regret", "mismatch"):
+            raise ConfigError(f"[run] objective: unknown value {objective!r}")
+        if sims < 1:
+            raise ConfigError(f"[run] sims: must be at least 1, got {sims}")
+    f.reject_unread(mode)
+    master = args.seed if args.seed is not None else master
+    reps = args.reps if args.reps is not None else reps
+    if reps < 1:
+        raise ConfigError(f"[run] reps: must be at least 1, got {reps}")
+    run = (master, reps, sims, objective)
+    return policies, names, cells, mode, run, args.out or out
+
+
+# ---------------------------------------------------------------------------
+# grid cells: (typed inputs, cell key, policies, run settings) -> per-policy
+# rows (name, stats, objective, objective value) and per-day series
+
+def _multiday_cell(payload):
+    sc, key, policies, (master, reps, _, _) = payload
+    curves = {n: [] for n in policies}
+    for rep in range(reps):
+        seeded = dataclasses.replace(sc, seed=cell_seed(master, key, rep))
+        for n, rpt in engine.run_experiment(seeded, policies).items():
+            curves[n].append((rpt.cumulative_regret,
+                              rpt.stage1_component.sum(),
+                              rpt.stage2_component.sum()))
+    rows, series = [], []
+    for n, items in curves.items():
+        cum, s1, s2 = zip(*items)
+        _, mean, stderr = engine.aggregate(cum)
+        total = float(mean[-1])
+        rows.append((n, (total, float(stderr[-1]), float(np.mean(s1)),
+                         float(np.mean(s2))), "regret", total))
+        series.append((n, mean.tolist(), stderr.tolist()))
+    return rows, series
+
+
+_KINDS = {AdaptivePolicy: "adaptive", HeuristicPolicy: "heuristic",
+          OraclePolicy: "oracle"}
+
+
+def _singleday_cell(payload):
+    inputs, key, policies, (master, reps, sims, objective) = payload
+    B, C, v, profiles, reward, overbook_penalty = inputs
+    rows = []
+    for name, pol in policies.items():
+        kind = _KINDS[type(pol)]
+        alpha = getattr(pol, "alpha", 0.0)
+        draws = [engine.single_day_cell(B, C, profiles, v, alpha, kind, sims,
+                                        cell_seed(master, key, rep),
+                                        reward=reward,
+                                        overbook_penalty=overbook_penalty)
+                 for rep in range(reps)]
+        losses, oracle, rejected = (np.concatenate(x) for x in zip(*draws))
+        stats = []
+        # mismatch also charges turned-away walk-in demand, so over- and
+        # undersupply both register
+        for x in (losses, losses - oracle, losses + reward * rejected):
+            _, mean, stderr = engine.aggregate(x)
+            stats += [float(mean), float(stderr)]
+        obj = objective
+        if obj == "auto":
+            # the oracle's own regret is identically zero; its loss surface
+            # is the interesting objective
+            obj = "loss" if kind == "oracle" else "regret"
+        score = stats[("loss", "regret", "mismatch").index(obj) * 2]
+        rows.append((name, stats, obj, score))
+    return rows, ()
+
+
+_MULTIDAY_COLUMNS = ["mean_cumulative_regret", "stderr",
+                     "mean_stage1_regret", "mean_stage2_regret"]
+_SINGLE_DAY_COLUMNS = ["mean_loss", "loss_stderr", "mean_regret",
+                       "regret_stderr", "mean_mismatch", "mismatch_stderr"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,220 +338,58 @@ def _cell_key(coords):
     return ";".join(f"{k}={v:g}" for k, v in coords)
 
 
-# ---------------------------------------------------------------------------
-# multi-day grid
-
-def _multiday_cell(payload):
-    cfg_dict, coords, policies, master, reps = payload
-    cfg = configparser.ConfigParser()
-    cfg.optionxform = str
-    cfg.read_dict(cfg_dict)
-    key = _cell_key(coords)
-    overrides = dict(coords)
-    curves = {n: [] for n in policies}
-    for rep in range(reps):
-        sc = build_scenario(cfg, overrides, seed=cell_seed(master, key, rep))
-        reports = engine.run_experiment(sc, policies, rep=0)
-        for n, rpt in reports.items():
-            curves[n].append((rpt.cumulative_regret,
-                              rpt.stage1_component.sum(),
-                              rpt.stage2_component.sum()))
-    rows, series = [], []
-    for n, items in curves.items():
-        cum = [c for c, _, _ in items]
-        _, mean, stderr = engine.aggregate(cum)
-        rows.append((coords, n, float(mean[-1]), float(stderr[-1]),
-                     float(np.mean([s1 for _, s1, _ in items])),
-                     float(np.mean([s2 for _, _, s2 in items]))))
-        for day, (m, se) in enumerate(zip(mean, stderr), start=1):
-            series.append((coords, n, day, float(m), float(se)))
-    return rows, series
-
-
-def _cfg_as_dict(cfg):
-    return {s: dict(cfg.items(s)) for s in cfg.sections()}
-
-
-def run_multiday_grid(cfg, axes, policies, master, reps, out, jobs):
-    grid = [[]]
-    for name, values in axes:
-        grid = [cell + [(name, v)] for cell in grid for v in values]
-    payloads = [(_cfg_as_dict(cfg), tuple(cell), policies, master, reps)
-                for cell in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_multiday_cell, payloads))
+def run_grid(cfg, args, limit):
+    """Run every cell of the [sweep] grid (at most `limit` axes) and write
+    one result row per cell and policy, with an `# argmin` line when there
+    are axes; multiday and lower-bound runs also write the per-day
+    `<out>.series`. Returns the rows."""
+    policies, names, cells, mode, run, out = _plan(cfg, args, limit)
+    single_day = mode == "single-day"
+    work = _singleday_cell if single_day else _multiday_cell
+    payloads = [(inputs, _cell_key(coords), policies, run)
+                for coords, (_, inputs) in cells]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(work, payloads))
     else:
-        results = [_multiday_cell(p) for p in payloads]
+        results = [work(p) for p in payloads]
 
-    all_rows = [r for rows, _ in results for r in rows]
-    best = min(all_rows, key=lambda r: r[2], default=None)
-    axis_names = [name for name, _ in axes]
+    rows = [(coords, *row)
+            for (coords, _), (cell_rows, _) in zip(cells, results)
+            for row in cell_rows]
+    best = min(rows, key=lambda r: r[-1], default=None)
+    columns = _SINGLE_DAY_COLUMNS if single_day else _MULTIDAY_COLUMNS
     with _open_out(out) as fh:
-        if best is not None and axis_names:
-            fh.write(f"# argmin {best[1]}: {_cell_key(best[0])} "
-                     f"mean_regret={best[2]:.6g}\n")
-        fh.write(",".join(axis_names + [
-            "policy", "mean_cumulative_regret", "stderr",
-            "mean_stage1_regret", "mean_stage2_regret"]) + "\n")
-        for coords, n, m, se, s1, s2 in all_rows:
-            vals = [f"{v:g}" for _, v in coords]
-            fh.write(",".join(vals + [n, f"{m:.10g}", f"{se:.10g}",
-                                      f"{s1:.10g}", f"{s2:.10g}"]) + "\n")
-    series_path = str(out) + ".series"
-    with _open_out(series_path) as fh:
-        fh.write(",".join(axis_names + [
+        if best is not None and names:
+            coords, name, _, obj, score = best
+            fh.write(f"# argmin {name}: {_cell_key(coords)} "
+                     f"mean_{obj}={score:.6g}\n")
+        fh.write(",".join(names + ["policy"] + columns) + "\n")
+        for coords, name, stats, _, _ in rows:
+            fh.write(",".join([f"{v:g}" for _, v in coords] + [name]
+                              + [f"{x:.10g}" for x in stats]) + "\n")
+    if single_day:
+        return rows
+    with _open_out(str(out) + ".series") as fh:
+        fh.write(",".join(names + [
             "policy", "day", "mean_cumulative_regret", "stderr"]) + "\n")
-        for _, series in results:
-            for coords, n, day, m, se in series:
-                vals = [f"{v:g}" for _, v in coords]
-                fh.write(",".join(vals + [n, str(day), f"{m:.10g}",
-                                          f"{se:.10g}"]) + "\n")
-    return all_rows
-
-
-# ---------------------------------------------------------------------------
-# single-day grid
-
-def _singleday_cell(payload):
-    cfg_dict, coords, policy_specs, master, reps, sims, objective = payload
-    cfg = configparser.ConfigParser()
-    cfg.optionxform = str
-    cfg.read_dict(cfg_dict)
-    key = _cell_key(coords)
-    overrides = dict(coords)
-    def scalar(key, default=_REQUIRED):
-        if key in overrides:
-            return overrides[key]
-        return _get(cfg, "scenario", key, float, default)
-
-    C = int(scalar("C"))
-    B = int(scalar("B"))
-    v = scalar("v", 0.0)
-    profiles = build_profiles(cfg, {**overrides, "lambda1": 1.0,
-                                    "keep_p0": 1.0, "k0": 1.0})
-    reward = scalar("reward", 1.0)
-    rows = []
-    for name, (kind, alpha) in policy_specs.items():
-        regrets, losses, mismatches = [], [], []
-        for rep in range(reps):
-            pol, ora, rej = engine.single_day_cell(
-                B, C, profiles, v, alpha, kind, sims,
-                cell_seed(master, key, rep),
-                reward=reward,
-                overbook_penalty=scalar("overbook_penalty", 1.0))
-            regrets.append(pol - ora)
-            losses.append(pol)
-            # mismatch also charges turned-away walk-in demand, so over-
-            # and undersupply both register
-            mismatches.append(pol + reward * rej)
-        regrets = np.concatenate(regrets)
-        losses = np.concatenate(losses)
-        mismatches = np.concatenate(mismatches)
-
-        def _se(x):
-            return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
-
-        if objective == "auto":
-            # the oracle's own regret is identically zero; its loss surface
-            # is the interesting objective
-            obj = "loss" if kind == "oracle" else "regret"
-        else:
-            obj = objective
-        rows.append((coords, name, float(losses.mean()), _se(losses),
-                     float(regrets.mean()), _se(regrets),
-                     float(mismatches.mean()), _se(mismatches), obj))
-    return rows
-
-
-def run_singleday_grid(cfg, axes, policies, master, reps, sims, out, jobs,
-                       objective="auto"):
-    specs = {}
-    for name, pol in policies.items():
-        if isinstance(pol, AdaptivePolicy):
-            specs[name] = ("adaptive", pol.alpha)
-        elif isinstance(pol, OraclePolicy):
-            specs[name] = ("oracle", 0.0)
-        else:
-            specs[name] = ("heuristic", 0.0)
-    grid = [[]]
-    for name, values in axes:
-        grid = [cell + [(name, v)] for cell in grid for v in values]
-    payloads = [(_cfg_as_dict(cfg), tuple(cell), specs, master, reps, sims,
-                 objective) for cell in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_singleday_cell, payloads))
-    else:
-        results = [_singleday_cell(p) for p in payloads]
-    all_rows = [r for rows in results for r in rows]
-
-    def row_objective(row):
-        return {"loss": row[2], "regret": row[4],
-                "mismatch": row[6]}[row[8]]
-
-    best = min(all_rows, key=row_objective, default=None)
-    axis_names = [name for name, _ in axes]
-    with _open_out(out) as fh:
-        if best is not None and axis_names:
-            fh.write(f"# argmin {best[1]}: {_cell_key(best[0])} "
-                     f"mean_{best[8]}={row_objective(best):.6g}\n")
-        fh.write(",".join(axis_names + [
-            "policy", "mean_loss", "loss_stderr", "mean_regret",
-            "regret_stderr", "mean_mismatch", "mismatch_stderr"]) + "\n")
-        for coords, n, ml, mse, rm, rse, mm, mmse, _ in all_rows:
+        for (coords, _), (_, series) in zip(cells, results):
             vals = [f"{v:g}" for _, v in coords]
-            fh.write(",".join(vals + [n, f"{ml:.10g}", f"{mse:.10g}",
-                                      f"{rm:.10g}", f"{rse:.10g}",
-                                      f"{mm:.10g}", f"{mmse:.10g}"]) + "\n")
-    return all_rows
+            for name, mean, stderr in series:
+                for day, (m, se) in enumerate(zip(mean, stderr), start=1):
+                    fh.write(",".join(vals + [name, str(day), f"{m:.10g}",
+                                              f"{se:.10g}"]) + "\n")
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _axes_from_config(cfg, limit):
-    axes = []
-    if cfg.has_section("sweep"):
-        for name, text in cfg.items("sweep"):
-            axes.append((name, parse_axis(text)))
-    if len(axes) > limit:
-        raise ConfigError(f"[sweep]: at most {limit} axes supported")
-    total = int(np.prod([len(v) for _, v in axes])) if axes else 1
-    if total > 10_000:
-        raise ConfigError(f"[sweep]: grid of {total} cells exceeds 10000")
-    return axes
-
-
-def _run_grid_command(cfg, args, limit):
-    policies = parse_policies(cfg)
-    master = args.seed if args.seed is not None else _get(
-        cfg, "run", "seed", int, 0)
-    reps = args.reps if args.reps is not None else _get(
-        cfg, "run", "reps", int, 1)
-    out = args.out or _get(cfg, "run", "out", str, "results.csv")
-    axes = _axes_from_config(cfg, limit)
-    mode = _get(cfg, "scenario", "mode", str, "multiday")
-    if mode == "single-day":
-        sims = _get(cfg, "run", "sims", int, 1000)
-        objective = _get(cfg, "run", "objective", str, "auto")
-        if objective not in ("auto", "loss", "regret", "mismatch"):
-            raise ConfigError(f"[run] objective: unknown value {objective!r}")
-        run_singleday_grid(cfg, axes, policies, master, reps, sims, out,
-                           args.jobs, objective=objective)
-    else:
-        run_multiday_grid(cfg, axes, policies, master, reps, out, args.jobs)
+def cmd_grid(args):
+    """simulate (at most one axis) and sweep (at most two)."""
+    limit = 1 if args.command == "simulate" else 2
+    run_grid(load_config(args.preset, args.config), args, limit)
     return 0
-
-
-def cmd_simulate(args):
-    cfg = load_config(args.preset, args.config)
-    return _run_grid_command(cfg, args, limit=1)
-
-
-def cmd_sweep(args):
-    cfg = load_config(args.preset, args.config)
-    return _run_grid_command(cfg, args, limit=2)
 
 
 def cmd_fit(args):
@@ -433,56 +425,54 @@ def cmd_fit(args):
     return 0
 
 
-def _check_targets(cfg, single_day):
-    """(C, v values, day profile) that `check` judges. A single-day
-    scenario has no horizon or booking rate; its v values are its sweep
-    axis when it sweeps v."""
-    if not single_day:
-        sc = build_scenario(cfg, {}, seed=0)
-        return sc.C, [sc.v], sc.profiles_for(1)
-    C = int(_get(cfg, "scenario", "C", float))
-    axes = dict(_axes_from_config(cfg, 2))
-    vs = axes.get("v", [_get(cfg, "scenario", "v", float, 0.0)])
-    return C, vs, build_profiles(cfg, {"lambda1": 1.0, "keep_p0": 1.0,
-                                       "k0": 1.0})
+def _check_lines(mode, inputs, iota, alpha):
+    """Busy-season and call-timing verdicts of one grid cell."""
+    single_day = mode == "single-day"
+    C, v, prof = (inputs[1:4] if single_day
+                  else (inputs.C, inputs.v, inputs.profiles_for(1)))
+    rpt = check_busy_season(prof.stage1_rate.mass, prof.walkin_rate.mass,
+                            prof.duration_law, C, prof.show_prob, iota)
+    if single_day:
+        yield ("booking condition: not applicable (single-day scenario with "
+               "a fixed number of bookings)")
+    else:
+        yield (f"booking condition: {'holds' if rpt.booking_ok else 'fails'} "
+               f"(lambda1={prof.stage1_rate.mass:g}, "
+               f"required={rpt.required_lambda1:.4g})")
+    yield (f"walk-in condition: {'holds' if rpt.walkin_ok else 'fails'} "
+           f"(lambda2={prof.walkin_rate.mass:g}, "
+           f"required={rpt.required_lambda2:.4g})")
+    v_eff = max(v, 0.0)
+    mass = prof.walkin_rate.mass_after(v_eff)
+    try:
+        timing_ok = check_call_timing(mass, v_eff, alpha,
+                                      prof.duration_law.delta, C, iota)
+    except ValueError as exc:
+        yield f"call-timing condition: not applicable ({exc})"
+        return
+    yield (f"call-timing condition at v={v:g}: "
+           f"{'holds' if timing_ok else 'fails'} "
+           f"(walk-in mass after v={mass:.4g})")
 
 
 def cmd_check(args):
+    """Verdicts of every grid cell, each distinct line printed once."""
     cfg = load_config(args.preset, args.config)
-    single_day = _get(cfg, "scenario", "mode", str, "multiday") == "single-day"
-    C, vs, prof = _check_targets(cfg, single_day)
-    iota = _get(cfg, "check", "iota", float, None) if cfg.has_section(
-        "check") else None
+    policies, _, cells, mode, _, _ = _plan(cfg, args, limit=2)
+    iota = _Fields(cfg, "check").get("iota", float, None)
     alpha = 0.4
-    for pol in parse_policies(cfg).values():
+    for pol in policies.values():
         if isinstance(pol, AdaptivePolicy):
             iota = pol.iota if iota is None else iota
             alpha = pol.alpha
     if iota is None:
         raise ConfigError("[check] iota: no adaptive policy or iota given")
-    rpt = check_busy_season(prof.stage1_rate.mass, prof.walkin_rate.mass,
-                            prof.duration_law, C, prof.show_prob, iota)
-    if single_day:
-        print("booking condition: not applicable (single-day scenario with "
-              "a fixed number of bookings)")
-    else:
-        print(f"booking condition: {'holds' if rpt.booking_ok else 'fails'} "
-              f"(lambda1={prof.stage1_rate.mass:g}, "
-              f"required={rpt.required_lambda1:.4g})")
-    print(f"walk-in condition: {'holds' if rpt.walkin_ok else 'fails'} "
-          f"(lambda2={prof.walkin_rate.mass:g}, "
-          f"required={rpt.required_lambda2:.4g})")
-    for v in vs:
-        v_eff = max(v, 0.0)
-        try:
-            timing_ok = check_call_timing(
-                prof.walkin_rate.mass_after(v_eff), v_eff, alpha,
-                prof.duration_law.delta, C, iota)
-        except ValueError as exc:
-            print(f"call-timing condition: not applicable ({exc})")
-            break
-        print(f"call-timing condition at v={v:g}: "
-              f"{'holds' if timing_ok else 'fails'}")
+    printed = set()
+    for _, (_, inputs) in cells:
+        for line in _check_lines(mode, inputs, iota, alpha):
+            if line not in printed:
+                printed.add(line)
+                print(line)
     return 0
 
 
@@ -493,7 +483,7 @@ def build_parser():
         prog="roomflow",
         description="Two-stage reusable-resource allocation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("sweep", cmd_sweep),
+    for name, fn in (("simulate", cmd_grid), ("sweep", cmd_grid),
                      ("fit", cmd_fit), ("check", cmd_check)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)

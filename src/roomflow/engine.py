@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .benchmarks import clairvoyant_stage1_select
+from .benchmarks import clairvoyant_stage1_select, offline_day_optimum
 from .flows import (
     DayRealization,
     StageProfiles,
@@ -73,11 +73,6 @@ class ScenarioConfig:
         if isinstance(self.profiles, list):
             return self.profiles[k - 1]
         return self.profiles
-
-    @property
-    def v_effective(self):
-        """A call during Stage I behaves like a call at the day start."""
-        return max(self.v, 0.0)
 
 
 class OccupancyLedger:
@@ -280,19 +275,19 @@ def stage2_run(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
 
 
 def oracle_stage2(arrival, shows, n_walkins, C_rooms):
-    """Single-day offline optimum on realized outcomes: serve all showing
-    reserved customers if they fit, then the earliest walk-ins; otherwise
-    the earliest-arriving shows, up to capacity."""
+    """The offline day optimum (benchmarks.offline_day_optimum) as
+    positions: the showing reserved customers, or the earliest-arriving
+    C_rooms of them when they overflow, and the earliest walk-ins."""
     finals = np.flatnonzero(shows)
-    if len(finals) <= C_rooms:
-        return Stage2Result(finals, range(min(n_walkins,
-                                              C_rooms - len(finals))), 0)
-    first = finals[np.argsort(arrival[finals], kind="stable")[:C_rooms]]
-    return Stage2Result(first, range(0), len(finals) - C_rooms)
+    served, walkins, overbooked = offline_day_optimum(len(finals), n_walkins,
+                                                      C_rooms)
+    if overbooked:
+        finals = finals[np.argsort(arrival[finals], kind="stable")[:served]]
+    return Stage2Result(finals, range(walkins), overbooked)
 
 
 # ---------------------------------------------------------------------------
-# day and horizon execution
+# day execution
 
 @dataclass
 class DayOutcome:
@@ -378,16 +373,12 @@ def run_oracle_day(k, realization, survivors, ledger, scenario):
 
 def run_benchmark_day(k, realization, ledger, scenario):
     """Clairvoyant Stage-I fill + offline-optimal Stage II."""
-    profiles = scenario.profiles_for(k)
     bookings = realization.bookings
-    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
+    _, C_rooms = allocated_capacity(scenario, ledger, k,
+                                    scenario.profiles_for(k))
     selected = clairvoyant_stage1_select(bookings.survives, bookings.shows,
                                          C_rooms)
-    result = oracle_stage2(bookings.arrival_time[selected],
-                           bookings.shows[selected],
-                           len(realization.walkins), C_rooms)
-    return _finish_day(scenario, ledger, k, len(selected), result, C_tilde,
-                       realization, selected)
+    return run_oracle_day(k, realization, selected, ledger, scenario)
 
 
 def warm_start_ledger(scenario, rng):
@@ -423,24 +414,6 @@ def realize_day(scenario, rep, k):
     return DayRealization(day=k, bookings=bookings, walkins=walkins)
 
 
-def run_horizon(scenario, stage1_policy, stage2_policy, seed=None, rep=0):
-    """Policy trajectory over days 1..T. Deterministic given the seed."""
-    if seed is not None:
-        scenario = _reseeded(scenario, seed)
-    ledger = warm_start_ledger(scenario, substream(scenario.seed, rep, 0, 0))
-    outcomes = []
-    for k in range(1, scenario.T + 1):
-        realization = realize_day(scenario, rep, k)
-        outcomes.append(run_day(k, realization, stage1_policy, stage2_policy,
-                                ledger, scenario))
-    return outcomes
-
-
-def _reseeded(scenario, seed):
-    from dataclasses import replace
-    return replace(scenario, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # regret accounting
 
@@ -450,8 +423,8 @@ class RegretReport:
     benchmark_loss: np.ndarray
     regret: np.ndarray
     cumulative_regret: np.ndarray
-    stage1_component: np.ndarray | None
-    stage2_component: np.ndarray | None
+    stage1_component: np.ndarray
+    stage2_component: np.ndarray
     first_cycle_allowance: float
 
 
@@ -468,21 +441,19 @@ def first_cycle_allowance(scenario):
 
 
 def compute_regret(policy_outcomes, benchmark_outcomes, scenario,
-                   hybrid_outcomes=None):
+                   hybrid_outcomes):
+    """Regret against the benchmark, split at the hybrid trajectory into
+    its Stage-I and Stage-II components."""
     if len(policy_outcomes) != len(benchmark_outcomes):
         raise ValueError("mismatched trajectory lengths")
     pol = np.array([o.day_loss for o in policy_outcomes])
     ben = np.array([o.day_loss for o in benchmark_outcomes])
+    hyb = np.array([o.day_loss for o in hybrid_outcomes])
     regret = pol - ben
-    s1 = s2 = None
-    if hybrid_outcomes is not None:
-        hyb = np.array([o.day_loss for o in hybrid_outcomes])
-        s1 = hyb - ben
-        s2 = pol - hyb
     return RegretReport(
         policy_loss=pol, benchmark_loss=ben, regret=regret,
         cumulative_regret=np.cumsum(regret),
-        stage1_component=s1, stage2_component=s2,
+        stage1_component=hyb - ben, stage2_component=pol - hyb,
         first_cycle_allowance=first_cycle_allowance(scenario),
     )
 
@@ -523,62 +494,19 @@ def run_experiment(scenario, policies, rep=0):
             for n in policies}
 
 
-@dataclass
-class AggregateReport:
-    """Monte Carlo aggregate of one policy's regret across replications."""
-
-    n_reps: int
-    mean_cumulative: np.ndarray
-    stderr_cumulative: np.ndarray
-    per_rep_total: np.ndarray
-    first_cycle_allowance: float
-
-    @property
-    def mean_total(self):
-        return float(self.mean_cumulative[-1]) if len(self.mean_cumulative) else 0.0
-
-    @property
-    def stderr_total(self):
-        return float(self.stderr_cumulative[-1]) if len(self.stderr_cumulative) else 0.0
-
-
 def aggregate(curves):
-    """Stack per-rep cumulative-regret curves into mean and standard error."""
+    """Mean and standard error over the first axis: per-rep cumulative-regret
+    curves, or one value per draw."""
     curves = np.asarray(curves, dtype=float)
     n = curves.shape[0]
+    if n < 1:
+        raise ValueError("need at least one replication")
     mean = curves.mean(axis=0)
     if n > 1:
         stderr = curves.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
     return n, mean, stderr
-
-
-def monte_carlo_set(scenario, policies, n_reps):
-    """Independent replications of run_experiment; order-independent
-    commutative aggregation."""
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    curves = {n: [] for n in policies}
-    allowance = first_cycle_allowance(scenario)
-    for rep in range(n_reps):
-        reports = run_experiment(scenario, policies, rep=rep)
-        for n, rpt in reports.items():
-            curves[n].append(rpt.cumulative_regret)
-    out = {}
-    for n, cs in curves.items():
-        n_reps_, mean, stderr = aggregate(cs)
-        out[n] = AggregateReport(
-            n_reps=n_reps_, mean_cumulative=mean, stderr_cumulative=stderr,
-            per_rep_total=np.asarray([c[-1] for c in cs]),
-            first_cycle_allowance=allowance,
-        )
-    return out
-
-
-def monte_carlo(scenario, policy, n_reps):
-    """Single-policy aggregate (see monte_carlo_set)."""
-    return monte_carlo_set(scenario, {"policy": policy}, n_reps)["policy"]
 
 
 # ---------------------------------------------------------------------------
@@ -601,37 +529,32 @@ def single_day_cell(B, C, profiles, v, alpha, kind, n_sims, master_seed,
     ora_losses = np.empty(n_sims)
     rejected = np.empty(n_sims)
     count_based = kind == "oracle" or (kind == "adaptive" and v <= 0.0)
-    if kind == "heuristic":
-        standard = heuristic_stage2_standard(B, q1)
+    standard = (heuristic_stage2_standard(B, q1) if kind == "heuristic"
+                else None)
+    def price(served_type1, served_walkins, overbooked):
+        return (overbook_penalty * overbooked
+                + reward * (C - served_type1 - served_walkins))
+
     for i in range(n_sims):
         rng = substream(master_seed, *cell, i)
         if count_based:
+            # shows before walk-ins: the draw order is part of the seed
+            # contract
             finals = rng.binomial(B, q1)
             n_wk = rng.poisson(profiles.walkin_rate.mass)
-            ora = _count_loss(finals, n_wk, C, reward, overbook_penalty)
-            pol_losses[i] = ora_losses[i] = ora
-            rejected[i] = n_wk - min(n_wk, max(0, C - finals))
+            optimum = offline_day_optimum(finals, n_wk, C)
+            pol_losses[i] = ora_losses[i] = price(*optimum)
+            rejected[i] = n_wk - optimum[1]
             continue
         type1, walkins = sample_stage2_day(profiles, B, 1, rng)
         n_wk = len(walkins)
-        ora_losses[i] = _count_loss(int(np.count_nonzero(type1.shows)), n_wk,
-                                    C, reward, overbook_penalty)
-        if kind == "adaptive":
-            res = replay_stage2(type1.time, type1.shows, walkins.time,
-                                float(C), C, max(v, 0.0), q1, alpha,
-                                profiles.walkin_rate, "adaptive")
-        else:
-            res = replay_stage2(type1.time, type1.shows, walkins.time,
-                                float(C), C, 0.0, q1, 0.0,
-                                profiles.walkin_rate, "heuristic",
-                                standard=standard)
-        idle = C - len(res.served_type1) - len(res.served_walkins)
-        pol_losses[i] = overbook_penalty * res.overbooked + reward * idle
+        ora_losses[i] = price(*offline_day_optimum(
+            int(np.count_nonzero(type1.shows)), n_wk, C))
+        # the heuristic rule reads neither v nor alpha
+        res = replay_stage2(type1.time, type1.shows, walkins.time, float(C),
+                            C, max(v, 0.0), q1, alpha, profiles.walkin_rate,
+                            kind, standard=standard)
+        pol_losses[i] = price(len(res.served_type1), len(res.served_walkins),
+                              res.overbooked)
         rejected[i] = n_wk - len(res.served_walkins)
     return pol_losses, ora_losses, rejected
-
-
-def _count_loss(finals, n_walkins, C, reward, overbook_penalty):
-    over = max(0, finals - C)
-    idle = max(0, C - finals - n_walkins)
-    return overbook_penalty * over + reward * idle

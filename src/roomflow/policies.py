@@ -242,14 +242,6 @@ def dass2_decide_walkin(state, u, v, q1, alpha):
     return accept
 
 
-def type1_checkin_decide(state):
-    """Offer a room to a showing reserved customer iff one is free.
-
-    The caller counts a rejection as one overbooking event.
-    """
-    return state.B1 + state.W1 < state.C_rooms
-
-
 def heuristic_stage1_threshold(policy, law, C, q1):
     """Fixed booking cap (1+beta) * delta * C / q1."""
     if q1 <= 0:

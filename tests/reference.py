@@ -4,12 +4,15 @@ One object per customer, a scalar keep-curve lookup and a scalar threshold
 per request, a sorted event list per service day, and a dict ledger with
 one entry per room-night. It is slow and obvious on purpose: the property
 tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
-day, on the same realizations.
+day, on the same realizations. `brute_force_day_optimal` is the
+enumeration oracle for the offline day optimum.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,6 @@ from roomflow.policies import (
     heuristic_stage1_threshold,
     heuristic_stage2_standard,
     stage1_threshold,
-    type1_checkin_decide,
 )
 
 
@@ -202,6 +204,12 @@ def stage1_accept(policy, bookings, profiles, C):
     return replay_stage1(bookings, decide)
 
 
+def type1_checkin_decide(state):
+    """Offer a room to a showing reserved customer iff one is free; the
+    caller counts a rejection as one overbooking event."""
+    return state.B1 + state.W1 < state.C_rooms
+
+
 def replay_stage2(survivors, walkins, C_tilde, C_rooms, v, q1, alpha,
                   walkin_rate, kind, standard=None):
     """(served reserved, served walk-ins, overbooked) of one service day,
@@ -241,6 +249,24 @@ def replay_stage2(survivors, walkins, C_tilde, C_rooms, v, q1, alpha,
             if accept:
                 served_wk.append(rec)
     return served_t1, served_wk, overbooked
+
+
+def brute_force_day_optimal(finals, n_walkins, C, reward, overbook_penalty):
+    """Exact minimal day loss with `finals` showing reserved customers and
+    `n_walkins` walk-ins: every walk-in accept subset is enumerated, with
+    reserved service maximized for each subset."""
+    if n_walkins > 20:
+        raise ValueError("instance above the enumeration bound")
+    best = math.inf
+    for subset in itertools.product((0, 1), repeat=n_walkins):
+        w = sum(subset)
+        if w > C:
+            continue
+        served_type1 = min(finals, C - w)
+        overbooked = finals - served_type1
+        idle = C - served_type1 - w
+        best = min(best, overbook_penalty * overbooked + reward * idle)
+    return best
 
 
 def oracle_stage2(survivors, walkins, C_rooms):

@@ -2,17 +2,17 @@
 experiment behavior, concentration, linear-regret instance, invariants,
 calibration closure, and the fitted-scenario policy comparison."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+import reference as R
 import roomflow.calibration as calib
 import roomflow.cli as cli
 import roomflow.engine as E
-from roomflow.benchmarks import (DayDemandSnapshot, brute_force_day_optimal,
-                                 lower_bound_instance,
-                                 single_day_offline_optimal)
+from roomflow.benchmarks import lower_bound_instance, offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
                             StageProfiles, attach_stage2_outcomes,
                             sample_stage1_day, substream)
@@ -36,7 +36,7 @@ def preset_rows(tmp_path_factory, preset):
     assert cli.main(["sweep", "--preset", preset, "--out", out]) == 0
     with open(out) as fh:
         lines = fh.readlines()
-    argmin = next(ln for ln in lines if ln.startswith("# argmin"))
+    argmin = next((ln for ln in lines if ln.startswith("# argmin")), None)
     header = next(ln for ln in lines if not ln.startswith("#")).strip()
     rows = [ln.strip().split(",") for ln in lines
             if not ln.startswith("#") and ln.strip() != header]
@@ -56,6 +56,48 @@ def fig3_result(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fig4_result(tmp_path_factory):
     return preset_rows(tmp_path_factory, "fig4")
+
+
+@pytest.fixture(scope="module")
+def lower_bound_result(tmp_path_factory):
+    return preset_rows(tmp_path_factory, "lower-bound")
+
+
+def fingerprint(path):
+    """SHA-256 of a result file without its `# generated` timestamp line."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(b"".join(
+            ln for ln in fh if not ln.startswith(b"# generated"))).hexdigest()
+
+
+class TestPresetFingerprints:
+    # the shipped presets' outputs at shipped size; a change to any of them
+    # must be deliberate and re-pin these
+    EXPECTED = {
+        "fig2": ("4cf03d5ac329fe114b4de12c9b088e7f"
+                 "9cd51265eb4dfd6d868708885ffe4bc1"),
+        "fig3": ("ac214255a9d43c88c3db942f3280c4ce"
+                 "0415baecc2867372dbba84d75913c88f"),
+        "fig4": ("625e966f87b76862e681d834e0a3e3f9"
+                 "e08e06f8efabeb03a0c98158fc3f49d6"),
+        "fig4.series": ("b88cc7b2aa0a078648a615c73695088d"
+                        "9858d9450ef842f97ace9aa427e8e172"),
+        "lower-bound": ("b3f9d6ccd0ce9ace15353eb1a954a7fe"
+                        "a85f415555be302431d4404d0deb0ebe"),
+        "lower-bound.series": ("a6bbafaf0022cf9bf6d9301f5e6461d5"
+                               "3b3e62db194eb57bc61f8c102086be38"),
+    }
+
+    def test_shipped_outputs_are_pinned(self, fig2_result, fig3_result,
+                                        fig4_result, lower_bound_result):
+        outs = {"fig2": fig2_result[3], "fig3": fig3_result[3],
+                "fig4": fig4_result[3], "lower-bound": lower_bound_result[3]}
+        got = {}
+        for name, out in outs.items():
+            got[name] = fingerprint(out)
+            if name in ("fig4", "lower-bound"):
+                got[name + ".series"] = fingerprint(out + ".series")
+        assert got == self.EXPECTED
 
 
 class TestFormulaGoldenValues:
@@ -92,14 +134,11 @@ class TestOfflineOracleEquivalence:
             C = int(rng.integers(1, 9))
             finals = int(rng.integers(0, 11))
             W = int(rng.integers(0, 13))
-            snap = DayDemandSnapshot(
-                finals=finals,
-                final_show_times=tuple(np.sort(rng.random(finals))),
-                walkin_times=tuple(np.sort(rng.random(W))),
-                C_tilde=C, reward=float(rng.integers(1, 4)),
-                overbook_penalty=float(rng.integers(1, 4)))
-            assert (single_day_offline_optimal(snap).day_loss
-                    == brute_force_day_optimal(snap))
+            r = float(rng.integers(1, 4))
+            ell = float(rng.integers(1, 4))
+            served, walkins, overbooked = offline_day_optimum(finals, W, C)
+            assert (ell * overbooked + r * (C - served - walkins)
+                    == R.brute_force_day_optimal(finals, W, C, r, ell))
 
 
 class TestImmediateCallIdentity:
@@ -287,8 +326,13 @@ class TestInvariantSuite:
         rng = substream(2024, 19)
         sc = self.random_scenario(rng, T=15)
         pol = E.AdaptivePolicy(2.0, 0.4)
-        a = E.run_horizon(sc, pol, pol)
-        b = E.run_horizon(sc, pol, pol)
+
+        def run():
+            led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+            return [E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
+                    for k in range(1, sc.T + 1)]
+
+        a, b = run(), run()
         assert [o.day_loss for o in a] == [o.day_loss for o in b]
 
 

@@ -3,63 +3,54 @@
 import numpy as np
 import pytest
 
+import reference as R
 from roomflow.benchmarks import (
-    BenchmarkOutcome,
-    DayDemandSnapshot,
-    brute_force_day_optimal,
     clairvoyant_stage1_select,
     lower_bound_instance,
-    single_day_offline_optimal,
+    offline_day_optimum,
 )
 from roomflow.flows import substream
 
 
-def snap(finals, n_walkins, C, r=1.0, ell=1.0):
-    return DayDemandSnapshot(
-        finals=finals,
-        final_show_times=tuple(np.linspace(0.1, 0.9, finals)),
-        walkin_times=tuple(np.linspace(0.05, 0.95, n_walkins)),
-        C_tilde=C, reward=r, overbook_penalty=ell,
-    )
+def outcome(finals, n_walkins, C, r=1.0, ell=1.0):
+    """(served type1, served walk-ins, overbooked, idle, day loss) of the
+    offline day optimum."""
+    served, walkins, overbooked = offline_day_optimum(finals, n_walkins, C)
+    idle = C - served - walkins
+    return served, walkins, overbooked, idle, ell * overbooked + r * idle
 
 
 class TestSingleDayOfflineOptimal:
     def test_overloaded_day_serves_capacity_and_no_walkins(self):
-        out = single_day_offline_optimal(snap(7, 4, 5, ell=2.0))
-        assert out == BenchmarkOutcome(5, 0, 2, 0, 4.0)
+        assert outcome(7, 4, 5, ell=2.0) == (5, 0, 2, 0, 4.0)
 
     def test_underloaded_day_tops_up_with_walkins(self):
-        out = single_day_offline_optimal(snap(3, 4, 5))
-        assert out == BenchmarkOutcome(3, 2, 0, 0, 0.0)
+        assert outcome(3, 4, 5) == (3, 2, 0, 0, 0.0)
 
     def test_scarce_walkins_leave_idle_rooms(self):
-        out = single_day_offline_optimal(snap(3, 1, 5, r=2.5))
-        assert out == BenchmarkOutcome(3, 1, 0, 1, 2.5)
+        assert outcome(3, 1, 5, r=2.5) == (3, 1, 0, 1, 2.5)
 
     def test_empty_day_loses_full_reward(self):
-        out = single_day_offline_optimal(snap(0, 0, 4, r=3.0))
-        assert out.day_loss == 12.0
+        assert outcome(0, 0, 4, r=3.0)[-1] == 12.0
 
     def test_exact_fill_is_lossless(self):
-        assert single_day_offline_optimal(snap(5, 0, 5)).day_loss == 0.0
+        assert outcome(5, 0, 5)[-1] == 0.0
 
     def test_matches_brute_force_on_random_instances(self):
         # independent oracle: exhaustive enumeration of walk-in subsets
         rng = substream(20240817, 0)
         for _ in range(1200):
-            s = snap(
-                finals=int(rng.integers(0, 13)),
-                n_walkins=int(rng.integers(0, 11)),
-                C=int(rng.integers(1, 10)),
-                r=float(rng.uniform(0.1, 3.0)),
-                ell=float(rng.uniform(0.1, 3.0)),
-            )
-            assert single_day_offline_optimal(s).day_loss == pytest.approx(
-                brute_force_day_optimal(s))
+            finals = int(rng.integers(0, 13))
+            n_walkins = int(rng.integers(0, 11))
+            C = int(rng.integers(1, 10))
+            r = float(rng.uniform(0.1, 3.0))
+            ell = float(rng.uniform(0.1, 3.0))
+            assert outcome(finals, n_walkins, C, r, ell)[-1] == pytest.approx(
+                R.brute_force_day_optimal(finals, n_walkins, C, r, ell))
 
     def test_brute_force_rejects_huge_instances(self):
         with pytest.raises(ValueError):
-            brute_force_day_optimal(snap(1, 21, 5))
+            R.brute_force_day_optimal(1, 21, 5, 1.0, 1.0)
 
 
 def outcomes(*pairs):

@@ -332,3 +332,111 @@ class TestCheck:
         cfg = write_cfg(tmp_path, MULTIDAY.replace(
             "adaptive = adaptive iota=2.0 alpha=0.4", "h = heuristic beta=0.1"))
         assert cli.main(["check", "--config", cfg]) == 1
+
+
+def data_rows(path):
+    """name -> value dicts of a result file's rows."""
+    lines = [ln.rstrip("\n").split(",") for ln in body(path)
+             if not ln.startswith("#")]
+    return [dict(zip(lines[0], ln)) for ln in lines[1:]]
+
+
+class TestConfigContract:
+    def run(self, tmp_path, capsys, text, *flags, preset=None):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--config", write_cfg(tmp_path, text),
+                "--out", str(out), *flags]
+        if preset:
+            argv += ["--preset", preset]
+        rc = cli.main(argv)
+        return rc, capsys.readouterr().err, out
+
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        rc, err, out = self.run(tmp_path, capsys,
+                                "[scenario]\nmode = singleday\nT = 5\n",
+                                preset="fig4")
+        assert rc == 1
+        assert err == ("config error: [scenario] mode: unknown value "
+                       "'singleday'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("scenario", "q_sty"),
+                                              ("run", "repz")])
+    def test_unread_key_rejected(self, tmp_path, capsys, section, key):
+        text = MULTIDAY.replace(f"[{section}]\n", f"[{section}]\n{key} = 3\n")
+        rc, err, out = self.run(tmp_path, capsys, text)
+        assert rc == 1
+        assert err.startswith(f"config error: [{section}] {key}: ")
+        assert not out.exists()
+
+    def test_key_of_another_mode_rejected(self, tmp_path, capsys):
+        rc, err, _ = self.run(tmp_path, capsys,
+                              MULTIDAY.replace("reps = 2", "sims = 10"))
+        assert rc == 1
+        assert err.startswith("config error: [run] sims: ")
+
+    @pytest.mark.parametrize("axis", ["bogus", "B"])
+    def test_axis_the_mode_does_not_read_rejected(self, tmp_path, capsys,
+                                                  axis):
+        rc, err, out = self.run(tmp_path, capsys,
+                                MULTIDAY + f"[sweep]\n{axis} = 1,2\n")
+        assert rc == 1
+        assert err.startswith(f"config error: [sweep] {axis}: ")
+        assert not out.exists()
+
+    def test_reward_axis_is_honoured(self, tmp_path, capsys):
+        # the reward=5 cell must price the day at reward 5, like a run
+        # whose [scenario] says so (same cell key, so the same seeds)
+        rc, _, swept = self.run(tmp_path, capsys,
+                                MULTIDAY + "[sweep]\nreward = 1,5\n")
+        assert rc == 0
+        rows = {r["reward"]: r for r in data_rows(swept)}
+        fixed = tmp_path / "fixed"
+        fixed.mkdir()
+        rc, _, single = self.run(fixed, capsys, MULTIDAY.replace(
+            "q_stay = 0.3", "q_stay = 0.3\nreward = 5")
+            + "[sweep]\nreward = 5\n")
+        assert rc == 0
+        (row,) = data_rows(single)
+        assert rows["5"] == row
+        assert rows["1"]["mean_cumulative_regret"] != row[
+            "mean_cumulative_regret"]
+
+    def test_horizon_axis_is_honoured(self, tmp_path, capsys):
+        rc, _, out = self.run(tmp_path, capsys, "[sweep]\nT = 10,20\n",
+                              "--reps", "1", preset="lower-bound")
+        assert rc == 0
+        series = data_rows(str(out) + ".series")
+        assert [r["T"] for r in series] == ["10"] * 10 + ["20"] * 20
+        assert [r["day"] for r in series if r["T"] == "20"][-1] == "20"
+
+    @pytest.mark.parametrize("cfg, flags, field", [
+        (MULTIDAY, ["--reps", "0"], "reps"),
+        (SINGLEDAY, ["--reps", "0"], "reps"),
+        (MULTIDAY.replace("reps = 2", "reps = -1"), [], "reps"),
+        (SINGLEDAY.replace("sims = 50", "sims = 0"), [], "sims"),
+    ], ids=["multiday-flag", "single-day-flag", "multiday-config",
+            "single-day-sims"])
+    def test_run_counts_at_least_one(self, tmp_path, capsys, cfg, flags,
+                                     field):
+        rc, err, out = self.run(tmp_path, capsys, cfg, *flags)
+        assert rc == 1
+        assert err.startswith(f"config error: [run] {field}: must be at "
+                              "least 1")
+        assert not out.exists()
+
+
+class TestCheckSweeps:
+    def test_fig2_without_iota_names_the_cause(self, capsys):
+        assert cli.main(["check", "--preset", "fig2"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [check] iota: no adaptive policy or iota given\n")
+
+    def test_fig2_verdict_per_swept_lambda2(self, tmp_path, capsys):
+        over = write_cfg(tmp_path, "[check]\niota = 2\n")
+        assert cli.main(["check", "--preset", "fig2", "--config", over]) == 0
+        out = capsys.readouterr().out
+        walkin = [ln for ln in out.splitlines()
+                  if ln.startswith("walk-in condition:")]
+        assert len(walkin) == 11  # lambda2 = 0, 5, ..., 50
+        assert "walk-in condition: fails (lambda2=50," in out

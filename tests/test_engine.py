@@ -163,10 +163,16 @@ class TestStage2Replay:
         assert list(res.served_walkins) == []
 
 
+def run_days(sc, policy):
+    """The policy trajectory over days 1..T of replication 0."""
+    led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+    return [E.run_day(k, E.realize_day(sc, 0, k), policy, policy, led, sc)
+            for k in range(1, sc.T + 1)]
+
+
 class TestRunHorizonAccounting:
     def run(self, sc, policy=None):
-        policy = policy or E.AdaptivePolicy(2.0, 0.4)
-        return E.run_horizon(sc, policy, policy)
+        return run_days(sc, policy or E.AdaptivePolicy(2.0, 0.4))
 
     def test_day_loss_identity(self):
         for out in self.run(scenario()):
@@ -235,18 +241,23 @@ class TestRegret:
 
 
 class TestMonteCarlo:
+    def curves(self, sc, n_reps):
+        pol = {"a": E.AdaptivePolicy(2.0, 0.4)}
+        return [E.run_experiment(sc, pol, rep=rep)["a"].cumulative_regret
+                for rep in range(n_reps)]
+
     def test_aggregate_shapes_and_determinism(self):
         sc = scenario(T=20)
-        r1 = E.monte_carlo(sc, E.AdaptivePolicy(2.0, 0.4), 4)
-        r2 = E.monte_carlo(sc, E.AdaptivePolicy(2.0, 0.4), 4)
-        assert r1.n_reps == 4
-        assert len(r1.mean_cumulative) == 20
-        assert np.array_equal(r1.mean_cumulative, r2.mean_cumulative)
-        assert r1.stderr_total >= 0.0
+        n, mean, stderr = E.aggregate(self.curves(sc, 4))
+        _, mean2, _ = E.aggregate(self.curves(sc, 4))
+        assert n == 4
+        assert len(mean) == 20
+        assert np.array_equal(mean, mean2)
+        assert stderr[-1] >= 0.0
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
-            E.monte_carlo(scenario(T=5), E.AdaptivePolicy(2.0, 0.4), 0)
+            E.aggregate(self.curves(scenario(T=5), 0))
 
 
 class TestSingleDayCell:

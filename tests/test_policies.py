@@ -25,8 +25,8 @@ from roomflow.policies import (
     heuristic_stage2_standard,
     max_bookings_within,
     stage1_threshold,
-    type1_checkin_decide,
 )
+from reference import type1_checkin_decide
 
 GEO = DurationLaw("geometric", q_stay=0.3)  # delta = 0.7
 
