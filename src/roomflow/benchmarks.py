@@ -36,7 +36,7 @@ def lower_bound_instance(iota, T=1000, seed=0):
     sqrt(iota) walk-in rate, even odds that a booked customer shows, unit
     costs, one-night stays. Every online policy pays linear regret here."""
     if iota < 0:
-        raise ValueError("iota must be nonnegative")
+        raise ValueError(f"iota: must be nonnegative, got {iota!r}")
     from .engine import ScenarioConfig
 
     lam2 = math.sqrt(iota)

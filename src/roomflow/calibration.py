@@ -288,38 +288,47 @@ def poisson_mixture_loglik(daily_counts, mixture):
 # ---------------------------------------------------------------------------
 # model assembly
 
-def fit_model(rows, capacity, n_components=2, seed=0, min_walkin_count=0):
-    """Run all four fitters on an ingested dataset.
-
-    min_walkin_count excludes zero-inflated closure days from the mixture
-    fit. Reserved rows with zero lead are excluded from the Gamma fit
-    (positivity), as are zero cancellation intervals from the Weibull fit.
-    """
-    reserved = [r for r in rows if not r.is_walk_in]
-    if not reserved:
-        raise ValueError("no reserved bookings to fit")
-    leads = [r.lead_days for r in reserved if r.lead_days > 0]
-    cancel_ints = [r.cancel_lead_days for r in reserved
-                   if r.is_canceled and r.cancel_lead_days > 0]
-    if not cancel_ints:
-        cancel_ints = [1, 2]  # no cancellations: nominal law, pi_c = 0
-    # sorted, not set order: the count order seeds the EM restarts, and set
-    # order follows the interpreter's hash seed
-    days = sorted({r.arrival_date for r in rows})
-    walkin_counts = {d: 0 for d in days}
+def daily_walkin_counts(rows):
+    """Walk-in count of every arrival date of the dataset, in sorted date
+    order. Sorted, not set order: the count order seeds the EM restarts,
+    and set order follows the interpreter's hash seed."""
+    counts = dict.fromkeys(sorted({r.arrival_date for r in rows}), 0)
     for r in rows:
         if r.is_walk_in:
-            walkin_counts[r.arrival_date] += 1
-    counts = [c for c in walkin_counts.values() if c >= min_walkin_count]
+            counts[r.arrival_date] += 1
+    return list(counts.values())
+
+
+def fit_model(rows, capacity, n_components=2, seed=0):
+    """Run all four fitters on an ingested dataset.
+
+    Reserved rows with zero lead are excluded from the Gamma fit
+    (positivity), as are zero cancellation intervals from the Weibull fit.
+    A walk-in-only dataset has nothing to fit them to: it gets the nominal
+    laws Gamma(1, 1) and Weibull(1, 1), with no cancellations and no
+    bookings.
+    """
+    reserved = [r for r in rows if not r.is_walk_in]
+    counts = daily_walkin_counts(rows)
+    if reserved:
+        leads = [r.lead_days for r in reserved if r.lead_days > 0]
+        cancel_ints = [r.cancel_lead_days for r in reserved
+                       if r.is_canceled and r.cancel_lead_days > 0]
+        if not cancel_ints:
+            cancel_ints = [1, 2]  # no cancellations: nominal law, pi_c = 0
+        laws = dict(
+            lead_gamma=fit_gamma(leads),
+            cancel_weibull=fit_weibull(cancel_ints),
+            cancel_prob=sum(r.is_canceled for r in reserved) / len(reserved),
+            mean_daily_bookings=len(reserved) / len(counts))
+    else:
+        laws = dict(lead_gamma=(1.0, 1.0), cancel_weibull=(1.0, 1.0))
     return FittedModel(
-        lead_gamma=fit_gamma(leads),
-        cancel_weibull=fit_weibull(cancel_ints),
+        **laws,
         duration_geometric=fit_geometric([r.stay_nights for r in rows]),
         walkin_mixture=tuple(fit_poisson_mixture(counts, n_components,
                                                  seed=seed)),
         capacity=capacity,
-        cancel_prob=sum(r.is_canceled for r in reserved) / len(reserved),
-        mean_daily_bookings=len(reserved) / len(days),
     )
 
 
@@ -338,9 +347,13 @@ def _gamma_pdf(x, shape, scale):
     return out
 
 
-def scenario_from_fit(model, econ, iota, alpha, grid=200):
-    """Rebuild a replayable scenario (and the matching adaptive policy)
-    from fitted marginals.
+# knots of the fitted keep curve and pieces of the booking rate
+_GRID = 200
+
+
+def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
+    """Rebuild a replayable scenario with capacity model.capacity from
+    fitted marginals.
 
     A booking made at window time t has lead u = k0 - t days. It cancels
     with probability cancel_prob at interval Z ~ Weibull; the cancellation
@@ -353,16 +366,14 @@ def scenario_from_fit(model, econ, iota, alpha, grid=200):
     densities are uniform.
     """
     from .engine import ScenarioConfig
-    from .policies import AdaptivePolicy
 
-    if econ.T < econ.k0:
+    if T < k0:
         raise ValueError("horizon shorter than the booking window")
-    k0 = float(econ.k0)
     pi_c = model.cancel_prob
     wk, wsc = model.cancel_weibull
     gk, gsc = model.lead_gamma
 
-    t = np.linspace(0.0, k0, grid + 1)
+    t = np.linspace(0.0, k0, _GRID + 1)
     lead = k0 - t
     keep = 1.0 - pi_c * _weibull_cdf(lead - 1.0, wk, wsc)
     keep = np.maximum.accumulate(np.clip(keep, 0.0, 1.0))
@@ -372,16 +383,16 @@ def scenario_from_fit(model, econ, iota, alpha, grid=200):
     density = _gamma_pdf(lead, gk, gsc)
     seg_w = 0.5 * (density[:-1] + density[1:])
     if seg_w.sum() <= 0:
-        seg_w = np.ones(grid)
+        seg_w = np.ones(_GRID)
     seg_mass = seg_w / seg_w.sum() * model.mean_daily_bookings
     widths = np.diff(t)
     pieces = [((float(t[i]), float(t[i + 1])),
-               float(seg_mass[i] / widths[i])) for i in range(grid)]
+               float(seg_mass[i] / widths[i])) for i in range(_GRID)]
     stage1_rate = RateFunction.piecewise(pieces)
 
     # shows are non-cancellers; survivors also include would-be no-shows
     survive = keep[:-1]
-    shows = (1.0 - pi_c) * np.ones(grid)
+    shows = (1.0 - pi_c) * np.ones(_GRID)
     booked_w = seg_mass
     q1 = float((booked_w * shows).sum() / (booked_w * survive).sum())
     q1 = min(max(q1, 1e-9), 1.0)
@@ -394,12 +405,10 @@ def scenario_from_fit(model, econ, iota, alpha, grid=200):
         walkin_rate=RateFunction.constant(model.mean_daily_walkins, 0.0, 1.0),
         duration_law=DurationLaw("geometric", q_stay=model.duration_geometric),
     )
-    scenario = ScenarioConfig(
-        T=econ.T, C=econ.capacity, k0=econ.k0, v=econ.confirmation_time,
-        reward=econ.reward, overbook_penalty=econ.overbook_penalty,
-        profiles=profiles,
+    return ScenarioConfig(
+        T=T, C=model.capacity, k0=k0, v=v, reward=reward,
+        overbook_penalty=overbook_penalty, profiles=profiles,
     )
-    return scenario, AdaptivePolicy(iota=iota, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +498,7 @@ def fit_report(model, rows):
     reserved = [r for r in rows if not r.is_walk_in]
     leads = np.array([r.lead_days for r in reserved if r.lead_days > 0],
                      dtype=float)
-    # sorted, not set order: the count order seeds the EM restarts, and set
-    # order follows the interpreter's hash seed
-    days = sorted({r.arrival_date for r in rows})
-    walkin_counts = {d: 0 for d in days}
-    for r in rows:
-        if r.is_walk_in:
-            walkin_counts[r.arrival_date] += 1
-    counts = np.array(list(walkin_counts.values()), dtype=float)
+    counts = daily_walkin_counts(rows)
 
     gk, gsc = model.lead_gamma
     lead_ll = float(np.sum((gk - 1.0) * np.log(leads) - leads / gsc
@@ -504,7 +506,7 @@ def fit_report(model, rows):
     mix_ll = poisson_mixture_loglik(counts, model.walkin_mixture)
 
     out = ["fit report",
-           f"rows={len(rows)} reserved={len(reserved)} days={len(days)}",
+           f"rows={len(rows)} reserved={len(reserved)} days={len(counts)}",
            f"lead_gamma shape={gk:.6g} scale={gsc:.6g} loglik={lead_ll:.6g}",
            f"cancel_weibull shape={model.cancel_weibull[0]:.6g} "
            f"scale={model.cancel_weibull[1]:.6g}",

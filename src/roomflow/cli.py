@@ -100,8 +100,17 @@ class _Fields:
             raise ConfigError(f"{where} {key}: not read in mode {mode!r}")
 
 
-def _whole(text):
-    return int(float(text))
+def _whole(least):
+    """Converter to a whole number of at least `least`. Integral floats,
+    such as the 10.0 a sweep axis gives, are whole; 2.5 is not."""
+    def conv(text):
+        x = float(text)
+        if not x.is_integer():
+            raise ValueError(f"not a whole number: {text}")
+        if x < least:
+            raise ValueError(f"must be at least {least}, got {x:g}")
+        return int(x)
+    return conv
 
 
 def parse_axis(text):
@@ -158,7 +167,7 @@ def _profiles(f, lam1, p0, k0):
     walkin = day_rate("walkin", lam2)
     kind = f.get("duration", str, "geometric")
     if kind == "constant":
-        law = DurationLaw(kind, d=int(f.get("d", float, 1.0)))
+        law = DurationLaw(kind, d=f.get("d", _whole(1), 1))
     else:
         law = DurationLaw(kind, q_stay=f.get("q_stay", float, 0.0))
     return StageProfiles(
@@ -167,25 +176,28 @@ def _profiles(f, lam1, p0, k0):
         walkin_rate=walkin, duration_law=law)
 
 
-def _multiday(f):
-    k0 = f.get("k0", float, 1.0)
+def _scenario(f, T, k0, profiles):
     return engine.ScenarioConfig(
-        T=f.get("T", _whole), C=f.get("C", _whole), k0=int(k0),
-        v=f.get("v", float, 0.0), reward=f.get("reward", float, 1.0),
+        T=T, C=f.get("C", _whole(1)), k0=k0, v=f.get("v", float, 0.0),
+        reward=f.get("reward", float, 1.0),
         overbook_penalty=f.get("overbook_penalty", float, 1.0),
-        profiles=_profiles(f, f.get("lambda1", float),
-                           f.get("keep_p0", float, 1.0), k0))
+        profiles=profiles)
+
+
+def _multiday(f):
+    k0 = f.get("k0", _whole(1), 1)
+    return _scenario(f, f.get("T", _whole(1)), k0, _profiles(
+        f, f.get("lambda1", float), f.get("keep_p0", float, 1.0), k0))
 
 
 def _single_day(f):
     # one day with B surviving bookings: no booking window to describe
-    return (f.get("B", _whole), f.get("C", _whole), f.get("v", float, 0.0),
-            _profiles(f, 1.0, 1.0, 1.0), f.get("reward", float, 1.0),
-            f.get("overbook_penalty", float, 1.0))
+    B = f.get("B", _whole(0))
+    return B, _scenario(f, 1, 1, _profiles(f, 1.0, 1.0, 1.0))
 
 
 def _lower_bound(f):
-    return lower_bound_instance(f.get("iota", float), T=f.get("T", _whole))
+    return lower_bound_instance(f.get("iota", float), T=f.get("T", _whole(1)))
 
 
 _MODES = {"multiday": _multiday, "single-day": _single_day,
@@ -196,8 +208,7 @@ def build_scenario(cfg, coords=(), axes=()):
     """(mode, typed inputs) of one grid cell: the cell's coordinates laid
     over [scenario], then one typed parse that rejects every key it leaves
     unread. The inputs are a ScenarioConfig (seed 0) for multiday and
-    lower-bound, and (B, C, v, profiles, reward, overbook_penalty) for
-    single-day."""
+    lower-bound, and (B, one-day ScenarioConfig) for single-day."""
     f = _Fields(cfg, "scenario", coords)
     mode = f.get("mode", str, "multiday")
     if mode not in _MODES:
@@ -206,8 +217,8 @@ def build_scenario(cfg, coords=(), axes=()):
         inputs = _MODES[mode](f)
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
+    except ValueError as exc:  # ScenarioConfig's messages name the key
+        raise ConfigError(f"[scenario] {exc}") from exc
     f.reject_unread(mode, axes)
     return mode, inputs
 
@@ -286,34 +297,25 @@ def _multiday_cell(payload):
     return rows, series
 
 
-_KINDS = {AdaptivePolicy: "adaptive", HeuristicPolicy: "heuristic",
-          OraclePolicy: "oracle"}
-
-
 def _singleday_cell(payload):
-    inputs, key, policies, (master, reps, sims, objective) = payload
-    B, C, v, profiles, reward, overbook_penalty = inputs
+    (B, sc), key, policies, (master, reps, sims, objective) = payload
     rows = []
     for name, pol in policies.items():
-        kind = _KINDS[type(pol)]
-        alpha = getattr(pol, "alpha", 0.0)
-        draws = [engine.single_day_cell(B, C, profiles, v, alpha, kind, sims,
-                                        cell_seed(master, key, rep),
-                                        reward=reward,
-                                        overbook_penalty=overbook_penalty)
+        draws = [engine.single_day_cell(sc, B, pol, sims,
+                                        cell_seed(master, key, rep))
                  for rep in range(reps)]
         losses, oracle, rejected = (np.concatenate(x) for x in zip(*draws))
         stats = []
         # mismatch also charges turned-away walk-in demand, so over- and
         # undersupply both register
-        for x in (losses, losses - oracle, losses + reward * rejected):
+        for x in (losses, losses - oracle, losses + sc.reward * rejected):
             _, mean, stderr = engine.aggregate(x)
             stats += [float(mean), float(stderr)]
         obj = objective
         if obj == "auto":
             # the oracle's own regret is identically zero; its loss surface
             # is the interesting objective
-            obj = "loss" if kind == "oracle" else "regret"
+            obj = "loss" if isinstance(pol, OraclePolicy) else "regret"
         score = stats[("loss", "regret", "mismatch").index(obj) * 2]
         rows.append((name, stats, obj, score))
     return rows, ()
@@ -348,8 +350,9 @@ def run_grid(cfg, args, limit):
     work = _singleday_cell if single_day else _multiday_cell
     payloads = [(inputs, _cell_key(coords), policies, run)
                 for coords, (_, inputs) in cells]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, payloads))
     else:
         results = [work(p) for p in payloads]
@@ -395,28 +398,18 @@ def cmd_grid(args):
 def cmd_fit(args):
     if args.config is None:
         raise ConfigError("fit needs --config pointing at the dataset file")
+    for flag, value in (("--capacity", args.capacity),
+                        ("--components", args.components)):
+        if value < 1:
+            raise ConfigError(f"{flag}: must be at least 1, got {value}")
     rows = calibration.ingest_bookings(args.config)
-    capacity = args.capacity
-    reserved = [r for r in rows if not r.is_walk_in]
     out = args.out or "model.txt"
-    if not reserved:
+    if all(r.is_walk_in for r in rows):
         print("notice: walk-in-only dataset; Gamma lead-time and Weibull "
               "cancellation fitters skipped (nominal parameters written)")
-        stays = [r.stay_nights for r in rows]
-        counts = {d: 0 for d in sorted({r.arrival_date for r in rows})}
-        for r in rows:
-            counts[r.arrival_date] += 1
-        model = calibration.FittedModel(
-            lead_gamma=(1.0, 1.0), cancel_weibull=(1.0, 1.0),
-            duration_geometric=calibration.fit_geometric(stays),
-            walkin_mixture=tuple(calibration.fit_poisson_mixture(
-                list(counts.values()), args.components,
-                seed=args.seed or 0)),
-            capacity=capacity)
-    else:
-        model = calibration.fit_model(rows, capacity,
-                                      n_components=args.components,
-                                      seed=args.seed or 0)
+    model = calibration.fit_model(rows, args.capacity,
+                                  n_components=args.components,
+                                  seed=args.seed or 0)
     calibration.save_model(model, out)
     report = calibration.fit_report(model, rows)
     with open(str(out) + ".report", "w", encoding="utf-8") as fh:
@@ -428,8 +421,8 @@ def cmd_fit(args):
 def _check_lines(mode, inputs, iota, alpha):
     """Busy-season and call-timing verdicts of one grid cell."""
     single_day = mode == "single-day"
-    C, v, prof = (inputs[1:4] if single_day
-                  else (inputs.C, inputs.v, inputs.profiles_for(1)))
+    sc = inputs[1] if single_day else inputs
+    C, v, prof = sc.C, sc.v, sc.profiles
     rpt = check_busy_season(prof.stage1_rate.mass, prof.walkin_rate.mass,
                             prof.duration_law, C, prof.show_prob, iota)
     if single_day:
@@ -502,6 +495,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         return args.fn(args)
     except (ConfigError, calibration.IngestError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -57,22 +57,22 @@ class ScenarioConfig:
     v: float
     reward: float
     overbook_penalty: float
-    profiles: StageProfiles | list
+    profiles: StageProfiles
     seed: int = 0
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.T < 0 or self.C < 1 or self.k0 < 1:
-            raise ValueError("invalid scenario dimensions")
-        if not -self.k0 < self.v <= 1.0:
-            raise ValueError("confirmation time outside (-k0, 1]")
-        if isinstance(self.profiles, list) and len(self.profiles) != self.T:
-            raise ValueError("per-day profile list must have length T")
-
-    def profiles_for(self, k):
-        if isinstance(self.profiles, list):
-            return self.profiles[k - 1]
-        return self.profiles
+        # each message starts with the field it names
+        for key, ok, rule in (
+                ("T", self.T >= 0, "must be nonnegative"),
+                ("C", self.C >= 1, "must be at least 1"),
+                ("k0", self.k0 >= 1, "must be at least 1"),
+                ("v", -self.k0 < self.v <= 1.0, f"outside (-{self.k0}, 1]"),
+                ("reward", self.reward >= 0, "must be nonnegative"),
+                ("overbook_penalty", self.overbook_penalty >= 0,
+                 "must be nonnegative")):
+            if not ok:
+                raise ValueError(f"{key}: {rule}, got {getattr(self, key)!r}")
 
 
 class OccupancyLedger:
@@ -301,9 +301,9 @@ class DayOutcome:
     C_tilde_used: float
 
 
-def allocated_capacity(scenario, ledger, k, profiles):
+def allocated_capacity(scenario, ledger, k):
     """(threshold value, physical rooms) available for day k."""
-    law = profiles.duration_law
+    law = scenario.profiles.duration_law
     if law.kind == "constant":
         return scenario.C / law.d, scenario.C // law.d
     free = scenario.C - ledger.occupied(k)
@@ -340,18 +340,17 @@ def _survivors(realization, accepted):
     return accepted[realization.bookings.survives[accepted]]
 
 
-def run_day(k, realization, stage1_policy, stage2_policy, ledger, scenario,
-            survivors=None):
+def run_day(k, realization, policy, ledger, scenario, survivors=None):
     """One day of the policy trajectory; admits guests into the ledger.
     survivors: positions of the accepted bookings that survive the window,
     if the Stage-I replay has already run."""
-    profiles = scenario.profiles_for(k)
+    profiles = scenario.profiles
     bookings = realization.bookings
     if survivors is None:
         survivors = _survivors(realization, stage1_accept(
-            stage1_policy, bookings, profiles, scenario.C))
-    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
-    result = stage2_run(stage2_policy, bookings.arrival_time[survivors],
+            policy, bookings, profiles, scenario.C))
+    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
+    result = stage2_run(policy, bookings.arrival_time[survivors],
                         bookings.shows[survivors], realization.walkins.time,
                         C_tilde, C_rooms, profiles, scenario.v)
     return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
@@ -361,9 +360,8 @@ def run_day(k, realization, stage1_policy, stage2_policy, ledger, scenario,
 def run_oracle_day(k, realization, survivors, ledger, scenario):
     """One day with offline-optimal Stage II on the surviving bookings at
     the given positions."""
-    profiles = scenario.profiles_for(k)
     bookings = realization.bookings
-    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k, profiles)
+    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
     result = oracle_stage2(bookings.arrival_time[survivors],
                            bookings.shows[survivors],
                            len(realization.walkins), C_rooms)
@@ -374,8 +372,7 @@ def run_oracle_day(k, realization, survivors, ledger, scenario):
 def run_benchmark_day(k, realization, ledger, scenario):
     """Clairvoyant Stage-I fill + offline-optimal Stage II."""
     bookings = realization.bookings
-    _, C_rooms = allocated_capacity(scenario, ledger, k,
-                                    scenario.profiles_for(k))
+    _, C_rooms = allocated_capacity(scenario, ledger, k)
     selected = clairvoyant_stage1_select(bookings.survives, bookings.shows,
                                          C_rooms)
     return run_oracle_day(k, realization, selected, ledger, scenario)
@@ -391,7 +388,7 @@ def warm_start_ledger(scenario, rng):
     ledger = OccupancyLedger(scenario.C, scenario.T)
     if not scenario.warm_start or scenario.T == 0:
         return ledger
-    law = scenario.profiles_for(1).duration_law
+    law = scenario.profiles.duration_law
     if law.kind == "geometric":
         if law.q_stay > 0.0:
             extras = rng.geometric(1.0 - law.q_stay, scenario.C) - 1
@@ -407,7 +404,7 @@ def realize_day(scenario, rep, k):
     """Sample day k's realization from the documented stream-split rule:
     SeedSequence([master, rep, day, sub]) with sub 1=bookings,
     2=check-in outcomes, 3=walk-ins (0 is the warm start)."""
-    profiles = scenario.profiles_for(k)
+    profiles = scenario.profiles
     bookings = sample_stage1_day(profiles, k, substream(scenario.seed, rep, k, 1))
     attach_stage2_outcomes(bookings, profiles, substream(scenario.seed, rep, k, 2))
     walkins = sample_walkins(profiles, substream(scenario.seed, rep, k, 3))
@@ -432,7 +429,7 @@ def first_cycle_allowance(scenario):
     """Idle loss forced in the first duration cycle by the capacity split:
     sum over the first d days of C (d-k)/d r for constant durations, zero
     for geometric."""
-    law = scenario.profiles_for(1).duration_law
+    law = scenario.profiles.duration_law
     if law.kind != "constant":
         return 0.0
     d = law.d
@@ -480,13 +477,12 @@ def run_experiment(scenario, policies, rep=0):
         realization = realize_day(scenario, rep, k)
         bench_outcomes.append(run_benchmark_day(k, realization, bench_ledger,
                                                 scenario))
-        profiles = scenario.profiles_for(k)
         for n in names:
             policy = policies[n]
             survivors = _survivors(realization, stage1_accept(
-                policy, realization.bookings, profiles, scenario.C))
-            outcomes[n].append(run_day(k, realization, policy, policy,
-                                       ledgers[n], scenario, survivors))
+                policy, realization.bookings, scenario.profiles, scenario.C))
+            outcomes[n].append(run_day(k, realization, policy, ledgers[n],
+                                       scenario, survivors))
             hybrid_outcomes[n].append(run_oracle_day(
                 k, realization, survivors, hybrid_ledgers[n], scenario))
     return {n: compute_regret(outcomes.get(n, bench_outcomes), bench_outcomes,
@@ -512,35 +508,34 @@ def aggregate(curves):
 # ---------------------------------------------------------------------------
 # single-day cells (fixed surviving bookings, Stage II only)
 
-def single_day_cell(B, C, profiles, v, alpha, kind, n_sims, master_seed,
-                    reward=1.0, overbook_penalty=1.0, cell=()):
+def single_day_cell(scenario, B, policy, n_sims, master_seed):
     """Replications of a single service day with B surviving bookings and
-    full capacity C. Returns (policy_losses, oracle_losses,
-    rejected_walkins) arrays; the last one supports a capacity-mismatch
-    objective that also charges turned-away walk-in demand.
+    full capacity scenario.C, replayed through the policy's Stage-II rule.
+    Returns (policy_losses, oracle_losses, rejected_walkins) arrays; the
+    last one supports a capacity-mismatch objective that also charges
+    turned-away walk-in demand.
 
-    kind: "adaptive", "heuristic", or "oracle". The offline optimum depends
-    on the realization only through the show and walk-in counts, so oracle
-    losses (and adaptive at v <= 0, which is identical) are computed from
-    counts directly.
+    The offline optimum depends on the realization only through the show
+    and walk-in counts, so oracle losses (and adaptive ones at v <= 0,
+    which are identical) are computed from counts directly.
     """
-    q1 = profiles.show_prob
+    profiles, C = scenario.profiles, scenario.C
     pol_losses = np.empty(n_sims)
     ora_losses = np.empty(n_sims)
     rejected = np.empty(n_sims)
-    count_based = kind == "oracle" or (kind == "adaptive" and v <= 0.0)
-    standard = (heuristic_stage2_standard(B, q1) if kind == "heuristic"
-                else None)
+    count_based = isinstance(policy, OraclePolicy) or (
+        isinstance(policy, AdaptivePolicy) and scenario.v <= 0.0)
+
     def price(served_type1, served_walkins, overbooked):
-        return (overbook_penalty * overbooked
-                + reward * (C - served_type1 - served_walkins))
+        return (scenario.overbook_penalty * overbooked
+                + scenario.reward * (C - served_type1 - served_walkins))
 
     for i in range(n_sims):
-        rng = substream(master_seed, *cell, i)
+        rng = substream(master_seed, i)
         if count_based:
             # shows before walk-ins: the draw order is part of the seed
             # contract
-            finals = rng.binomial(B, q1)
+            finals = rng.binomial(B, profiles.show_prob)
             n_wk = rng.poisson(profiles.walkin_rate.mass)
             optimum = offline_day_optimum(finals, n_wk, C)
             pol_losses[i] = ora_losses[i] = price(*optimum)
@@ -550,10 +545,8 @@ def single_day_cell(B, C, profiles, v, alpha, kind, n_sims, master_seed,
         n_wk = len(walkins)
         ora_losses[i] = price(*offline_day_optimum(
             int(np.count_nonzero(type1.shows)), n_wk, C))
-        # the heuristic rule reads neither v nor alpha
-        res = replay_stage2(type1.time, type1.shows, walkins.time, float(C),
-                            C, max(v, 0.0), q1, alpha, profiles.walkin_rate,
-                            kind, standard=standard)
+        res = stage2_run(policy, type1.time, type1.shows, walkins.time,
+                         float(C), C, profiles, scenario.v)
         pol_losses[i] = price(len(res.served_type1), len(res.served_walkins),
                               res.overbooked)
         rejected[i] = n_wk - len(res.served_walkins)

@@ -48,24 +48,6 @@ class OraclePolicy:
     """Clairvoyant Stage-I fill + single-day offline-optimal Stage II."""
 
 
-@dataclass(frozen=True)
-class EconomicParams:
-    reward: float           # r: money per occupied room-night
-    overbook_penalty: float  # charged per rejected reserved check-in
-    capacity: int           # C
-    confirmation_time: float  # v
-    k0: int                 # booking window length in days
-    T: int                  # horizon in days
-
-    def __post_init__(self):
-        if self.reward < 0 or self.overbook_penalty < 0:
-            raise ValueError("costs must be nonnegative")
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if not -self.k0 < self.confirmation_time <= 1.0:
-            raise ValueError("confirmation time outside (-k0, 1]")
-
-
 @dataclass
 class StageTwoState:
     """Running Stage-II counters a policy may read.
@@ -139,15 +121,18 @@ def max_bookings_within(hat_C, p_t, iota):
 
 def _cap_estimate(hat_C, p, iota):
     # closed-form inverse of the threshold for p > 0: the smaller root of
-    # p^2 n^2 - 2(p(hat_C - a) + b) n + (hat_C - a)^2 - a^2, written without
-    # dividing by p^2, which underflows for tiny p; hat_C / p where the
+    # p^2 n^2 - 2c n + h^2 - a^2 with h = hat_C - a and c = p h + b, written
+    # without dividing by p^2, which underflows for tiny p, and with the
+    # discriminant c^2 - p^2 (h^2 - a^2) expanded to b (2 p h + b) + (p a)^2,
+    # which does not cancel as iota -> 0 or p -> 1; hat_C / p where the
     # safety terms vanish (then the root's denominator is 0)
     with np.errstate(all="ignore"):
         a = iota * (1.0 - p) / 3.0
         b = iota * p * (1.0 - p)
         h = hat_C - a
         c = p * h + b
-        den = c + np.sqrt(np.maximum(c * c - p * p * (h * h - a * a), 0.0))
+        disc = b * (2.0 * p * h + b) + (p * a) ** 2
+        den = c + np.sqrt(np.maximum(disc, 0.0))
         return np.where(den > 0.0, (h * h - a * a) / den, hat_C / p)
 
 
@@ -182,11 +167,6 @@ def booking_caps(hat_C, p, iota):
     return n.tolist()
 
 
-def _capacity_lhs(x, q1, iota):
-    a = iota * (1.0 - q1) / 3.0
-    return q1 * x + a + math.sqrt(a * a + 2.0 * iota * x * q1 * (1.0 - q1))
-
-
 def departure_floor(law, C, iota):
     """Lower confidence bound on daily departures at full occupancy."""
     if law.kind == "constant":
@@ -196,28 +176,18 @@ def departure_floor(law, C, iota):
     return delta * C - a - math.sqrt(a * a + 2.0 * iota * C * delta * (1.0 - delta))
 
 
-def estimated_capacity(law, C, q1, iota, tol=1e-9):
-    """Solve for hat_C: expected-shows UCB of hat_C bookings equals the
-    departure LCB. Bisection on the strictly increasing left side."""
+def estimated_capacity(law, C, q1, iota):
+    """hat_C: the booking count whose expected-shows UCB,
+    stage1_threshold(hat_C, q1, iota), equals the departure LCB; the
+    threshold's closed-form inverse."""
     if C < 1 or not 0.0 < q1 <= 1.0 or iota < 0:
         raise ValueError("estimated_capacity domain violation")
     rhs = departure_floor(law, C, iota)
     if rhs <= 0:
         raise ValueError("infeasible instance: departure bound is nonpositive")
-    if rhs <= _capacity_lhs(0.0, q1, iota):
+    if rhs <= _threshold(0.0, q1, iota, math.sqrt):
         return 0.0
-    lo, hi = 0.0, max(1.0, C / q1)
-    while _capacity_lhs(hi, q1, iota) < rhs:
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        val = _capacity_lhs(mid, q1, iota)
-        if abs(val - rhs) < tol or (hi - lo) < 1e-15 * max(1.0, hi):
-            return mid
-        if val < rhs:
-            lo = mid
-        else:
-            hi = mid
+    return float(_cap_estimate(rhs, q1, iota))
 
 
 def expected_shownups(state, u, v, q1, alpha):

@@ -5,7 +5,9 @@ per request, a sorted event list per service day, and a dict ledger with
 one entry per room-night. It is slow and obvious on purpose: the property
 tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
 day, on the same realizations. `brute_force_day_optimal` is the
-enumeration oracle for the offline day optimum.
+enumeration oracle for the offline day optimum, and
+`estimated_capacity_bisection` solves for the capacity estimate by
+bisection where the engine inverts the threshold in closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from roomflow.policies import (
     OraclePolicy,
     StageTwoState,
     dass2_decide_walkin,
+    departure_floor,
     estimated_capacity,
     heuristic2_decide_walkin,
     heuristic_stage1_threshold,
@@ -110,7 +113,7 @@ def sample_stage1(profiles, rng):
 def realize_day(scenario, rep, k):
     """(bookings, walk-ins) of day k from the documented streams, drawn
     record by record."""
-    profiles = scenario.profiles_for(k)
+    profiles = scenario.profiles
     stage1 = sample_stage1(profiles, substream(scenario.seed, rep, k, 1))
     rng = substream(scenario.seed, rep, k, 2)
     n = len(stage1)
@@ -155,7 +158,7 @@ def warm_start(scenario, rng):
     ledger = DictLedger(scenario.C, scenario.T)
     if not scenario.warm_start or scenario.T == 0:
         return ledger
-    law = scenario.profiles_for(1).duration_law
+    law = scenario.profiles.duration_law
     if law.kind == "geometric":
         if law.q_stay > 0.0:
             for extra in rng.geometric(1.0 - law.q_stay, scenario.C) - 1:
@@ -269,6 +272,30 @@ def brute_force_day_optimal(finals, n_walkins, C, reward, overbook_penalty):
     return best
 
 
+def estimated_capacity_bisection(law, C, q1, iota):
+    """hat_C with stage1_threshold(hat_C, q1, iota) equal to the departure
+    LCB, by bisection on the strictly increasing threshold, down to the
+    width of one float."""
+    if C < 1 or not 0.0 < q1 <= 1.0 or iota < 0:
+        raise ValueError("estimated_capacity domain violation")
+    rhs = departure_floor(law, C, iota)
+    if rhs <= 0:
+        raise ValueError("infeasible instance: departure bound is nonpositive")
+    if rhs <= stage1_threshold(0.0, q1, iota):
+        return 0.0
+    lo, hi = 0.0, max(1.0, C / q1)
+    while stage1_threshold(hi, q1, iota) < rhs:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if stage1_threshold(mid, q1, iota) < rhs:
+            lo = mid
+        else:
+            hi = mid
+
+
 def oracle_stage2(survivors, walkins, C_rooms):
     finals = sorted((r for r in survivors if r.shows),
                     key=lambda r: r.arrival_time)
@@ -280,8 +307,8 @@ def oracle_stage2(survivors, walkins, C_rooms):
 # ---------------------------------------------------------------------------
 # trajectories
 
-def _capacity(scenario, ledger, k, profiles):
-    law = profiles.duration_law
+def _capacity(scenario, ledger, k):
+    law = scenario.profiles.duration_law
     if law.kind == "constant":
         return scenario.C / law.d, scenario.C // law.d
     free = scenario.C - ledger.occupied(k)
@@ -304,9 +331,9 @@ def run_experiment(scenario, policies, rep=0):
     bench = []
     losses = {n: ([], []) for n in policies}
     for k in range(1, scenario.T + 1):
-        profiles = scenario.profiles_for(k)
+        profiles = scenario.profiles
         bookings, walkins = realize_day(scenario, rep, k)
-        _, C_rooms = _capacity(scenario, bench_ledger, k, profiles)
+        _, C_rooms = _capacity(scenario, bench_ledger, k)
         selected = [r for r in bookings if r.survives and r.shows][:C_rooms]
         t1, wk, over = oracle_stage2(selected, walkins, C_rooms)
         bench.append(_finish(scenario, bench_ledger, k, t1 + wk, over))
@@ -317,7 +344,7 @@ def run_experiment(scenario, policies, rep=0):
             survivors = [r for r in stage1_accept(policy, bookings,
                                                   profiles, scenario.C)
                          if r.survives]
-            C_tilde, C_rooms = _capacity(scenario, led, k, profiles)
+            C_tilde, C_rooms = _capacity(scenario, led, k)
             v = max(scenario.v, 0.0)
             if isinstance(policy, AdaptivePolicy):
                 t1, wk, over = replay_stage2(
@@ -331,7 +358,7 @@ def run_experiment(scenario, policies, rep=0):
                     "heuristic", heuristic_stage2_standard(
                         len(survivors), profiles.show_prob))
             losses[n][0].append(_finish(scenario, led, k, t1 + wk, over))
-            _, C_rooms = _capacity(scenario, hyb_led, k, profiles)
+            _, C_rooms = _capacity(scenario, hyb_led, k)
             t1, wk, over = oracle_stage2(survivors, walkins, C_rooms)
             losses[n][1].append(_finish(scenario, hyb_led, k, t1 + wk, over))
     return {n: (bench, bench, bench) if isinstance(p, OraclePolicy)

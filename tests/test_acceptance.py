@@ -16,7 +16,7 @@ from roomflow.benchmarks import lower_bound_instance, offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
                             StageProfiles, attach_stage2_outcomes,
                             sample_stage1_day, substream)
-from roomflow.policies import (EconomicParams, estimated_capacity,
+from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
 
 
@@ -113,8 +113,7 @@ class TestFormulaGoldenValues:
         law = DurationLaw("geometric", q_stay=0.3)
         hat_C = estimated_capacity(law, 100, 0.4, 2.0)
         assert hat_C == pytest.approx(122.7, abs=0.05)
-        from roomflow.policies import _capacity_lhs, departure_floor
-        assert abs(_capacity_lhs(hat_C, 0.4, 2.0)
+        assert abs(stage1_threshold(hat_C, 0.4, 2.0)
                    - departure_floor(law, 100, 2.0)) < 1e-9
 
     def test_zero_confidence_trivial_cases(self):
@@ -285,7 +284,7 @@ class TestInvariantSuite:
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             committed = []
             for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
+                out = E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
                 # daily conservation: idle + occupied = C, priced at r
                 assert led.occupied(k) + out.idle == sc.C
                 assert led.occupied(k) <= sc.C
@@ -329,7 +328,7 @@ class TestInvariantSuite:
 
         def run():
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-            return [E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
+            return [E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
                     for k in range(1, sc.T + 1)]
 
         a, b = run(), run()
@@ -382,11 +381,9 @@ class TestFittedScenarioComparison:
             duration_geometric=0.3,
             walkin_mixture=((0.5, 70.0), (0.5, 140.0)),
             capacity=70, cancel_prob=0.35, mean_daily_bookings=180.0)
-        econ = EconomicParams(reward=1.0, overbook_penalty=1.0, capacity=70,
-                              confirmation_time=0.7, k0=14, T=200)
         rows = calib.simulate_booking_records(model, 300, seed=11)
         fit = calib.fit_model(rows, 70, seed=1)
-        sc, _ = calib.scenario_from_fit(fit, econ, iota=2.0, alpha=0.4)
+        sc = calib.scenario_from_fit(fit, T=200, k0=14, v=0.7)
         policies = {"dass": E.AdaptivePolicy(2.0, 0.4)}
         for b in (-0.2, -0.1, 0.0, 0.1, 0.2):
             policies[f"h{b:g}"] = E.HeuristicPolicy(beta=b)

@@ -82,7 +82,7 @@ class TestLowerBoundInstance:
     def test_instance_shape(self):
         sc = lower_bound_instance(4.0, T=100, seed=7)
         assert sc.C == 1 and sc.T == 100 and sc.v == 0.0
-        prof = sc.profiles_for(1)
+        prof = sc.profiles
         assert prof.show_prob == 0.5
         assert prof.stage1_rate.mass == pytest.approx(1.0)
         assert prof.walkin_rate.mass == pytest.approx(2.0)  # sqrt(iota)

@@ -7,7 +7,6 @@ import pytest
 
 import roomflow.calibration as C
 from roomflow.flows import substream
-from roomflow.policies import EconomicParams
 
 
 def row(lead=5, canceled=False, cancel=None, stay=2, walkin=False, day=0):
@@ -173,39 +172,35 @@ class TestFitPoissonMixture:
 
 
 class TestScenarioFromFit:
-    ECON = EconomicParams(reward=1.0, overbook_penalty=1.0, capacity=70,
-                          confirmation_time=0.7, k0=14, T=100)
+    ECON = dict(T=100, k0=14, v=0.7)
 
     def test_no_cancellations_degenerate(self):
         model = C.FittedModel(
             lead_gamma=(2.0, 3.0), cancel_weibull=(1.5, 4.0),
             duration_geometric=0.3, walkin_mixture=((1.0, 5.0),),
             capacity=70, cancel_prob=0.0, mean_daily_bookings=100.0)
-        sc, _ = C.scenario_from_fit(model, self.ECON, iota=2.0, alpha=0.4)
-        prof = sc.profiles_for(1)
+        sc = C.scenario_from_fit(model, **self.ECON)
+        prof = sc.profiles
         assert prof.show_prob == pytest.approx(1.0)
         assert np.all(prof.keep_curve.values == 1.0)
 
     def test_walkin_mass_is_mixture_mean(self):
-        sc, _ = C.scenario_from_fit(MODEL, self.ECON, iota=2.0, alpha=0.4)
-        assert sc.profiles_for(1).walkin_rate.mass == pytest.approx(9.0)
+        sc = C.scenario_from_fit(MODEL, **self.ECON)
+        assert sc.profiles.walkin_rate.mass == pytest.approx(9.0)
 
     def test_capacity_and_policy_passthrough(self):
-        sc, pol = C.scenario_from_fit(MODEL, self.ECON, iota=2.0, alpha=0.4)
+        sc = C.scenario_from_fit(MODEL, **self.ECON)
         assert sc.C == 70 and sc.v == 0.7
-        assert pol.iota == 2.0 and pol.alpha == 0.4
 
     def test_keep_curve_monotone_and_ends_at_one(self):
-        sc, _ = C.scenario_from_fit(MODEL, self.ECON, iota=2.0, alpha=0.4)
-        curve = sc.profiles_for(1).keep_curve
+        sc = C.scenario_from_fit(MODEL, **self.ECON)
+        curve = sc.profiles.keep_curve
         assert np.all(np.diff(curve.values) >= 0)
         assert curve.values[-1] == 1.0
 
     def test_horizon_shorter_than_window_rejected(self):
-        econ = EconomicParams(reward=1.0, overbook_penalty=1.0, capacity=70,
-                              confirmation_time=0.7, k0=14, T=7)
         with pytest.raises(ValueError, match="horizon"):
-            C.scenario_from_fit(MODEL, econ, iota=2.0, alpha=0.4)
+            C.scenario_from_fit(MODEL, T=7, k0=14, v=0.7)
 
 
 class TestModelPersistence:

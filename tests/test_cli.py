@@ -233,6 +233,43 @@ class TestSweep:
         cli.main(["sweep", "--config", cfg, "--out", b, "--jobs", "2"])
         assert body(a) == body(b)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_at_least_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--config", write_cfg(tmp_path, SINGLEDAY),
+                       "--out", str(out), "--jobs", jobs])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: --jobs: must be at least 1, got {jobs}\n")
+        assert not out.exists()
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class Pool:  # records its size and runs the cells in-process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        out = str(tmp_path / "x.csv")
+        assert cli.main(["sweep", "--config", write_cfg(tmp_path, SINGLEDAY),
+                         "--out", out, "--jobs", "64"]) == 0
+        assert sizes == [4]  # B x lambda2 = 4 cells
+        # one cell: no pool at all
+        assert cli.main(["simulate", "--config",
+                         write_cfg(tmp_path, MULTIDAY, "one.cfg"),
+                         "--out", out, "--jobs", "8"]) == 0
+        assert sizes == [4]
+
     def test_unknown_objective_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, SINGLEDAY.replace(
             "objective = mismatch", "objective = profit"))
@@ -283,6 +320,19 @@ class TestFit:
         data = tmp_path / "b.csv"
         data.write_text("arrival_date,lead_days\n2017-01-01,5\n")
         assert cli.main(["fit", "--config", str(data)]) == 1
+
+    @pytest.mark.parametrize("flag", ["--capacity", "--components"])
+    def test_flag_counts_at_least_one(self, tmp_path, capsys, flag):
+        data = tmp_path / "b.csv"
+        calib.write_bookings(
+            calib.simulate_booking_records(self.MODEL, 10, seed=3), data)
+        out = tmp_path / "model.txt"
+        rc = cli.main(["fit", "--config", str(data), "--out", str(out),
+                       flag, "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: {flag}: must be at least 1, got 0\n")
+        assert not out.exists()
 
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1
@@ -423,6 +473,29 @@ class TestConfigContract:
         assert rc == 1
         assert err.startswith(f"config error: [run] {field}: must be at "
                               "least 1")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("text, preset, key", [
+        (MULTIDAY.replace("T = 5", "T = 0"), None, "T"),
+        (MULTIDAY.replace("T = 5", "T = 2.5"), None, "T"),
+        (MULTIDAY.replace("C = 20", "C = 100.9"), None, "C"),
+        (MULTIDAY.replace("q_stay = 0.3", "duration = constant\nd = 2.5"),
+         None, "d"),
+        (SINGLEDAY.replace("B = 30,40", "B = -1,40"), None, "B"),
+        ("[scenario]\nreward = -2\noverbook_penalty = -1\n", "fig4",
+         "reward"),
+        ("[scenario]\noverbook_penalty = -1\n", "fig4", "overbook_penalty"),
+        ("[sweep]\nv = 1.5\n[scenario]\nreward = -1\n", "fig3", "v"),
+        ("[scenario]\nreward = -1\n", "fig3", "reward"),
+    ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
+            "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
+            "fig3-reward"])
+    def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
+                                                  text, preset, key):
+        rc, err, out = self.run(tmp_path, capsys, text, preset=preset)
+        assert rc == 1
+        assert err.startswith(f"config error: [scenario] {key}: ")
         assert not out.exists()
 
 

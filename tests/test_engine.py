@@ -166,7 +166,7 @@ class TestStage2Replay:
 def run_days(sc, policy):
     """The policy trajectory over days 1..T of replication 0."""
     led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-    return [E.run_day(k, E.realize_day(sc, 0, k), policy, policy, led, sc)
+    return [E.run_day(k, E.realize_day(sc, 0, k), policy, led, sc)
             for k in range(1, sc.T + 1)]
 
 
@@ -202,7 +202,7 @@ class TestRunHorizonAccounting:
         led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
         committed = []
         for k in range(1, sc.T + 1):
-            E.run_day(k, E.realize_day(sc, 0, k), pol, pol, led, sc)
+            E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
             committed.append(led.occupied(k))
         assert led.total_room_nights == sum(committed)
 
@@ -260,27 +260,32 @@ class TestMonteCarlo:
             E.aggregate(self.curves(scenario(T=5), 0))
 
 
+def one_day(C, v, **kw):
+    """A single service day with capacity C and confirmation call at v."""
+    return E.ScenarioConfig(T=1, C=C, k0=1, v=v, reward=1.0,
+                            overbook_penalty=1.0,
+                            profiles=geometric_profiles(**kw))
+
+
 class TestSingleDayCell:
     def test_policy_loss_dominates_oracle_loss(self):
-        prof = geometric_profiles(q1=0.5, lam2=30.0)
-        pol, ora, _ = E.single_day_cell(400, 200, prof, v=1.0, alpha=0.4,
-                                     kind="adaptive", n_sims=200,
-                                     master_seed=123)
+        sc = one_day(200, 1.0, q1=0.5, lam2=30.0)
+        pol, ora, _ = E.single_day_cell(sc, 400, E.AdaptivePolicy(2.0, 0.4),
+                                        n_sims=200, master_seed=123)
         assert np.all(pol >= ora)
 
     def test_v0_adaptive_equals_oracle(self):
-        prof = geometric_profiles(q1=0.5, lam2=30.0)
-        pol, ora, _ = E.single_day_cell(400, 200, prof, v=0.0, alpha=0.4,
-                                     kind="adaptive", n_sims=100,
-                                     master_seed=5)
+        sc = one_day(200, 0.0, q1=0.5, lam2=30.0)
+        pol, ora, _ = E.single_day_cell(sc, 400, E.AdaptivePolicy(2.0, 0.4),
+                                        n_sims=100, master_seed=5)
         assert np.array_equal(pol, ora)
 
     def test_count_fast_path_matches_replay(self):
         # the count-based oracle must agree with a full event replay
-        prof = geometric_profiles(q1=0.5, lam2=10.0)
-        _, ora, _ = E.single_day_cell(30, 20, prof, v=1.0, alpha=0.4,
-                                   kind="adaptive", n_sims=150,
-                                   master_seed=42)
+        sc = one_day(20, 1.0, q1=0.5, lam2=10.0)
+        prof = sc.profiles
+        _, ora, _ = E.single_day_cell(sc, 30, E.AdaptivePolicy(2.0, 0.4),
+                                      n_sims=150, master_seed=42)
         from roomflow.flows import sample_stage2_day
         for i in range(150):
             rng = substream(42, i)

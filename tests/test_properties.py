@@ -3,10 +3,11 @@ record-based reference in `reference.py`, and of the engine invariants, on
 small random scenarios."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference as R
@@ -87,7 +88,7 @@ def scenarios(draw):
 
 @st.composite
 def policy_sets(draw, scenario):
-    prof = scenario.profiles_for(1)
+    prof = scenario.profiles
     iota = draw(st.floats(0.0, 4.0))
     try:
         estimated_capacity(prof.duration_law, scenario.C, prof.show_prob,
@@ -145,7 +146,7 @@ class TestArrayEngineMatchesReference:
     @SETTINGS
     @given(sc=scenarios(), seed=st.integers(0, 2 ** 32))
     def test_stage1_stream_ends_where_the_scalar_one_does(self, sc, seed):
-        prof = sc.profiles_for(1)
+        prof = sc.profiles
         fast, slow = substream(seed, 1), substream(seed, 1)
         sample_stage1_day(prof, 1, fast)
         R.sample_stage1(prof, slow)
@@ -194,6 +195,30 @@ class TestArrayEngineMatchesReference:
                         for x in p]
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(law=st.builds(DurationLaw, st.just("geometric"),
+                         q_stay=st.floats(0.0, 0.95))
+           | st.builds(DurationLaw, st.just("constant"),
+                       d=st.integers(1, 12)),
+           C=st.integers(1, 500), q1=st.just(1.0) | st.floats(1e-6, 1.0),
+           iota=st.just(0.0) | st.floats(0.0, 8.0))
+    @example(law=DurationLaw("geometric", q_stay=0.3), C=100, q1=1.0,
+             iota=2.0)
+    @example(law=DurationLaw("geometric", q_stay=0.3), C=100, q1=0.4,
+             iota=0.0)
+    @example(law=DurationLaw("constant", d=10), C=1, q1=0.5,
+             iota=1.0)  # departure bound 0.1 < stage1_threshold(0): hat_C 0
+    def test_capacity_estimate_matches_bisection(self, law, C, q1, iota):
+        try:
+            want = R.estimated_capacity_bisection(law, C, q1, iota)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                estimated_capacity(law, C, q1, iota)
+            return
+        assert abs(estimated_capacity(law, C, q1, iota) - want) <= (
+            1e-8 * max(1.0, want))
+
+
 class TestEngineInvariants:
     @SETTINGS
     @given(case=cases())
@@ -203,8 +228,7 @@ class TestEngineInvariants:
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             occupied = []
             for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(sc, 0, k), policy, policy,
-                                led, sc)
+                out = E.run_day(k, E.realize_day(sc, 0, k), policy, led, sc)
                 # capacity safety: the ledger raises CapacityError before
                 # any day exceeds C
                 assert 0 <= led.occupied(k) <= sc.C
@@ -233,7 +257,8 @@ class TestEngineInvariants:
            seed=st.integers(0, 2 ** 32))
     def test_single_day_oracle_never_above_policy(self, prof, B, C, v, alpha,
                                                   seed):
-        for kind in ("adaptive", "heuristic"):
-            pol, ora, _ = E.single_day_cell(B, C, prof, v, alpha, kind, 5,
-                                            seed)
+        sc = E.ScenarioConfig(T=1, C=C, k0=1, v=v, reward=1.0,
+                              overbook_penalty=1.0, profiles=prof)
+        for policy in (AdaptivePolicy(0.0, alpha), HeuristicPolicy(0.0)):
+            pol, ora, _ = E.single_day_cell(sc, B, policy, 5, seed)
             assert np.all(ora <= pol)

@@ -1,0 +1,98 @@
+"""Guard against test-only API: every top-level function and class in
+`src/roomflow` must be reachable from the `roomflow` command (`cli.main`)
+or from one of calibration's documented library entry points. A name that
+only tests reach is code the program does not need."""
+
+import ast
+from pathlib import Path
+
+import roomflow
+
+SRC = Path(roomflow.__file__).resolve().parent
+ENTRY_POINTS = {("cli", "main"),
+                ("calibration", "scenario_from_fit"),
+                ("calibration", "load_model"),
+                ("calibration", "simulate_booking_records"),
+                ("calibration", "write_bookings")}
+
+
+def _references(tree, module):
+    """Top-level name -> the (module, name) pairs its statement refers to,
+    plus the set of top-level functions and classes. The package imports
+    its own modules only relatively (`from .m import x`, `from . import
+    m`), so those are the imports resolved."""
+    imported, modules = {}, {}  # local name -> (module, name) / module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    imported[local] = (node.module, alias.name)
+                else:
+                    modules[local] = alias.name
+    refs, defs = {}, set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+            defs.add((module, stmt.name))
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(imported.get(node.id, (module, node.id)))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                found.add((modules[node.value.id], node.attr))
+        for name in names:
+            refs[(module, name)] = found
+    return refs, defs
+
+
+def _graph(sources):
+    """(references, definitions) over all modules of `sources` (module
+    name -> code)."""
+    refs, defs = {}, set()
+    for module, code in sources.items():
+        r, d = _references(ast.parse(code), module)
+        refs.update(r)
+        defs |= d
+    return refs, defs
+
+
+def unreachable(sources, roots):
+    """Top-level functions and classes of `sources` that no chain of
+    references from `roots` reaches."""
+    refs, defs = _graph(sources)
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(refs.get(name, ()))
+    return defs - seen
+
+
+def test_every_definition_is_reachable_from_an_entry_point():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert ENTRY_POINTS <= _graph(sources)[1]  # the allowlist is not stale
+    assert sorted(unreachable(sources, ENTRY_POINTS)) == []
+
+
+def test_guard_flags_test_only_chains():
+    sources = {
+        "cli": ("from . import engine\n"
+                "from .engine import run as go\n"
+                "TABLE = {'x': engine.used}\n"
+                "def main():\n    return go(TABLE)\n"),
+        "engine": ("def run(t):\n    return Ledger()\n"
+                   "class Ledger:\n    pass\n"
+                   "def used():\n    pass\n"
+                   "def orphan():\n    return helper()\n"
+                   "def helper():\n    pass\n"),
+    }
+    assert unreachable(sources, {("cli", "main")}) == {
+        ("engine", "orphan"), ("engine", "helper")}
