@@ -299,6 +299,14 @@ def daily_walkin_counts(rows):
     return list(counts.values())
 
 
+def _fitted(law, fitter, samples, **kw):
+    """fitter(samples), with a fitter's ValueError naming the law."""
+    try:
+        return fitter(samples, **kw)
+    except ValueError as exc:
+        raise ValueError(f"{law} fit: {exc}") from exc
+
+
 def fit_model(rows, capacity, n_components=2, seed=0):
     """Run all four fitters on an ingested dataset.
 
@@ -306,7 +314,7 @@ def fit_model(rows, capacity, n_components=2, seed=0):
     (positivity), as are zero cancellation intervals from the Weibull fit.
     A walk-in-only dataset has nothing to fit them to: it gets the nominal
     laws Gamma(1, 1) and Weibull(1, 1), with no cancellations and no
-    bookings.
+    bookings. A fitter's ValueError names the law it could not fit.
     """
     reserved = [r for r in rows if not r.is_walk_in]
     counts = daily_walkin_counts(rows)
@@ -317,17 +325,20 @@ def fit_model(rows, capacity, n_components=2, seed=0):
         if not cancel_ints:
             cancel_ints = [1, 2]  # no cancellations: nominal law, pi_c = 0
         laws = dict(
-            lead_gamma=fit_gamma(leads),
-            cancel_weibull=fit_weibull(cancel_ints),
+            lead_gamma=_fitted("lead-time Gamma", fit_gamma, leads),
+            cancel_weibull=_fitted("cancellation Weibull", fit_weibull,
+                                   cancel_ints),
             cancel_prob=sum(r.is_canceled for r in reserved) / len(reserved),
             mean_daily_bookings=len(reserved) / len(counts))
     else:
         laws = dict(lead_gamma=(1.0, 1.0), cancel_weibull=(1.0, 1.0))
     return FittedModel(
         **laws,
-        duration_geometric=fit_geometric([r.stay_nights for r in rows]),
-        walkin_mixture=tuple(fit_poisson_mixture(counts, n_components,
-                                                 seed=seed)),
+        duration_geometric=_fitted("stay-length Geometric", fit_geometric,
+                                   [r.stay_nights for r in rows]),
+        walkin_mixture=tuple(_fitted(
+            "walk-in Poisson mixture", fit_poisson_mixture, counts,
+            n_components=n_components, seed=seed)),
         capacity=capacity,
     )
 
@@ -414,7 +425,7 @@ def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
 # ---------------------------------------------------------------------------
 # synthetic data and persistence
 
-def simulate_booking_records(model, n_days, seed=0, k0=None):
+def simulate_booking_records(model, n_days, seed=0):
     """Synthetic dataset drawn from a known model (for round-trip checks).
 
     Lead times, cancellation intervals, and counts are integerized the way

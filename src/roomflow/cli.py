@@ -113,6 +113,21 @@ def _whole(least):
     return conv
 
 
+def _real(rule, ok):
+    """Converter to a float that meets `ok`; `rule` says what it must be.
+    nan meets no rule."""
+    def conv(text):
+        x = float(text)
+        if not ok(x):
+            raise ValueError(f"must be {rule}, got {x:g}")
+        return x
+    return conv
+
+
+_NONNEGATIVE = _real("nonnegative", lambda x: x >= 0.0)
+_POSITIVE = _real("positive", lambda x: x > 0.0)
+
+
 def parse_axis(text):
     """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive)."""
     text = text.strip()
@@ -153,13 +168,11 @@ def parse_policies(cfg):
 def _profiles(f, lam1, p0, k0):
     """Day profiles from [scenario]; lam1, p0 and k0 describe the booking
     window."""
-    lam2 = f.get("lambda2", float)
-    q1 = f.get("q1", float)
-    curve = (KeepCurve.always(0.0, k0) if p0 >= 1.0
-             else KeepCurve.linear(p0, 0.0, k0))
+    lam2 = f.get("lambda2", _NONNEGATIVE)
+    q1 = f.get("q1", _real("in (0, 1]", lambda x: 0.0 < x <= 1.0))
 
     def day_rate(prefix, mass):  # Beta(a, b)-shaped, flat when a = b = 1
-        a, b = (f.get(f"{prefix}_beta_{x}", float, 1.0) for x in "ab")
+        a, b = (f.get(f"{prefix}_beta_{x}", _POSITIVE, 1.0) for x in "ab")
         return (RateFunction.constant(mass, 0.0, 1.0) if a == b == 1.0
                 else RateFunction.beta_shaped(mass, a, b))
 
@@ -169,11 +182,12 @@ def _profiles(f, lam1, p0, k0):
     if kind == "constant":
         law = DurationLaw(kind, d=f.get("d", _whole(1), 1))
     else:
-        law = DurationLaw(kind, q_stay=f.get("q_stay", float, 0.0))
+        law = DurationLaw(kind, q_stay=f.get(
+            "q_stay", _real("in [0, 1)", lambda x: 0.0 <= x < 1.0), 0.0))
     return StageProfiles(
         stage1_rate=RateFunction.constant(lam1 / k0, 0.0, k0),
-        keep_curve=curve, show_prob=q1, arrival_density=arrival,
-        walkin_rate=walkin, duration_law=law)
+        keep_curve=KeepCurve.linear(p0, 0.0, k0), show_prob=q1,
+        arrival_density=arrival, walkin_rate=walkin, duration_law=law)
 
 
 def _scenario(f, T, k0, profiles):
@@ -186,8 +200,11 @@ def _scenario(f, T, k0, profiles):
 
 def _multiday(f):
     k0 = f.get("k0", _whole(1), 1)
-    return _scenario(f, f.get("T", _whole(1)), k0, _profiles(
-        f, f.get("lambda1", float), f.get("keep_p0", float, 1.0), k0))
+    T = f.get("T", _whole(1))
+    lam1 = f.get("lambda1", _NONNEGATIVE)
+    p0 = f.get("keep_p0", _real("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+               1.0)
+    return _scenario(f, T, k0, _profiles(f, lam1, p0, k0))
 
 
 def _single_day(f):
@@ -404,12 +421,15 @@ def cmd_fit(args):
             raise ConfigError(f"{flag}: must be at least 1, got {value}")
     rows = calibration.ingest_bookings(args.config)
     out = args.out or "model.txt"
-    if all(r.is_walk_in for r in rows):
+    if rows and all(r.is_walk_in for r in rows):
         print("notice: walk-in-only dataset; Gamma lead-time and Weibull "
               "cancellation fitters skipped (nominal parameters written)")
-    model = calibration.fit_model(rows, args.capacity,
-                                  n_components=args.components,
-                                  seed=args.seed or 0)
+    try:
+        model = calibration.fit_model(rows, args.capacity,
+                                      n_components=args.components,
+                                      seed=args.seed or 0)
+    except ValueError as exc:  # the message names the law
+        raise ConfigError(f"{args.config}: {exc}") from exc
     calibration.save_model(model, out)
     report = calibration.fit_report(model, rows)
     with open(str(out) + ".report", "w", encoding="utf-8") as fh:

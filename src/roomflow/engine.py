@@ -13,6 +13,7 @@ Stage-I and Stage-II components.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -33,12 +34,8 @@ from .policies import (
     AdaptivePolicy,
     HeuristicPolicy,
     OraclePolicy,
-    StageTwoState,
     booking_caps,
-    dass2_decide_walkin,
-    heuristic2_decide_walkin,
     heuristic_stage1_threshold,
-    heuristic_stage2_standard,
 )
 from .policies import estimated_capacity as _estimated_capacity
 
@@ -59,7 +56,6 @@ class ScenarioConfig:
     overbook_penalty: float
     profiles: StageProfiles
     seed: int = 0
-    warm_start: bool = True
 
     def __post_init__(self):
         # each message starts with the field it names
@@ -186,27 +182,44 @@ class Stage2Result:
     overbooked: int
 
 
-def replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms, v, q1, alpha,
-                  walkin_rate, kind, standard=None):
-    """Replay one service day through a check-in rule.
+def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
+                  profiles, v):
+    """Replay one service day through the policy's check-in rule.
 
     arrival, shows: the reserved customers, in any order (ties in arrival
-    keep that order); walkin_time: walk-ins in time order. kind: "adaptive"
-    (confirmation reveal at v) or "heuristic" (constant standard, no
-    reveal). Reserved customers are processed before walk-ins at equal
-    timestamps; the reveal is processed before any event at or after v.
+    keep that order); walkin_time: walk-ins in time order. Reserved
+    customers are processed before walk-ins at equal timestamps; the
+    adaptive rule's confirmation call at v is processed before any event
+    at or after v (at the day start if v <= 0).
+
+    A walk-in is accepted iff the expected final shown-ups, not counting
+    it, stay strictly below C_tilde. With B1 reserved customers and W1
+    walk-ins checked in so far, those are
+    - adaptive before the call: B1 + q1 (B - B1 - B2) + W1 + alpha m(u),
+      with B2 the no-shows revealed so far and m(u) the walk-in mass
+      after u;
+    - adaptive after the call: B1 + B3 + W1, with B3 the confirmed shows
+      still to come;
+    - heuristic (no call): q1 B + B1 + W1.
 
     A showing reserved customer gets a room iff one is free, so between two
     walk-ins the shows fill free rooms in arrival order and the rest are
     overbooked; only walk-ins need a decision. The walk-in loop stops at
     the first walk-in that meets a full house, or that a rule turns away
     while its test can only tighten: the heuristic test and the post-call
-    adaptive one (B1 + revealed_B3 = all shows while rooms are free) grow
-    with B1 + W1 alone, so every later walk-in would be turned away too.
-    The walk-in mass after u is computed only for walk-ins before v, once a
-    decision needs it.
+    one (B1 + B3 = all shows while rooms are free) grow with B1 + W1 alone,
+    so every later walk-in would be turned away too. The walk-in mass after
+    u is computed only for walk-ins before v, once a decision needs it.
     """
     B = len(arrival)
+    q1 = profiles.show_prob
+    if isinstance(policy, AdaptivePolicy):
+        alpha, standard = policy.alpha, None
+    elif isinstance(policy, HeuristicPolicy):
+        # no call: every walk-in faces the one fixed standard
+        alpha, standard, v = None, q1 * B, -math.inf
+    else:
+        raise TypeError(f"no Stage-II rule for {type(policy).__name__}")
     if B:
         order = np.argsort(arrival, kind="stable")
         ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
@@ -220,58 +233,34 @@ def replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms, v, q1, alpha,
         show_pos = np.empty(0, dtype=np.intp)
         before = shows_before = [0] * len(walkin_time)
     shows_total = len(show_pos)
-    adaptive = kind == "adaptive"
-    state = StageTwoState(B=B, C_tilde=C_tilde, C_rooms=C_rooms)
-    decided = overbooked = 0  # shows decided so far, and those overbooked
+    B1 = W1 = decided = overbooked = 0  # decided: shows replayed so far
     served_wk = []
     mass = None
     for j, (u, n, s) in enumerate(zip(walkin_time.tolist(), before,
                                       shows_before)):
-        free = C_rooms - state.B1 - state.W1
-        take = min(s - decided, free)
-        state.B1 += take
+        take = min(s - decided, C_rooms - B1 - W1)
+        B1 += take
         overbooked += s - decided - take
         decided = s
-        if state.B1 + state.W1 >= C_rooms:
+        if B1 + W1 >= C_rooms:
             break
-        state.B2 = n - s
-        pre_call = adaptive and u < v
-        if pre_call:
+        if u < v:  # adaptive, before the call: n - s no-shows revealed
             if mass is None:
-                mass = walkin_rate.mass_after(
+                mass = profiles.walkin_rate.mass_after(
                     walkin_time[walkin_time < v]).tolist()
-            state.remaining_walkin_mass = mass[j]
-            accept = dass2_decide_walkin(state, u, v, q1, alpha)
-        elif adaptive:
-            # confirmed future check-ins: total shows minus decided ones
-            state.revealed_B3 = shows_total - s
-            accept = dass2_decide_walkin(state, u, v, q1, alpha)
-        else:
-            accept = heuristic2_decide_walkin(state, standard)
-        if accept:
+            if B1 + q1 * (B - B1 - (n - s)) + W1 + alpha * mass[j] < C_tilde:
+                W1 += 1
+                served_wk.append(j)
+        elif ((shows_total - s if standard is None else standard) + B1 + W1
+              < C_tilde):
+            W1 += 1
             served_wk.append(j)
-        elif not pre_call:
+        else:
             break
-    take = min(shows_total - decided,
-               max(C_rooms - state.B1 - state.W1, 0))
-    state.B1 += take
+    take = min(shows_total - decided, max(C_rooms - B1 - W1, 0))
+    B1 += take
     overbooked += shows_total - decided - take
-    return Stage2Result(show_pos[:state.B1], served_wk, overbooked)
-
-
-def stage2_run(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
-               profiles, v):
-    q1 = profiles.show_prob
-    if isinstance(policy, AdaptivePolicy):
-        return replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms,
-                             max(v, 0.0), q1, policy.alpha,
-                             profiles.walkin_rate, "adaptive")
-    if isinstance(policy, HeuristicPolicy):
-        standard = heuristic_stage2_standard(len(arrival), q1)
-        return replay_stage2(arrival, shows, walkin_time, C_tilde, C_rooms,
-                             max(v, 0.0), q1, 0.0, profiles.walkin_rate,
-                             "heuristic", standard=standard)
-    raise TypeError(f"no Stage-II rule for {type(policy).__name__}")
+    return Stage2Result(show_pos[:B1], served_wk, overbooked)
 
 
 def oracle_stage2(arrival, shows, n_walkins, C_rooms):
@@ -350,9 +339,9 @@ def run_day(k, realization, policy, ledger, scenario, survivors=None):
         survivors = _survivors(realization, stage1_accept(
             policy, bookings, profiles, scenario.C))
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
-    result = stage2_run(policy, bookings.arrival_time[survivors],
-                        bookings.shows[survivors], realization.walkins.time,
-                        C_tilde, C_rooms, profiles, scenario.v)
+    result = replay_stage2(policy, bookings.arrival_time[survivors],
+                           bookings.shows[survivors], realization.walkins.time,
+                           C_tilde, C_rooms, profiles, scenario.v)
     return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
                        realization, survivors)
 
@@ -386,7 +375,7 @@ def warm_start_ledger(scenario, rng):
     per residual-age class.
     """
     ledger = OccupancyLedger(scenario.C, scenario.T)
-    if not scenario.warm_start or scenario.T == 0:
+    if scenario.T == 0:
         return ledger
     law = scenario.profiles.duration_law
     if law.kind == "geometric":
@@ -545,8 +534,8 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         n_wk = len(walkins)
         ora_losses[i] = price(*offline_day_optimum(
             int(np.count_nonzero(type1.shows)), n_wk, C))
-        res = stage2_run(policy, type1.time, type1.shows, walkins.time,
-                         float(C), C, profiles, scenario.v)
+        res = replay_stage2(policy, type1.time, type1.shows, walkins.time,
+                            float(C), C, profiles, scenario.v)
         pol_losses[i] = price(len(res.served_type1), len(res.served_walkins),
                               res.overbooked)
         rejected[i] = n_wk - len(res.served_walkins)

@@ -1,11 +1,12 @@
-"""Decision rules for the two stages.
+"""Policies and their Stage-I thresholds.
 
 The adaptive policy adds a concentration-derived safety stock to expected
 counts: Stage I accepts a booking only while an upper confidence bound on the
-final surviving bookings stays below an estimated capacity, and Stage II
-accepts a walk-in only while the expected final shown-ups stay below the
-day's allocated capacity. Heuristic baselines replace both rules with fixed
-linear standards.
+final surviving bookings stays below an estimated capacity. Heuristic
+baselines replace it with a fixed linear cap. The Stage-II check-in rules
+read alpha or the heuristic standard from the policy in
+`engine.replay_stage2`. The busy-season and call-timing checks live here
+too.
 """
 
 from __future__ import annotations
@@ -46,32 +47,6 @@ class HeuristicPolicy:
 @dataclass(frozen=True)
 class OraclePolicy:
     """Clairvoyant Stage-I fill + single-day offline-optimal Stage II."""
-
-
-@dataclass
-class StageTwoState:
-    """Running Stage-II counters a policy may read.
-
-    revealed_B3 is the number of confirmed future check-ins remaining at the
-    current time: it is set at the confirmation call and decremented as
-    those customers check in, so B1 + revealed_B3 always equals the final
-    Type-I check-in total once the call has happened.
-    """
-
-    B: int                   # surviving bookings at day start
-    B1: int = 0              # checked in so far
-    B2: int = 0              # revealed cancellations (no-shows) so far
-    W1: int = 0              # accepted walk-ins so far
-    revealed_B3: int | None = None
-    C_tilde: float = 0.0     # allocated capacity (may be fractional)
-    C_rooms: int = 0         # physical rooms available (floor of C_tilde)
-    remaining_walkin_mass: float = 0.0
-
-    def __post_init__(self):
-        if self.B1 + self.B2 > self.B:
-            raise ValueError("more determined customers than bookings")
-        if self.W1 < 0:
-            raise ValueError("negative walk-in count")
 
 
 def stage1_threshold(B_t, p_t, iota):
@@ -190,49 +165,11 @@ def estimated_capacity(law, C, q1, iota):
     return float(_cap_estimate(rhs, q1, iota))
 
 
-def expected_shownups(state, u, v, q1, alpha):
-    """Expected final occupied rooms from the Stage-II viewpoint at time u."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u outside the service day")
-    if u < v:
-        return (state.B1 + q1 * (state.B - state.B1 - state.B2) + state.W1
-                + alpha * state.remaining_walkin_mass)
-    if state.revealed_B3 is None:
-        raise ValueError("confirmation outcome not revealed at u >= v")
-    return state.B1 + state.revealed_B3 + state.W1
-
-
-def dass2_decide_walkin(state, u, v, q1, alpha):
-    """Accept iff expected shown-ups stay strictly below the allocated
-    capacity (the candidate itself is not counted) and a room is free."""
-    accept = (expected_shownups(state, u, v, q1, alpha) < state.C_tilde
-              and state.B1 + state.W1 < state.C_rooms)
-    if accept:
-        state.W1 += 1
-    return accept
-
-
 def heuristic_stage1_threshold(policy, law, C, q1):
     """Fixed booking cap (1+beta) * delta * C / q1."""
     if q1 <= 0:
         raise ValueError("q1 must be positive")
     return (1.0 + policy.beta) * law.delta * C / q1
-
-
-def heuristic_stage2_standard(B, q1):
-    """Constant expected-shows standard q1 * B."""
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    return q1 * B
-
-
-def heuristic2_decide_walkin(state, standard):
-    """Accept iff standard + B1 + W1 < C_tilde and a room is free."""
-    accept = (standard + state.B1 + state.W1 < state.C_tilde
-              and state.B1 + state.W1 < state.C_rooms)
-    if accept:
-        state.W1 += 1
-    return accept
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ One object per customer, a scalar keep-curve lookup and a scalar threshold
 per request, a sorted event list per service day, and a dict ledger with
 one entry per room-night. It is slow and obvious on purpose: the property
 tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
-day, on the same realizations. `brute_force_day_optimal` is the
+day, on the same realizations. The Stage-II check-in rules are this
+module's own copies, one running-counter state per customer, so the engine's
+replay is never compared with itself. `brute_force_day_optimal` is the
 enumeration oracle for the offline day optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
 bisection where the engine inverts the threshold in closed form.
@@ -24,13 +26,9 @@ from roomflow.flows import substream
 from roomflow.policies import (
     AdaptivePolicy,
     OraclePolicy,
-    StageTwoState,
-    dass2_decide_walkin,
     departure_floor,
     estimated_capacity,
-    heuristic2_decide_walkin,
     heuristic_stage1_threshold,
-    heuristic_stage2_standard,
     stage1_threshold,
 )
 
@@ -156,7 +154,7 @@ class DictLedger:
 
 def warm_start(scenario, rng):
     ledger = DictLedger(scenario.C, scenario.T)
-    if not scenario.warm_start or scenario.T == 0:
+    if scenario.T == 0:
         return ledger
     law = scenario.profiles.duration_law
     if law.kind == "geometric":
@@ -207,28 +205,94 @@ def stage1_accept(policy, bookings, profiles, C):
     return replay_stage1(bookings, decide)
 
 
+@dataclass
+class StageTwoState:
+    """Running Stage-II counters a check-in rule may read.
+
+    revealed_B3 is the number of confirmed future check-ins remaining at the
+    current time: it is set at the confirmation call and decremented as
+    those customers check in, so B1 + revealed_B3 always equals the final
+    Type-I check-in total once the call has happened.
+    """
+
+    B: int                   # surviving bookings at day start
+    B1: int = 0              # checked in so far
+    B2: int = 0              # revealed cancellations (no-shows) so far
+    W1: int = 0              # accepted walk-ins so far
+    revealed_B3: int | None = None
+    C_tilde: float = 0.0     # allocated capacity (may be fractional)
+    C_rooms: int = 0         # physical rooms available (floor of C_tilde)
+    remaining_walkin_mass: float = 0.0
+
+    def __post_init__(self):
+        if self.B1 + self.B2 > self.B:
+            raise ValueError("more determined customers than bookings")
+        if self.W1 < 0:
+            raise ValueError("negative walk-in count")
+
+
+def expected_shownups(state, u, v, q1, alpha):
+    """Expected final occupied rooms from the Stage-II viewpoint at time u."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u outside the service day")
+    if u < v:
+        return (state.B1 + q1 * (state.B - state.B1 - state.B2) + state.W1
+                + alpha * state.remaining_walkin_mass)
+    if state.revealed_B3 is None:
+        raise ValueError("confirmation outcome not revealed at u >= v")
+    return state.B1 + state.revealed_B3 + state.W1
+
+
+def dass2_decide_walkin(state, u, v, q1, alpha):
+    """Accept iff expected shown-ups stay strictly below the allocated
+    capacity (the candidate itself is not counted) and a room is free."""
+    accept = (expected_shownups(state, u, v, q1, alpha) < state.C_tilde
+              and state.B1 + state.W1 < state.C_rooms)
+    if accept:
+        state.W1 += 1
+    return accept
+
+
+def heuristic_stage2_standard(B, q1):
+    """Constant expected-shows standard q1 * B."""
+    if B < 0:
+        raise ValueError("B must be nonnegative")
+    return q1 * B
+
+
+def heuristic2_decide_walkin(state, standard):
+    """Accept iff standard + B1 + W1 < C_tilde and a room is free."""
+    accept = (standard + state.B1 + state.W1 < state.C_tilde
+              and state.B1 + state.W1 < state.C_rooms)
+    if accept:
+        state.W1 += 1
+    return accept
+
+
 def type1_checkin_decide(state):
     """Offer a room to a showing reserved customer iff one is free; the
     caller counts a rejection as one overbooking event."""
     return state.B1 + state.W1 < state.C_rooms
 
 
-def replay_stage2(survivors, walkins, C_tilde, C_rooms, v, q1, alpha,
-                  walkin_rate, kind, standard=None):
+def replay_stage2(policy, survivors, walkins, C_tilde, C_rooms, profiles, v):
     """(served reserved, served walk-ins, overbooked) of one service day,
     one event at a time."""
     events = [(r.arrival_time, 0, r) for r in survivors]
     events += [(r.arrival_time, 1, r) for r in walkins]
     events.sort(key=lambda e: (e[0], e[1]))
+    q1 = profiles.show_prob
+    adaptive = isinstance(policy, AdaptivePolicy)
+    standard = heuristic_stage2_standard(len(survivors), q1)
     state = StageTwoState(B=len(survivors), C_tilde=C_tilde, C_rooms=C_rooms)
     shows_total = sum(1 for r in survivors if r.shows)
     served_t1, served_wk = [], []
     overbooked = 0
-    revealed = kind == "adaptive" and v <= 0.0
+    revealed = adaptive and v <= 0.0
     if revealed:
         state.revealed_B3 = shows_total
     for u, tag, rec in events:
-        if kind == "adaptive" and not revealed and u >= v:
+        if adaptive and not revealed and u >= v:
             state.revealed_B3 = shows_total - state.B1 - overbooked
             revealed = True
         if tag == 0:
@@ -243,10 +307,11 @@ def replay_stage2(survivors, walkins, C_tilde, C_rooms, v, q1, alpha,
             else:
                 state.B2 += 1
         else:
-            if kind == "adaptive":
+            if adaptive:
                 if not revealed:
-                    state.remaining_walkin_mass = walkin_rate.mass_after(u)
-                accept = dass2_decide_walkin(state, u, v, q1, alpha)
+                    state.remaining_walkin_mass = (
+                        profiles.walkin_rate.mass_after(u))
+                accept = dass2_decide_walkin(state, u, v, q1, policy.alpha)
             else:
                 accept = heuristic2_decide_walkin(state, standard)
             if accept:
@@ -345,18 +410,8 @@ def run_experiment(scenario, policies, rep=0):
                                                   profiles, scenario.C)
                          if r.survives]
             C_tilde, C_rooms = _capacity(scenario, led, k)
-            v = max(scenario.v, 0.0)
-            if isinstance(policy, AdaptivePolicy):
-                t1, wk, over = replay_stage2(
-                    survivors, walkins, C_tilde, C_rooms, v,
-                    profiles.show_prob, policy.alpha, profiles.walkin_rate,
-                    "adaptive")
-            else:
-                t1, wk, over = replay_stage2(
-                    survivors, walkins, C_tilde, C_rooms, v,
-                    profiles.show_prob, 0.0, profiles.walkin_rate,
-                    "heuristic", heuristic_stage2_standard(
-                        len(survivors), profiles.show_prob))
+            t1, wk, over = replay_stage2(policy, survivors, walkins, C_tilde,
+                                         C_rooms, profiles, scenario.v)
             losses[n][0].append(_finish(scenario, led, k, t1 + wk, over))
             _, C_rooms = _capacity(scenario, hyb_led, k)
             t1, wk, over = oracle_stage2(survivors, walkins, C_rooms)

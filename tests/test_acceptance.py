@@ -2,6 +2,7 @@
 experiment behavior, concentration, linear-regret instance, invariants,
 calibration closure, and the fitted-scenario policy comparison."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -144,7 +145,8 @@ class TestImmediateCallIdentity:
     def test_event_replay_equals_offline_on_random_days(self):
         # with the call at the day start the adaptive policy reproduces the
         # offline optimum on every draw, not just in expectation
-        rate = RateFunction.constant(10.0, 0.0, 1.0)
+        pol = E.AdaptivePolicy(0.0, 0.4)
+        base = reference_profiles()
         rng = substream(2024, 13)
         for _ in range(10_000):
             q1 = float(rng.uniform(0.1, 0.9))
@@ -153,8 +155,9 @@ class TestImmediateCallIdentity:
             arrival = rng.random(B)
             shows = rng.random(B) < q1
             walkins = np.sort(rng.random(int(rng.integers(0, 10))))
-            res = E.replay_stage2(arrival, shows, walkins, float(C), C, 0.0,
-                                  q1, 0.4, rate, "adaptive")
+            res = E.replay_stage2(pol, arrival, shows, walkins, float(C), C,
+                                  dataclasses.replace(base, show_prob=q1),
+                                  0.0)
             ref = E.oracle_stage2(arrival, shows, len(walkins), C)
             assert len(res.served_type1) == len(ref.served_type1)
             assert len(res.served_walkins) == len(ref.served_walkins)

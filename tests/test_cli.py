@@ -334,6 +334,20 @@ class TestFit:
             f"config error: {flag}: must be at least 1, got 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, law", [
+        ("", "stay-length Geometric"),
+        ("2017-01-01,5,0,,2,0\n", "lead-time Gamma"),
+    ], ids=["header-only", "one-booking"])
+    def test_dataset_too_small_to_fit(self, tmp_path, capsys, rows, law):
+        data = tmp_path / "small.csv"
+        data.write_text(",".join(calib.COLUMNS) + "\n" + rows)
+        out = tmp_path / "model.txt"
+        rc = cli.main(["fit", "--config", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {data}: {law} fit: ")
+        assert not out.exists()
+
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1
 
@@ -488,9 +502,16 @@ class TestConfigContract:
         ("[scenario]\noverbook_penalty = -1\n", "fig4", "overbook_penalty"),
         ("[sweep]\nv = 1.5\n[scenario]\nreward = -1\n", "fig3", "v"),
         ("[scenario]\nreward = -1\n", "fig3", "reward"),
+        (MULTIDAY.replace("q1 = 0.5", "q1 = 1.5"), None, "q1"),
+        (MULTIDAY.replace("lambda2 = 5", "lambda2 = -1"), None, "lambda2"),
+        (MULTIDAY.replace("q_stay = 0.3", "q_stay = 1.2"), None, "q_stay"),
+        (MULTIDAY.replace("q_stay = 0.3", "q_stay = 0.3\narrival_beta_a = 0"),
+         None, "arrival_beta_a"),
+        (MULTIDAY.replace("keep_p0 = 0.5", "keep_p0 = 1.5"), None, "keep_p0"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
             "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
-            "fig3-reward"])
+            "fig3-reward", "q1-above-one", "lambda2-negative",
+            "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one"])
     def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
                                                   text, preset, key):
         rc, err, out = self.run(tmp_path, capsys, text, preset=preset)

@@ -88,9 +88,8 @@ class TestWarmStart:
         assert led.occupied(4) == 0
 
     def test_disabled_warm_start_is_empty(self):
-        sc = dataclasses.replace(scenario(), warm_start=False)
-        led = E.warm_start_ledger(sc, substream(1, 0, 0, 0))
-        assert led.occupied(1) == 0
+        # a ledger without a warm start holds no guests
+        assert E.OccupancyLedger(100, 40).occupied(1) == 0
 
 
 NAN = float("nan")
@@ -120,15 +119,15 @@ def arrays(times, shows=None):
 class TestStage2Replay:
     def test_oracle_equivalence_random_instances(self):
         # event-driven v=0 replay against the direct offline construction
-        rate = RateFunction.constant(10.0, 0.0, 1.0)
+        pol, prof = E.AdaptivePolicy(0.0, 0.4), geometric_profiles(q1=0.6)
         rng = substream(77, 0)
         for _ in range(400):
             B = int(rng.integers(0, 12))
             C = int(rng.integers(1, 8))
             arrival, shows = arrays(rng.random(B), rng.random(B) < 0.6)
             walkins = np.sort(rng.random(int(rng.integers(0, 9))))
-            res = E.replay_stage2(arrival, shows, walkins, float(C), C, 0.0,
-                                  0.6, 0.4, rate, "adaptive")
+            res = E.replay_stage2(pol, arrival, shows, walkins, float(C), C,
+                                  prof, 0.0)
             ref = E.oracle_stage2(arrival, shows, len(walkins), C)
             assert len(res.served_type1) == len(ref.served_type1)
             assert res.overbooked == ref.overbooked
@@ -139,26 +138,26 @@ class TestStage2Replay:
         # one confirmed no-show: a walk-in exactly at v sees the revealed
         # count (1 future show), not the expected one
         arrival, shows = arrays([0.9, 0.8], [True, False])
-        rate = RateFunction.constant(4.0, 0.0, 1.0)
-        res = E.replay_stage2(arrival, shows, arrays([0.5]), 2.0, 2, 0.5,
-                              0.9, 0.4, rate, "adaptive")
+        res = E.replay_stage2(E.AdaptivePolicy(0.0, 0.4), arrival, shows,
+                              arrays([0.5]), 2.0, 2,
+                              geometric_profiles(q1=0.9, lam2=4.0), 0.5)
         assert len(res.served_walkins) == 1
         assert len(res.served_type1) == 1
 
     def test_heuristic_ignores_reveal(self):
         arrival, shows = arrays([0.9, 0.95], [False, False])
-        rate = RateFunction.constant(4.0, 0.0, 1.0)
-        res = E.replay_stage2(arrival, shows, arrays([0.5]), 2.0, 2, 0.0,
-                              0.9, 0.4, rate, "heuristic", standard=1.8)
-        # standard 1.8 + 0 accepted >= C_tilde 2 is false, so accept
+        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
+                              arrays([0.5]), 2.0, 2,
+                              geometric_profiles(q1=0.9, lam2=4.0), 0.0)
+        # standard q1 B = 1.8 + 0 accepted >= C_tilde 2 is false, so accept
         assert len(res.served_walkins) == 1
 
     def test_reserved_before_walkin_at_equal_times(self):
         # the reserved customer at 0.5 takes the last room first
         arrival, shows = arrays([0.5], [True])
-        rate = RateFunction.constant(4.0, 0.0, 1.0)
-        res = E.replay_stage2(arrival, shows, arrays([0.5]), 1.0, 1, 0.0,
-                              0.9, 0.4, rate, "heuristic", standard=0.0)
+        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
+                              arrays([0.5]), 1.0, 1,
+                              geometric_profiles(q1=0.9, lam2=4.0), 0.0)
         assert res.served_type1.tolist() == [0]
         assert list(res.served_walkins) == []
 

@@ -294,9 +294,9 @@ class TestRecords:
         profiles = simple_profiles(lam2=30.0)
         t1, wk = sample_stage2_day(profiles, 0, 1, substream(21))
         assert wk.shows is None and len(wk) > 0
-        res = E.replay_stage2(t1.time, t1.shows, wk.time, 1000.0, 1000,
-                              0.0, 0.5, 0.0, profiles.walkin_rate,
-                              "heuristic", standard=0.0)
+        # (no bookings, so the heuristic standard q1 B is zero)
+        res = E.replay_stage2(E.HeuristicPolicy(0.0), t1.time, t1.shows,
+                              wk.time, 1000.0, 1000, profiles, 0.0)
         assert list(res.served_walkins) == list(range(len(wk)))
 
     def test_attach_outcomes_covers_all_bookings(self):

@@ -7,26 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomflow.engine import replay_stage1
-from roomflow.flows import DurationLaw, KeepCurve
+from roomflow.engine import replay_stage1, replay_stage2
+from roomflow.flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
 from roomflow.policies import (
     AdaptivePolicy,
     HeuristicPolicy,
-    StageTwoState,
     booking_caps,
     check_busy_season,
     check_call_timing,
-    dass2_decide_walkin,
     departure_floor,
     estimated_capacity,
-    expected_shownups,
-    heuristic2_decide_walkin,
     heuristic_stage1_threshold,
-    heuristic_stage2_standard,
     max_bookings_within,
     stage1_threshold,
 )
-from reference import type1_checkin_decide
+from reference import (
+    StageTwoState,
+    expected_shownups,
+    heuristic2_decide_walkin,
+    heuristic_stage2_standard,
+    type1_checkin_decide,
+)
 
 GEO = DurationLaw("geometric", q_stay=0.3)  # delta = 0.7
 
@@ -158,22 +159,69 @@ class TestDass1Decide:
             assert stage1_threshold(B_t, p, 2.0) <= hat_C + 1e-9
 
 
+ADAPTIVE = AdaptivePolicy(0.0, 0.4)
+HEURISTIC = HeuristicPolicy(0.0)
+
+
+def day_profiles(q1=0.5, lam2=30.0):
+    """A service day's profiles with show probability q1 and a flat walk-in
+    rate, lam2 over the day, so the walk-in mass after u is lam2 (1 - u)."""
+    return StageProfiles(
+        stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
+        keep_curve=KeepCurve.always(0.0, 1.0), show_prob=q1,
+        arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+        walkin_rate=RateFunction.constant(lam2, 0.0, 1.0),
+        duration_law=GEO)
+
+
+def walkins_served(policy, reserved, walkins, C_tilde, C_rooms=1000, v=0.5,
+                   q1=0.5, lam2=30.0):
+    """Walk-ins served by engine.replay_stage2 on a constructed day.
+    reserved: (arrival time, shows, count) groups of reserved customers;
+    walkins: (time, count) groups. With the default C_rooms rooms stay
+    free, so only C_tilde binds."""
+    counts = [n for *_, n in reserved]
+    arrival = np.repeat([float(t) for t, _, _ in reserved], counts)
+    shows = np.repeat([s for _, s, _ in reserved], counts).astype(bool)
+    times = np.repeat([float(t) for t, _ in walkins], [n for _, n in walkins])
+    res = replay_stage2(policy, arrival, shows, times, C_tilde, C_rooms,
+                        day_profiles(q1, lam2), v)
+    return len(res.served_walkins)
+
+
+# ten walk-ins at u = 0.3 see at most 180 + 9 + 0.4 * 21 = 197.4 and are
+# served; then 50 shows and 40 no-shows arrive before the walk-in at 0.5
+PRE_CALL_DAY = ([(0.35, True, 50), (0.4, False, 40), (0.8, True, 270)],
+                [(0.3, 10), (0.5, 1)])
+
+
+# The adaptive check-in rule, call at v = 0.5: a walk-in is served iff the
+# expected shown-ups before it stay strictly below C_tilde. Each test builds
+# a day whose last walk-in meets the counters of the rule's golden example.
+
 class TestExpectedShownups:
     def test_post_call_arithmetic(self):
-        s = StageTwoState(B=360, B1=120, revealed_B3=30, W1=40, C_tilde=300,
-                          C_rooms=300)
-        assert expected_shownups(s, 0.9, 0.5, 0.5, 0.4) == 190
+        # B1 = 120, B3 = 30 and W1 = 40 at u = 0.9: 190 shown-ups
+        day = ([(0.1, True, 120), (0.2, False, 210), (0.95, True, 30)],
+               [(0.6, 40), (0.9, 1)])
+        assert walkins_served(ADAPTIVE, *day, C_tilde=190.0) == 40
+        assert walkins_served(ADAPTIVE, *day, C_tilde=190.5) == 41
 
     def test_empty(self):
-        s = StageTwoState(B=0, C_tilde=10, C_rooms=10)
-        assert expected_shownups(s, 0.2, 0.5, 0.5, 0.4) == 0
+        # no bookings and no walk-in mass ahead: 0 shown-ups at u = 0.2
+        day = ([], [(0.2, 1)])
+        assert walkins_served(ADAPTIVE, *day, C_tilde=0.0, lam2=0.0) == 0
+        assert walkins_served(ADAPTIVE, *day, C_tilde=0.5, lam2=0.0) == 1
 
     def test_pre_call_formula(self):
-        s = StageTwoState(B=360, B1=50, B2=40, W1=10, C_tilde=200, C_rooms=200,
-                          remaining_walkin_mass=15.0)
-        assert expected_shownups(s, 0.3, 0.5, 0.5, 0.4) == pytest.approx(201.0)
+        # B = 360, B1 = 50, B2 = 40, W1 = 10 and walk-in mass 15 after
+        # u = 0.5 < v = 0.6: 50 + 0.5 * 270 + 10 + 0.4 * 15 = 201
+        day = PRE_CALL_DAY
+        assert walkins_served(ADAPTIVE, *day, C_tilde=201.0, v=0.6) == 10
+        assert walkins_served(ADAPTIVE, *day, C_tilde=201.5, v=0.6) == 11
 
     def test_missing_reveal_is_error(self):
+        # the reference's counters only: the engine reveals B3 at the call
         s = StageTwoState(B=10, C_tilde=10, C_rooms=10)
         with pytest.raises(ValueError):
             expected_shownups(s, 0.6, 0.5, 0.5, 0.4)
@@ -181,31 +229,34 @@ class TestExpectedShownups:
 
 class TestDass2Decide:
     def test_strict_inequality_rejects_at_equality(self):
-        s = StageTwoState(B=200, B1=100, revealed_B3=0, W1=100, C_tilde=200,
-                          C_rooms=200)
-        assert not dass2_decide_walkin(s, 0.7, 0.5, 0.5, 0.4)
+        # B1 = 100, B3 = 0 and W1 = 100 after the call: 200 = C_tilde
+        day = ([(0.1, True, 100), (0.95, False, 100)], [(0.6, 100), (0.7, 1)])
+        assert walkins_served(ADAPTIVE, *day, C_tilde=200.0) == 100
 
     def test_rejects_above_capacity(self):
-        s = StageTwoState(B=360, B1=50, B2=40, W1=10, C_tilde=200, C_rooms=200,
-                          remaining_walkin_mass=15.0)
-        assert not dass2_decide_walkin(s, 0.3, 0.5, 0.5, 0.4)  # 201 >= 200
-        assert s.W1 == 10
+        # 201 >= 200 before the call: W1 stays 10
+        assert walkins_served(ADAPTIVE, *PRE_CALL_DAY, C_tilde=200.0,
+                              v=0.6) == 10
 
     def test_accepts_below_capacity_post_call(self):
-        s = StageTwoState(B=300, B1=120, revealed_B3=30, W1=49, C_tilde=200,
-                          C_rooms=200)
-        assert dass2_decide_walkin(s, 0.8, 0.5, 0.5, 0.4)  # 199 < 200
-        assert s.W1 == 50
+        # B1 = 120, B3 = 30 and W1 = 49 at u = 0.8: 199 < 200, W1 becomes 50
+        day = ([(0.1, True, 120), (0.2, False, 150), (0.95, True, 30)],
+               [(0.6, 49), (0.8, 1)])
+        assert walkins_served(ADAPTIVE, *day, C_tilde=200.0) == 50
 
     def test_post_call_never_forces_future_rejection(self):
-        # step-through: walk-ins accepted after the call never push
-        # B1 + revealed_B3 + W1 above C_tilde
-        s = StageTwoState(B=10, B1=2, revealed_B3=4, W1=0, C_tilde=8, C_rooms=8)
-        accepted = 0
-        for _ in range(20):
-            if dass2_decide_walkin(s, 0.9, 0.5, 0.5, 0.4):
-                accepted += 1
-            assert s.B1 + s.revealed_B3 + s.W1 <= s.C_tilde
+        # B1 = 2 and B3 = 4 after the call, 20 walk-ins, 8 rooms: the two
+        # walk-ins served keep B1 + B3 + W1 within C_tilde, and every
+        # confirmed show still gets a room
+        arrival = np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.2,
+                            0.95, 0.95, 0.95, 0.95])
+        shows = np.array([True, True, False, False, False, False,
+                          True, True, True, True])
+        res = replay_stage2(ADAPTIVE, arrival, shows, np.full(20, 0.9), 8.0,
+                            8, day_profiles(), 0.5)
+        accepted = len(res.served_walkins)
+        assert 6 + accepted <= 8.0
+        assert len(res.served_type1) == 6 and res.overbooked == 0
         assert accepted == 2
 
 
@@ -239,9 +290,15 @@ class TestHeuristics:
             == pytest.approx(210.0)
 
     def test_stage2_standard(self):
-        assert heuristic_stage2_standard(0, 0.5) == 0
-        assert heuristic_stage2_standard(360, 0.5) == 180.0
-        assert heuristic_stage2_standard(100, 1.0) == 100.0
+        # the walk-in at 0.1 comes before every reserved customer, so it is
+        # served iff the standard q1 B is below C_tilde
+        for B, q1, standard in ((0, 0.5, 0.0), (360, 0.5, 180.0),
+                                (100, 1.0, 100.0)):
+            day = ([(0.9, True, B)], [(0.1, 1)])
+            assert walkins_served(HEURISTIC, *day, C_tilde=standard,
+                                  q1=q1) == 0
+            assert walkins_served(HEURISTIC, *day, C_tilde=standard + 0.5,
+                                  q1=q1) == 1
 
     def test_stage1_cap_linear_in_C_but_adaptive_is_not(self):
         h = HeuristicPolicy(0.1)
@@ -256,11 +313,18 @@ class TestHeuristics:
         assert a200 / a100 > 2.0  # safety stock is sublinear in C
 
     def test_heuristic_walkin_rule(self):
-        s = StageTwoState(B=360, B1=10, W1=5, C_tilde=200, C_rooms=200)
-        std = heuristic_stage2_standard(360, 0.5)
-        assert heuristic2_decide_walkin(s, std)  # 180+10+5 < 200
+        # B = 360, B1 = 10, W1 = 5: 180 + 10 + 5 = 195 < 200 serves the
+        # sixth walk-in
+        day = ([(0.1, True, 10), (0.9, True, 350)], [(0.2, 6)])
+        assert walkins_served(HEURISTIC, *day, C_tilde=200.0) == 6
+        # five walk-ins served before 30 shows: 180 + 30 + 5 = 215 >= 200
+        day = ([(0.2, True, 30), (0.9, True, 330)], [(0.1, 5), (0.3, 1)])
+        assert walkins_served(HEURISTIC, *day, C_tilde=200.0) == 5
+        # B = 400 with those counters cannot be built from arrivals (its
+        # standard 200 turns away every walk-in): the reference's rule
         s2 = StageTwoState(B=400, B1=10, W1=5, C_tilde=200, C_rooms=200)
-        assert not heuristic2_decide_walkin(s2, heuristic_stage2_standard(400, 0.5))
+        assert not heuristic2_decide_walkin(
+            s2, heuristic_stage2_standard(400, 0.5))
 
 
 class TestBusySeason:

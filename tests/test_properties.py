@@ -156,28 +156,33 @@ class TestArrayEngineMatchesReference:
     @given(arrival=st.lists(st.sampled_from(GRID), max_size=12),
            walkins=st.lists(st.sampled_from(GRID), max_size=10),
            data=st.data(), C_rooms=st.integers(0, 10),
-           v=st.sampled_from(GRID), q1=st.floats(0.05, 1.0),
-           alpha=st.floats(0.05, 0.95), kind=st.sampled_from(
-               ["adaptive", "heuristic"]))
+           v=st.sampled_from([-0.5] + GRID), q1=st.floats(0.05, 1.0),
+           alpha=st.floats(0.05, 0.95), adaptive=st.booleans())
     def test_stage2_replay_with_tied_times(self, arrival, walkins, data,
-                                           C_rooms, v, q1, alpha, kind):
+                                           C_rooms, v, q1, alpha, adaptive):
         # times on a coarse grid, so reserved customers, walk-ins and the
-        # call share timestamps
+        # call share timestamps; v covers a call before the day (v <= 0),
+        # inside it and at its end
         shows = data.draw(st.lists(st.booleans(), min_size=len(arrival),
                                    max_size=len(arrival)))
         walkins = sorted(walkins)
         C_tilde = C_rooms + data.draw(st.sampled_from([0.0, 0.5]))
-        standard = q1 * len(arrival)
-        rate = RateFunction.beta_shaped(8.0, 2.0, 3.0)
-        res = E.replay_stage2(np.array(arrival, dtype=float),
+        policy = (AdaptivePolicy(0.0, alpha) if adaptive
+                  else HeuristicPolicy(0.0))
+        prof = StageProfiles(
+            stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
+            keep_curve=KeepCurve.always(0.0, 1.0), show_prob=q1,
+            arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+            walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
+            duration_law=DurationLaw("geometric"))
+        res = E.replay_stage2(policy, np.array(arrival, dtype=float),
                               np.array(shows, dtype=bool),
                               np.array(walkins, dtype=float), C_tilde,
-                              C_rooms, v, q1, alpha, rate, kind, standard)
+                              C_rooms, prof, v)
         guests = [R.Guest(t, s, 1) for t, s in zip(arrival, shows)]
         wk = [R.Guest(t, True, 1) for t in walkins]
-        t1, served_wk, over = R.replay_stage2(guests, wk, C_tilde, C_rooms,
-                                              v, q1, alpha, rate, kind,
-                                              standard)
+        t1, served_wk, over = R.replay_stage2(policy, guests, wk, C_tilde,
+                                              C_rooms, prof, v)
         assert sorted(res.served_type1.tolist()) == sorted(
             next(i for i, g in enumerate(guests) if g is r) for r in t1)
         assert list(res.served_walkins) == [

@@ -96,3 +96,31 @@ def test_guard_flags_test_only_chains():
     }
     assert unreachable(sources, {("cli", "main")}) == {
         ("engine", "orphan"), ("engine", "helper")}
+
+
+STAGE_TWO_RULES = {"StageTwoState", "expected_shownups",
+                   "dass2_decide_walkin", "heuristic2_decide_walkin"}
+
+
+def test_reference_keeps_its_own_stage_two_rules():
+    # the reference replays Stage II with its own copies of the check-in
+    # rules; taking them from the package would compare the engine's rule
+    # with itself
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    aliases, taken = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name.split(".")[0] == "roomflow"}
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "roomflow"):
+            taken |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            taken.add(node.attr)
+    assert STAGE_TWO_RULES.isdisjoint(taken)
+    assert STAGE_TWO_RULES <= {n.name for n in tree.body
+                               if isinstance(n, (ast.FunctionDef,
+                                                 ast.ClassDef))}
