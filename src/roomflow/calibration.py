@@ -18,8 +18,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, polygamma
+from scipy.special import digamma, gammainc, gammaln, logsumexp, polygamma
 
+from .engine import ScenarioConfig
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, substream
 
 COLUMNS = ("arrival_date", "lead_days", "is_canceled", "cancel_lead_days",
@@ -154,7 +155,13 @@ def write_bookings(rows, path):
 # ---------------------------------------------------------------------------
 # fitters
 
-def fit_gamma(samples, tol=1e-8, max_iter=200):
+# stopping rules: a Newton step on a shape parameter below _NEWTON_TOL
+# relative, an EM gain in log-likelihood below _EM_TOL, or the iteration cap
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-8, 200
+_EM_TOL, _EM_MAX_ITER = 1e-8, 500
+
+
+def fit_gamma(samples):
     """Gamma MLE via Newton on the profile shape equation
     log k - digamma(k) = log(mean) - mean(log)."""
     x = np.asarray(samples, dtype=float)
@@ -167,21 +174,21 @@ def fit_gamma(samples, tol=1e-8, max_iter=200):
         raise ValueError("non-identifiable: samples are (numerically) equal")
     # standard closed-form initializer
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         f = math.log(k) - digamma(k) - s
         fp = 1.0 / k - polygamma(1, k)
         step = f / fp
         k_new = k - step
         if k_new <= 0:
             k_new = k / 2.0
-        if abs(k_new - k) < tol * max(1.0, k):
+        if abs(k_new - k) < _NEWTON_TOL * max(1.0, k):
             k = k_new
             break
         k = k_new
     return float(k), float(x.mean() / k)
 
 
-def fit_weibull(samples, tol=1e-8, max_iter=200):
+def fit_weibull(samples):
     """Weibull MLE via Newton on the profile-likelihood shape equation."""
     x = np.asarray(samples, dtype=float)
     if len(x) < 2:
@@ -193,7 +200,7 @@ def fit_weibull(samples, tol=1e-8, max_iter=200):
         raise ValueError("non-identifiable: samples are equal")
     mean_lx = lx.mean()
     k = 1.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         xk = x ** k
         sa = xk.sum()
         sb = (xk * lx).sum()
@@ -203,7 +210,7 @@ def fit_weibull(samples, tol=1e-8, max_iter=200):
         k_new = k - g / gp
         if k_new <= 0:
             k_new = k / 2.0
-        if abs(k_new - k) < tol * max(1.0, k):
+        if abs(k_new - k) < _NEWTON_TOL * max(1.0, k):
             k = k_new
             break
         k = k_new
@@ -233,7 +240,7 @@ def _mixture_loglik(counts, log_w, rates):
 
 
 def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
-                        seed=0, tol=1e-8, max_iter=500):
+                        seed=0):
     """EM for a Poisson mixture; best of independently seeded restarts."""
     counts = np.asarray(daily_counts, dtype=float)
     if len(counts) == 0:
@@ -259,10 +266,10 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
         w = rng.dirichlet(np.ones(n_components))
         log_w = np.log(w)
         prev_ll = -np.inf
-        for _ in range(max_iter):
+        for _ in range(_EM_MAX_ITER):
             comp, ll = _mixture_loglik(counts, log_w, rates)
             assert ll >= prev_ll - 1e-9, "EM log-likelihood decreased"
-            if ll - prev_ll < tol:
+            if ll - prev_ll < _EM_TOL:
                 break
             prev_ll = ll
             resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
@@ -376,8 +383,6 @@ def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
     Intraday timing is not identifiable from daily data: both intraday
     densities are uniform.
     """
-    from .engine import ScenarioConfig
-
     if T < k0:
         raise ValueError("horizon shorter than the booking window")
     pi_c = model.cancel_prob
@@ -528,7 +533,6 @@ def fit_report(model, rows):
     if len(leads):
         edges = np.linspace(0.0, float(leads.max()) + 1.0, 11)
         obs, _ = np.histogram(leads, bins=edges)
-        from scipy.special import gammainc
         cdf = gammainc(gk, edges / gsc)
         exp = np.diff(cdf) * len(leads)
         for i in range(10):

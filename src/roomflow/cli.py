@@ -24,7 +24,6 @@ from importlib import resources
 import numpy as np
 
 from . import calibration, engine
-from .benchmarks import lower_bound_instance
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
 from .policies import (
     AdaptivePolicy,
@@ -124,19 +123,32 @@ def _real(rule, ok):
     return conv
 
 
-_NONNEGATIVE = _real("nonnegative", lambda x: x >= 0.0)
+# a day's booking and walk-in counts are Poisson draws of their rates, and
+# numpy's Poisson sampler takes means up to this limit
+_POISSON_MAX = float(np.iinfo(np.int64).max
+                     - np.sqrt(np.iinfo(np.int64).max) * 10)
+_RATE = _real(f"in [0, {_POISSON_MAX!r}]",
+              lambda x: 0.0 <= x <= _POISSON_MAX)
 _POSITIVE = _real("positive", lambda x: x > 0.0)
 
 
+_MAX_CELLS = 10_000  # of a grid, and so of points on one axis
+
+
 def parse_axis(text):
-    """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive)."""
+    """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive). A
+    range is sized before it is built, so one far past the cell limit
+    fails without allocating its points."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop):  # nan fails both
             raise ConfigError(f"bad axis range {text!r}")
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
+        steps = (stop - start) / step
+        if not steps < _MAX_CELLS:
+            raise ConfigError(
+                f"axis range {text!r} has more than {_MAX_CELLS} points")
+        return [start + i * step for i in range(round(steps) + 1)]
     return [float(x) for x in text.split(",")]
 
 
@@ -168,7 +180,7 @@ def parse_policies(cfg):
 def _profiles(f, lam1, p0, k0):
     """Day profiles from [scenario]; lam1, p0 and k0 describe the booking
     window."""
-    lam2 = f.get("lambda2", _NONNEGATIVE)
+    lam2 = f.get("lambda2", _RATE)
     q1 = f.get("q1", _real("in (0, 1]", lambda x: 0.0 < x <= 1.0))
 
     def day_rate(prefix, mass):  # Beta(a, b)-shaped, flat when a = b = 1
@@ -201,7 +213,7 @@ def _scenario(f, T, k0, profiles):
 def _multiday(f):
     k0 = f.get("k0", _whole(1), 1)
     T = f.get("T", _whole(1))
-    lam1 = f.get("lambda1", _NONNEGATIVE)
+    lam1 = f.get("lambda1", _RATE)
     p0 = f.get("keep_p0", _real("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
                1.0)
     return _scenario(f, T, k0, _profiles(f, lam1, p0, k0))
@@ -213,19 +225,14 @@ def _single_day(f):
     return B, _scenario(f, 1, 1, _profiles(f, 1.0, 1.0, 1.0))
 
 
-def _lower_bound(f):
-    return lower_bound_instance(f.get("iota", float), T=f.get("T", _whole(1)))
-
-
-_MODES = {"multiday": _multiday, "single-day": _single_day,
-          "lower-bound": _lower_bound}
+_MODES = {"multiday": _multiday, "single-day": _single_day}
 
 
 def build_scenario(cfg, coords=(), axes=()):
     """(mode, typed inputs) of one grid cell: the cell's coordinates laid
     over [scenario], then one typed parse that rejects every key it leaves
-    unread. The inputs are a ScenarioConfig (seed 0) for multiday and
-    lower-bound, and (B, one-day ScenarioConfig) for single-day."""
+    unread. The inputs are a ScenarioConfig (seed 0) for multiday, and
+    (B, one-day ScenarioConfig) for single-day."""
     f = _Fields(cfg, "scenario", coords)
     mode = f.get("mode", str, "multiday")
     if mode not in _MODES:
@@ -251,8 +258,9 @@ def _axes_from_config(cfg, limit):
     if len(axes) > limit:
         raise ConfigError(f"[sweep]: at most {limit} axes supported")
     total = int(np.prod([len(v) for _, v in axes])) if axes else 1
-    if total > 10_000:
-        raise ConfigError(f"[sweep]: grid of {total} cells exceeds 10000")
+    if total > _MAX_CELLS:
+        raise ConfigError(
+            f"[sweep]: grid of {total} cells exceeds {_MAX_CELLS}")
     return axes
 
 
@@ -360,8 +368,8 @@ def _cell_key(coords):
 def run_grid(cfg, args, limit):
     """Run every cell of the [sweep] grid (at most `limit` axes) and write
     one result row per cell and policy, with an `# argmin` line when there
-    are axes; multiday and lower-bound runs also write the per-day
-    `<out>.series`. Returns the rows."""
+    are axes; multiday runs also write the per-day `<out>.series`. Returns
+    the rows."""
     policies, names, cells, mode, run, out = _plan(cfg, args, limit)
     single_day = mode == "single-day"
     work = _singleday_cell if single_day else _multiday_cell
@@ -415,10 +423,13 @@ def cmd_grid(args):
 def cmd_fit(args):
     if args.config is None:
         raise ConfigError("fit needs --config pointing at the dataset file")
-    for flag, value in (("--capacity", args.capacity),
-                        ("--components", args.components)):
-        if value < 1:
-            raise ConfigError(f"{flag}: must be at least 1, got {value}")
+    seed = args.seed or 0
+    for flag, value, least in (("--capacity", args.capacity, 1),
+                               ("--components", args.components, 1),
+                               ("--seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag}: must be at least {least}, "
+                              f"got {value}")
     rows = calibration.ingest_bookings(args.config)
     out = args.out or "model.txt"
     if rows and all(r.is_walk_in for r in rows):
@@ -427,7 +438,7 @@ def cmd_fit(args):
     try:
         model = calibration.fit_model(rows, args.capacity,
                                       n_components=args.components,
-                                      seed=args.seed or 0)
+                                      seed=seed)
     except ValueError as exc:  # the message names the law
         raise ConfigError(f"{args.config}: {exc}") from exc
     calibration.save_model(model, out)

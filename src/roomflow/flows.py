@@ -168,19 +168,9 @@ class KeepCurve:
             raise ValueError("keep probability must equal 1 at the window end")
 
     @classmethod
-    def constant(cls, p, t0, t1):
-        """p everywhere inside the window, jumping to 1 at the end."""
-        if p == 1.0:
-            return cls([t0, t1], [1.0, 1.0])
-        return cls([t0, t1, t1], [p, p, 1.0])
-
-    @classmethod
-    def linear(cls, p0, t0, t1, p1=1.0):
-        return cls([t0, t1], [p0, p1])
-
-    @classmethod
-    def always(cls, t0, t1):
-        return cls([t0, t1], [1.0, 1.0])
+    def linear(cls, p0, t0, t1):
+        """p0 at t0, rising linearly to 1 at t1."""
+        return cls([t0, t1], [p0, 1.0])
 
     @property
     def t_start(self):
@@ -250,10 +240,9 @@ class DurationLaw:
             return 1.0 - self.q_stay
         return 1.0 / self.d
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
+        """`size` stay lengths as an array."""
         if self.kind == "constant":
-            if size is None:
-                return self.d
             return np.full(size, self.d, dtype=int)
         return rng.geometric(1.0 - self.q_stay, size)
 
@@ -276,10 +265,6 @@ class StageProfiles:
             raise ValueError("arrival density must integrate to 1")
         if abs(self.keep_curve.t_end - self.stage1_rate.t1) > 1e-9:
             raise ValueError("keep curve and booking rate domains differ")
-
-    @property
-    def window(self):
-        return self.stage1_rate.t1 - self.stage1_rate.t0
 
 
 @dataclass(eq=False)
@@ -394,7 +379,7 @@ def sample_stage2_day(profiles, B, k, rng):
     if B < 0:
         raise ValueError("B must be nonnegative")
     arrival, shows = _reserved_outcomes(profiles, B, rng)
-    duration = np.atleast_1d(profiles.duration_law.sample(rng, B))
+    duration = profiles.duration_law.sample(rng, B)
     order = np.argsort(arrival, kind="stable")
     type1 = CheckIns(arrival[order], duration[order], shows[order])
     return type1, sample_walkins(profiles, rng)
@@ -402,7 +387,7 @@ def sample_stage2_day(profiles, B, k, rng):
 
 def sample_walkins(profiles, rng):
     time = sample_nhpp(profiles.walkin_rate, rng)
-    duration = np.atleast_1d(profiles.duration_law.sample(rng, len(time)))
+    duration = profiles.duration_law.sample(rng, len(time))
     return CheckIns(time, duration)
 
 

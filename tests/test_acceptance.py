@@ -4,6 +4,7 @@ calibration closure, and the fitted-scenario policy comparison."""
 
 import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ import reference as R
 import roomflow.calibration as calib
 import roomflow.cli as cli
 import roomflow.engine as E
-from roomflow.benchmarks import lower_bound_instance, offline_day_optimum
+from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
                             StageProfiles, attach_stage2_outcomes,
                             sample_stage1_day, substream)
@@ -239,7 +240,9 @@ class TestStageOneConcentration:
 
 @pytest.fixture(scope="module")
 def linear_instance_reports():
-    sc = lower_bound_instance(1.0, T=10_000, seed=3)
+    _, sc = cli.build_scenario(cli.load_config("lower-bound", None),
+                               (("lambda2", math.sqrt(1.0)), ("T", 10_000)))
+    sc = dataclasses.replace(sc, seed=3)
     policies = {"adaptive": E.AdaptivePolicy(1.0, 0.4),
                 "h-0.2": E.HeuristicPolicy(-0.2),
                 "h0": E.HeuristicPolicy(0.0),

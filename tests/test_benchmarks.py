@@ -1,14 +1,14 @@
 """Offline oracle, brute-force cross-check, and adversarial instance."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import reference as R
-from roomflow.benchmarks import (
-    clairvoyant_stage1_select,
-    lower_bound_instance,
-    offline_day_optimum,
-)
+import roomflow.cli as cli
+from roomflow.benchmarks import clairvoyant_stage1_select, offline_day_optimum
 from roomflow.flows import substream
 
 
@@ -80,7 +80,10 @@ class TestClairvoyantSelect:
 
 class TestLowerBoundInstance:
     def test_instance_shape(self):
-        sc = lower_bound_instance(4.0, T=100, seed=7)
+        # the shipped preset, with lambda2 = sqrt(iota) for iota = 4
+        _, sc = cli.build_scenario(cli.load_config("lower-bound", None),
+                                   (("lambda2", math.sqrt(4.0)), ("T", 100)))
+        sc = dataclasses.replace(sc, seed=7)
         assert sc.C == 1 and sc.T == 100 and sc.v == 0.0
         prof = sc.profiles
         assert prof.show_prob == 0.5
@@ -89,6 +92,13 @@ class TestLowerBoundInstance:
         assert prof.duration_law.kind == "constant"
         assert prof.duration_law.d == 1
 
-    def test_rejects_negative_iota(self):
-        with pytest.raises(ValueError):
-            lower_bound_instance(-1.0)
+    def test_rejects_negative_iota(self, tmp_path, capsys):
+        # the instance is an ordinary multiday preset; no lower-bound mode
+        # (and so no iota key) is left to take a negative iota
+        cfg = tmp_path / "lb.cfg"
+        cfg.write_text("[scenario]\nmode = lower-bound\niota = -1\n")
+        assert cli.main(["simulate", "--preset", "lower-bound", "--config",
+                         str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: [scenario] mode: ")
+        assert not (tmp_path / "x.csv").exists()

@@ -101,6 +101,9 @@ class TestParseAxis:
         with pytest.raises(cli.ConfigError):
             cli.parse_axis("0:1:0")
 
+    def test_range_at_the_limit_builds(self):
+        assert len(cli.parse_axis("1:10000:1")) == 10_000
+
 
 class TestLoadConfig:
     def test_unknown_preset(self):
@@ -321,17 +324,20 @@ class TestFit:
         data.write_text("arrival_date,lead_days\n2017-01-01,5\n")
         assert cli.main(["fit", "--config", str(data)]) == 1
 
-    @pytest.mark.parametrize("flag", ["--capacity", "--components"])
-    def test_flag_counts_at_least_one(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--capacity", "0", 1), ("--components", "0", 1), ("--seed", "-1", 0),
+    ], ids=["--capacity", "--components", "--seed"])
+    def test_flag_counts_at_least_one(self, tmp_path, capsys, flag, value,
+                                      least):
         data = tmp_path / "b.csv"
         calib.write_bookings(
             calib.simulate_booking_records(self.MODEL, 10, seed=3), data)
         out = tmp_path / "model.txt"
         rc = cli.main(["fit", "--config", str(data), "--out", str(out),
-                       flag, "0"])
+                       flag, value])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"config error: {flag}: must be at least 1, got 0\n")
+            f"config error: {flag}: must be at least {least}, got {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rows, law", [
@@ -466,6 +472,16 @@ class TestConfigContract:
         assert rows["1"]["mean_cumulative_regret"] != row[
             "mean_cumulative_regret"]
 
+    @pytest.mark.parametrize("text", ["0:1e12:1", "0:inf:1", "0:1:1e-300"])
+    def test_oversized_axis_range_rejected(self, tmp_path, capsys, text):
+        # sized before it is built: the first would not fit in memory
+        rc, err, out = self.run(tmp_path, capsys,
+                                MULTIDAY + f"[sweep]\nv = {text}\n")
+        assert rc == 1
+        assert err == (f"config error: [sweep] v: axis range {text!r} has "
+                       "more than 10000 points\n")
+        assert not out.exists()
+
     def test_horizon_axis_is_honoured(self, tmp_path, capsys):
         rc, _, out = self.run(tmp_path, capsys, "[sweep]\nT = 10,20\n",
                               "--reps", "1", preset="lower-bound")
@@ -508,10 +524,13 @@ class TestConfigContract:
         (MULTIDAY.replace("q_stay = 0.3", "q_stay = 0.3\narrival_beta_a = 0"),
          None, "arrival_beta_a"),
         (MULTIDAY.replace("keep_p0 = 0.5", "keep_p0 = 1.5"), None, "keep_p0"),
+        ("[scenario]\nlambda2 = inf\n", "fig4", "lambda2"),
+        ("[scenario]\nlambda1 = 1e300\n", "fig4", "lambda1"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
             "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
-            "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one"])
+            "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one",
+            "lambda2-infinite", "lambda1-past-poisson-limit"])
     def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
                                                   text, preset, key):
         rc, err, out = self.run(tmp_path, capsys, text, preset=preset)

@@ -1,12 +1,13 @@
 """Engine invariants: ledger safety, accounting, determinism, trajectories."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import roomflow.cli as cli
 import roomflow.engine as E
-from roomflow.benchmarks import lower_bound_instance
 from roomflow.flows import (
     DurationLaw,
     KeepCurve,
@@ -225,7 +226,9 @@ class TestRegret:
 
     def test_per_day_loss_at_least_offline(self):
         # the offline day optimum lower-bounds any policy on the same draw
-        sc = lower_bound_instance(2.0, T=300, seed=4)
+        _, sc = cli.build_scenario(cli.load_config("lower-bound", None),
+                                   (("lambda2", math.sqrt(2.0)), ("T", 300)))
+        sc = dataclasses.replace(sc, seed=4)
         rpt = E.run_experiment(sc, {"a": E.AdaptivePolicy(2.0, 0.4)})["a"]
         assert np.all(rpt.regret >= 0.0)
 

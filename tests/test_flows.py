@@ -22,7 +22,7 @@ def simple_profiles(q1=0.5, keep=None, lam1=30.0, lam2=30.0,
                     law=DurationLaw("constant", d=1)):
     return StageProfiles(
         stage1_rate=RateFunction.constant(lam1, 0.0, 1.0),
-        keep_curve=keep or KeepCurve.always(0.0, 1.0),
+        keep_curve=keep or KeepCurve.linear(1.0, 0.0, 1.0),
         show_prob=q1,
         arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
         walkin_rate=RateFunction.constant(lam2, 0.0, 1.0),
@@ -97,7 +97,7 @@ class TestKeepCurve:
             KeepCurve([0.0, 1.0], [0.9, 0.8])  # decreasing
 
     def test_constant_curve_cancels_at_window_end(self):
-        curve = KeepCurve.constant(0.5, 0.0, 1.0)
+        curve = KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0])
         s = np.full(50, 0.3)
         tau = curve.cancel_times(s, curve.value(s), substream(4))
         assert tau == pytest.approx(np.ones(50))
@@ -119,7 +119,7 @@ class TestKeepCurve:
 class TestDurationLaw:
     def test_constant(self):
         law = DurationLaw("constant", d=1)
-        assert law.sample(substream(6)) == 1
+        assert law.sample(substream(6), 1) == 1
         assert law.delta == 1.0
 
     def test_geometric_immediate(self):
@@ -141,14 +141,14 @@ class TestDurationLaw:
 
 class TestStage1Day:
     def test_no_cancellation(self):
-        profiles = simple_profiles(keep=KeepCurve.always(0.0, 1.0))
+        profiles = simple_profiles(keep=KeepCurve.linear(1.0, 0.0, 1.0))
         day = sample_stage1_day(profiles, 1, substream(9))
         assert len(day) > 0
         assert day.survives.all() and np.isnan(day.cancel_time).all()
 
     def test_constant_half_survival(self):
-        profiles = simple_profiles(keep=KeepCurve.constant(0.5, 0.0, 1.0),
-                                   lam1=100.0)
+        profiles = simple_profiles(
+            keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]), lam1=100.0)
         rng = substream(10)
         total = survived = 0
         while total < 100_000:
@@ -200,7 +200,7 @@ class TestStage2Day:
     def test_beta_arrival_means(self):
         profiles = StageProfiles(
             stage1_rate=RateFunction.constant(30.0, 0.0, 1.0),
-            keep_curve=KeepCurve.always(0.0, 1.0),
+            keep_curve=KeepCurve.linear(1.0, 0.0, 1.0),
             show_prob=0.5,
             arrival_density=RateFunction.beta_shaped(1.0, 6, 6),
             walkin_rate=RateFunction.beta_shaped(30.0, 6, 6),
@@ -300,7 +300,8 @@ class TestRecords:
         assert list(res.served_walkins) == list(range(len(wk)))
 
     def test_attach_outcomes_covers_all_bookings(self):
-        profiles = simple_profiles(keep=KeepCurve.constant(0.5, 0.0, 1.0))
+        profiles = simple_profiles(
+            keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]))
         day = sample_stage1_day(profiles, 1, substream(18))
         attach_stage2_outcomes(day, profiles, substream(19))
         assert len(day.arrival_time) == len(day.shows) == len(day) > 0

@@ -135,14 +135,14 @@ class TestDass1Decide:
     def test_p_one_hard_cap(self):
         # p = 1: the threshold is B itself, so the 50th booking fits a
         # capacity estimate of 50 and the 51st does not
-        curve = KeepCurve.always(0.0, 1.0)
+        curve = KeepCurve.linear(1.0, 0.0, 1.0)
         accepted = stage1_accepted(np.linspace(0.0, 0.9, 51), curve, 50.0,
                                    2.0)
         assert accepted == list(range(50))
 
     def test_boundary_reject(self):
         hat_C = estimated_capacity(GEO, 100, 0.4, 2.0)
-        curve = KeepCurve.constant(0.5, 0.0, 1.0)
+        curve = KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0])
         accepted = stage1_accepted(np.full(216, 0.5), curve, hat_C, 2.0)
         assert len(accepted) == 215  # B_t+1 = 215 accepted, 216 rejected
 
@@ -168,7 +168,7 @@ def day_profiles(q1=0.5, lam2=30.0):
     rate, lam2 over the day, so the walk-in mass after u is lam2 (1 - u)."""
     return StageProfiles(
         stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-        keep_curve=KeepCurve.always(0.0, 1.0), show_prob=q1,
+        keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
         arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
         walkin_rate=RateFunction.constant(lam2, 0.0, 1.0),
         duration_law=GEO)

@@ -52,10 +52,10 @@ def keep_curves(draw, k0):
     kind = draw(st.sampled_from(["constant", "linear", "always"]))
     p0 = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.95))
     if kind == "constant":
-        return KeepCurve.constant(p0, 0.0, k0)
+        return KeepCurve([0.0, k0, k0], [p0, p0, 1.0])
     if kind == "linear":
         return KeepCurve.linear(p0, 0.0, k0)
-    return KeepCurve.always(0.0, k0)
+    return KeepCurve.linear(1.0, 0.0, k0)
 
 
 @st.composite
@@ -171,7 +171,7 @@ class TestArrayEngineMatchesReference:
                   else HeuristicPolicy(0.0))
         prof = StageProfiles(
             stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-            keep_curve=KeepCurve.always(0.0, 1.0), show_prob=q1,
+            keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
             arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
             walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
             duration_law=DurationLaw("geometric"))

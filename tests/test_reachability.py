@@ -1,7 +1,9 @@
 """Guard against test-only API: every top-level function and class in
 `src/roomflow` must be reachable from the `roomflow` command (`cli.main`)
-or from one of calibration's documented library entry points. A name that
-only tests reach is code the program does not need."""
+or from one of calibration's documented library entry points, and every
+method, property and classmethod must be named by the package outside its
+own body. A name that only tests reach is code the program does not
+need."""
 
 import ast
 from pathlib import Path
@@ -96,6 +98,70 @@ def test_guard_flags_test_only_chains():
     }
     assert unreachable(sources, {("cli", "main")}) == {
         ("engine", "orphan"), ("engine", "helper")}
+
+
+def unreferenced_members(sources):
+    """(module, class, name) of each non-dunder method, property and
+    classmethod of `sources` that no attribute reference outside its own
+    body names. `Cls.name` names the member of the class `Cls` (defined in
+    the module or imported from the package); any other `expr.name` names
+    `name` on every class."""
+    trees = {m: ast.parse(code) for m, code in sources.items()}
+    spans = {}  # (module, class) -> {member: (first line, last line)}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                spans[(module, stmt.name)] = {
+                    f.name: (f.lineno, f.end_lineno) for f in stmt.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__")
+                             and f.name.endswith("__"))}
+    named = set()
+    for module, tree in trees.items():
+        classes = {c: (m, c) for m, c in spans if m == module}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                classes.update(
+                    (a.asname or a.name, (node.module, a.name))
+                    for a in node.names if (node.module, a.name) in spans)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owners = ([classes[node.value.id]]
+                      if isinstance(node.value, ast.Name)
+                      and node.value.id in classes else spans)
+            for owner in owners:
+                lo, hi = spans[owner].get(node.attr, (0, -1))
+                if hi >= lo and not (owner[0] == module
+                                     and lo <= node.lineno <= hi):
+                    named.add((*owner, node.attr))
+    return {(m, c, n) for (m, c), members in spans.items()
+            for n in members} - named
+
+
+def test_every_member_is_named_outside_its_body():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert sorted(unreferenced_members(sources)) == []
+
+
+def test_member_guard_resolves_class_names():
+    sources = {
+        "flows": ("class Curve:\n"
+                  "    def __len__(self):\n        return 0\n"
+                  "    def used(self):\n        return 1\n"
+                  "    def loop(self):\n        return self.loop()\n"
+                  "    @classmethod\n"
+                  "    def make(cls):\n        return cls()\n"
+                  "    @property\n"
+                  "    def span(self):\n        return 1\n"),
+        "cli": ("from .flows import Curve\n"
+                "class Other:\n"
+                "    def make(self):\n        pass\n"
+                "def main(c):\n"
+                "    return Curve.make(), c.used(), c.span\n"),
+    }
+    assert unreferenced_members(sources) == {
+        ("flows", "Curve", "loop"), ("cli", "Other", "make")}
 
 
 STAGE_TWO_RULES = {"StageTwoState", "expected_shownups",
