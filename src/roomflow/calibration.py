@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import digamma, gammainc, gammaln, logsumexp, polygamma
 
 from .engine import ScenarioConfig
-from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, substream
+from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, streams
 
 COLUMNS = ("arrival_date", "lead_days", "is_canceled", "cancel_lead_days",
            "stay_nights", "is_walk_in")
@@ -259,8 +259,7 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
         return [(1.0, float(counts.mean()))]
 
     best = None
-    for restart in range(n_restarts):
-        rng = substream(seed, restart)
+    for rng in streams(seed, ((r,) for r in range(n_restarts))):
         rates = np.sort(rng.choice(counts, n_components, replace=False)
                         + rng.uniform(0.0, 1.0, n_components))
         w = rng.dirichlet(np.ones(n_components))
@@ -436,7 +435,7 @@ def simulate_booking_records(model, n_days, seed=0):
     Lead times, cancellation intervals, and counts are integerized the way
     the record format requires; intervals are clipped to the lead.
     """
-    rng = substream(seed, 97)
+    rng = next(streams(seed, [(97,)]))
     gk, gsc = model.lead_gamma
     wk, wsc = model.cancel_weibull
     base = datetime.date(2017, 1, 1)

@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import datetime
 import hashlib
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -99,15 +100,17 @@ class _Fields:
             raise ConfigError(f"{where} {key}: not read in mode {mode!r}")
 
 
-def _whole(least):
-    """Converter to a whole number of at least `least`. Integral floats,
-    such as the 10.0 a sweep axis gives, are whole; 2.5 is not."""
+def _whole(least, most=math.inf):
+    """Converter to a whole number in [least, most]. Integral floats, such
+    as the 10.0 a sweep axis gives, are whole; 2.5 is not."""
     def conv(text):
         x = float(text)
         if not x.is_integer():
             raise ValueError(f"not a whole number: {text}")
         if x < least:
             raise ValueError(f"must be at least {least}, got {x:g}")
+        if x > most:
+            raise ValueError(f"must be at most {most}, got {x:g}")
         return int(x)
     return conv
 
@@ -123,12 +126,13 @@ def _real(rule, ok):
     return conv
 
 
-# a day's booking and walk-in counts are Poisson draws of their rates, and
-# numpy's Poisson sampler takes means up to this limit
-_POISSON_MAX = float(np.iinfo(np.int64).max
-                     - np.sqrt(np.iinfo(np.int64).max) * 10)
-_RATE = _real(f"in [0, {_POISSON_MAX!r}]",
-              lambda x: 0.0 <= x <= _POISSON_MAX)
+# a day's booking requests, walk-ins and single-day bookings are held as
+# arrays (Stage I's also as lists) of that length, so their expected count
+# is bounded where a day fits in memory: a fig4 day at lambda1 = 10**6
+# peaks near 260 MiB
+_MAX_DAY_EVENTS = 1_000_000
+_RATE = _real(f"in [0, {_MAX_DAY_EVENTS}]",
+              lambda x: 0.0 <= x <= _MAX_DAY_EVENTS)
 _POSITIVE = _real("positive", lambda x: x > 0.0)
 
 
@@ -221,7 +225,7 @@ def _multiday(f):
 
 def _single_day(f):
     # one day with B surviving bookings: no booking window to describe
-    B = f.get("B", _whole(0))
+    B = f.get("B", _whole(0, _MAX_DAY_EVENTS))
     return B, _scenario(f, 1, 1, _profiles(f, 1.0, 1.0, 1.0))
 
 
@@ -299,21 +303,24 @@ def _plan(cfg, args, limit):
 
 
 # ---------------------------------------------------------------------------
-# grid cells: (typed inputs, cell key, policies, run settings) -> per-policy
-# rows (name, stats, objective, objective value) and per-day series
+# work units, one replication of one grid cell: (typed inputs, cell key,
+# policies, run settings, rep) -> per-policy results of that replication.
+# Grid cells: (typed inputs, policies, run settings, the results of the
+# cell's replications in rep order) -> per-policy rows (name, stats,
+# objective, objective value) and per-day series
 
-def _multiday_cell(payload):
-    sc, key, policies, (master, reps, _, _) = payload
-    curves = {n: [] for n in policies}
-    for rep in range(reps):
-        seeded = dataclasses.replace(sc, seed=cell_seed(master, key, rep))
-        for n, rpt in engine.run_experiment(seeded, policies).items():
-            curves[n].append((rpt.cumulative_regret,
-                              rpt.stage1_component.sum(),
-                              rpt.stage2_component.sum()))
+def _multiday_rep(unit):
+    sc, key, policies, (master, _, _, _), rep = unit
+    seeded = dataclasses.replace(sc, seed=cell_seed(master, key, rep))
+    return {n: (rpt.cumulative_regret, rpt.stage1_component.sum(),
+                rpt.stage2_component.sum())
+            for n, rpt in engine.run_experiment(seeded, policies).items()}
+
+
+def _multiday_cell(_inputs, policies, _run, reps):
     rows, series = [], []
-    for n, items in curves.items():
-        cum, s1, s2 = zip(*items)
+    for n in policies:
+        cum, s1, s2 = zip(*(rep[n] for rep in reps))
         _, mean, stderr = engine.aggregate(cum)
         total = float(mean[-1])
         rows.append((n, (total, float(stderr[-1]), float(np.mean(s1)),
@@ -322,14 +329,19 @@ def _multiday_cell(payload):
     return rows, series
 
 
-def _singleday_cell(payload):
-    (B, sc), key, policies, (master, reps, sims, objective) = payload
+def _singleday_rep(unit):
+    (B, sc), key, policies, (master, _, sims, _), rep = unit
+    seed = cell_seed(master, key, rep)
+    return {name: engine.single_day_cell(sc, B, pol, sims, seed)
+            for name, pol in policies.items()}
+
+
+def _singleday_cell(inputs, policies, run, reps):
+    sc, objective = inputs[1], run[3]
     rows = []
     for name, pol in policies.items():
-        draws = [engine.single_day_cell(sc, B, pol, sims,
-                                        cell_seed(master, key, rep))
-                 for rep in range(reps)]
-        losses, oracle, rejected = (np.concatenate(x) for x in zip(*draws))
+        losses, oracle, rejected = (
+            np.concatenate(x) for x in zip(*(rep[name] for rep in reps)))
         stats = []
         # mismatch also charges turned-away walk-in demand, so over- and
         # undersupply both register
@@ -372,15 +384,20 @@ def run_grid(cfg, args, limit):
     the rows."""
     policies, names, cells, mode, run, out = _plan(cfg, args, limit)
     single_day = mode == "single-day"
-    work = _singleday_cell if single_day else _multiday_cell
-    payloads = [(inputs, _cell_key(coords), policies, run)
-                for coords, (_, inputs) in cells]
-    workers = min(args.jobs, len(payloads))
+    rep_work, cell_work = ((_singleday_rep, _singleday_cell) if single_day
+                           else (_multiday_rep, _multiday_cell))
+    reps = run[1]
+    units = [(inputs, _cell_key(coords), policies, run, rep)
+             for coords, (_, inputs) in cells for rep in range(reps)]
+    workers = min(args.jobs, len(units))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, payloads))
+            done = list(pool.map(rep_work, units))
     else:
-        results = [work(p) for p in payloads]
+        done = [rep_work(u) for u in units]
+    # each cell's replications, gathered in rep order
+    results = [cell_work(inputs, policies, run, done[i * reps:(i + 1) * reps])
+               for i, (_, (_, inputs)) in enumerate(cells)]
 
     rows = [(coords, *row)
             for (coords, _), (cell_rows, _) in zip(cells, results)

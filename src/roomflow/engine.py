@@ -12,11 +12,12 @@ Stage-I and Stage-II components.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .flows import (
     sample_stage1_day,
     sample_stage2_day,
     sample_walkins,
-    substream,
+    streams,
 )
 from .policies import (
     AdaptivePolicy,
@@ -117,6 +118,12 @@ class OccupancyLedger:
             nights += j - day
         self._occupied = occupied
         self.total_room_nights += nights
+
+    def copy(self):
+        """An independent ledger with the same commitments."""
+        twin = copy.copy(self)
+        twin._leaves = self._leaves.copy()
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +396,15 @@ def warm_start_ledger(scenario, rng):
     return ledger
 
 
-def realize_day(scenario, rep, k):
-    """Sample day k's realization from the documented stream-split rule:
-    SeedSequence([master, rep, day, sub]) with sub 1=bookings,
-    2=check-in outcomes, 3=walk-ins (0 is the warm start)."""
+def realize_day(scenario, k, rngs):
+    """Sample day k's realization from the next three streams of `rngs`:
+    those of the paths (rep, k, sub) under the documented split rule
+    SeedSequence([master, rep, day, sub]), with sub 1=bookings,
+    2=check-in outcomes, 3=walk-ins."""
     profiles = scenario.profiles
-    bookings = sample_stage1_day(profiles, k, substream(scenario.seed, rep, k, 1))
-    attach_stage2_outcomes(bookings, profiles, substream(scenario.seed, rep, k, 2))
-    walkins = sample_walkins(profiles, substream(scenario.seed, rep, k, 3))
+    bookings = sample_stage1_day(profiles, k, next(rngs))
+    attach_stage2_outcomes(bookings, profiles, next(rngs))
+    walkins = sample_walkins(profiles, next(rngs))
     return DayRealization(day=k, bookings=bookings, walkins=walkins)
 
 
@@ -451,19 +459,23 @@ def run_experiment(scenario, policies, rep=0):
     Stage-I acceptances depend only on the Stage-I stream, so each policy's
     accepted set is shared between its own and its hybrid trajectory. An
     OraclePolicy is the benchmark itself, so it reports the benchmark's
-    losses. Returns dict name -> RegretReport.
+    losses. The warm start is drawn once and copied into every ledger.
+    Returns dict name -> RegretReport.
     """
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
-    warm = lambda: warm_start_ledger(  # noqa: E731 - one-line factory
-        scenario, substream(scenario.seed, rep, 0, 0))
-    bench_ledger = warm()
-    ledgers = {n: warm() for n in names}
-    hybrid_ledgers = {n: warm() for n in names}
+    # one replication's streams in draw order: (rep, 0, 0) for the warm
+    # start, then three a day
+    rngs = streams(scenario.seed, chain(
+        [(rep, 0, 0)], ((rep, k, sub) for k in range(1, scenario.T + 1)
+                        for sub in (1, 2, 3))))
+    bench_ledger = warm_start_ledger(scenario, next(rngs))
+    ledgers = {n: bench_ledger.copy() for n in names}
+    hybrid_ledgers = {n: bench_ledger.copy() for n in names}
     outcomes = {n: [] for n in names}
     hybrid_outcomes = {n: [] for n in names}
     bench_outcomes = []
     for k in range(1, scenario.T + 1):
-        realization = realize_day(scenario, rep, k)
+        realization = realize_day(scenario, k, rngs)
         bench_outcomes.append(run_benchmark_day(k, realization, bench_ledger,
                                                 scenario))
         for n in names:
@@ -519,8 +531,8 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         return (scenario.overbook_penalty * overbooked
                 + scenario.reward * (C - served_type1 - served_walkins))
 
-    for i in range(n_sims):
-        rng = substream(master_seed, i)
+    for i, rng in enumerate(streams(master_seed,
+                                    ((j,) for j in range(n_sims)))):
         if count_based:
             # shows before walk-ins: the draw order is part of the seed
             # contract

@@ -2,7 +2,10 @@
 check-ins, and walk-ins.
 
 All randomness flows through explicit numpy Generators, so identical seeds
-yield bit-identical event streams. Arrival intensities are stored as a total
+yield bit-identical event streams. Streams follow the split rule
+SeedSequence([master, rep, day, sub]); `streams` computes that hash for a
+block of paths at once and re-seeds one Generator per path, and the test
+suite holds each stream to numpy's own SeedSequence. Arrival intensities are stored as a total
 mass plus a normalized density, which makes a scaled Beta density and a
 piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
 streams be sampled exactly by count-then-order-statistics (draw a Poisson
@@ -18,21 +21,130 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import betainc
 
 
-def substream(master_seed, *path):
-    """Generator for one sub-process, derived from the master seed.
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
+# 128-bit multiplier, as documented by numpy and the PCG report
+_MASK32 = 0xFFFF_FFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_BLOCK = 1024  # paths hashed together, so memory stays flat in their number
 
-    The split rule is SeedSequence([master, *path]) with integer path
-    components, conventionally (replication, day, subprocess id). Distinct
-    paths give statistically independent streams.
+
+def streams(master_seed, tails):
+    """One Generator per path [master_seed, *tail], for each tail in turn.
+
+    The split rule is SeedSequence([master, *path]) with nonnegative integer
+    path components, conventionally (replication, day, subprocess id);
+    distinct paths give statistically independent streams. Each stream is
+    numpy's default_rng(SeedSequence([master, *tail])) bit for bit, but the
+    SeedSequence hash runs in numpy lanes over blocks of tails and the
+    result is set into one Generator that is re-seeded and yielded again for
+    every tail. A caller is done with one stream when it asks for the next.
     """
-    entropy = [int(master_seed)] + [int(x) for x in path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    head = _words(master_seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    tails = iter(tails)
+    while block := list(islice(tails, _BLOCK)):
+        for seed_hi, seed_lo, seq_hi, seq_lo in _generate_states(head, block):
+            # PCG64's set-seed step for (seed, sequence), both 128 bits
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT
+                     + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _words(x):
+    """SeedSequence's 32-bit words of one nonnegative int, least significant
+    first; 0 is one zero word."""
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"stream path entries must be nonnegative, got {x}")
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def _generate_states(head, block):
+    """SeedSequence([*head words, *tail]).generate_state(4, uint64) as four
+    Python ints, for the tails of `block` in order. Tails of one-word
+    entries, the usual case, hash as one matrix; otherwise tails hash in
+    groups of equal word count."""
+    try:
+        words = np.array(block, dtype=np.uint64)
+        one_word = words.ndim == 2 and not (words > _MASK32).any()
+    except (ValueError, OverflowError, TypeError):  # ragged, big or negative
+        one_word = False
+    if one_word:
+        return _hash(head, words)
+    groups = {}
+    for i, tail in enumerate(block):
+        row = [w for x in tail for w in _words(x)]
+        index, rows = groups.setdefault(len(row), ([], []))
+        index.append(i)
+        rows.append(row)
+    out = [None] * len(block)
+    for index, rows in groups.values():
+        for i, words in zip(index, _hash(head, np.array(rows,
+                                                        dtype=np.uint64))):
+            out[i] = words
+    return out
+
+
+def _hash(head, tails):
+    """generate_state(4, uint64) of SeedSequence(entropy row) for the rows
+    [*head, *tails[i]] of 32-bit words in uint64 lanes: the pool mixing,
+    then the output hash."""
+    n = len(tails)
+    entropy = np.concatenate(
+        [np.tile(np.array(head, dtype=np.uint64), (n, 1)), tails], axis=1)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (x * _MIX_L - y * _MIX_R) & _MASK32
+        return value ^ (value >> 16)
+
+    size = entropy.shape[1]
+    zero = np.zeros(n, dtype=np.uint64)
+    pool = [hashmix(entropy[:, i] if i < size else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, size):  # entropy longer than the pool
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):  # generate_state: 8 words, low word first
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ (value >> 16))
+    # four uint64s, each from two words, low word first
+    return zip(*((out[j] | out[j + 1] << 32).tolist() for j in range(0, 8, 2)))
 
 
 class RateFunction:

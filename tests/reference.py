@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 import roomflow.engine as E
-from roomflow.flows import substream
 from roomflow.policies import (
     AdaptivePolicy,
     OraclePolicy,
@@ -54,6 +53,20 @@ class Guest:
 
 # ---------------------------------------------------------------------------
 # sampling: the scalar draw sequence
+
+def substream(master_seed, *path):
+    """Generator for one sub-process: numpy's own
+    default_rng(SeedSequence([master, *path])), one fresh object per
+    stream, as `roomflow.flows.streams` must reproduce."""
+    entropy = [int(master_seed)] + [int(x) for x in path]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def day_streams(seed, rep, k):
+    """The three streams of day k of replication rep, in the order
+    `engine.realize_day` takes them."""
+    return iter([substream(seed, rep, k, sub) for sub in (1, 2, 3)])
+
 
 def sample_times(rate, n, rng):
     """RateFunction.sample_times with numpy's own weighted choice."""

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import reference as R
+from reference import day_streams, substream
 import roomflow.calibration as calib
 import roomflow.cli as cli
 import roomflow.engine as E
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
                             StageProfiles, attach_stage2_outcomes,
-                            sample_stage1_day, substream)
+                            sample_stage1_day)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
 
@@ -290,7 +291,8 @@ class TestInvariantSuite:
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             committed = []
             for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
+                out = E.run_day(k, E.realize_day(
+                    sc, k, day_streams(sc.seed, 0, k)), pol, led, sc)
                 # daily conservation: idle + occupied = C, priced at r
                 assert led.occupied(k) + out.idle == sc.C
                 assert led.occupied(k) <= sc.C
@@ -334,8 +336,9 @@ class TestInvariantSuite:
 
         def run():
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-            return [E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
-                    for k in range(1, sc.T + 1)]
+            return [E.run_day(k, E.realize_day(
+                sc, k, day_streams(sc.seed, 0, k)), pol, led, sc)
+                for k in range(1, sc.T + 1)]
 
         a, b = run(), run()
         assert [o.day_loss for o in a] == [o.day_loss for o in b]

@@ -8,8 +8,8 @@ import pytest
 
 import reference as R
 import roomflow.cli as cli
+from reference import substream
 from roomflow.benchmarks import clairvoyant_stage1_select, offline_day_optimum
-from roomflow.flows import substream
 
 
 def outcome(finals, n_walkins, C, r=1.0, ell=1.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import roomflow.calibration as C
-from roomflow.flows import substream
+from reference import substream
 
 
 def row(lead=5, canceled=False, cancel=None, stay=2, walkin=False, day=0):

@@ -246,10 +246,11 @@ class TestSweep:
             f"config error: --jobs: must be at least 1, got {jobs}\n")
         assert not out.exists()
 
-    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+    def test_pool_capped_at_unit_count(self, tmp_path, monkeypatch):
+        # the work unit is one replication of one cell
         sizes = []
 
-        class Pool:  # records its size and runs the cells in-process
+        class Pool:  # records its size and runs the units in-process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -266,12 +267,27 @@ class TestSweep:
         out = str(tmp_path / "x.csv")
         assert cli.main(["sweep", "--config", write_cfg(tmp_path, SINGLEDAY),
                          "--out", out, "--jobs", "64"]) == 0
-        assert sizes == [4]  # B x lambda2 = 4 cells
-        # one cell: no pool at all
-        assert cli.main(["simulate", "--config",
-                         write_cfg(tmp_path, MULTIDAY, "one.cfg"),
-                         "--out", out, "--jobs", "8"]) == 0
-        assert sizes == [4]
+        assert sizes == [4]  # B x lambda2 = 4 cells, one rep each
+        # one cell of two reps: two units
+        one = write_cfg(tmp_path, MULTIDAY, "one.cfg")
+        assert cli.main(["simulate", "--config", one, "--out", out,
+                         "--jobs", "8"]) == 0
+        assert sizes == [4, 2]
+        # one cell of one rep: no pool at all
+        assert cli.main(["simulate", "--config", one, "--out", out,
+                         "--reps", "1", "--jobs", "8"]) == 0
+        assert sizes == [4, 2]
+
+    def test_lower_bound_reps_in_parallel_match_serial(self, tmp_path):
+        # one cell, five reps: --jobs 2 runs the reps in two processes
+        cfg = write_cfg(tmp_path, "[scenario]\nT = 40\n")
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        for out, jobs in ((a, "1"), (b, "2")):
+            assert cli.main(["simulate", "--preset", "lower-bound",
+                             "--config", cfg, "--out", out,
+                             "--jobs", jobs]) == 0
+        assert body(a) == body(b)
+        assert body(a + ".series") == body(b + ".series")
 
     def test_unknown_objective_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, SINGLEDAY.replace(
@@ -526,11 +542,16 @@ class TestConfigContract:
         (MULTIDAY.replace("keep_p0 = 0.5", "keep_p0 = 1.5"), None, "keep_p0"),
         ("[scenario]\nlambda2 = inf\n", "fig4", "lambda2"),
         ("[scenario]\nlambda1 = 1e300\n", "fig4", "lambda1"),
+        ("[scenario]\nT = 2\nlambda1 = 1e15\n", "fig4", "lambda1"),
+        ("[scenario]\nT = 2\nlambda2 = 1e9\n", "fig4", "lambda2"),
+        (SINGLEDAY.replace("B = 30,40", "B = 30,1e12"), None, "B"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
             "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
             "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one",
-            "lambda2-infinite", "lambda1-past-poisson-limit"])
+            "lambda2-infinite", "lambda1-past-poisson-limit",
+            "lambda1-past-day-bound", "lambda2-past-day-bound",
+            "single-day-B-past-day-bound"])
     def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
                                                   text, preset, key):
         rc, err, out = self.run(tmp_path, capsys, text, preset=preset)

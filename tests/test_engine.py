@@ -13,8 +13,8 @@ from roomflow.flows import (
     KeepCurve,
     RateFunction,
     StageProfiles,
-    substream,
 )
+from reference import day_streams, substream
 
 
 def geometric_profiles(lam1=300.0, lam2=30.0, q1=0.4, q_stay=0.3, p0=0.5):
@@ -166,7 +166,8 @@ class TestStage2Replay:
 def run_days(sc, policy):
     """The policy trajectory over days 1..T of replication 0."""
     led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-    return [E.run_day(k, E.realize_day(sc, 0, k), policy, led, sc)
+    return [E.run_day(k, E.realize_day(sc, k, day_streams(sc.seed, 0, k)),
+                      policy, led, sc)
             for k in range(1, sc.T + 1)]
 
 
@@ -202,7 +203,8 @@ class TestRunHorizonAccounting:
         led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
         committed = []
         for k in range(1, sc.T + 1):
-            E.run_day(k, E.realize_day(sc, 0, k), pol, led, sc)
+            E.run_day(k, E.realize_day(sc, k, day_streams(sc.seed, 0, k)),
+                      pol, led, sc)
             committed.append(led.occupied(k))
         assert led.total_room_nights == sum(committed)
 

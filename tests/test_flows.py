@@ -14,8 +14,9 @@ from roomflow.flows import (
     sample_nhpp,
     sample_stage1_day,
     sample_stage2_day,
-    substream,
+    streams,
 )
+from reference import substream
 
 
 def simple_profiles(q1=0.5, keep=None, lam1=30.0, lam2=30.0,
@@ -253,6 +254,10 @@ def scenario_for(profiles, seed):
                             seed=seed)
 
 
+def day_rngs(seed, rep, k):
+    return streams(seed, [(rep, k, sub) for sub in (1, 2, 3)])
+
+
 def day_arrays(day):
     b, w = day.bookings, day.walkins
     return [b.time, b.keep, b.survives, b.cancel_time, b.duration,
@@ -263,16 +268,16 @@ class TestDeterminism:
     def test_identical_seeds_identical_streams(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.3, 0.0, 1.0),
                                    law=DurationLaw("geometric", q_stay=0.3))
-        d1 = E.realize_day(scenario_for(profiles, 42), 0, 3)
-        d2 = E.realize_day(scenario_for(profiles, 42), 0, 3)
+        d1 = E.realize_day(scenario_for(profiles, 42), 3, day_rngs(42, 0, 3))
+        d2 = E.realize_day(scenario_for(profiles, 42), 3, day_rngs(42, 0, 3))
         for a, b in zip(day_arrays(d1), day_arrays(d2)):
             np.testing.assert_array_equal(a, b)
 
     def test_different_paths_differ(self):
         profiles = simple_profiles()
         sc = scenario_for(profiles, 42)
-        d1 = E.realize_day(sc, 0, 3)
-        d2 = E.realize_day(sc, 1, 3)
+        d1 = E.realize_day(sc, 3, day_rngs(42, 0, 3))
+        d2 = E.realize_day(sc, 3, day_rngs(42, 1, 3))
         assert d1.bookings.time.tolist() != d2.bookings.time.tolist()
 
 

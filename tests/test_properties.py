@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference as R
+from reference import day_streams, substream
 import roomflow.engine as E
 from roomflow.flows import (
     DurationLaw,
@@ -18,7 +19,7 @@ from roomflow.flows import (
     RateFunction,
     StageProfiles,
     sample_stage1_day,
-    substream,
+    streams,
 )
 from roomflow.policies import (
     AdaptivePolicy,
@@ -125,8 +126,10 @@ class TestArrayEngineMatchesReference:
     def test_sampling_is_bit_identical_to_scalar_draws(self, sc):
         # vectorized draws against one scalar draw per record, stream by
         # stream; the generators must also end at the same state
+        rngs = streams(sc.seed, ((0, k, sub) for k in range(1, sc.T + 1)
+                                 for sub in (1, 2, 3)))
         for k in range(1, sc.T + 1):
-            day = E.realize_day(sc, 0, k)
+            day = E.realize_day(sc, k, rngs)
             bookings, walkins = R.realize_day(sc, 0, k)
             b = day.bookings
             assert b.time.tolist() == [r.request_time for r in bookings]
@@ -233,7 +236,8 @@ class TestEngineInvariants:
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             occupied = []
             for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(sc, 0, k), policy, led, sc)
+                out = E.run_day(k, E.realize_day(
+                    sc, k, day_streams(sc.seed, 0, k)), policy, led, sc)
                 # capacity safety: the ledger raises CapacityError before
                 # any day exceeds C
                 assert 0 <= led.occupied(k) <= sc.C
@@ -267,3 +271,59 @@ class TestEngineInvariants:
         for policy in (AdaptivePolicy(0.0, alpha), HeuristicPolicy(0.0)):
             pol, ora, _ = E.single_day_cell(sc, B, policy, 5, seed)
             assert np.all(ora <= pol)
+
+
+# stream path entries: one zero word, one word, two words (such as a day
+# number of 2**32 and above) and up to five words
+WORDS = (st.just(0) | st.integers(0, 2 ** 32 - 1)
+         | st.integers(2 ** 32, 2 ** 64 - 1) | st.integers(0, 2 ** 128))
+MASTERS = st.just(0) | st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 128)
+# a block of same-length one-word tails, as the engine seeds a replication,
+# or tails of any length and word count
+TAIL_BLOCKS = (
+    st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 2 ** 32 - 1)] * n), min_size=1,
+        max_size=12))
+    | st.lists(st.lists(WORDS, max_size=6).map(tuple), min_size=1,
+               max_size=12))
+
+
+def engine_draws(rng, n1, n2):
+    """One of each kind of draw the engine and calibration make."""
+    return (rng.poisson(30.0), rng.random(3).tolist(),
+            rng.binomial(n1, 0.4), rng.binomial(n2, 0.4),
+            rng.geometric(0.7, 3).tolist(), rng.beta(6.0, 6.0, 3).tolist(),
+            rng.choice(4, 3, p=[0.1, 0.2, 0.3, 0.4]).tolist(),
+            rng.integers(0, 1000, 3).tolist())
+
+
+class TestStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(master=MASTERS, tails=TAIL_BLOCKS, data=st.data())
+    def test_each_stream_is_numpys_seed_sequence(self, master, tails, data):
+        # any change to numpy's SeedSequence or PCG64 seeding fails here
+        n = 0
+        for tail, rng in zip(tails, streams(master, tails)):
+            fresh = substream(master, *tail)
+            assert rng.bit_generator.state == fresh.bit_generator.state, tail
+            # the reused Generator keeps nothing of the previous stream:
+            # binomial's cached setup and the buffered 32-bit half-word
+            n1, n2 = (data.draw(st.integers(0, 500)) for _ in range(2))
+            assert engine_draws(rng, n1, n2) == engine_draws(fresh, n1, n2)
+            n += 1
+        assert n == len(tails)
+
+    def test_blocks_of_mixed_word_counts(self):
+        # more tails than one internal block, one-word and two-word days
+        master = 2 ** 64 - 1
+        tails = [(rep, k, sub) for rep in (0, 1)
+                 for k in (*range(700), 2 ** 32, 2 ** 40) for sub in (1, 2)]
+        states = [rng.bit_generator.state
+                  for rng in streams(master, tails)]
+        assert states == [substream(master, *t).bit_generator.state
+                          for t in tails]
+
+    def test_negative_entry_rejected(self):
+        for master, tail in ((-1, (0,)), (3, (0, -2))):
+            with pytest.raises(ValueError):
+                next(streams(master, [tail]))
