@@ -382,6 +382,8 @@ def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
     Intraday timing is not identifiable from daily data: both intraday
     densities are uniform.
     """
+    if k0 < 1:
+        raise ValueError("k0: must be at least 1")
     if T < k0:
         raise ValueError("horizon shorter than the booking window")
     pi_c = model.cancel_prob
@@ -421,7 +423,7 @@ def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
         duration_law=DurationLaw("geometric", q_stay=model.duration_geometric),
     )
     return ScenarioConfig(
-        T=T, C=model.capacity, k0=k0, v=v, reward=reward,
+        T=T, C=model.capacity, v=v, reward=reward,
         overbook_penalty=overbook_penalty, profiles=profiles,
     )
 

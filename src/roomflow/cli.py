@@ -134,6 +134,26 @@ _MAX_DAY_EVENTS = 1_000_000
 _RATE = _real(f"in [0, {_MAX_DAY_EVENTS}]",
               lambda x: 0.0 <= x <= _MAX_DAY_EVENTS)
 _POSITIVE = _real("positive", lambda x: x > 0.0)
+_IOTA = _real("finite and nonnegative", lambda x: 0.0 <= x < math.inf)
+# a multiday run keeps one day record (about 330 bytes) a day in each of its
+# trajectories, the benchmark's and two per policy: fig4's eleven hold
+# about 350 MiB at this horizon
+_MAX_DAYS = 100_000
+# the warm start holds up to three array or list entries a room (about
+# 30 bytes), and a day serves at most C guests
+_MAX_ROOMS = 1_000_000
+# a single-day cell keeps three float64 results a draw for each policy and
+# replication (24 MB at this count) until the file is written
+_MAX_SIMS = 1_000_000
+
+
+def _one_of(*values):
+    """Converter that accepts only the given strings."""
+    def conv(text):
+        if text not in values:
+            raise ValueError(f"unknown value {text!r}")
+        return text
+    return conv
 
 
 _MAX_CELLS = 10_000  # of a grid, and so of points on one axis
@@ -194,7 +214,7 @@ def _profiles(f, lam1, p0, k0):
 
     arrival = day_rate("arrival", 1.0)
     walkin = day_rate("walkin", lam2)
-    kind = f.get("duration", str, "geometric")
+    kind = f.get("duration", _one_of("geometric", "constant"), "geometric")
     if kind == "constant":
         law = DurationLaw(kind, d=f.get("d", _whole(1), 1))
     else:
@@ -206,9 +226,9 @@ def _profiles(f, lam1, p0, k0):
         arrival_density=arrival, walkin_rate=walkin, duration_law=law)
 
 
-def _scenario(f, T, k0, profiles):
+def _scenario(f, T, profiles):
     return engine.ScenarioConfig(
-        T=T, C=f.get("C", _whole(1)), k0=k0, v=f.get("v", float, 0.0),
+        T=T, C=f.get("C", _whole(1, _MAX_ROOMS)), v=f.get("v", float, 0.0),
         reward=f.get("reward", float, 1.0),
         overbook_penalty=f.get("overbook_penalty", float, 1.0),
         profiles=profiles)
@@ -216,17 +236,17 @@ def _scenario(f, T, k0, profiles):
 
 def _multiday(f):
     k0 = f.get("k0", _whole(1), 1)
-    T = f.get("T", _whole(1))
+    T = f.get("T", _whole(1, _MAX_DAYS))
     lam1 = f.get("lambda1", _RATE)
     p0 = f.get("keep_p0", _real("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
                1.0)
-    return _scenario(f, T, k0, _profiles(f, lam1, p0, k0))
+    return _scenario(f, T, _profiles(f, lam1, p0, k0))
 
 
 def _single_day(f):
     # one day with B surviving bookings: no booking window to describe
     B = f.get("B", _whole(0, _MAX_DAY_EVENTS))
-    return B, _scenario(f, 1, 1, _profiles(f, 1.0, 1.0, 1.0))
+    return B, _scenario(f, 1, _profiles(f, 1.0, 1.0, 1.0))
 
 
 _MODES = {"multiday": _multiday, "single-day": _single_day}
@@ -238,9 +258,7 @@ def build_scenario(cfg, coords=(), axes=()):
     unread. The inputs are a ScenarioConfig (seed 0) for multiday, and
     (B, one-day ScenarioConfig) for single-day."""
     f = _Fields(cfg, "scenario", coords)
-    mode = f.get("mode", str, "multiday")
-    if mode not in _MODES:
-        raise ConfigError(f"[scenario] mode: unknown value {mode!r}")
+    mode = f.get("mode", _one_of(*_MODES), "multiday")
     try:
         inputs = _MODES[mode](f)
     except ConfigError:
@@ -287,12 +305,9 @@ def _plan(cfg, args, limit):
     out = f.get("out", str, "results.csv")
     sims = objective = None
     if mode == "single-day":
-        sims = f.get("sims", int, 1000)
-        objective = f.get("objective", str, "auto")
-        if objective not in ("auto", "loss", "regret", "mismatch"):
-            raise ConfigError(f"[run] objective: unknown value {objective!r}")
-        if sims < 1:
-            raise ConfigError(f"[run] sims: must be at least 1, got {sims}")
+        sims = f.get("sims", _whole(1, _MAX_SIMS), 1000)
+        objective = f.get("objective", _one_of("auto", "loss", "regret",
+                                               "mismatch"), "auto")
     f.reject_unread(mode)
     master = args.seed if args.seed is not None else master
     reps = args.reps if args.reps is not None else reps
@@ -500,7 +515,7 @@ def cmd_check(args):
     """Verdicts of every grid cell, each distinct line printed once."""
     cfg = load_config(args.preset, args.config)
     policies, _, cells, mode, _, _ = _plan(cfg, args, limit=2)
-    iota = _Fields(cfg, "check").get("iota", float, None)
+    iota = _Fields(cfg, "check").get("iota", _IOTA, None)
     alpha = 0.4
     for pol in policies.values():
         if isinstance(pol, AdaptivePolicy):

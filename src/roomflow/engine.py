@@ -25,9 +25,8 @@ from .benchmarks import clairvoyant_stage1_select, offline_day_optimum
 from .flows import (
     DayRealization,
     StageProfiles,
-    attach_stage2_outcomes,
+    reserved_outcomes,
     sample_stage1_day,
-    sample_stage2_day,
     sample_walkins,
     streams,
 )
@@ -51,7 +50,6 @@ class ScenarioConfig:
 
     T: int
     C: int
-    k0: int
     v: float
     reward: float
     overbook_penalty: float
@@ -59,12 +57,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each message starts with the field it names
+        # each message starts with the field it names; the booking window
+        # [0, k0] is the profiles' booking-rate domain
+        k0 = self.profiles.stage1_rate.t1
         for key, ok, rule in (
-                ("T", self.T >= 0, "must be nonnegative"),
+                ("T", self.T >= 1, "must be at least 1"),
                 ("C", self.C >= 1, "must be at least 1"),
-                ("k0", self.k0 >= 1, "must be at least 1"),
-                ("v", -self.k0 < self.v <= 1.0, f"outside (-{self.k0}, 1]"),
+                ("v", -k0 < self.v <= 1.0, f"outside (-{k0:g}, 1]"),
                 ("reward", self.reward >= 0, "must be nonnegative"),
                 ("overbook_penalty", self.overbook_penalty >= 0,
                  "must be nonnegative")):
@@ -382,8 +381,6 @@ def warm_start_ledger(scenario, rng):
     per residual-age class.
     """
     ledger = OccupancyLedger(scenario.C, scenario.T)
-    if scenario.T == 0:
-        return ledger
     law = scenario.profiles.duration_law
     if law.kind == "geometric":
         if law.q_stay > 0.0:
@@ -396,16 +393,17 @@ def warm_start_ledger(scenario, rng):
     return ledger
 
 
-def realize_day(scenario, k, rngs):
-    """Sample day k's realization from the next three streams of `rngs`:
-    those of the paths (rep, k, sub) under the documented split rule
-    SeedSequence([master, rep, day, sub]), with sub 1=bookings,
-    2=check-in outcomes, 3=walk-ins."""
+def realize_day(scenario, rngs):
+    """Sample one day's realization from the next three streams of `rngs`:
+    for day k, those of the paths (rep, k, sub) under the documented split
+    rule SeedSequence([master, rep, day, sub]), with sub 1=bookings,
+    2=check-in outcomes of every booking request, 3=walk-ins."""
     profiles = scenario.profiles
-    bookings = sample_stage1_day(profiles, k, next(rngs))
-    attach_stage2_outcomes(bookings, profiles, next(rngs))
+    bookings = sample_stage1_day(profiles, next(rngs))
+    bookings.arrival_time, bookings.shows = reserved_outcomes(
+        profiles, len(bookings), next(rngs))
     walkins = sample_walkins(profiles, next(rngs))
-    return DayRealization(day=k, bookings=bookings, walkins=walkins)
+    return DayRealization(bookings=bookings, walkins=walkins)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +417,9 @@ class RegretReport:
     cumulative_regret: np.ndarray
     stage1_component: np.ndarray
     stage2_component: np.ndarray
-    first_cycle_allowance: float
 
 
-def first_cycle_allowance(scenario):
-    """Idle loss forced in the first duration cycle by the capacity split:
-    sum over the first d days of C (d-k)/d r for constant durations, zero
-    for geometric."""
-    law = scenario.profiles.duration_law
-    if law.kind != "constant":
-        return 0.0
-    d = law.d
-    return sum(scenario.C * (d - k) / d * scenario.reward
-               for k in range(1, min(d, scenario.T) + 1))
-
-
-def compute_regret(policy_outcomes, benchmark_outcomes, scenario,
-                   hybrid_outcomes):
+def compute_regret(policy_outcomes, benchmark_outcomes, hybrid_outcomes):
     """Regret against the benchmark, split at the hybrid trajectory into
     its Stage-I and Stage-II components."""
     if len(policy_outcomes) != len(benchmark_outcomes):
@@ -447,9 +431,7 @@ def compute_regret(policy_outcomes, benchmark_outcomes, scenario,
     return RegretReport(
         policy_loss=pol, benchmark_loss=ben, regret=regret,
         cumulative_regret=np.cumsum(regret),
-        stage1_component=hyb - ben, stage2_component=pol - hyb,
-        first_cycle_allowance=first_cycle_allowance(scenario),
-    )
+        stage1_component=hyb - ben, stage2_component=pol - hyb)
 
 
 def run_experiment(scenario, policies, rep=0):
@@ -475,7 +457,7 @@ def run_experiment(scenario, policies, rep=0):
     hybrid_outcomes = {n: [] for n in names}
     bench_outcomes = []
     for k in range(1, scenario.T + 1):
-        realization = realize_day(scenario, k, rngs)
+        realization = realize_day(scenario, rngs)
         bench_outcomes.append(run_benchmark_day(k, realization, bench_ledger,
                                                 scenario))
         for n in names:
@@ -487,7 +469,7 @@ def run_experiment(scenario, policies, rep=0):
             hybrid_outcomes[n].append(run_oracle_day(
                 k, realization, survivors, hybrid_ledgers[n], scenario))
     return {n: compute_regret(outcomes.get(n, bench_outcomes), bench_outcomes,
-                              scenario, hybrid_outcomes.get(n, bench_outcomes))
+                              hybrid_outcomes.get(n, bench_outcomes))
             for n in policies}
 
 
@@ -542,12 +524,16 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
             pol_losses[i] = ora_losses[i] = price(*optimum)
             rejected[i] = n_wk - optimum[1]
             continue
-        type1, walkins = sample_stage2_day(profiles, B, 1, rng)
-        n_wk = len(walkins)
+        # reserved outcomes, stay lengths that nothing reads, then walk-ins:
+        # the draw order is part of the seed contract
+        arrival, shows = reserved_outcomes(profiles, B, rng)
+        profiles.duration_law.sample(rng, B)
+        walkin_time = sample_walkins(profiles, rng).time
+        n_wk = len(walkin_time)
         ora_losses[i] = price(*offline_day_optimum(
-            int(np.count_nonzero(type1.shows)), n_wk, C))
-        res = replay_stage2(policy, type1.time, type1.shows, walkins.time,
-                            float(C), C, profiles, scenario.v)
+            int(np.count_nonzero(shows)), n_wk, C))
+        res = replay_stage2(policy, arrival, shows, walkin_time, float(C), C,
+                            profiles, scenario.v)
         pol_losses[i] = price(len(res.served_type1), len(res.served_walkins),
                               res.overbooked)
         rejected[i] = n_wk - len(res.served_walkins)

@@ -410,13 +410,11 @@ class Bookings:
 
 @dataclass(eq=False)
 class CheckIns:
-    """Stage-II arrivals as parallel arrays, in time order: reserved
-    customers (with a show flag) or walk-ins (shows is None: they always
-    show)."""
+    """A day's walk-ins as parallel arrays, in time order; they always
+    show."""
 
     time: np.ndarray
     duration: np.ndarray
-    shows: np.ndarray | None = None
 
     def __len__(self):
         return len(self.time)
@@ -435,7 +433,6 @@ def _as_lists(arrays, *names):
 class DayRealization:
     """One sampled day: the full Stage-I and Stage-II event stream."""
 
-    day: int
     bookings: Bookings
     walkins: CheckIns
 
@@ -452,8 +449,8 @@ def sample_nhpp(rate, rng):
     return np.sort(rate.sample_times(n, rng))
 
 
-def sample_stage1_day(profiles, k, rng):
-    """Booking requests for day k with survival and cancellation outcomes.
+def sample_stage1_day(profiles, rng):
+    """One day's booking requests with survival and cancellation outcomes.
 
     Draw order: Poisson count and request times, one survival uniform per
     request, the stay lengths, then one uniform per cancelling request with
@@ -472,40 +469,17 @@ def sample_stage1_day(profiles, k, rng):
     return Bookings(time, keep, survives, cancel, duration)
 
 
-def _reserved_outcomes(profiles, n, rng):
-    """Unsorted arrival times and show flags of n reserved customers."""
+def reserved_outcomes(profiles, n, rng):
+    """Unsorted arrival times and show flags of n reserved customers: each
+    arrives at a time from the arrival density and shows with probability
+    q1. Draw order: the n arrival times, then one show uniform each."""
     if n == 0:
         return np.empty(0), np.empty(0, dtype=bool)
     arrival = profiles.arrival_density.sample_times(n, rng)
     return arrival, rng.random(n) < profiles.show_prob
 
 
-def sample_stage2_day(profiles, B, k, rng):
-    """Stage-II events for day k given B surviving bookings.
-
-    Returns (type1, walkins), both CheckIns in time order (ties keep draw
-    order). Reserved customers get an arrival time from the arrival
-    density, show with probability q1 and draw a stay length; walk-ins
-    follow the walk-in rate and always show.
-    """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    arrival, shows = _reserved_outcomes(profiles, B, rng)
-    duration = profiles.duration_law.sample(rng, B)
-    order = np.argsort(arrival, kind="stable")
-    type1 = CheckIns(arrival[order], duration[order], shows[order])
-    return type1, sample_walkins(profiles, rng)
-
-
 def sample_walkins(profiles, rng):
     time = sample_nhpp(profiles.walkin_rate, rng)
     duration = profiles.duration_law.sample(rng, len(time))
     return CheckIns(time, duration)
-
-
-def attach_stage2_outcomes(bookings, profiles, rng):
-    """Attach would-be Stage-II outcomes (arrival time, shows) to every
-    booking request."""
-    bookings.arrival_time, bookings.shows = _reserved_outcomes(
-        profiles, len(bookings), rng)
-    return bookings

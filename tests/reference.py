@@ -167,8 +167,6 @@ class DictLedger:
 
 def warm_start(scenario, rng):
     ledger = DictLedger(scenario.C, scenario.T)
-    if scenario.T == 0:
-        return ledger
     law = scenario.profiles.duration_law
     if law.kind == "geometric":
         if law.q_stay > 0.0:

@@ -17,7 +17,7 @@ import roomflow.cli as cli
 import roomflow.engine as E
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
-                            StageProfiles, attach_stage2_outcomes,
+                            StageProfiles, reserved_outcomes,
                             sample_stage1_day)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
@@ -232,7 +232,7 @@ class TestStageOneConcentration:
         hat_C = estimated_capacity(prof.duration_law, 100, 0.4, 4.0)
         exceed = 0
         for day in range(10_000):
-            recs = sample_stage1_day(prof, day, substream(2024, 7, day, 1))
+            recs = sample_stage1_day(prof, substream(2024, 7, day, 1))
             accepted = E.stage1_accept(pol, recs, prof, 100)
             survivors = int(recs.survives[accepted].sum())
             exceed += survivors > hat_C
@@ -277,7 +277,7 @@ class TestInvariantSuite:
             q_stay=float(rng.uniform(0.0, 0.7)),
             p0=float(rng.uniform(0.2, 1.0)))
         return E.ScenarioConfig(
-            T=T, C=int(rng.integers(20, 150)), k0=1,
+            T=T, C=int(rng.integers(20, 150)),
             v=float(rng.uniform(0.0, 1.0)),
             reward=float(rng.integers(1, 4)),
             overbook_penalty=float(rng.integers(1, 4)),
@@ -292,7 +292,7 @@ class TestInvariantSuite:
             committed = []
             for k in range(1, sc.T + 1):
                 out = E.run_day(k, E.realize_day(
-                    sc, k, day_streams(sc.seed, 0, k)), pol, led, sc)
+                    sc, day_streams(sc.seed, 0, k)), pol, led, sc)
                 # daily conservation: idle + occupied = C, priced at r
                 assert led.occupied(k) + out.idle == sc.C
                 assert led.occupied(k) <= sc.C
@@ -305,7 +305,7 @@ class TestInvariantSuite:
     def test_survival_law_three_sigma(self):
         # empirical window survival per request-time bin vs the keep value
         prof = reference_profiles(p0=0.4)
-        days = [sample_stage1_day(prof, day, substream(9, 0, day, 1))
+        days = [sample_stage1_day(prof, substream(9, 0, day, 1))
                 for day in range(300)]
         times = np.concatenate([d.time for d in days])
         survived = np.concatenate([d.survives for d in days])
@@ -321,8 +321,9 @@ class TestInvariantSuite:
         prof = reference_profiles(q1=0.35)
         total_B, total_shows = 0, 0
         for day in range(400):
-            recs = sample_stage1_day(prof, day, substream(10, 0, day, 1))
-            attach_stage2_outcomes(recs, prof, substream(10, 0, day, 2))
+            recs = sample_stage1_day(prof, substream(10, 0, day, 1))
+            recs.arrival_time, recs.shows = reserved_outcomes(
+                prof, len(recs), substream(10, 0, day, 2))
             total_B += int(recs.survives.sum())
             total_shows += int((recs.shows & recs.survives).sum())
         expect = 0.35 * total_B
@@ -337,7 +338,7 @@ class TestInvariantSuite:
         def run():
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             return [E.run_day(k, E.realize_day(
-                sc, k, day_streams(sc.seed, 0, k)), pol, led, sc)
+                sc, day_streams(sc.seed, 0, k)), pol, led, sc)
                 for k in range(1, sc.T + 1)]
 
         a, b = run(), run()

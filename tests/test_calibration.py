@@ -202,6 +202,10 @@ class TestScenarioFromFit:
         with pytest.raises(ValueError, match="horizon"):
             C.scenario_from_fit(MODEL, T=7, k0=14, v=0.7)
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="^k0: must be at least 1"):
+            C.scenario_from_fit(MODEL, T=7, k0=0, v=0.7)
+
 
 class TestModelPersistence:
     def test_save_load_round_trip(self, tmp_path):

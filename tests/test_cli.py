@@ -506,20 +506,28 @@ class TestConfigContract:
         assert [r["T"] for r in series] == ["10"] * 10 + ["20"] * 20
         assert [r["day"] for r in series if r["T"] == "20"][-1] == "20"
 
-    @pytest.mark.parametrize("cfg, flags, field", [
-        (MULTIDAY, ["--reps", "0"], "reps"),
-        (SINGLEDAY, ["--reps", "0"], "reps"),
-        (MULTIDAY.replace("reps = 2", "reps = -1"), [], "reps"),
-        (SINGLEDAY.replace("sims = 50", "sims = 0"), [], "sims"),
+    @pytest.mark.parametrize("cfg, flags, field, rule", [
+        (MULTIDAY, ["--reps", "0"], "reps", "at least 1"),
+        (SINGLEDAY, ["--reps", "0"], "reps", "at least 1"),
+        (MULTIDAY.replace("reps = 2", "reps = -1"), [], "reps", "at least 1"),
+        (SINGLEDAY.replace("sims = 50", "sims = 0"), [], "sims", "at least 1"),
+        # three float64 results a draw: 24 TB of results, never allocated
+        (SINGLEDAY.replace("sims = 50", "sims = 1000000000000"), [], "sims",
+         "at most 1000000"),
     ], ids=["multiday-flag", "single-day-flag", "multiday-config",
-            "single-day-sims"])
+            "single-day-sims", "single-day-sims-past-bound"])
     def test_run_counts_at_least_one(self, tmp_path, capsys, cfg, flags,
-                                     field):
+                                     field, rule):
         rc, err, out = self.run(tmp_path, capsys, cfg, *flags)
         assert rc == 1
-        assert err.startswith(f"config error: [run] {field}: must be at "
-                              "least 1")
+        assert err.startswith(f"config error: [run] {field}: must be {rule}")
         assert not out.exists()
+
+    def test_counts_at_their_bounds_parse(self):
+        # the bounds are inclusive; only the parse runs here
+        cfg = cli.load_config("fig4", None)
+        _, sc = cli.build_scenario(cfg, (("T", 1e5), ("C", 1e6)))
+        assert (sc.T, sc.C) == (100_000, 1_000_000)
 
 
     @pytest.mark.parametrize("text, preset, key", [
@@ -545,13 +553,20 @@ class TestConfigContract:
         ("[scenario]\nT = 2\nlambda1 = 1e15\n", "fig4", "lambda1"),
         ("[scenario]\nT = 2\nlambda2 = 1e9\n", "fig4", "lambda2"),
         (SINGLEDAY.replace("B = 30,40", "B = 30,1e12"), None, "B"),
+        # a ledger entry and day records for each of 10^12 days, and a warm
+        # start of 10^12 guests: rejected before either is allocated
+        ("[scenario]\nT = 1e12\n", "lower-bound", "T"),
+        ("[scenario]\nT = 2\nC = 1e12\n", "fig4", "C"),
+        (MULTIDAY.replace("q_stay = 0.3", "duration = weekly"), None,
+         "duration"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
             "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
             "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one",
             "lambda2-infinite", "lambda1-past-poisson-limit",
             "lambda1-past-day-bound", "lambda2-past-day-bound",
-            "single-day-B-past-day-bound"])
+            "single-day-B-past-day-bound", "T-past-bound", "C-past-bound",
+            "duration-unknown"])
     def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
                                                   text, preset, key):
         rc, err, out = self.run(tmp_path, capsys, text, preset=preset)
@@ -565,6 +580,16 @@ class TestCheckSweeps:
         assert cli.main(["check", "--preset", "fig2"]) == 1
         assert capsys.readouterr().err == (
             "config error: [check] iota: no adaptive policy or iota given\n")
+
+    @pytest.mark.parametrize("iota", ["-1", "nan", "inf"])
+    def test_invalid_iota_names_the_key(self, tmp_path, capsys, iota):
+        # the rule AdaptivePolicy enforces: finite and nonnegative
+        over = write_cfg(tmp_path, f"[check]\niota = {iota}\n")
+        assert cli.main(["check", "--preset", "fig2", "--config", over]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: [check] iota: must be finite "
+                                f"and nonnegative, got {float(iota):g}\n")
+        assert captured.out == ""
 
     def test_fig2_verdict_per_swept_lambda2(self, tmp_path, capsys):
         over = write_cfg(tmp_path, "[check]\niota = 2\n")

@@ -13,6 +13,8 @@ from roomflow.flows import (
     KeepCurve,
     RateFunction,
     StageProfiles,
+    reserved_outcomes,
+    sample_walkins,
 )
 from reference import day_streams, substream
 
@@ -29,7 +31,7 @@ def geometric_profiles(lam1=300.0, lam2=30.0, q1=0.4, q_stay=0.3, p0=0.5):
 
 
 def scenario(T=40, C=100, v=0.0, seed=5, **kw):
-    return E.ScenarioConfig(T=T, C=C, k0=1, v=v, reward=1.0,
+    return E.ScenarioConfig(T=T, C=C, v=v, reward=1.0,
                             overbook_penalty=1.0,
                             profiles=geometric_profiles(**kw), seed=seed)
 
@@ -79,7 +81,7 @@ class TestWarmStart:
     def test_constant_duration_age_classes(self):
         prof = dataclasses.replace(geometric_profiles(),
                                    duration_law=DurationLaw("constant", d=4))
-        sc = E.ScenarioConfig(T=30, C=100, k0=1, v=0.0, reward=1.0,
+        sc = E.ScenarioConfig(T=30, C=100, v=0.0, reward=1.0,
                               overbook_penalty=1.0, profiles=prof, seed=0)
         led = E.warm_start_ledger(sc, substream(1, 0, 0, 0))
         # floor(100/4)=25 guests per residual class 1..3 nights
@@ -166,7 +168,7 @@ class TestStage2Replay:
 def run_days(sc, policy):
     """The policy trajectory over days 1..T of replication 0."""
     led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-    return [E.run_day(k, E.realize_day(sc, k, day_streams(sc.seed, 0, k)),
+    return [E.run_day(k, E.realize_day(sc, day_streams(sc.seed, 0, k)),
                       policy, led, sc)
             for k in range(1, sc.T + 1)]
 
@@ -194,7 +196,8 @@ class TestRunHorizonAccounting:
         assert [o.day_loss for o in a] != [o.day_loss for o in c]
 
     def test_zero_horizon(self):
-        assert self.run(scenario(T=0)) == []
+        with pytest.raises(ValueError, match="^T: must be at least 1"):
+            scenario(T=0)
 
     def test_room_night_conservation(self):
         # ledger total equals the sum of daily committed counts
@@ -203,7 +206,7 @@ class TestRunHorizonAccounting:
         led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
         committed = []
         for k in range(1, sc.T + 1):
-            E.run_day(k, E.realize_day(sc, k, day_streams(sc.seed, 0, k)),
+            E.run_day(k, E.realize_day(sc, day_streams(sc.seed, 0, k)),
                       pol, led, sc)
             committed.append(led.occupied(k))
         assert led.total_room_nights == sum(committed)
@@ -234,15 +237,6 @@ class TestRegret:
         rpt = E.run_experiment(sc, {"a": E.AdaptivePolicy(2.0, 0.4)})["a"]
         assert np.all(rpt.regret >= 0.0)
 
-    def test_first_cycle_allowance(self):
-        prof = dataclasses.replace(geometric_profiles(),
-                                   duration_law=DurationLaw("constant", d=3))
-        sc = E.ScenarioConfig(T=30, C=90, k0=1, v=0.0, reward=2.0,
-                              overbook_penalty=1.0, profiles=prof, seed=0)
-        # sum over k=1..3 of 90 (3-k)/3 * 2 = 60*2 + 30*2 = 180
-        assert E.first_cycle_allowance(sc) == pytest.approx(180.0)
-        assert E.first_cycle_allowance(scenario()) == 0.0
-
 
 class TestMonteCarlo:
     def curves(self, sc, n_reps):
@@ -266,7 +260,7 @@ class TestMonteCarlo:
 
 def one_day(C, v, **kw):
     """A single service day with capacity C and confirmation call at v."""
-    return E.ScenarioConfig(T=1, C=C, k0=1, v=v, reward=1.0,
+    return E.ScenarioConfig(T=1, C=C, v=v, reward=1.0,
                             overbook_penalty=1.0,
                             profiles=geometric_profiles(**kw))
 
@@ -290,10 +284,11 @@ class TestSingleDayCell:
         prof = sc.profiles
         _, ora, _ = E.single_day_cell(sc, 30, E.AdaptivePolicy(2.0, 0.4),
                                       n_sims=150, master_seed=42)
-        from roomflow.flows import sample_stage2_day
         for i in range(150):
             rng = substream(42, i)
-            type1, walkins = sample_stage2_day(prof, 30, 1, rng)
-            res = E.oracle_stage2(type1.time, type1.shows, len(walkins), 20)
+            arrival, shows = reserved_outcomes(prof, 30, rng)
+            prof.duration_law.sample(rng, 30)
+            walkins = sample_walkins(prof, rng)
+            res = E.oracle_stage2(arrival, shows, len(walkins), 20)
             idle = 20 - len(res.served_type1) - len(res.served_walkins)
             assert ora[i] == pytest.approx(res.overbooked + idle)

@@ -10,10 +10,10 @@ from roomflow.flows import (
     KeepCurve,
     RateFunction,
     StageProfiles,
-    attach_stage2_outcomes,
+    reserved_outcomes,
     sample_nhpp,
     sample_stage1_day,
-    sample_stage2_day,
+    sample_walkins,
     streams,
 )
 from reference import substream
@@ -143,7 +143,7 @@ class TestDurationLaw:
 class TestStage1Day:
     def test_no_cancellation(self):
         profiles = simple_profiles(keep=KeepCurve.linear(1.0, 0.0, 1.0))
-        day = sample_stage1_day(profiles, 1, substream(9))
+        day = sample_stage1_day(profiles, substream(9))
         assert len(day) > 0
         assert day.survives.all() and np.isnan(day.cancel_time).all()
 
@@ -153,14 +153,14 @@ class TestStage1Day:
         rng = substream(10)
         total = survived = 0
         while total < 100_000:
-            day = sample_stage1_day(profiles, 1, rng)
+            day = sample_stage1_day(profiles, rng)
             total += len(day)
             survived += int(day.survives.sum())
         assert abs(survived / total - 0.5) < 0.005
 
     def test_records_sorted_and_consistent(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0))
-        day = sample_stage1_day(profiles, 1, substream(11))
+        day = sample_stage1_day(profiles, substream(11))
         times = day.time.tolist()
         assert times == sorted(times)
         gone = ~day.survives
@@ -175,7 +175,7 @@ class TestStage1Day:
         t = 0.6
         alive = surv = 0
         for _ in range(2000):
-            day = sample_stage1_day(profiles, 1, rng)
+            day = sample_stage1_day(profiles, rng)
             # nan cancel times (survivors) compare False
             live = (day.time <= t) & (day.survives | (day.cancel_time > t))
             alive += int(live.sum())
@@ -185,16 +185,25 @@ class TestStage1Day:
         assert abs(p_hat - curve.value(t)) < 3 * sigma + 1e-9
 
 
+def stage2_day(profiles, B, rng):
+    """One single-day draw in engine.single_day_cell's order: the reserved
+    customers' arrival times and show flags, their stay lengths, then the
+    walk-ins."""
+    arrival, shows = reserved_outcomes(profiles, B, rng)
+    profiles.duration_law.sample(rng, B)
+    return arrival, shows, sample_walkins(profiles, rng)
+
+
 class TestStage2Day:
     def test_empty(self):
         profiles = simple_profiles(lam2=0.0)
-        t1, wk = sample_stage2_day(profiles, 0, 1, substream(13))
-        assert len(t1) == 0 and len(wk) == 0
+        arrival, shows, wk = stage2_day(profiles, 0, substream(13))
+        assert len(arrival) == len(shows) == 0 and len(wk) == 0
 
     def test_show_count_mean(self):
         profiles = simple_profiles(q1=0.5)
         rng = substream(14)
-        shows = [int(sample_stage2_day(profiles, 360, 1, rng)[0].shows.sum())
+        shows = [int(stage2_day(profiles, 360, rng)[1].sum())
                  for _ in range(10_000)]
         assert abs(np.mean(shows) - 180.0) < 1.0
 
@@ -210,16 +219,17 @@ class TestStage2Day:
         rng = substream(15)
         t1_times, wk_times = [], []
         for _ in range(2000):
-            t1, wk = sample_stage2_day(profiles, 30, 1, rng)
-            t1_times += t1.time.tolist()
+            arrival, _, wk = stage2_day(profiles, 30, rng)
+            t1_times += arrival.tolist()
             wk_times += wk.time.tolist()
         assert abs(np.mean(t1_times) - 0.5) < 0.005
         assert abs(np.mean(wk_times) - 0.5) < 0.005
 
     def test_lists_sorted(self):
+        # walk-ins come in time order; reserved customers in draw order,
+        # which the Stage-II replay sorts
         profiles = simple_profiles()
-        t1, wk = sample_stage2_day(profiles, 50, 1, substream(16))
-        assert t1.time.tolist() == sorted(t1.time.tolist())
+        _, _, wk = stage2_day(profiles, 50, substream(16))
         assert wk.time.tolist() == sorted(wk.time.tolist())
 
     def test_conditional_binomial_after_u(self):
@@ -231,10 +241,10 @@ class TestStage2Day:
         u, B = 0.5, 80
         post_shows, remaining = [], []
         for _ in range(20_000):
-            t1, _ = sample_stage2_day(profiles, B, 1, rng)
-            rem = t1.time > u
+            arrival, shows, _ = stage2_day(profiles, B, rng)
+            rem = arrival > u
             remaining.append(int(rem.sum()))
-            post_shows.append(int(t1.shows[rem].sum()))
+            post_shows.append(int(shows[rem].sum()))
         post_shows = np.asarray(post_shows, dtype=float)
         remaining = np.asarray(remaining, dtype=float)
         n = len(post_shows)
@@ -249,7 +259,7 @@ class TestStage2Day:
 
 
 def scenario_for(profiles, seed):
-    return E.ScenarioConfig(T=5, C=10, k0=1, v=0.0, reward=1.0,
+    return E.ScenarioConfig(T=5, C=10, v=0.0, reward=1.0,
                             overbook_penalty=1.0, profiles=profiles,
                             seed=seed)
 
@@ -268,16 +278,16 @@ class TestDeterminism:
     def test_identical_seeds_identical_streams(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.3, 0.0, 1.0),
                                    law=DurationLaw("geometric", q_stay=0.3))
-        d1 = E.realize_day(scenario_for(profiles, 42), 3, day_rngs(42, 0, 3))
-        d2 = E.realize_day(scenario_for(profiles, 42), 3, day_rngs(42, 0, 3))
+        d1 = E.realize_day(scenario_for(profiles, 42), day_rngs(42, 0, 3))
+        d2 = E.realize_day(scenario_for(profiles, 42), day_rngs(42, 0, 3))
         for a, b in zip(day_arrays(d1), day_arrays(d2)):
             np.testing.assert_array_equal(a, b)
 
     def test_different_paths_differ(self):
         profiles = simple_profiles()
         sc = scenario_for(profiles, 42)
-        d1 = E.realize_day(sc, 3, day_rngs(42, 0, 3))
-        d2 = E.realize_day(sc, 3, day_rngs(42, 1, 3))
+        d1 = E.realize_day(sc, day_rngs(42, 0, 3))
+        d2 = E.realize_day(sc, day_rngs(42, 1, 3))
         assert d1.bookings.time.tolist() != d2.bookings.time.tolist()
 
 
@@ -287,7 +297,7 @@ class TestRecords:
         # never before its request
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0),
                                    lam1=200.0)
-        day = sample_stage1_day(profiles, 1, substream(20))
+        day = sample_stage1_day(profiles, substream(20))
         np.testing.assert_array_equal(np.isnan(day.cancel_time),
                                       day.survives)
         gone = ~day.survives
@@ -297,17 +307,18 @@ class TestRecords:
         # walk-ins carry no show flag, and with rooms to spare a zero
         # standard serves every one of them
         profiles = simple_profiles(lam2=30.0)
-        t1, wk = sample_stage2_day(profiles, 0, 1, substream(21))
-        assert wk.shows is None and len(wk) > 0
+        arrival, shows, wk = stage2_day(profiles, 0, substream(21))
+        assert not hasattr(wk, "shows") and len(wk) > 0
         # (no bookings, so the heuristic standard q1 B is zero)
-        res = E.replay_stage2(E.HeuristicPolicy(0.0), t1.time, t1.shows,
+        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
                               wk.time, 1000.0, 1000, profiles, 0.0)
         assert list(res.served_walkins) == list(range(len(wk)))
 
-    def test_attach_outcomes_covers_all_bookings(self):
+    def test_reserved_outcomes_cover_all_bookings(self):
+        # realize_day draws an outcome for every request, admitted or not
         profiles = simple_profiles(
             keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]))
-        day = sample_stage1_day(profiles, 1, substream(18))
-        attach_stage2_outcomes(day, profiles, substream(19))
+        day = E.realize_day(scenario_for(profiles, 0), iter(
+            [substream(18), substream(19), substream(22)])).bookings
         assert len(day.arrival_time) == len(day.shows) == len(day) > 0
         assert day.shows.dtype == bool

@@ -81,7 +81,7 @@ def scenarios(draw):
     v = draw(st.sampled_from([-0.5, 0.0]) | st.floats(0.01, 0.99)
              | st.just(1.0))
     return E.ScenarioConfig(
-        T=draw(st.integers(1, 6)), C=draw(st.integers(1, 12)), k0=k0, v=v,
+        T=draw(st.integers(1, 6)), C=draw(st.integers(1, 12)), v=v,
         reward=draw(st.sampled_from([1.0, 2.5])),
         overbook_penalty=draw(st.sampled_from([1.0, 0.5])),
         profiles=draw(profiles(k0)), seed=draw(st.integers(0, 2 ** 32)))
@@ -129,7 +129,7 @@ class TestArrayEngineMatchesReference:
         rngs = streams(sc.seed, ((0, k, sub) for k in range(1, sc.T + 1)
                                  for sub in (1, 2, 3)))
         for k in range(1, sc.T + 1):
-            day = E.realize_day(sc, k, rngs)
+            day = E.realize_day(sc, rngs)
             bookings, walkins = R.realize_day(sc, 0, k)
             b = day.bookings
             assert b.time.tolist() == [r.request_time for r in bookings]
@@ -151,7 +151,7 @@ class TestArrayEngineMatchesReference:
     def test_stage1_stream_ends_where_the_scalar_one_does(self, sc, seed):
         prof = sc.profiles
         fast, slow = substream(seed, 1), substream(seed, 1)
-        sample_stage1_day(prof, 1, fast)
+        sample_stage1_day(prof, fast)
         R.sample_stage1(prof, slow)
         assert fast.random() == slow.random()
 
@@ -237,7 +237,7 @@ class TestEngineInvariants:
             occupied = []
             for k in range(1, sc.T + 1):
                 out = E.run_day(k, E.realize_day(
-                    sc, k, day_streams(sc.seed, 0, k)), policy, led, sc)
+                    sc, day_streams(sc.seed, 0, k)), policy, led, sc)
                 # capacity safety: the ledger raises CapacityError before
                 # any day exceeds C
                 assert 0 <= led.occupied(k) <= sc.C
@@ -266,7 +266,7 @@ class TestEngineInvariants:
            seed=st.integers(0, 2 ** 32))
     def test_single_day_oracle_never_above_policy(self, prof, B, C, v, alpha,
                                                   seed):
-        sc = E.ScenarioConfig(T=1, C=C, k0=1, v=v, reward=1.0,
+        sc = E.ScenarioConfig(T=1, C=C, v=v, reward=1.0,
                               overbook_penalty=1.0, profiles=prof)
         for policy in (AdaptivePolicy(0.0, alpha), HeuristicPolicy(0.0)):
             pol, ora, _ = E.single_day_cell(sc, B, policy, 5, seed)

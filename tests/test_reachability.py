@@ -164,6 +164,53 @@ def test_member_guard_resolves_class_names():
         ("flows", "Curve", "loop"), ("cli", "Other", "make")}
 
 
+def unread_parameters(sources):
+    """(module, function, parameter) of each parameter of a function or
+    lambda in `sources` that its body never reads; self, cls and names
+    starting with `_` are exempt. A parameter nothing reads is a knob with
+    no effect."""
+    out = set()
+    for module, code in sources.items():
+        for node in ast.walk(ast.parse(code)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            out |= {(module, getattr(node, "name", "<lambda>"), p)
+                    for p in params if p not in read
+                    and p not in ("self", "cls") and not p.startswith("_")}
+    return out
+
+
+def test_every_parameter_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert sorted(unread_parameters(sources)) == []
+
+
+def test_guard_flags_unread_parameters():
+    sources = {
+        "flows": ("def sample(profiles, k, rng, _spare=0, *extra):\n"
+                  "    def draw(n):\n        return rng.random(n)\n"
+                  "    return draw(profiles.n)\n"
+                  "class Law:\n"
+                  "    def size(self, cls, n=1):\n        return 1\n"
+                  "PICK = lambda a, b: a\n"),
+        "engine": ("def run(days, **options):\n"
+                   "    days = [d for d in days]\n"
+                   "    return options\n"),
+    }
+    assert unread_parameters(sources) == {
+        ("flows", "sample", "k"), ("flows", "sample", "extra"),
+        ("flows", "size", "n"), ("flows", "<lambda>", "b")}
+
+
 STAGE_TWO_RULES = {"StageTwoState", "expected_shownups",
                    "dass2_decide_walkin", "heuristic2_decide_walkin"}
 
