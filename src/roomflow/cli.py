@@ -135,9 +135,10 @@ _RATE = _real(f"in [0, {_MAX_DAY_EVENTS}]",
               lambda x: 0.0 <= x <= _MAX_DAY_EVENTS)
 _POSITIVE = _real("positive", lambda x: x > 0.0)
 _IOTA = _real("finite and nonnegative", lambda x: 0.0 <= x < math.inf)
-# a multiday run keeps one day record (about 330 bytes) a day in each of its
-# trajectories, the benchmark's and two per policy: fig4's eleven hold
-# about 350 MiB at this horizon
+# a multiday replication keeps a float64 loss and a ledger slot a day for
+# each of its trajectories, the benchmark's and two per policy: fig4's
+# thirteen peak near 240 bytes a day (tracemalloc), 24 MB at this horizon,
+# which takes minutes a replication; a stay may not outlast it either
 _MAX_DAYS = 100_000
 # the warm start holds up to three array or list entries a room (about
 # 30 bytes), and a day serves at most C guests
@@ -145,6 +146,14 @@ _MAX_ROOMS = 1_000_000
 # a single-day cell keeps three float64 results a draw for each policy and
 # replication (24 MB at this count) until the file is written
 _MAX_SIMS = 1_000_000
+# a replication of a cell is one work unit (a 5-tuple with its own cell key,
+# about 240 bytes), so 10**6 units of one cell take about 240 MB
+_MAX_REPS = 1_000_000
+# results a whole run holds until its files are written: per cell, rep and
+# policy a T-day float64 cumulative-regret curve (multiday, 800 KB at
+# T = 10**5) or three float64 results a draw (single-day, 24 MB at 10**6
+# draws); 2 GiB
+_MAX_RUN_BYTES = 2 ** 31
 
 
 def _one_of(*values):
@@ -216,7 +225,7 @@ def _profiles(f, lam1, p0, k0):
     walkin = day_rate("walkin", lam2)
     kind = f.get("duration", _one_of("geometric", "constant"), "geometric")
     if kind == "constant":
-        law = DurationLaw(kind, d=f.get("d", _whole(1), 1))
+        law = DurationLaw(kind, d=f.get("d", _whole(1, _MAX_DAYS), 1))
     else:
         law = DurationLaw(kind, q_stay=f.get(
             "q_stay", _real("in [0, 1)", lambda x: 0.0 <= x < 1.0), 0.0))
@@ -301,7 +310,7 @@ def _plan(cfg, args, limit):
     mode = cells[0][1][0]
     f = _Fields(cfg, "run")
     master = f.get("seed", int, 0)
-    reps = f.get("reps", int, 1)
+    reps = f.get("reps", str, "1")  # checked once --reps is laid over it
     out = f.get("out", str, "results.csv")
     sims = objective = None
     if mode == "single-day":
@@ -310,9 +319,20 @@ def _plan(cfg, args, limit):
                                                "mismatch"), "auto")
     f.reject_unread(mode)
     master = args.seed if args.seed is not None else master
-    reps = args.reps if args.reps is not None else reps
-    if reps < 1:
-        raise ConfigError(f"[run] reps: must be at least 1, got {reps}")
+    try:
+        reps = _whole(1, _MAX_REPS)(
+            str(args.reps) if args.reps is not None else reps)
+    except ValueError as exc:
+        raise ConfigError(f"[run] reps: {exc}") from exc
+    # result bytes of one rep of every cell, checked before any is allocated
+    per_rep = 8 * len(policies) * sum(
+        3 * sims if mode == "single-day" else inputs.T
+        for _, (_, inputs) in cells)
+    if reps * per_rep > _MAX_RUN_BYTES:
+        raise ConfigError(
+            f"[run] reps: must be at most {_MAX_RUN_BYTES // per_rep} where "
+            f"one rep of every cell holds {per_rep} bytes of results, "
+            f"got {reps}")
     run = (master, reps, sims, objective)
     return policies, names, cells, mode, run, args.out or out
 
@@ -327,9 +347,9 @@ def _plan(cfg, args, limit):
 def _multiday_rep(unit):
     sc, key, policies, (master, _, _, _), rep = unit
     seeded = dataclasses.replace(sc, seed=cell_seed(master, key, rep))
-    return {n: (rpt.cumulative_regret, rpt.stage1_component.sum(),
-                rpt.stage2_component.sum())
-            for n, rpt in engine.run_experiment(seeded, policies).items()}
+    return {n: (np.cumsum(pol - ben), (hyb - ben).sum(), (pol - hyb).sum())
+            for n, (pol, hyb, ben)
+            in engine.run_experiment(seeded, policies).items()}
 
 
 def _multiday_cell(_inputs, policies, _run, reps):

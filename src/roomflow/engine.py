@@ -3,11 +3,12 @@
 Each day runs Stage I (booking requests and cancellations replayed through
 an admission rule) and Stage II (check-ins, walk-ins, and the confirmation
 reveal replayed through a check-in rule), with inter-day coupling only
-through the occupancy ledger. The benchmark trajectory concatenates
-single-day offline optima with clairvoyant Stage-I selection on the same
-realizations (common random numbers); a hybrid trajectory (offline-optimal
-Stage II on top of the policy's Stage-I acceptances) splits the regret into
-Stage-I and Stage-II components.
+through the occupancy ledger. One day step, `run_day`, serves every
+trajectory: the policy's, the benchmark's (clairvoyant Stage-I selection,
+then the offline optimum as check-in rule, on the same realizations:
+common random numbers) and a hybrid one (the offline optimum on top of the
+policy's Stage-I acceptances), which splits the regret into Stage-I and
+Stage-II components. A trajectory is one loss a day.
 """
 
 from __future__ import annotations
@@ -216,7 +217,12 @@ def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
     one (B1 + B3 = all shows while rooms are free) grow with B1 + W1 alone,
     so every later walk-in would be turned away too. The walk-in mass after
     u is computed only for walk-ins before v, once a decision needs it.
+
+    An OraclePolicy's check-in rule is the offline day optimum
+    (`oracle_stage2`).
     """
+    if isinstance(policy, OraclePolicy):
+        return oracle_stage2(arrival, shows, len(walkin_time), C_rooms)
     B = len(arrival)
     q1 = profiles.show_prob
     if isinstance(policy, AdaptivePolicy):
@@ -284,18 +290,6 @@ def oracle_stage2(arrival, shows, n_walkins, C_rooms):
 # ---------------------------------------------------------------------------
 # day execution
 
-@dataclass
-class DayOutcome:
-    day: int
-    B_accepted: int
-    type1_served: int
-    walkins_served: int
-    overbooked: int
-    idle: int
-    day_loss: float
-    C_tilde_used: float
-
-
 def allocated_capacity(scenario, ledger, k):
     """(threshold value, physical rooms) available for day k."""
     law = scenario.profiles.duration_law
@@ -305,9 +299,8 @@ def allocated_capacity(scenario, ledger, k):
     return float(free), free
 
 
-def _finish_day(scenario, ledger, k, B, result, C_tilde, realization,
-                reserved):
-    """Admit the served guests and price the day. reserved: booking
+def _finish_day(scenario, ledger, k, result, realization, reserved):
+    """Admit the served guests and return the day's loss. reserved: booking
     positions (an index array) of the reserved customers the Stage-II
     result indexes."""
     served = result.served_type1
@@ -318,15 +311,8 @@ def _finish_day(scenario, ledger, k, B, result, C_tilde, realization,
     if stays:
         ledger.admit(k, stays)
     idle = scenario.C - ledger.occupied(k)
-    loss = (scenario.overbook_penalty * result.overbooked
+    return (scenario.overbook_penalty * result.overbooked
             + scenario.reward * idle)
-    return DayOutcome(
-        day=k, B_accepted=B,
-        type1_served=len(served),
-        walkins_served=len(result.served_walkins),
-        overbooked=result.overbooked, idle=idle, day_loss=loss,
-        C_tilde_used=C_tilde,
-    )
 
 
 def _survivors(realization, accepted):
@@ -335,42 +321,16 @@ def _survivors(realization, accepted):
     return accepted[realization.bookings.survives[accepted]]
 
 
-def run_day(k, realization, policy, ledger, scenario, survivors=None):
-    """One day of the policy trajectory; admits guests into the ledger.
-    survivors: positions of the accepted bookings that survive the window,
-    if the Stage-I replay has already run."""
-    profiles = scenario.profiles
+def run_day(k, realization, policy, ledger, scenario, survivors):
+    """Day k of one trajectory: the policy's check-in rule on the surviving
+    bookings at positions `survivors`. Admits the served guests into the
+    ledger and returns the day's loss."""
     bookings = realization.bookings
-    if survivors is None:
-        survivors = _survivors(realization, stage1_accept(
-            policy, bookings, profiles, scenario.C))
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
     result = replay_stage2(policy, bookings.arrival_time[survivors],
                            bookings.shows[survivors], realization.walkins.time,
-                           C_tilde, C_rooms, profiles, scenario.v)
-    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
-                       realization, survivors)
-
-
-def run_oracle_day(k, realization, survivors, ledger, scenario):
-    """One day with offline-optimal Stage II on the surviving bookings at
-    the given positions."""
-    bookings = realization.bookings
-    C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
-    result = oracle_stage2(bookings.arrival_time[survivors],
-                           bookings.shows[survivors],
-                           len(realization.walkins), C_rooms)
-    return _finish_day(scenario, ledger, k, len(survivors), result, C_tilde,
-                       realization, survivors)
-
-
-def run_benchmark_day(k, realization, ledger, scenario):
-    """Clairvoyant Stage-I fill + offline-optimal Stage II."""
-    bookings = realization.bookings
-    _, C_rooms = allocated_capacity(scenario, ledger, k)
-    selected = clairvoyant_stage1_select(bookings.survives, bookings.shows,
-                                         C_rooms)
-    return run_oracle_day(k, realization, selected, ledger, scenario)
+                           C_tilde, C_rooms, scenario.profiles, scenario.v)
+    return _finish_day(scenario, ledger, k, result, realization, survivors)
 
 
 def warm_start_ledger(scenario, rng):
@@ -378,7 +338,7 @@ def warm_start_ledger(scenario, rng):
 
     Geometric: C guests whose extra nights follow the memoryless law (0
     extra nights frees the room on day 1). Constant(d): floor(C/d) guests
-    per residual-age class.
+    per residual-age class, so O(C) work: when d > C every class is empty.
     """
     ledger = OccupancyLedger(scenario.C, scenario.T)
     law = scenario.profiles.duration_law
@@ -386,7 +346,7 @@ def warm_start_ledger(scenario, rng):
         if law.q_stay > 0.0:
             extras = rng.geometric(1.0 - law.q_stay, scenario.C) - 1
             ledger.admit(1, [e for e in extras.tolist() if e > 0])
-    else:
+    elif scenario.C >= law.d:
         per_class = scenario.C // law.d
         ledger.admit(1, [law.d - age for age in range(1, law.d)
                          for _ in range(per_class)])
@@ -406,34 +366,6 @@ def realize_day(scenario, rngs):
     return DayRealization(bookings=bookings, walkins=walkins)
 
 
-# ---------------------------------------------------------------------------
-# regret accounting
-
-@dataclass
-class RegretReport:
-    policy_loss: np.ndarray
-    benchmark_loss: np.ndarray
-    regret: np.ndarray
-    cumulative_regret: np.ndarray
-    stage1_component: np.ndarray
-    stage2_component: np.ndarray
-
-
-def compute_regret(policy_outcomes, benchmark_outcomes, hybrid_outcomes):
-    """Regret against the benchmark, split at the hybrid trajectory into
-    its Stage-I and Stage-II components."""
-    if len(policy_outcomes) != len(benchmark_outcomes):
-        raise ValueError("mismatched trajectory lengths")
-    pol = np.array([o.day_loss for o in policy_outcomes])
-    ben = np.array([o.day_loss for o in benchmark_outcomes])
-    hyb = np.array([o.day_loss for o in hybrid_outcomes])
-    regret = pol - ben
-    return RegretReport(
-        policy_loss=pol, benchmark_loss=ben, regret=regret,
-        cumulative_regret=np.cumsum(regret),
-        stage1_component=hyb - ben, stage2_component=pol - hyb)
-
-
 def run_experiment(scenario, policies, rep=0):
     """All policy trajectories plus hybrid and benchmark on one realization.
 
@@ -442,35 +374,41 @@ def run_experiment(scenario, policies, rep=0):
     accepted set is shared between its own and its hybrid trajectory. An
     OraclePolicy is the benchmark itself, so it reports the benchmark's
     losses. The warm start is drawn once and copied into every ledger.
-    Returns dict name -> RegretReport.
+    Returns dict name -> (policy, hybrid, benchmark) day losses, float64
+    arrays of length T; the regret is policy - benchmark, its Stage-I
+    component hybrid - benchmark and its Stage-II component policy - hybrid.
     """
+    T = scenario.T
+    oracle = OraclePolicy()
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
     # one replication's streams in draw order: (rep, 0, 0) for the warm
     # start, then three a day
     rngs = streams(scenario.seed, chain(
-        [(rep, 0, 0)], ((rep, k, sub) for k in range(1, scenario.T + 1)
+        [(rep, 0, 0)], ((rep, k, sub) for k in range(1, T + 1)
                         for sub in (1, 2, 3))))
     bench_ledger = warm_start_ledger(scenario, next(rngs))
-    ledgers = {n: bench_ledger.copy() for n in names}
-    hybrid_ledgers = {n: bench_ledger.copy() for n in names}
-    outcomes = {n: [] for n in names}
-    hybrid_outcomes = {n: [] for n in names}
-    bench_outcomes = []
-    for k in range(1, scenario.T + 1):
+    ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
+    bench = np.empty(T)
+    losses = {n: (np.empty(T), np.empty(T), bench) for n in names}
+    for k in range(1, T + 1):
         realization = realize_day(scenario, rngs)
-        bench_outcomes.append(run_benchmark_day(k, realization, bench_ledger,
-                                                scenario))
+        bookings = realization.bookings
+        _, C_rooms = allocated_capacity(scenario, bench_ledger, k)
+        selected = clairvoyant_stage1_select(bookings.survives,
+                                             bookings.shows, C_rooms)
+        bench[k - 1] = run_day(k, realization, oracle, bench_ledger, scenario,
+                               selected)
         for n in names:
             policy = policies[n]
+            ledger, hybrid_ledger = ledgers[n]
+            pol, hyb, _ = losses[n]
             survivors = _survivors(realization, stage1_accept(
-                policy, realization.bookings, scenario.profiles, scenario.C))
-            outcomes[n].append(run_day(k, realization, policy, ledgers[n],
-                                       scenario, survivors))
-            hybrid_outcomes[n].append(run_oracle_day(
-                k, realization, survivors, hybrid_ledgers[n], scenario))
-    return {n: compute_regret(outcomes.get(n, bench_outcomes), bench_outcomes,
-                              hybrid_outcomes.get(n, bench_outcomes))
-            for n in policies}
+                policy, bookings, scenario.profiles, scenario.C))
+            pol[k - 1] = run_day(k, realization, policy, ledger, scenario,
+                                 survivors)
+            hyb[k - 1] = run_day(k, realization, oracle, hybrid_ledger,
+                                 scenario, survivors)
+    return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 
 def aggregate(curves):

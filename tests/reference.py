@@ -10,6 +10,8 @@ replay is never compared with itself. `brute_force_day_optimal` is the
 enumeration oracle for the offline day optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
 bisection where the engine inverts the threshold in closed form.
+`engine_days` steps the engine's own policy trajectory day by day for the
+invariant tests.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def day_streams(seed, rep, k):
     """The three streams of day k of replication rep, in the order
     `engine.realize_day` takes them."""
     return iter([substream(seed, rep, k, sub) for sub in (1, 2, 3)])
+
+
+def engine_days(scenario, policy, ledger, rep=0):
+    """The engine's policy trajectory of replication rep on `ledger`, one
+    day at a time: yields (k, day loss, guests served on day k)."""
+    for k in range(1, scenario.T + 1):
+        realization = E.realize_day(
+            scenario, day_streams(scenario.seed, rep, k))
+        survivors = E._survivors(realization, E.stage1_accept(
+            policy, realization.bookings, scenario.profiles, scenario.C))
+        carried = ledger.occupied(k)
+        loss = E.run_day(k, realization, policy, ledger, scenario, survivors)
+        yield k, loss, ledger.occupied(k) - carried
 
 
 def sample_times(rate, n, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference as R
-from reference import day_streams, substream
+from reference import engine_days, substream
 import roomflow.calibration as calib
 import roomflow.cli as cli
 import roomflow.engine as E
@@ -240,7 +240,8 @@ class TestStageOneConcentration:
 
 
 @pytest.fixture(scope="module")
-def linear_instance_reports():
+def linear_instance_curves():
+    """Cumulative-regret curve of each policy on the linear instance."""
     _, sc = cli.build_scenario(cli.load_config("lower-bound", None),
                                (("lambda2", math.sqrt(1.0)), ("T", 10_000)))
     sc = dataclasses.replace(sc, seed=3)
@@ -248,19 +249,18 @@ def linear_instance_reports():
                 "h-0.2": E.HeuristicPolicy(-0.2),
                 "h0": E.HeuristicPolicy(0.0),
                 "h0.2": E.HeuristicPolicy(0.2)}
-    return E.run_experiment(sc, policies)
+    return {name: np.cumsum(pol - ben) for name, (pol, _, ben)
+            in E.run_experiment(sc, policies).items()}
 
 
 class TestLinearRegretInstance:
 
-    def test_every_policy_pays_linear_regret(self, linear_instance_reports):
-        for name, rpt in linear_instance_reports.items():
-            cum = rpt.cumulative_regret
+    def test_every_policy_pays_linear_regret(self, linear_instance_curves):
+        for name, cum in linear_instance_curves.items():
             assert cum[-1] / len(cum) >= 0.01, name
 
-    def test_cumulative_regret_is_linear(self, linear_instance_reports):
-        for name, rpt in linear_instance_reports.items():
-            cum = rpt.cumulative_regret
+    def test_cumulative_regret_is_linear(self, linear_instance_curves):
+        for name, cum in linear_instance_curves.items():
             days = np.arange(1.0, len(cum) + 1.0)
             slope, icpt = np.polyfit(days, cum, 1)
             resid = cum - (slope * days + icpt)
@@ -290,15 +290,13 @@ class TestInvariantSuite:
             sc = self.random_scenario(rng)
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             committed = []
-            for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(
-                    sc, day_streams(sc.seed, 0, k)), pol, led, sc)
-                # daily conservation: idle + occupied = C, priced at r
-                assert led.occupied(k) + out.idle == sc.C
-                assert led.occupied(k) <= sc.C
-                assert out.day_loss == pytest.approx(
-                    sc.overbook_penalty * out.overbooked
-                    + sc.reward * out.idle)
+            for k, loss, _ in engine_days(sc, pol, led):
+                # daily conservation: idle + occupied = C, priced at r; the
+                # rest of the loss is a whole number of overbooked guests
+                idle = sc.C - led.occupied(k)
+                assert 0 <= led.occupied(k) <= sc.C
+                overbooked = (loss - sc.reward * idle) / sc.overbook_penalty
+                assert overbooked >= 0 and overbooked.is_integer()
                 committed.append(led.occupied(k))
             assert led.total_room_nights == sum(committed)
 
@@ -337,12 +335,9 @@ class TestInvariantSuite:
 
         def run():
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
-            return [E.run_day(k, E.realize_day(
-                sc, day_streams(sc.seed, 0, k)), pol, led, sc)
-                for k in range(1, sc.T + 1)]
+            return [loss for _, loss, _ in engine_days(sc, pol, led)]
 
-        a, b = run(), run()
-        assert [o.day_loss for o in a] == [o.day_loss for o in b]
+        assert run() == run()
 
 
 class TestCalibrationClosure:
@@ -397,8 +392,8 @@ class TestFittedScenarioComparison:
         policies = {"dass": E.AdaptivePolicy(2.0, 0.4)}
         for b in (-0.2, -0.1, 0.0, 0.1, 0.2):
             policies[f"h{b:g}"] = E.HeuristicPolicy(beta=b)
-        reports = E.run_experiment(sc, policies, rep=0)
-        dass = reports["dass"].policy_loss.sum()
-        for name, rpt in reports.items():
+        losses = E.run_experiment(sc, policies, rep=0)
+        dass = losses["dass"][0].sum()
+        for name, (pol, _, _) in losses.items():
             if name != "dass":
-                assert dass < rpt.policy_loss.sum(), name
+                assert dass < pol.sum(), name

@@ -514,8 +514,20 @@ class TestConfigContract:
         # three float64 results a draw: 24 TB of results, never allocated
         (SINGLEDAY.replace("sims = 50", "sims = 1000000000000"), [], "sims",
          "at most 1000000"),
+        (MULTIDAY, ["--reps", "1000000000000"], "reps", "at most 1000000"),
+        (SINGLEDAY.replace("reps = 1", "reps = 1e12"), [], "reps",
+         "at most 1000000"),
+        # 10**4 reps of a 10**5-day curve: 8 GB of results, never allocated
+        (MULTIDAY.replace("T = 5", "T = 100000"), ["--reps", "10000"], "reps",
+         "at most 2684 where one rep of every cell holds 800000 bytes"),
+        # four cells of 10**6 draws, three float64 results each: 96 MB a rep
+        (SINGLEDAY.replace("sims = 50", "sims = 1000000").replace(
+            "reps = 1", "reps = 100"), [], "reps",
+         "at most 22 where one rep of every cell holds 96000000 bytes"),
     ], ids=["multiday-flag", "single-day-flag", "multiday-config",
-            "single-day-sims", "single-day-sims-past-bound"])
+            "single-day-sims", "single-day-sims-past-bound",
+            "multiday-reps-flag-past-bound", "single-day-reps-past-bound",
+            "multiday-run-past-bound", "single-day-run-past-bound"])
     def test_run_counts_at_least_one(self, tmp_path, capsys, cfg, flags,
                                      field, rule):
         rc, err, out = self.run(tmp_path, capsys, cfg, *flags)
@@ -553,12 +565,15 @@ class TestConfigContract:
         ("[scenario]\nT = 2\nlambda1 = 1e15\n", "fig4", "lambda1"),
         ("[scenario]\nT = 2\nlambda2 = 1e9\n", "fig4", "lambda2"),
         (SINGLEDAY.replace("B = 30,40", "B = 30,1e12"), None, "B"),
-        # a ledger entry and day records for each of 10^12 days, and a warm
+        # ledger slots and day losses for each of 10^12 days, and a warm
         # start of 10^12 guests: rejected before either is allocated
         ("[scenario]\nT = 1e12\n", "lower-bound", "T"),
         ("[scenario]\nT = 2\nC = 1e12\n", "fig4", "C"),
         (MULTIDAY.replace("q_stay = 0.3", "duration = weekly"), None,
          "duration"),
+        # a stay longer than the longest horizon
+        (MULTIDAY.replace("q_stay = 0.3", "duration = constant\nd = 1e9"),
+         None, "d"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
             "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
@@ -566,7 +581,7 @@ class TestConfigContract:
             "lambda2-infinite", "lambda1-past-poisson-limit",
             "lambda1-past-day-bound", "lambda2-past-day-bound",
             "single-day-B-past-day-bound", "T-past-bound", "C-past-bound",
-            "duration-unknown"])
+            "duration-unknown", "d-past-bound"])
     def test_invalid_scenario_value_names_the_key(self, tmp_path, capsys,
                                                   text, preset, key):
         rc, err, out = self.run(tmp_path, capsys, text, preset=preset)

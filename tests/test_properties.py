@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference as R
-from reference import day_streams, substream
+from reference import engine_days, substream
 import roomflow.engine as E
 from roomflow.flows import (
     DurationLaw,
@@ -112,14 +112,12 @@ class TestArrayEngineMatchesReference:
     @given(case=cases())
     def test_policy_hybrid_and_benchmark_losses(self, case):
         sc, policies = case
-        reports = E.run_experiment(sc, policies)
         expected = R.run_experiment(sc, policies)
-        for name, rpt in reports.items():
+        for name, losses in E.run_experiment(sc, policies).items():
             pol, hyb, ben = expected[name]
-            assert rpt.policy_loss.tolist() == pol, name
-            assert rpt.benchmark_loss.tolist() == ben, name
-            assert (rpt.benchmark_loss + rpt.stage1_component).tolist() \
-                == pytest.approx(hyb, abs=1e-12), name
+            assert losses[0].tolist() == pol, name
+            assert losses[1].tolist() == hyb, name
+            assert losses[2].tolist() == ben, name
 
     @SETTINGS
     @given(sc=scenarios())
@@ -235,16 +233,15 @@ class TestEngineInvariants:
         for policy in (policies["adaptive"], policies["heuristic"]):
             led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
             occupied = []
-            for k in range(1, sc.T + 1):
-                out = E.run_day(k, E.realize_day(
-                    sc, day_streams(sc.seed, 0, k)), policy, led, sc)
+            for k, loss, _ in engine_days(sc, policy, led):
                 # capacity safety: the ledger raises CapacityError before
                 # any day exceeds C
                 assert 0 <= led.occupied(k) <= sc.C
-                assert out.idle == sc.C - led.occupied(k)
-                # loss accounting identity
-                assert out.day_loss == (sc.overbook_penalty * out.overbooked
-                                        + sc.reward * out.idle)
+                idle = sc.C - led.occupied(k)
+                # loss accounting identity: what idle rooms do not explain
+                # is a whole number of overbooked guests
+                overbooked = (loss - sc.reward * idle) / sc.overbook_penalty
+                assert overbooked >= 0 and overbooked.is_integer()
                 occupied.append(led.occupied(k))
             # room-night conservation: nights admitted inside the horizon
             # equal the nights the daily occupancies add up to
@@ -254,11 +251,11 @@ class TestEngineInvariants:
     @given(case=cases())
     def test_regret_splits_into_stage_components(self, case):
         sc, policies = case
-        for name, rpt in E.run_experiment(sc, policies).items():
-            assert np.allclose(rpt.stage1_component + rpt.stage2_component,
-                               rpt.regret), name
+        for name, (pol, hyb, ben) in E.run_experiment(sc, policies).items():
+            # Stage-I component hyb - ben, Stage-II component pol - hyb
+            assert np.allclose((hyb - ben) + (pol - hyb), pol - ben), name
             if name == "oracle":
-                assert np.all(rpt.regret == 0.0)
+                assert np.all(pol - ben == 0.0)
 
     @SETTINGS
     @given(prof=profiles(1), B=st.integers(0, 30), C=st.integers(1, 20),

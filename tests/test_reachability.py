@@ -1,9 +1,10 @@
 """Guard against test-only API: every top-level function and class in
 `src/roomflow` must be reachable from the `roomflow` command (`cli.main`)
-or from one of calibration's documented library entry points, and every
+or from one of calibration's documented library entry points, every
 method, property and classmethod must be named by the package outside its
-own body. A name that only tests reach is code the program does not
-need."""
+own body, every parameter must be read, and every dataclass field must be
+read as an attribute. A name that only tests reach is code the program
+does not need."""
 
 import ast
 from pathlib import Path
@@ -209,6 +210,54 @@ def test_guard_flags_unread_parameters():
     assert unread_parameters(sources) == {
         ("flows", "sample", "k"), ("flows", "sample", "extra"),
         ("flows", "size", "n"), ("flows", "<lambda>", "b")}
+
+
+def unread_fields(sources):
+    """(module, class, field) of each dataclass field in `sources` that no
+    code there loads as an attribute. A string constant that spells the
+    field counts as a load, since getattr can read a field by a name held
+    in a string. A field nothing reads is state kept for no one."""
+    fields, loaded = set(), set()
+    for module, code in sources.items():
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0].split(".")[-1]
+                    == "dataclass" for d in node.decorator_list):
+                fields |= {(module, node.name, stmt.target.id)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                loaded.add(node.value)
+    return {f for f in fields if f[2] not in loaded}
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert sorted(unread_fields(sources)) == []
+
+
+def test_guard_flags_unread_fields():
+    sources = {
+        "engine": ("import dataclasses\n"
+                   "from dataclasses import dataclass\n"
+                   "@dataclass\n"
+                   "class Day:\n"
+                   "    loss: float\n    idle: int\n    spare: int = 0\n"
+                   "@dataclasses.dataclass(frozen=True)\n"
+                   "class Report:\n    total: float\n    named: float\n"
+                   "class Plain:\n    unread: int = 0\n"
+                   "def run(day, report):\n"
+                   "    day.idle = 3\n"
+                   "    return day.loss, getattr(report, 'named')\n"),
+    }
+    assert unread_fields(sources) == {
+        ("engine", "Day", "idle"), ("engine", "Day", "spare"),
+        ("engine", "Report", "total")}
 
 
 STAGE_TWO_RULES = {"StageTwoState", "expected_shownups",
