@@ -1,5 +1,6 @@
 """Command-line driver: config parsing, reproducibility, subcommands."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -372,6 +373,25 @@ class TestFit:
 
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # SHA-256 of a fixed dataset and of what fit writes for it: a change
+        # to ingestion, the fitters or the report that is meant to keep the
+        # output must keep these bytes
+        data = tmp_path / "b.csv"
+        calib.write_bookings(
+            calib.simulate_booking_records(self.MODEL, 60, seed=5), data)
+        out = tmp_path / "model.txt"
+        rc = cli.main(["fit", "--config", str(data), "--out", str(out),
+                       "--capacity", "40", "--seed", "1"])
+        assert rc == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (data, out, Path(str(out) + ".report"))]
+        assert digests == [
+            "f485292c1fad328d1b669aa720361466a9bff0d7cedd4f072cf3b91c81ea57dd",
+            "5bb923a372d7e058971353dcf25e2e3881867b2ea09f9f5863edaa95b4ed893c",
+            "19e1915161d9e8003ce7ab1a49b747d3811dca1a27550f14608dc85630a01963",
+        ]
 
     def test_model_independent_of_hash_seed(self, tmp_path):
         # the walk-in day counts seed the EM restarts; their order must not
