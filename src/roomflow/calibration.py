@@ -23,37 +23,18 @@ from scipy.special import digamma, gammainc, gammaln, logsumexp, polygamma
 from .engine import ScenarioConfig
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, streams
 
-COLUMNS = ("arrival_date", "lead_days", "is_canceled", "cancel_lead_days",
-           "stay_nights", "is_walk_in")
+# a booking dataset: one record per CSV row, one field per column. The
+# arrival date is held as its proleptic Gregorian ordinal, and a booking
+# that was not cancelled has cancel_lead_days 0
+BOOKING_DTYPE = np.dtype([
+    ("arrival_date", np.int64), ("lead_days", np.int64),
+    ("is_canceled", np.bool_), ("cancel_lead_days", np.int64),
+    ("stay_nights", np.int64), ("is_walk_in", np.bool_)])
+COLUMNS = BOOKING_DTYPE.names
 
 
 class IngestError(ValueError):
     """Malformed dataset; message carries line-numbered diagnostics."""
-
-
-@dataclass(frozen=True)
-class BookingRow:
-    arrival_date: datetime.date
-    lead_days: int
-    is_canceled: bool
-    cancel_lead_days: int | None
-    stay_nights: int
-    is_walk_in: bool
-
-    def __post_init__(self):
-        if self.lead_days < 0:
-            raise ValueError("negative lead_days")
-        if self.stay_nights < 1:
-            raise ValueError("stay_nights must be positive")
-        if self.is_canceled != (self.cancel_lead_days is not None):
-            raise ValueError("cancel_lead_days present iff canceled")
-        if self.cancel_lead_days is not None:
-            if self.cancel_lead_days < 0:
-                raise ValueError("negative cancel_lead_days")
-            if self.cancel_lead_days > self.lead_days:
-                raise ValueError("cancel_lead_days exceeds lead_days")
-        if self.is_walk_in and self.lead_days != 0:
-            raise ValueError("walk-ins must have lead_days 0")
 
 
 @dataclass(frozen=True)
@@ -98,58 +79,78 @@ class FittedModel:
 # ingestion
 
 def _parse_row(raw, lineno):
+    """One CSV record, its fields in COLUMNS order, as a BOOKING_DTYPE
+    tuple; a broken rule raises IngestError naming the line."""
     try:
-        date = datetime.date.fromisoformat(raw["arrival_date"])
-        canceled = raw["is_canceled"].strip()
-        walkin = raw["is_walk_in"].strip()
+        if len(raw) < len(COLUMNS):
+            raise ValueError("fewer fields than the header")
+        date, lead, canceled, cancel_lead, stay, walkin = raw
+        date = datetime.date.fromisoformat(date)
+        canceled, walkin = canceled.strip(), walkin.strip()
         if canceled not in ("0", "1") or walkin not in ("0", "1"):
             raise ValueError("boolean columns must be 0 or 1")
-        cancel_lead = raw["cancel_lead_days"].strip()
-        return BookingRow(
-            arrival_date=date,
-            lead_days=int(raw["lead_days"]),
-            is_canceled=canceled == "1",
-            cancel_lead_days=int(cancel_lead) if cancel_lead else None,
-            stay_nights=int(raw["stay_nights"]),
-            is_walk_in=walkin == "1",
-        )
-    except (ValueError, KeyError, TypeError) as exc:
+        cancel_lead = cancel_lead.strip()
+        lead = int(lead)
+        cancel_lead = int(cancel_lead) if cancel_lead else None
+        stay = int(stay)
+        canceled, walkin = canceled == "1", walkin == "1"
+        if lead < 0:
+            raise ValueError("negative lead_days")
+        if stay < 1:
+            raise ValueError("stay_nights must be positive")
+        if canceled != (cancel_lead is not None):
+            raise ValueError("cancel_lead_days present iff canceled")
+        if cancel_lead is not None:
+            if cancel_lead < 0:
+                raise ValueError("negative cancel_lead_days")
+            if cancel_lead > lead:
+                raise ValueError("cancel_lead_days exceeds lead_days")
+        if walkin and lead != 0:
+            raise ValueError("walk-ins must have lead_days 0")
+        if max(lead, stay) >= 2 ** 63:  # the int64 fields
+            raise ValueError("lead_days and stay_nights must be below 2**63")
+    except ValueError as exc:
         raise IngestError(f"line {lineno}: {exc}") from exc
+    return (date.toordinal(), lead, canceled, cancel_lead or 0, stay,
+            walkin)
 
 
 def ingest_bookings(path):
-    """Parse and validate a booking dataset; every malformed row is
-    reported with its line number."""
+    """Parse and validate a booking dataset into one BOOKING_DTYPE array;
+    every malformed row is reported with its line number."""
     rows, problems = [], []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestError("empty file without header")
-        missing = set(COLUMNS) - set(reader.fieldnames)
+        missing = set(COLUMNS) - set(header)
         if missing:
             raise IngestError(f"missing columns: {sorted(missing)}")
-        for lineno, raw in enumerate(reader, start=2):
+        # a repeated column name reads its last occurrence
+        where = {name: i for i, name in enumerate(header)}
+        order = [where[c] for c in COLUMNS]
+        for raw in filter(None, reader):  # a blank line holds no record
             try:
-                rows.append(_parse_row(raw, lineno))
+                rows.append(_parse_row(
+                    [raw[i] for i in order if i < len(raw)], reader.line_num))
             except IngestError as exc:
                 problems.append(str(exc))
     if problems:
         raise IngestError("; ".join(problems))
-    return rows
+    return np.array(rows, dtype=BOOKING_DTYPE)
 
 
-def write_bookings(rows, path):
+def write_bookings(data, path):
     """Inverse of ingest_bookings (round-trips exactly)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
-        for r in rows:
+        for date, lead, canceled, cancel_lead, stay, walkin in data.tolist():
             writer.writerow([
-                r.arrival_date.isoformat(), r.lead_days,
-                int(r.is_canceled),
-                "" if r.cancel_lead_days is None else r.cancel_lead_days,
-                r.stay_nights, int(r.is_walk_in),
-            ])
+                datetime.date.fromordinal(date).isoformat(), lead,
+                int(canceled), cancel_lead if canceled else "", stay,
+                int(walkin)])
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,19 @@ def write_bookings(rows, path):
 # relative, an EM gain in log-likelihood below _EM_TOL, or the iteration cap
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-8, 200
 _EM_TOL, _EM_MAX_ITER = 1e-8, 500
+
+
+def _newton(k, step):
+    """Newton iteration on a shape parameter from k; step(k) is f(k)/f'(k).
+    A step that would leave k <= 0 halves k instead."""
+    for _ in range(_NEWTON_MAX_ITER):
+        k_new = k - step(k)
+        if k_new <= 0:
+            k_new = k / 2.0
+        if abs(k_new - k) < _NEWTON_TOL * max(1.0, k):
+            return k_new
+        k = k_new
+    return k
 
 
 def fit_gamma(samples):
@@ -174,17 +188,8 @@ def fit_gamma(samples):
         raise ValueError("non-identifiable: samples are (numerically) equal")
     # standard closed-form initializer
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(_NEWTON_MAX_ITER):
-        f = math.log(k) - digamma(k) - s
-        fp = 1.0 / k - polygamma(1, k)
-        step = f / fp
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) < _NEWTON_TOL * max(1.0, k):
-            k = k_new
-            break
-        k = k_new
+    k = _newton(k, lambda k: ((math.log(k) - digamma(k) - s)
+                              / (1.0 / k - polygamma(1, k))))
     return float(k), float(x.mean() / k)
 
 
@@ -199,21 +204,17 @@ def fit_weibull(samples):
     if np.ptp(x) == 0:
         raise ValueError("non-identifiable: samples are equal")
     mean_lx = lx.mean()
-    k = 1.0
-    for _ in range(_NEWTON_MAX_ITER):
+
+    def step(k):
         xk = x ** k
         sa = xk.sum()
         sb = (xk * lx).sum()
         sc = (xk * lx * lx).sum()
         g = sb / sa - 1.0 / k - mean_lx
         gp = (sc * sa - sb * sb) / (sa * sa) + 1.0 / (k * k)
-        k_new = k - g / gp
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) < _NEWTON_TOL * max(1.0, k):
-            k = k_new
-            break
-        k = k_new
+        return g / gp
+
+    k = _newton(1.0, step)
     scale = float(np.mean(x ** k) ** (1.0 / k))
     return float(k), scale
 
@@ -294,15 +295,12 @@ def poisson_mixture_loglik(daily_counts, mixture):
 # ---------------------------------------------------------------------------
 # model assembly
 
-def daily_walkin_counts(rows):
+def daily_walkin_counts(data):
     """Walk-in count of every arrival date of the dataset, in sorted date
-    order. Sorted, not set order: the count order seeds the EM restarts,
-    and set order follows the interpreter's hash seed."""
-    counts = dict.fromkeys(sorted({r.arrival_date for r in rows}), 0)
-    for r in rows:
-        if r.is_walk_in:
-            counts[r.arrival_date] += 1
-    return list(counts.values())
+    order. Sorted, not hash order: the count order seeds the EM restarts,
+    and a set's order follows the interpreter's hash seed."""
+    days, day = np.unique(data["arrival_date"], return_inverse=True)
+    return np.bincount(day[data["is_walk_in"]], minlength=len(days))
 
 
 def _fitted(law, fitter, samples, **kw):
@@ -313,7 +311,7 @@ def _fitted(law, fitter, samples, **kw):
         raise ValueError(f"{law} fit: {exc}") from exc
 
 
-def fit_model(rows, capacity, n_components=2, seed=0):
+def fit_model(data, capacity, n_components=2, seed=0):
     """Run all four fitters on an ingested dataset.
 
     Reserved rows with zero lead are excluded from the Gamma fit
@@ -322,26 +320,26 @@ def fit_model(rows, capacity, n_components=2, seed=0):
     laws Gamma(1, 1) and Weibull(1, 1), with no cancellations and no
     bookings. A fitter's ValueError names the law it could not fit.
     """
-    reserved = [r for r in rows if not r.is_walk_in]
-    counts = daily_walkin_counts(rows)
-    if reserved:
-        leads = [r.lead_days for r in reserved if r.lead_days > 0]
-        cancel_ints = [r.cancel_lead_days for r in reserved
-                       if r.is_canceled and r.cancel_lead_days > 0]
-        if not cancel_ints:
+    reserved = data[~data["is_walk_in"]]
+    counts = daily_walkin_counts(data)
+    if len(reserved):
+        lead = reserved["lead_days"]
+        interval = reserved["cancel_lead_days"]  # 0 when not cancelled
+        cancel_ints = interval[interval > 0]
+        if not len(cancel_ints):
             cancel_ints = [1, 2]  # no cancellations: nominal law, pi_c = 0
         laws = dict(
-            lead_gamma=_fitted("lead-time Gamma", fit_gamma, leads),
+            lead_gamma=_fitted("lead-time Gamma", fit_gamma, lead[lead > 0]),
             cancel_weibull=_fitted("cancellation Weibull", fit_weibull,
                                    cancel_ints),
-            cancel_prob=sum(r.is_canceled for r in reserved) / len(reserved),
+            cancel_prob=float(np.mean(reserved["is_canceled"])),
             mean_daily_bookings=len(reserved) / len(counts))
     else:
         laws = dict(lead_gamma=(1.0, 1.0), cancel_weibull=(1.0, 1.0))
     return FittedModel(
         **laws,
         duration_geometric=_fitted("stay-length Geometric", fit_geometric,
-                                   [r.stay_nights for r in rows]),
+                                   data["stay_nights"]),
         walkin_mixture=tuple(_fitted(
             "walk-in Poisson mixture", fit_poisson_mixture, counts,
             n_components=n_components, seed=seed)),
@@ -354,13 +352,17 @@ def _weibull_cdf(x, shape, scale):
     return 1.0 - np.exp(-((x / scale) ** shape))
 
 
+def _gamma_logpdf(x, shape, scale):
+    """Gamma log-density at positive x."""
+    return ((shape - 1.0) * np.log(x) - x / scale
+            - gammaln(shape) - shape * np.log(scale))
+
+
 def _gamma_pdf(x, shape, scale):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    xp = x[pos]
-    out[pos] = np.exp((shape - 1.0) * np.log(xp) - xp / scale
-                      - gammaln(shape) - shape * np.log(scale))
+    out[pos] = np.exp(_gamma_logpdf(x[pos], shape, scale))
     return out
 
 
@@ -440,29 +442,27 @@ def simulate_booking_records(model, n_days, seed=0):
     rng = next(streams(seed, [(97,)]))
     gk, gsc = model.lead_gamma
     wk, wsc = model.cancel_weibull
-    base = datetime.date(2017, 1, 1)
+    weights = np.array([w for w, _ in model.walkin_mixture])
+    rates = np.array([r for _, r in model.walkin_mixture])
+    first = datetime.date(2017, 1, 1).toordinal()
     rows = []
-    for day in range(n_days):
-        date = base + datetime.timedelta(days=day)
+    for date in range(first, first + n_days):
         n_res = rng.poisson(model.mean_daily_bookings)
         for _ in range(n_res):
             lead = max(1, int(round(rng.gamma(gk, gsc))))
             canceled = bool(rng.random() < model.cancel_prob)
-            cancel_lead = None
+            cancel_lead = 0
             if canceled:
                 z = wsc * rng.weibull(wk)
                 cancel_lead = min(max(1, int(round(z))), lead)
             stay = int(rng.geometric(1.0 - model.duration_geometric))
-            rows.append(BookingRow(date, lead, canceled, cancel_lead,
-                                   stay, False))
-        weights = np.array([w for w, _ in model.walkin_mixture])
-        rates = np.array([r for _, r in model.walkin_mixture])
+            rows.append((date, lead, canceled, cancel_lead, stay, False))
         comp = rng.choice(len(weights), p=weights)
         for _ in range(rng.poisson(rates[comp])):
-            rows.append(BookingRow(date, 0, False, None,
-                                   int(rng.geometric(1.0 - model.duration_geometric)),
-                                   True))
-    return rows
+            rows.append((date, 0, False, 0,
+                         int(rng.geometric(1.0 - model.duration_geometric)),
+                         True))
+    return np.array(rows, dtype=BOOKING_DTYPE)
 
 
 def save_model(model, path):
@@ -510,20 +510,19 @@ def load_model(path):
     )
 
 
-def fit_report(model, rows):
+def fit_report(model, data):
     """Quality report: log-likelihoods and histogram comparisons per law."""
-    reserved = [r for r in rows if not r.is_walk_in]
-    leads = np.array([r.lead_days for r in reserved if r.lead_days > 0],
-                     dtype=float)
-    counts = daily_walkin_counts(rows)
+    lead = data["lead_days"]
+    leads = lead[lead > 0].astype(float)  # walk-ins have lead 0
+    reserved = np.count_nonzero(~data["is_walk_in"])
+    counts = daily_walkin_counts(data)
 
     gk, gsc = model.lead_gamma
-    lead_ll = float(np.sum((gk - 1.0) * np.log(leads) - leads / gsc
-                           - gammaln(gk) - gk * np.log(gsc))) if len(leads) else 0.0
+    lead_ll = float(np.sum(_gamma_logpdf(leads, gk, gsc)))
     mix_ll = poisson_mixture_loglik(counts, model.walkin_mixture)
 
     out = ["fit report",
-           f"rows={len(rows)} reserved={len(reserved)} days={len(counts)}",
+           f"rows={len(data)} reserved={reserved} days={len(counts)}",
            f"lead_gamma shape={gk:.6g} scale={gsc:.6g} loglik={lead_ll:.6g}",
            f"cancel_weibull shape={model.cancel_weibull[0]:.6g} "
            f"scale={model.cancel_weibull[1]:.6g}",

@@ -49,8 +49,27 @@ def cell_seed(master, cell_key, rep):
 # ---------------------------------------------------------------------------
 # config parsing
 
+_SECTIONS = ("scenario", "policies", "sweep", "run", "check")
+
+
+def _malformed(path, exc):
+    """ConfigError naming the file and line of an INI syntax error."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        line, what = exc.lineno, f"[{exc.section}] {exc.option}: repeated key"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, what = exc.lineno, f"[{exc.section}]: repeated section"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        line, what = exc.lineno, "a key before any [section] header"
+    else:  # a ParsingError: lines that are neither a header nor a key
+        line, what = exc.errors[0][0], "not a [section] header or a key"
+    return ConfigError(f"{path}: line {line}: {what}")
+
+
 def load_config(preset, config_path):
-    cfg = configparser.ConfigParser()
+    # no header can name the empty section, so [DEFAULT], whose keys would
+    # land in every section, is an ordinary section here, and unknown; a
+    # value is taken as written, so a % in it is an ordinary character
+    cfg = configparser.ConfigParser(default_section="", interpolation=None)
     cfg.optionxform = str
     if preset is not None:
         if preset not in PRESETS:
@@ -59,8 +78,15 @@ def load_config(preset, config_path):
                 / f"{preset}.cfg").read_text()
         cfg.read_string(text)
     if config_path is not None:
-        if not cfg.read(config_path):
+        try:
+            read = cfg.read(config_path)
+        except configparser.Error as exc:
+            raise _malformed(config_path, exc) from exc
+        if not read:
             raise ConfigError(f"cannot read config file {config_path}")
+    for section in cfg.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}]: unknown section")
     if not cfg.sections():
         raise ConfigError("empty configuration: give --preset or --config")
     return cfg
@@ -185,6 +211,12 @@ def parse_axis(text):
     return [float(x) for x in text.split(",")]
 
 
+# policy kind -> (type, the keys its spec must give)
+_KINDS = {"adaptive": (AdaptivePolicy, ("iota", "alpha")),
+          "heuristic": (HeuristicPolicy, ("beta",)),
+          "oracle": (OraclePolicy, ())}
+
+
 def parse_policies(cfg):
     """[policies] name = kind key=value ... -> dict of policy objects."""
     if not cfg.has_section("policies"):
@@ -192,18 +224,25 @@ def parse_policies(cfg):
     out = {}
     for name, spec in cfg.items("policies"):
         kind, *parts = spec.split() or [""]
-        if kind not in ("adaptive", "heuristic", "oracle"):
+        if kind not in _KINDS:
             raise ConfigError(f"[policies] {name}: unknown kind {kind!r}")
+        cls, keys = _KINDS[kind]
         try:
-            kv = dict(p.split("=", 1) for p in parts)
-            if kind == "adaptive":
-                out[name] = AdaptivePolicy(
-                    iota=float(kv["iota"]), alpha=float(kv["alpha"]))
-            elif kind == "heuristic":
-                out[name] = HeuristicPolicy(beta=float(kv["beta"]))
-            else:
-                out[name] = OraclePolicy()
-        except (KeyError, ValueError) as exc:
+            kv = {}
+            for part in parts:
+                key, eq, value = part.partition("=")
+                if not eq:
+                    raise ValueError(f"{part}: not key=value")
+                if key in kv:
+                    raise ValueError(f"{key}: repeated")
+                if key not in keys:
+                    raise ValueError(f"{key}: not read by kind {kind!r}")
+                kv[key] = float(value)
+            missing = [k for k in keys if k not in kv]
+            if missing:
+                raise ValueError(f"{missing[0]}: missing")
+            out[name] = cls(**kv)
+        except ValueError as exc:
             raise ConfigError(f"[policies] {name}: {exc}") from exc
     if not out:
         raise ConfigError("[policies]: no policies given")
@@ -482,19 +521,19 @@ def cmd_fit(args):
         if value < least:
             raise ConfigError(f"{flag}: must be at least {least}, "
                               f"got {value}")
-    rows = calibration.ingest_bookings(args.config)
+    data = calibration.ingest_bookings(args.config)
     out = args.out or "model.txt"
-    if rows and all(r.is_walk_in for r in rows):
+    if len(data) and data["is_walk_in"].all():
         print("notice: walk-in-only dataset; Gamma lead-time and Weibull "
               "cancellation fitters skipped (nominal parameters written)")
     try:
-        model = calibration.fit_model(rows, args.capacity,
+        model = calibration.fit_model(data, args.capacity,
                                       n_components=args.components,
                                       seed=seed)
     except ValueError as exc:  # the message names the law
         raise ConfigError(f"{args.config}: {exc}") from exc
     calibration.save_model(model, out)
-    report = calibration.fit_report(model, rows)
+    report = calibration.fit_report(model, data)
     with open(str(out) + ".report", "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
     print(report)
@@ -535,7 +574,9 @@ def cmd_check(args):
     """Verdicts of every grid cell, each distinct line printed once."""
     cfg = load_config(args.preset, args.config)
     policies, _, cells, mode, _, _ = _plan(cfg, args, limit=2)
-    iota = _Fields(cfg, "check").get("iota", _IOTA, None)
+    f = _Fields(cfg, "check")
+    iota = f.get("iota", _IOTA, None)
+    f.reject_unread(mode)
     alpha = 0.4
     for pol in policies.values():
         if isinstance(pol, AdaptivePolicy):

@@ -65,9 +65,10 @@ class ScenarioConfig:
                 ("T", self.T >= 1, "must be at least 1"),
                 ("C", self.C >= 1, "must be at least 1"),
                 ("v", -k0 < self.v <= 1.0, f"outside (-{k0:g}, 1]"),
-                ("reward", self.reward >= 0, "must be nonnegative"),
-                ("overbook_penalty", self.overbook_penalty >= 0,
-                 "must be nonnegative")):
+                ("reward", 0 <= self.reward < math.inf,
+                 "must be finite and nonnegative"),
+                ("overbook_penalty", 0 <= self.overbook_penalty < math.inf,
+                 "must be finite and nonnegative")):
             if not ok:
                 raise ValueError(f"{key}: {rule}, got {getattr(self, key)!r}")
 

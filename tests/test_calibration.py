@@ -10,11 +10,9 @@ from reference import substream
 
 
 def row(lead=5, canceled=False, cancel=None, stay=2, walkin=False, day=0):
-    return C.BookingRow(
-        arrival_date=datetime.date(2017, 1, 1) + datetime.timedelta(days=day),
-        lead_days=lead, is_canceled=canceled, cancel_lead_days=cancel,
-        stay_nights=stay, is_walk_in=walkin,
-    )
+    """One dataset record as ingest_bookings holds it."""
+    date = datetime.date(2017, 1, 1) + datetime.timedelta(days=day)
+    return (date.toordinal(), lead, canceled, cancel or 0, stay, walkin)
 
 
 MODEL = C.FittedModel(
@@ -23,30 +21,50 @@ MODEL = C.FittedModel(
     capacity=70, cancel_prob=0.35, mean_daily_bookings=180.0,
 )
 
+HEADER = ("arrival_date,lead_days,is_canceled,cancel_lead_days,stay_nights,"
+          "is_walk_in\n")
+
 
 class TestBookingRow:
-    def test_cancel_interval_bounded_by_lead(self):
-        with pytest.raises(ValueError):
-            row(lead=3, canceled=True, cancel=5)
+    """Each rule of a dataset row, on a one-row file."""
 
-    def test_cancel_field_presence_tied_to_flag(self):
-        with pytest.raises(ValueError):
-            row(canceled=True, cancel=None)
-        with pytest.raises(ValueError):
-            row(canceled=False, cancel=2)
+    @staticmethod
+    def rejected(tmp_path, line, rule):
+        p = tmp_path / "b.csv"
+        p.write_text(HEADER + line + "\n")
+        with pytest.raises(C.IngestError, match=f"^line 2: {rule}$"):
+            C.ingest_bookings(p)
 
-    def test_walkin_has_zero_lead(self):
-        with pytest.raises(ValueError):
-            row(lead=3, walkin=True)
+    def test_cancel_interval_bounded_by_lead(self, tmp_path):
+        self.rejected(tmp_path, "2017-01-01,3,1,5,2,0",
+                      "cancel_lead_days exceeds lead_days")
+
+    def test_cancel_field_presence_tied_to_flag(self, tmp_path):
+        self.rejected(tmp_path, "2017-01-01,5,1,,2,0",
+                      "cancel_lead_days present iff canceled")
+        self.rejected(tmp_path, "2017-01-01,5,0,2,2,0",
+                      "cancel_lead_days present iff canceled")
+
+    def test_walkin_has_zero_lead(self, tmp_path):
+        self.rejected(tmp_path, "2017-01-01,3,0,,2,1",
+                      "walk-ins must have lead_days 0")
+
+    @pytest.mark.parametrize("line, rule", [
+        ("2017-01-01,5,0", "fewer fields than the header"),
+        ("2017-01-01,9223372036854775808,0,,2,0",
+         r"lead_days and stay_nights must be below 2\*\*63"),
+    ], ids=["short-row", "lead-past-int64"])
+    def test_malformed_row_names_its_line(self, tmp_path, line, rule):
+        self.rejected(tmp_path, line, rule)
 
 
 class TestIngestion:
-    HEADER = "arrival_date,lead_days,is_canceled,cancel_lead_days,stay_nights,is_walk_in\n"
-
     def test_empty_file_with_header(self, tmp_path):
         p = tmp_path / "b.csv"
-        p.write_text(self.HEADER)
-        assert C.ingest_bookings(p) == []
+        p.write_text(HEADER)
+        data = C.ingest_bookings(p)
+        assert data.dtype == C.BOOKING_DTYPE
+        assert data.tolist() == []
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -56,20 +74,28 @@ class TestIngestion:
 
     def test_invariant_violation_reports_line_number(self, tmp_path):
         p = tmp_path / "b.csv"
-        p.write_text(self.HEADER
+        p.write_text(HEADER
                      + "2017-01-01,5,0,,2,0\n"
                      + "2017-01-02,3,1,9,2,0\n")
         with pytest.raises(C.IngestError, match="line 3"):
             C.ingest_bookings(p)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text(HEADER + "2017-01-01,5,0,,2,0\n\n"
+                     + "2017-01-02,3,1,9,2,0\n")
+        with pytest.raises(C.IngestError, match="^line 4: "):
+            C.ingest_bookings(p)
+
     def test_golden_three_row_file(self, tmp_path):
         p = tmp_path / "b.csv"
-        p.write_text(self.HEADER
+        p.write_text(HEADER
                      + "2017-01-01,5,0,,2,0\n"
                      + "2017-01-02,10,1,4,1,0\n"
                      + "2017-01-03,0,0,,3,1\n")
-        rows = C.ingest_bookings(p)
-        assert rows == [
+        data = C.ingest_bookings(p)
+        assert data.dtype == C.BOOKING_DTYPE
+        assert data.tolist() == [
             row(lead=5, stay=2, day=0),
             row(lead=10, canceled=True, cancel=4, stay=1, day=1),
             row(lead=0, stay=3, walkin=True, day=2),
@@ -80,8 +106,8 @@ class TestIngestion:
                 row(lead=10, canceled=True, cancel=4, day=1),
                 row(lead=0, stay=3, walkin=True, day=2)]
         p = tmp_path / "out.csv"
-        C.write_bookings(rows, p)
-        assert C.ingest_bookings(p) == rows
+        C.write_bookings(np.array(rows, dtype=C.BOOKING_DTYPE), p)
+        assert C.ingest_bookings(p).tolist() == rows
 
 
 class TestFitGamma:
@@ -205,6 +231,12 @@ class TestScenarioFromFit:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="^k0: must be at least 1"):
             C.scenario_from_fit(MODEL, T=7, k0=0, v=0.7)
+
+    @pytest.mark.parametrize("key", ["reward", "overbook_penalty"])
+    def test_infinite_cost_rejected(self, key):
+        with pytest.raises(ValueError, match=(
+                f"^{key}: must be finite and nonnegative, got inf$")):
+            C.scenario_from_fit(MODEL, **self.ECON, **{key: float("inf")})
 
 
 class TestModelPersistence:

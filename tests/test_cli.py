@@ -130,6 +130,37 @@ class TestLoadConfig:
         cfg = cli.load_config("fig4", over)
         assert cfg.get("scenario", "C") == "33"
 
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nreps = 2\nreps = 3\n", "line 3: [run] reps: repeated key"),
+        ("[run]\nreps = 2\n[run]\nseed = 1\n",
+         "line 3: [run]: repeated section"),
+        ("reps = 2\n[run]\n", "line 1: a key before any [section] header"),
+        ("[run]\nreps\n", "line 2: not a [section] header or a key"),
+    ], ids=["repeated-key", "repeated-section", "no-section-header",
+            "not-a-key"])
+    def test_malformed_file_names_the_line(self, tmp_path, capsys, text,
+                                           message):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["simulate", "--preset", "lower-bound", "--config",
+                       cfg, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["rnu", "DEFAULT"])
+    def test_unknown_section_rejected(self, tmp_path, capsys, section):
+        # a typo would otherwise leave the preset's [run] reps in force;
+        # keys under [DEFAULT] would land in every section
+        cfg = write_cfg(tmp_path, f"[{section}]\nreps = 2\n")
+        out = tmp_path / "x.csv"
+        rc = cli.main(["simulate", "--preset", "lower-bound", "--config",
+                       cfg, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: [{section}]: unknown section\n")
+        assert not out.exists()
+
 
 class TestParsePolicies:
     def test_unknown_kind(self, tmp_path):
@@ -148,6 +179,13 @@ class TestParsePolicies:
         ("adaptive iota=2.0 alpha=1.5", "alpha"),
         ("adaptive iota=-1 alpha=0.4", "iota"),
         ("heuristic beta=5", "beta"),
+        ("adaptive iota=2 alpha=0.4 beta=3",
+         "beta: not read by kind 'adaptive'"),
+        ("adaptive iota=2 alpha=0.4 alpha=0.3", "alpha: repeated"),
+        ("oracle iota=2", "iota: not read by kind 'oracle'"),
+        ("heuristic beta", "beta: not key=value"),
+        # a % is no interpolation syntax, just a character float rejects
+        ("adaptive iota=2% alpha=0.4", "'2%'"),
     ])
     def test_invalid_parameters_exit_1(self, tmp_path, capsys, spec, field):
         cfg = write_cfg(tmp_path, MULTIDAY.replace(
@@ -327,10 +365,9 @@ class TestFit:
         assert "rejected requests" in capsys.readouterr().out
 
     def test_walkin_only_dataset_notice(self, tmp_path, capsys):
-        rows = [r for r in calib.simulate_booking_records(
-            self.MODEL, 60, seed=4) if r.is_walk_in]
+        rows = calib.simulate_booking_records(self.MODEL, 60, seed=4)
         data = tmp_path / "w.csv"
-        calib.write_bookings(rows, data)
+        calib.write_bookings(rows[rows["is_walk_in"]], data)
         rc = cli.main(["fit", "--config", str(data),
                        "--out", str(tmp_path / "m.txt"), "--seed", "1"])
         assert rc == 0
@@ -572,6 +609,9 @@ class TestConfigContract:
         ("[scenario]\nreward = -2\noverbook_penalty = -1\n", "fig4",
          "reward"),
         ("[scenario]\noverbook_penalty = -1\n", "fig4", "overbook_penalty"),
+        ("[scenario]\nreward = inf\n", "lower-bound", "reward"),
+        ("[scenario]\noverbook_penalty = inf\n", "lower-bound",
+         "overbook_penalty"),
         ("[sweep]\nv = 1.5\n[scenario]\nreward = -1\n", "fig3", "v"),
         ("[scenario]\nreward = -1\n", "fig3", "reward"),
         (MULTIDAY.replace("q1 = 0.5", "q1 = 1.5"), None, "q1"),
@@ -595,7 +635,8 @@ class TestConfigContract:
         (MULTIDAY.replace("q_stay = 0.3", "duration = constant\nd = 1e9"),
          None, "d"),
     ], ids=["T-zero", "T-fraction", "C-fraction", "d-fraction",
-            "single-day-B-negative", "fig4-costs", "fig4-penalty", "fig3-v",
+            "single-day-B-negative", "fig4-costs", "fig4-penalty",
+            "reward-infinite", "penalty-infinite", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
             "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one",
             "lambda2-infinite", "lambda1-past-poisson-limit",
@@ -624,6 +665,15 @@ class TestCheckSweeps:
         captured = capsys.readouterr()
         assert captured.err == ("config error: [check] iota: must be finite "
                                 f"and nonnegative, got {float(iota):g}\n")
+        assert captured.out == ""
+
+    def test_unread_check_key_rejected(self, tmp_path, capsys):
+        # a typo would otherwise give verdicts at the policy's iota
+        over = write_cfg(tmp_path, "[check]\niotaa = 3\n")
+        assert cli.main(["check", "--preset", "fig4", "--config", over]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: [check] iotaa: not read in mode 'multiday'\n")
         assert captured.out == ""
 
     def test_fig2_verdict_per_swept_lambda2(self, tmp_path, capsys):
