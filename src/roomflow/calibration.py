@@ -121,21 +121,26 @@ def ingest_bookings(path):
     rows, problems = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError("empty file without header")
-        missing = set(COLUMNS) - set(header)
-        if missing:
-            raise IngestError(f"missing columns: {sorted(missing)}")
-        # a repeated column name reads its last occurrence
-        where = {name: i for i, name in enumerate(header)}
-        order = [where[c] for c in COLUMNS]
-        for raw in filter(None, reader):  # a blank line holds no record
-            try:
-                rows.append(_parse_row(
-                    [raw[i] for i in order if i < len(raw)], reader.line_num))
-            except IngestError as exc:
-                problems.append(str(exc))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("empty file without header")
+            missing = set(COLUMNS) - set(header)
+            if missing:
+                raise IngestError(f"missing columns: {sorted(missing)}")
+            # a repeated column name reads its last occurrence
+            where = {name: i for i, name in enumerate(header)}
+            order = [where[c] for c in COLUMNS]
+            for raw in filter(None, reader):  # a blank line holds no record
+                try:
+                    rows.append(_parse_row([raw[i] for i in order
+                                            if i < len(raw)], reader.line_num))
+                except IngestError as exc:
+                    problems.append(str(exc))
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 ({exc})") from exc
+        except csv.Error as exc:  # such as a field over the size limit
+            raise IngestError(f"line {reader.line_num}: {exc}") from exc
     if problems:
         raise IngestError("; ".join(problems))
     return np.array(rows, dtype=BOOKING_DTYPE)

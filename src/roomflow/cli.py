@@ -79,9 +79,11 @@ def load_config(preset, config_path):
         cfg.read_string(text)
     if config_path is not None:
         try:
-            read = cfg.read(config_path)
+            read = cfg.read(config_path, encoding="utf-8")
         except configparser.Error as exc:
             raise _malformed(config_path, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{config_path}: not UTF-8 ({exc})") from exc
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
     for section in cfg.sections():

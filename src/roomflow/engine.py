@@ -8,7 +8,8 @@ trajectory: the policy's, the benchmark's (clairvoyant Stage-I selection,
 then the offline optimum as check-in rule, on the same realizations:
 common random numbers) and a hybrid one (the offline optimum on top of the
 policy's Stage-I acceptances), which splits the regret into Stage-I and
-Stage-II components. A trajectory is one loss a day.
+Stage-II components. A trajectory is one loss a day. Stage I, which never
+reads the ledger, runs a block of days at a time; Stage II, day by day.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
 from .benchmarks import clairvoyant_stage1_select, offline_day_optimum
 from .flows import (
-    DayRealization,
     StageProfiles,
     reserved_outcomes,
-    sample_stage1_day,
+    sample_blocks,
     sample_walkins,
     streams,
 )
@@ -133,20 +133,20 @@ class OccupancyLedger:
 hat_capacity = lru_cache(maxsize=None)(_estimated_capacity)
 
 
-def replay_stage1(times, cancel_times, caps):
+def replay_stage1(times, cancel_times, caps, first=0):
     """Replay one day's booking requests, and the cancellations of accepted
     ones, in time order. Request i is accepted iff B_alive + 1 <= caps[i];
-    caps may be a list or any iterable (itertools.repeat for a fixed cap).
+    caps may be any iterable.
     cancel_times[i] is nan for a request that survives the window.
 
     Cancellations are processed before requests at equal timestamps.
-    Returns the positions of the accepted requests.
+    Returns the positions of the accepted requests, counted from `first`.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     cancels = []
     alive = 0
     accepted = []
-    i = -1
+    i = first - 1
     for t, c, cap in zip(times, cancel_times, caps):
         i += 1
         while cancels and cancels[0] <= t:
@@ -160,27 +160,29 @@ def replay_stage1(times, cancel_times, caps):
     return accepted
 
 
-def stage1_accept(policy, bookings, profiles, C):
-    """Positions of the bookings accepted on one day under the policy's
-    Stage-I rule.
-
-    The adaptive rule accepts request i iff stage1_threshold(B_alive + 1,
-    p_i, iota) <= hat_C, that is iff B_alive + 1 is at most the request's
-    cap max_bookings_within(hat_C, p_i, iota); the caps come from the keep
-    values sampled with the day, so the keep curve is evaluated once per
-    day.
-    """
+def stage1_accept(policy, bookings, profiles, C, starts):
+    """Positions of the bookings accepted under the policy's Stage-I rule
+    in a block of days, day d at positions starts[d]:starts[d + 1]; each
+    day replays on its own. The adaptive rule accepts request i iff
+    stage1_threshold(B_alive + 1, p_i, iota) <= hat_C, that is iff
+    B_alive + 1 is at most the request's cap, computed for the whole block
+    from the keep values sampled with it (policies.booking_caps)."""
     law = profiles.duration_law
     q1 = profiles.show_prob
     if isinstance(policy, AdaptivePolicy):
         hat_C = hat_capacity(law, C, q1, policy.iota)
-        caps = booking_caps(hat_C, bookings.keep, policy.iota)
+        sizes = np.diff(starts)
+        caps = booking_caps(hat_C, bookings.keep, policy.iota,
+                            np.repeat(sizes, sizes))
     elif isinstance(policy, HeuristicPolicy):
-        caps = repeat(heuristic_stage1_threshold(policy, law, C, q1))
+        caps = [heuristic_stage1_threshold(policy, law, C, q1)] * len(bookings)
     else:
         raise TypeError(f"no Stage-I rule for {type(policy).__name__}")
-    return replay_stage1(bookings.lists.time, bookings.lists.cancel_time,
-                         caps)
+    times, cancels = bookings.lists
+    accepted = []
+    for o, e in zip(starts, starts[1:]):
+        accepted += replay_stage1(times[o:e], cancels[o:e], caps[o:e], o)
+    return accepted
 
 
 @dataclass
@@ -307,19 +309,13 @@ def _finish_day(scenario, ledger, k, result, realization, reserved):
     served = result.served_type1
     stays = (realization.bookings.duration[reserved[served]].tolist()
              if len(served) else [])
-    walkin_durations = realization.walkins.lists.duration
-    stays += [walkin_durations[j] for j in result.served_walkins]
+    walkin_stays = realization.walkin_stays
+    stays += [walkin_stays[j] for j in result.served_walkins]
     if stays:
         ledger.admit(k, stays)
     idle = scenario.C - ledger.occupied(k)
     return (scenario.overbook_penalty * result.overbooked
             + scenario.reward * idle)
-
-
-def _survivors(realization, accepted):
-    """Index array of the accepted bookings that survive the window."""
-    accepted = np.array(accepted, dtype=np.intp)
-    return accepted[realization.bookings.survives[accepted]]
 
 
 def run_day(k, realization, policy, ledger, scenario, survivors):
@@ -354,17 +350,16 @@ def warm_start_ledger(scenario, rng):
     return ledger
 
 
-def realize_day(scenario, rngs):
-    """Sample one day's realization from the next three streams of `rngs`:
-    for day k, those of the paths (rep, k, sub) under the documented split
-    rule SeedSequence([master, rep, day, sub]), with sub 1=bookings,
-    2=check-in outcomes of every booking request, 3=walk-ins."""
-    profiles = scenario.profiles
-    bookings = sample_stage1_day(profiles, next(rngs))
-    bookings.arrival_time, bookings.shows = reserved_outcomes(
-        profiles, len(bookings), next(rngs))
-    walkins = sample_walkins(profiles, next(rngs))
-    return DayRealization(bookings=bookings, walkins=walkins)
+def block_survivors(policy, block, scenario):
+    """Per day of the block, the positions in the day (an index array) of
+    the bookings the policy accepts in Stage I that survive the window."""
+    bookings, starts = block.bookings, block.starts
+    kept = np.array(stage1_accept(policy, bookings, scenario.profiles,
+                                  scenario.C, starts), dtype=np.intp)
+    kept = kept[bookings.survives[kept]]
+    cut = kept.searchsorted(starts).tolist()
+    kept -= np.repeat(starts[:-1], np.diff(cut))
+    return [kept[i:j] for i, j in zip(cut, cut[1:])]
 
 
 def run_experiment(scenario, policies, rep=0):
@@ -391,24 +386,25 @@ def run_experiment(scenario, policies, rep=0):
     ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
     bench = np.empty(T)
     losses = {n: (np.empty(T), np.empty(T), bench) for n in names}
-    for k in range(1, T + 1):
-        realization = realize_day(scenario, rngs)
-        bookings = realization.bookings
-        _, C_rooms = allocated_capacity(scenario, bench_ledger, k)
-        selected = clairvoyant_stage1_select(bookings.survives,
-                                             bookings.shows, C_rooms)
-        bench[k - 1] = run_day(k, realization, oracle, bench_ledger, scenario,
-                               selected)
-        for n in names:
-            policy = policies[n]
-            ledger, hybrid_ledger = ledgers[n]
-            pol, hyb, _ = losses[n]
-            survivors = _survivors(realization, stage1_accept(
-                policy, bookings, scenario.profiles, scenario.C))
-            pol[k - 1] = run_day(k, realization, policy, ledger, scenario,
-                                 survivors)
-            hyb[k - 1] = run_day(k, realization, oracle, hybrid_ledger,
-                                 scenario, survivors)
+    k = 0
+    for block in sample_blocks(scenario.profiles, rngs, T):
+        survivors = {n: block_survivors(policies[n], block, scenario)
+                     for n in names}
+        for d in range(len(block)):
+            day, k = block.day(d), k + 1
+            _, C_rooms = allocated_capacity(scenario, bench_ledger, k)
+            selected = clairvoyant_stage1_select(day.bookings.survives,
+                                                 day.bookings.shows, C_rooms)
+            bench[k - 1] = run_day(k, day, oracle, bench_ledger, scenario,
+                                   selected)
+            for n in names:
+                ledger, hybrid_ledger = ledgers[n]
+                pol, hyb, _ = losses[n]
+                kept = survivors[n][d]
+                pol[k - 1] = run_day(k, day, policies[n], ledger, scenario,
+                                     kept)
+                hyb[k - 1] = run_day(k, day, oracle, hybrid_ledger, scenario,
+                                     kept)
     return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 

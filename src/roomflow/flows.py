@@ -5,24 +5,26 @@ All randomness flows through explicit numpy Generators, so identical seeds
 yield bit-identical event streams. Streams follow the split rule
 SeedSequence([master, rep, day, sub]); `streams` computes that hash for a
 block of paths at once and re-seeds one Generator per path, and the test
-suite holds each stream to numpy's own SeedSequence. Arrival intensities are stored as a total
-mass plus a normalized density, which makes a scaled Beta density and a
-piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
-streams be sampled exactly by count-then-order-statistics (draw a Poisson
-count for the total mass, then i.i.d. times from the density).
+suite holds each stream to numpy's own SeedSequence. Arrival intensities
+are stored as a total mass plus a normalized density, which makes a scaled
+Beta density and a piecewise-constant rate interchangeable, and lets
+non-homogeneous Poisson streams be sampled exactly by
+count-then-order-statistics (draw a Poisson count for the total mass, then
+i.i.d. times from the density).
 
-A sampled day is held as parallel numpy arrays (struct of arrays), not as one
-object per customer. Vectorized draws take the same values from a Generator
-as the equivalent sequence of scalar draws, so the per-stream draw order
-below is the seed contract.
+Days are sampled in blocks held as parallel numpy arrays (struct of
+arrays) with day offsets, not as one object per customer or per day. Each
+day draws its raw variates from its own streams, and the transforms of
+them run once per block. Vectorized draws take the same values from a
+Generator as the equivalent sequence of scalar draws, so the per-stream
+draw order (`sample_blocks`) is the seed contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from types import SimpleNamespace
+from itertools import accumulate, islice
 
 import numpy as np
 from scipy.special import betainc
@@ -203,19 +205,28 @@ class RateFunction:
 
     def sample_times(self, n, rng):
         """n i.i.d. times from the normalized density (unsorted)."""
-        if n == 0:
-            return np.empty(0)
+        return self.times(self.draw(n, rng))
+
+    def draw(self, n, rng):
+        """The variates of n times, for `times`: n Beta draws, or two rows of
+        n uniforms, the pieces as rng.choice(len(w), n, p=w) draws them (less
+        its checks on w), then the positions in the pieces."""
         if self.kind == "beta":
-            return self.t0 + (self.t1 - self.t0) * rng.beta(self.a, self.b, n)
-        if self.mass <= 0:
+            return rng.beta(self.a, self.b, n)
+        if self.mass <= 0 and n:
             raise ValueError("cannot sample from a zero-mass rate")
-        # the piece draw of rng.choice(len(w), size=n, p=w), without its
-        # per-call validation of w: the same uniforms and the same pieces
-        idx = self._piece_cdf.searchsorted(rng.random(n), side="right")
-        u = rng.random(n)
+        return rng.random((2, n))
+
+    def times(self, raw):
+        """Times of `draw` variates, or of several draws joined on axis -1."""
+        if self.kind == "beta":
+            return self.t0 + (self.t1 - self.t0) * raw
+        if not raw.shape[-1]:
+            return np.empty(0)
+        idx = self._piece_cdf.searchsorted(raw[0], side="right")
         lo = self.breaks[idx]
         hi = self.breaks[idx + 1]
-        return lo + u * (hi - lo)
+        return lo + raw[1] * (hi - lo)
 
     @cached_property
     def _piece_cdf(self):
@@ -305,12 +316,12 @@ class KeepCurve:
             t = np.where(v1 == v0, t0, t0 + (y - v0) / (v1 - v0) * (t1 - t0))
         return np.where(i == 0, self.times[0], t)
 
-    def cancel_times(self, s, p, rng):
+    def cancel_times(self, s, p, u):
         """Cancellation times of non-surviving requests booked at times s,
         with keep probabilities p = value(s) < 1.
 
-        Requests with p > 0 each take one uniform, in order; requests with
-        p = 0 cannot survive and cancel immediately, without a draw.
+        Requests with p > 0 each take one uniform of u, in order; requests
+        with p = 0 cannot survive and cancel immediately, without one.
         """
         if np.any(p >= 1.0):
             raise ValueError("a request with keep probability 1 cannot cancel")
@@ -319,8 +330,7 @@ class KeepCurve:
         live = p > 0.0
         if live.any():
             p_s = p[live]
-            u = 1.0 - rng.random(len(p_s))  # in (0, 1]
-            y = p_s / (1.0 - u * (1.0 - p_s))
+            y = p_s / (1.0 - (1.0 - u) * (1.0 - p_s))  # 1 - u is in (0, 1]
             out[live] = np.maximum(self._inverse(np.minimum(y, 1.0)), s[live])
         return out
 
@@ -381,7 +391,7 @@ class StageProfiles:
 
 @dataclass(eq=False)
 class Bookings:
-    """One day's booking requests as parallel arrays, in request order.
+    """Booking requests as parallel arrays, each day's in request order.
 
     time is relative to the window start; keep is p(time); cancel_time is
     nan for requests that survive the window. arrival_time/shows hold each
@@ -395,8 +405,8 @@ class Bookings:
     survives: np.ndarray
     cancel_time: np.ndarray
     duration: np.ndarray
-    arrival_time: np.ndarray | None = None
-    shows: np.ndarray | None = None
+    arrival_time: np.ndarray
+    shows: np.ndarray
 
     def __len__(self):
         return len(self.time)
@@ -404,13 +414,13 @@ class Bookings:
     @cached_property
     def lists(self):
         """time and cancel_time as Python lists, for the Stage-I replays,
-        which read them one element at a time."""
-        return _as_lists(self, "time", "cancel_time")
+        which read them one element at a time: made once per block."""
+        return self.time.tolist(), self.cancel_time.tolist()
 
 
 @dataclass(eq=False)
 class CheckIns:
-    """A day's walk-ins as parallel arrays, in time order; they always
+    """Walk-ins as parallel arrays, each day's in time order; they always
     show."""
 
     time: np.ndarray
@@ -419,62 +429,113 @@ class CheckIns:
     def __len__(self):
         return len(self.time)
 
-    @cached_property
-    def lists(self):
-        """duration as a Python list, read per served guest."""
-        return _as_lists(self, "duration")
-
-
-def _as_lists(arrays, *names):
-    return SimpleNamespace(**{n: getattr(arrays, n).tolist() for n in names})
-
 
 @dataclass(eq=False)
-class DayRealization:
-    """One sampled day: the full Stage-I and Stage-II event stream."""
+class DayBlock:
+    """Consecutive sampled days as flat arrays: day d's booking requests
+    are positions starts[d]:starts[d + 1] of `bookings`, its walk-ins
+    positions wk_starts[d]:wk_starts[d + 1] of `walkins`. walkin_stays is
+    walkins.duration as a list, read per served guest."""
 
     bookings: Bookings
     walkins: CheckIns
+    starts: list
+    wk_starts: list
+    walkin_stays: list
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def day(self, d):
+        """Day d as a block of one day, made of views."""
+        (o, e), (w, x) = self.starts[d:d + 2], self.wk_starts[d:d + 2]
+        b = self.bookings
+        return DayBlock(
+            Bookings(b.time[o:e], b.keep[o:e], b.survives[o:e],
+                     b.cancel_time[o:e], b.duration[o:e],
+                     b.arrival_time[o:e], b.shows[o:e]),
+            CheckIns(self.walkins.time[w:x], self.walkins.duration[w:x]),
+            [0, e - o], [0, x - w], self.walkin_stays[w:x])
 
 
 def sample_nhpp(rate, rng):
-    """Sorted event times of a non-homogeneous Poisson process.
-
-    The count is Poisson(total mass); given the count, times are i.i.d.
-    from the normalized density.
-    """
+    """Sorted event times of a non-homogeneous Poisson process: a
+    Poisson(total mass) count of i.i.d. times from the normalized density."""
     if rate.mass <= 0:
         return np.empty(0)
     n = rng.poisson(rate.mass)
     return np.sort(rate.sample_times(n, rng))
 
 
-def sample_stage1_day(profiles, rng):
-    """One day's booking requests with survival and cancellation outcomes.
+# A block holds days until it has this many booking requests, and at most
+# this many days: enough to spread numpy's per-call cost over tiny days, few
+# enough to stay small in memory (a day's draws are held as small arrays,
+# about 1.4 KB a day, until the block's transforms run).
+_BLOCK_REQUESTS = 4096
+_BLOCK_DAYS = 256
 
-    Draw order: Poisson count and request times, one survival uniform per
-    request, the stay lengths, then one uniform per cancelling request with
-    p > 0 (KeepCurve.cancel_times).
-    """
-    curve = profiles.keep_curve
-    time = sample_nhpp(profiles.stage1_rate, rng)
-    n = len(time)
-    keep = curve.value(time)
-    survives = rng.random(n) < keep
-    duration = profiles.duration_law.sample(rng, n)
-    cancel = np.full(n, np.nan)
-    gone = ~survives
-    if gone.any():
-        cancel[gone] = curve.cancel_times(time[gone], keep[gone], rng)
-    return Bookings(time, keep, survives, cancel, duration)
+
+def sample_blocks(profiles, rngs, n_days):
+    """The realizations of n_days consecutive days, as DayBlocks. Each day
+    draws from the next three streams of `rngs`, in this order: (1) the
+    Poisson count and times of its booking requests, one survival uniform
+    each in time order, the stay lengths, then one uniform per cancelling
+    request with p > 0 (KeepCurve.cancel_times); (2) the check-in outcomes
+    of every request (reserved_outcomes); (3) its walk-ins (sample_walkins).
+    The transforms of the draws run once per block. Stream 1's state is
+    kept after its fixed draws, and the cancel uniforms, whose count the
+    block's survival test decides, are drawn from it afterwards."""
+    rate, walkin = profiles.stage1_rate, profiles.walkin_rate
+    law, curve = profiles.duration_law, profiles.keep_curve
+    while n_days > 0:
+        days, total = [], 0
+        while (len(days) < min(n_days, _BLOCK_DAYS)
+               and total < _BLOCK_REQUESTS):
+            rng = next(rngs)
+            n = int(rng.poisson(rate.mass)) if rate.mass > 0 else 0
+            drawn = [n, rate.draw(n, rng), rng.random(n), law.sample(rng, n),
+                     rng, rng.bit_generator.state
+                     if n and curve.values[0] < 1.0 else None]
+            rng = next(rngs)
+            drawn += [profiles.arrival_density.draw(n, rng), rng.random(n)]
+            rng = next(rngs)
+            m = int(rng.poisson(walkin.mass)) if walkin.mass > 0 else 0
+            days.append(drawn + [m, walkin.draw(m, rng), law.sample(rng, m)])
+            total += n
+        (counts, t_raw, u_survive, stays, rng1, state1, a_raw, u_show,
+         wk_counts, w_raw, wk_stays) = zip(*days)
+        day = np.repeat(np.arange(len(days)), counts)
+        time = rate.times(np.concatenate(t_raw, axis=-1))
+        time = time[np.lexsort((time, day))]
+        keep = curve.value(time)
+        survives = np.concatenate(u_survive) < keep
+        gone = np.flatnonzero(~survives)
+        live = np.bincount(day[gone[keep[gone] > 0.0]], minlength=len(days))
+        uniforms = [np.empty(0)]
+        for d in np.flatnonzero(live).tolist():
+            rng1[d].bit_generator.state = state1[d]
+            uniforms.append(rng1[d].random(live[d]))
+        cancel = np.full(total, np.nan)
+        cancel[gone] = curve.cancel_times(time[gone], keep[gone],
+                                          np.concatenate(uniforms))
+        wk_time = walkin.times(np.concatenate(w_raw, axis=-1))
+        wk_time = wk_time[np.lexsort((wk_time, np.repeat(
+            np.arange(len(days)), wk_counts)))]
+        wk_stays = np.concatenate(wk_stays)
+        yield DayBlock(
+            Bookings(time, keep, survives, cancel, np.concatenate(stays),
+                     profiles.arrival_density.times(
+                         np.concatenate(a_raw, axis=-1)),
+                     np.concatenate(u_show) < profiles.show_prob),
+            CheckIns(wk_time, wk_stays), [0, *accumulate(counts)],
+            [0, *accumulate(wk_counts)], wk_stays.tolist())
+        n_days -= len(days)
 
 
 def reserved_outcomes(profiles, n, rng):
     """Unsorted arrival times and show flags of n reserved customers: each
     arrives at a time from the arrival density and shows with probability
     q1. Draw order: the n arrival times, then one show uniform each."""
-    if n == 0:
-        return np.empty(0), np.empty(0, dtype=bool)
     arrival = profiles.arrival_density.sample_times(n, rng)
     return arrival, rng.random(n) < profiles.show_prob
 

@@ -66,34 +66,6 @@ def _threshold(B, p, iota, sqrt):
     return p * B + a + sqrt(a * a + 2.0 * iota * B * p * (1.0 - p))
 
 
-def max_bookings_within(hat_C, p_t, iota):
-    """Largest integer B with stage1_threshold(B, p_t, iota) <= hat_C.
-
-    Returns -1 when even B=0 exceeds hat_C, and math.inf when the threshold
-    does not grow with B (p_t = 0) or grows so slowly that the bound passes
-    2**53, beyond any count of bookings. Closed-form inversion of the
-    threshold with a floor correction against the direct formula, which is
-    nondecreasing in B in floating point too, so `B <= result` decides
-    `stage1_threshold(B, p_t, iota) <= hat_C` exactly.
-    """
-    if stage1_threshold(0, p_t, iota) > hat_C:
-        return -1
-    if p_t == 0.0:
-        return math.inf
-    if p_t == 1.0 or iota == 0.0:
-        est = hat_C / p_t  # the threshold is p_t * B
-    else:
-        est = float(_cap_estimate(hat_C, p_t, iota))
-    if not est < 2.0 ** 53:
-        return math.inf
-    n = math.floor(est)
-    while n >= 0 and stage1_threshold(n, p_t, iota) > hat_C:
-        n -= 1
-    while stage1_threshold(n + 1, p_t, iota) <= hat_C:
-        n += 1
-    return n
-
-
 def _cap_estimate(hat_C, p, iota):
     # closed-form inverse of the threshold for p > 0: the smaller root of
     # p^2 n^2 - 2c n + h^2 - a^2 with h = hat_C - a and c = p h + b, written
@@ -111,35 +83,38 @@ def _cap_estimate(hat_C, p, iota):
         return np.where(den > 0.0, (h * h - a * a) / den, hat_C / p)
 
 
-# below this many requests a day, the scalar closed form beats numpy's
-# per-call overhead
-_SCALAR_CAPS_BELOW = 8
-
-
-def booking_caps(hat_C, p, iota):
-    """Stage-I caps of a day's m requests with keep probabilities p (an
-    array): min(max_bookings_within(hat_C, p_i, iota), m) for each. No more
-    than m bookings are ever alive, so the clip at m changes no decision
-    and keeps every cap finite."""
-    m = len(p)
-    if m < _SCALAR_CAPS_BELOW:
-        return [min(max_bookings_within(hat_C, x, iota), m)
-                for x in p.tolist()]
+def booking_caps(hat_C, p, iota, m):
+    """Stage-I caps of requests with keep probabilities p (an array): the
+    largest integer B with stage1_threshold(B, p_i, iota) <= hat_C (-1 if
+    none), clipped at m_i, the count of the request's day (an array), which
+    no alive count can pass. The closed-form inverse
+    is corrected against the threshold, nondecreasing in B in floating
+    point too, by an exponential bracket and integer bisection: where the
+    threshold's terms underflow, the estimate can be off by billions."""
     flat = p == 0.0
     q = np.where(flat, 1.0, p)  # p = 0 is settled after the correction
-    n = np.clip(np.floor(_cap_estimate(hat_C, q, iota)), -1.0, m)
-    n[np.isnan(n)] = -1.0
-    with np.errstate(invalid="ignore"):
-        while True:  # at n = -1 the threshold is nan and never compared
-            over = (n >= 0.0) & (_threshold(n, q, iota, np.sqrt) > hat_C)
-            under = (n < m) & (_threshold(n + 1.0, q, iota, np.sqrt)
-                               <= hat_C)
-            if not (over.any() or under.any()):
-                break
-            n = n - over + under
+
+    def fits(n):  # at n = -1 the threshold is nan and never compared
+        with np.errstate(invalid="ignore"):
+            return (n < 0.0) | ((n <= m)
+                                & (_threshold(n, q, iota, np.sqrt) <= hat_C))
+
+    lo = np.clip(np.floor(_cap_estimate(hat_C, q, iota)), -1.0, m)
+    lo[np.isnan(lo)] = -1.0
+    hi, step = lo + 1.0, 1.0
+    while (down := ~fits(lo)).any() | (up := fits(hi)).any():
+        lo, hi = (np.where(down, np.maximum(lo - step, -1.0),
+                           np.where(up, hi, lo)),
+                  np.where(down, lo, np.where(up, hi + step, hi)))
+        step *= 2.0
+    while (hi - lo > 1.0).any():  # fits(lo) and not fits(hi)
+        mid = np.floor((lo + hi) / 2.0)
+        ok = fits(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     if flat.any():
-        n[flat] = m if _threshold(0, 0.0, iota, math.sqrt) <= hat_C else -1.0
-    return n.tolist()
+        lo[flat] = (m[flat] if stage1_threshold(0, 0.0, iota) <= hat_C
+                    else -1.0)
+    return lo.tolist()
 
 
 def departure_floor(law, C, iota):
@@ -160,7 +135,7 @@ def estimated_capacity(law, C, q1, iota):
     rhs = departure_floor(law, C, iota)
     if rhs <= 0:
         raise ValueError("infeasible instance: departure bound is nonpositive")
-    if rhs <= _threshold(0.0, q1, iota, math.sqrt):
+    if rhs <= stage1_threshold(0.0, q1, iota):
         return 0.0
     return float(_cap_estimate(rhs, q1, iota))
 

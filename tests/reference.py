@@ -9,9 +9,11 @@ module's own copies, one running-counter state per customer, so the engine's
 replay is never compared with itself. `brute_force_day_optimal` is the
 enumeration oracle for the offline day optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
-bisection where the engine inverts the threshold in closed form.
+bisection where the engine inverts the threshold in closed form, and
+`max_bookings_within` finds a request's Stage-I cap the same way.
 `engine_days` steps the engine's own policy trajectory day by day for the
-invariant tests.
+invariant tests, and `sampled_days` yields the days of the engine's block
+sampler one at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import roomflow.engine as E
+from roomflow.flows import sample_blocks, streams
 from roomflow.policies import (
     AdaptivePolicy,
     OraclePolicy,
@@ -64,23 +67,33 @@ def substream(master_seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def day_streams(seed, rep, k):
-    """The three streams of day k of replication rep, in the order
-    `engine.realize_day` takes them."""
-    return iter([substream(seed, rep, k, sub) for sub in (1, 2, 3)])
+def day_streams(seed, rep, days):
+    """The streams of the given days of replication rep, in the order
+    `flows.sample_blocks` takes them: three a day."""
+    return streams(seed, ((rep, k, sub) for k in days for sub in (1, 2, 3)))
+
+
+def sampled_days(profiles, seed, days, rep=0):
+    """The engine's realizations of the given days (a sequence of day
+    numbers) of replication rep, one day at a time."""
+    for block in sample_blocks(profiles, day_streams(seed, rep, days),
+                               len(days)):
+        yield from (block.day(d) for d in range(len(block)))
 
 
 def engine_days(scenario, policy, ledger, rep=0):
     """The engine's policy trajectory of replication rep on `ledger`, one
     day at a time: yields (k, day loss, guests served on day k)."""
-    for k in range(1, scenario.T + 1):
-        realization = E.realize_day(
-            scenario, day_streams(scenario.seed, rep, k))
-        survivors = E._survivors(realization, E.stage1_accept(
-            policy, realization.bookings, scenario.profiles, scenario.C))
-        carried = ledger.occupied(k)
-        loss = E.run_day(k, realization, policy, ledger, scenario, survivors)
-        yield k, loss, ledger.occupied(k) - carried
+    rngs = day_streams(scenario.seed, rep, range(1, scenario.T + 1))
+    k = 0
+    for block in sample_blocks(scenario.profiles, rngs, scenario.T):
+        survivors = E.block_survivors(policy, block, scenario)
+        for d in range(len(block)):
+            k += 1
+            carried = ledger.occupied(k)
+            loss = E.run_day(k, block.day(d), policy, ledger, scenario,
+                             survivors[d])
+            yield k, loss, ledger.occupied(k) - carried
 
 
 def sample_times(rate, n, rng):
@@ -385,6 +398,31 @@ def estimated_capacity_bisection(law, C, q1, iota):
             lo = mid
         else:
             hi = mid
+
+
+def max_bookings_within(hat_C, p_t, iota):
+    """Largest integer B with stage1_threshold(B, p_t, iota) <= hat_C, by
+    an exponential bracket up from 0 and integer bisection on the
+    nondecreasing threshold. Returns -1 when even B = 0 exceeds hat_C, and
+    math.inf when the bound passes 2**53 (p_t = 0: the threshold does not
+    grow with B)."""
+    def fits(n):
+        return stage1_threshold(n, p_t, iota) <= hat_C
+
+    if not fits(0):
+        return -1
+    lo, hi = 0, 1
+    while fits(hi):
+        if hi >= 2 ** 53:
+            return math.inf
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def oracle_stage2(survivors, walkins, C_rooms):

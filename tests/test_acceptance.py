@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 import reference as R
-from reference import engine_days, substream
+from reference import engine_days, sampled_days, substream
 import roomflow.calibration as calib
 import roomflow.cli as cli
 import roomflow.engine as E
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
-                            StageProfiles, reserved_outcomes,
-                            sample_stage1_day)
+                            StageProfiles)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
 
@@ -231,9 +230,9 @@ class TestStageOneConcentration:
         pol = E.AdaptivePolicy(4.0, 0.4)
         hat_C = estimated_capacity(prof.duration_law, 100, 0.4, 4.0)
         exceed = 0
-        for day in range(10_000):
-            recs = sample_stage1_day(prof, substream(2024, 7, day, 1))
-            accepted = E.stage1_accept(pol, recs, prof, 100)
+        for day in sampled_days(prof, 2024, range(10_000), rep=7):
+            recs = day.bookings
+            accepted = E.stage1_accept(pol, recs, prof, 100, [0, len(recs)])
             survivors = int(recs.survives[accepted].sum())
             exceed += survivors > hat_C
         assert exceed / 10_000 <= 0.1
@@ -303,8 +302,7 @@ class TestInvariantSuite:
     def test_survival_law_three_sigma(self):
         # empirical window survival per request-time bin vs the keep value
         prof = reference_profiles(p0=0.4)
-        days = [sample_stage1_day(prof, substream(9, 0, day, 1))
-                for day in range(300)]
+        days = [d.bookings for d in sampled_days(prof, 9, range(300))]
         times = np.concatenate([d.time for d in days])
         survived = np.concatenate([d.survives for d in days])
         for lo in np.arange(0.0, 1.0, 0.25):
@@ -318,10 +316,8 @@ class TestInvariantSuite:
         # given the surviving count, shows are Binomial(B, q1)
         prof = reference_profiles(q1=0.35)
         total_B, total_shows = 0, 0
-        for day in range(400):
-            recs = sample_stage1_day(prof, substream(10, 0, day, 1))
-            recs.arrival_time, recs.shows = reserved_outcomes(
-                prof, len(recs), substream(10, 0, day, 2))
+        for day in sampled_days(prof, 10, range(400)):
+            recs = day.bookings
             total_B += int(recs.survives.sum())
             total_shows += int((recs.shows & recs.survives).sum())
         expect = 0.35 * total_B

@@ -148,6 +148,15 @@ class TestLoadConfig:
         assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
         assert not out.exists()
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"[scenario]\nT = \xff\n")
+        rc = cli.main(["simulate", "--preset", "lower-bound", "--config",
+                       str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}: not UTF-8 (")
+
     @pytest.mark.parametrize("section", ["rnu", "DEFAULT"])
     def test_unknown_section_rejected(self, tmp_path, capsys, section):
         # a typo would otherwise leave the preset's [run] reps in force;
@@ -407,6 +416,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {data}: {law} fit: ")
         assert not out.exists()
+
+    def test_non_utf8_dataset_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "b.csv"
+        data.write_bytes(",".join(calib.COLUMNS).encode()
+                         + b"\n2017-01-01,5,0,,2,\xff\n")
+        rc = cli.main(["fit", "--config", str(data),
+                       "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {data}: not UTF-8 (")
+
+    def test_oversized_field_names_its_line(self, tmp_path, capsys):
+        # past the csv module's 128 KiB field limit
+        data = tmp_path / "b.csv"
+        data.write_text(",".join(calib.COLUMNS) + "\n2017-01-01,5,0,,2,0\n"
+                        + "2017-01-01,5,0,,2," + "0" * 200_000 + "\n")
+        rc = cli.main(["fit", "--config", str(data),
+                       "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "config error: line 3: field larger than field limit (131072)\n")
 
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1

@@ -11,12 +11,11 @@ from roomflow.flows import (
     RateFunction,
     StageProfiles,
     reserved_outcomes,
+    sample_blocks,
     sample_nhpp,
-    sample_stage1_day,
     sample_walkins,
-    streams,
 )
-from reference import substream
+from reference import sampled_days, substream
 
 
 def simple_profiles(q1=0.5, keep=None, lam1=30.0, lam2=30.0,
@@ -100,7 +99,7 @@ class TestKeepCurve:
     def test_constant_curve_cancels_at_window_end(self):
         curve = KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0])
         s = np.full(50, 0.3)
-        tau = curve.cancel_times(s, curve.value(s), substream(4))
+        tau = curve.cancel_times(s, curve.value(s), substream(4).random(50))
         assert tau == pytest.approx(np.ones(50))
 
     def test_linear_curve_survival_law(self):
@@ -112,7 +111,8 @@ class TestKeepCurve:
         s = np.full(n, 0.25)
         p = curve.value(s)
         survives = rng.random(n) < p  # survives the whole window
-        tau = curve.cancel_times(s[~survives], p[~survives], rng)
+        tau = curve.cancel_times(s[~survives], p[~survives],
+                                 rng.random(n - survives.sum()))
         alive = survives.sum() + (tau > 0.5).sum()
         assert abs(alive / n - 0.5) < 0.01
 
@@ -143,24 +143,25 @@ class TestDurationLaw:
 class TestStage1Day:
     def test_no_cancellation(self):
         profiles = simple_profiles(keep=KeepCurve.linear(1.0, 0.0, 1.0))
-        day = sample_stage1_day(profiles, substream(9))
+        day = next(sampled_days(profiles, 9, [1])).bookings
         assert len(day) > 0
         assert day.survives.all() and np.isnan(day.cancel_time).all()
 
     def test_constant_half_survival(self):
         profiles = simple_profiles(
             keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]), lam1=100.0)
-        rng = substream(10)
         total = survived = 0
-        while total < 100_000:
-            day = sample_stage1_day(profiles, rng)
+        for day in sampled_days(profiles, 10, range(1, 2000)):
+            if total >= 100_000:
+                break
+            day = day.bookings
             total += len(day)
             survived += int(day.survives.sum())
         assert abs(survived / total - 0.5) < 0.005
 
     def test_records_sorted_and_consistent(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0))
-        day = sample_stage1_day(profiles, substream(11))
+        day = next(sampled_days(profiles, 11, [1])).bookings
         times = day.time.tolist()
         assert times == sorted(times)
         gone = ~day.survives
@@ -171,11 +172,10 @@ class TestStage1Day:
         # among bookings alive at t, the fraction ultimately surviving is p(t)
         curve = KeepCurve.linear(0.2, 0.0, 1.0)
         profiles = simple_profiles(keep=curve, lam1=50.0)
-        rng = substream(12)
         t = 0.6
         alive = surv = 0
-        for _ in range(2000):
-            day = sample_stage1_day(profiles, rng)
+        for day in sampled_days(profiles, 12, range(1, 2001)):
+            day = day.bookings
             # nan cancel times (survivors) compare False
             live = (day.time <= t) & (day.survives | (day.cancel_time > t))
             alive += int(live.sum())
@@ -258,16 +258,6 @@ class TestStage2Day:
         assert abs(resid.var() - var_expected) < 4 * sd_var
 
 
-def scenario_for(profiles, seed):
-    return E.ScenarioConfig(T=5, C=10, v=0.0, reward=1.0,
-                            overbook_penalty=1.0, profiles=profiles,
-                            seed=seed)
-
-
-def day_rngs(seed, rep, k):
-    return streams(seed, [(rep, k, sub) for sub in (1, 2, 3)])
-
-
 def day_arrays(day):
     b, w = day.bookings, day.walkins
     return [b.time, b.keep, b.survives, b.cancel_time, b.duration,
@@ -278,16 +268,15 @@ class TestDeterminism:
     def test_identical_seeds_identical_streams(self):
         profiles = simple_profiles(keep=KeepCurve.linear(0.3, 0.0, 1.0),
                                    law=DurationLaw("geometric", q_stay=0.3))
-        d1 = E.realize_day(scenario_for(profiles, 42), day_rngs(42, 0, 3))
-        d2 = E.realize_day(scenario_for(profiles, 42), day_rngs(42, 0, 3))
+        d1 = next(sampled_days(profiles, 42, [3]))
+        d2 = next(sampled_days(profiles, 42, [3]))
         for a, b in zip(day_arrays(d1), day_arrays(d2)):
             np.testing.assert_array_equal(a, b)
 
     def test_different_paths_differ(self):
         profiles = simple_profiles()
-        sc = scenario_for(profiles, 42)
-        d1 = E.realize_day(sc, day_rngs(42, 0, 3))
-        d2 = E.realize_day(sc, day_rngs(42, 1, 3))
+        d1 = next(sampled_days(profiles, 42, [3]))
+        d2 = next(sampled_days(profiles, 42, [3], rep=1))
         assert d1.bookings.time.tolist() != d2.bookings.time.tolist()
 
 
@@ -297,7 +286,7 @@ class TestRecords:
         # never before its request
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0),
                                    lam1=200.0)
-        day = sample_stage1_day(profiles, substream(20))
+        day = next(sampled_days(profiles, 20, [1])).bookings
         np.testing.assert_array_equal(np.isnan(day.cancel_time),
                                       day.survives)
         gone = ~day.survives
@@ -315,10 +304,10 @@ class TestRecords:
         assert list(res.served_walkins) == list(range(len(wk)))
 
     def test_reserved_outcomes_cover_all_bookings(self):
-        # realize_day draws an outcome for every request, admitted or not
+        # the sampler draws an outcome for every request, admitted or not
         profiles = simple_profiles(
             keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]))
-        day = E.realize_day(scenario_for(profiles, 0), iter(
-            [substream(18), substream(19), substream(22)])).bookings
+        day = next(sample_blocks(profiles, iter(
+            [substream(18), substream(19), substream(22)]), 1)).bookings
         assert len(day.arrival_time) == len(day.shows) == len(day) > 0
         assert day.shows.dtype == bool

@@ -1,6 +1,10 @@
 """Decision-rule formulas: frozen golden values and structural properties."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from roomflow.policies import (
     departure_floor,
     estimated_capacity,
     heuristic_stage1_threshold,
-    max_bookings_within,
     stage1_threshold,
 )
 from reference import (
@@ -26,6 +29,7 @@ from reference import (
     expected_shownups,
     heuristic2_decide_walkin,
     heuristic_stage2_standard,
+    max_bookings_within,
     type1_checkin_decide,
 )
 
@@ -84,6 +88,23 @@ class TestMaxBookingsWithin:
             scan += 1
         assert n == scan == 215
 
+    def test_underflowing_estimate_returns_promptly(self):
+        # the threshold's safety terms underflow: the closed-form estimate
+        # is 1e10 where the cap is 6666666666, too far to step by one; run
+        # apart so that a hang fails on the timeout
+        code = ("import numpy as np\n"
+                "from reference import max_bookings_within\n"
+                "from roomflow.policies import booking_caps\n"
+                "print(max_bookings_within(1e-300, 1e-310, 1e-300))\n"
+                "print(booking_caps(1e-300, np.array([1e-310, 0.5]), 1e-300,"
+                " np.array([2e10, 2e10])))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parent), *sys.path]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout
+        assert out == "6666666666\n[6666666666.0, 0.0]\n"
+
 
 class TestEstimatedCapacity:
     def test_iota_zero_constant(self):
@@ -127,7 +148,8 @@ def stage1_accepted(times, curve, hat_C, iota):
     """Accepted positions of never-cancelling requests at `times` under the
     adaptive Stage-I rule (per-request caps from the keep values)."""
     times = np.asarray(times, dtype=float)
-    caps = booking_caps(hat_C, curve.value(times), iota)
+    caps = booking_caps(hat_C, curve.value(times), iota,
+                        np.full(len(times), len(times)))
     return replay_stage1(times.tolist(), [math.nan] * len(times), caps)
 
 

@@ -5,20 +5,24 @@ small random scenarios."""
 import math
 import re
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference as R
-from reference import engine_days, substream
+from reference import (engine_days, max_bookings_within, sampled_days,
+                       substream)
 import roomflow.engine as E
+import roomflow.flows as F
 from roomflow.flows import (
     DurationLaw,
     KeepCurve,
     RateFunction,
     StageProfiles,
-    sample_stage1_day,
+    sample_blocks,
     streams,
 )
 from roomflow.policies import (
@@ -27,7 +31,6 @@ from roomflow.policies import (
     OraclePolicy,
     booking_caps,
     estimated_capacity,
-    max_bookings_within,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -120,14 +123,26 @@ class TestArrayEngineMatchesReference:
             assert losses[2].tolist() == ben, name
 
     @SETTINGS
+    @given(case=cases(), limit=st.sampled_from(["_BLOCK_DAYS",
+                                                "_BLOCK_REQUESTS"]))
+    def test_block_limits_are_invisible(self, case, limit):
+        # blocks of one day, or closed at the first booking request, give
+        # the losses of blocks that span the horizon
+        sc, policies = case
+        want = E.run_experiment(sc, policies)
+        with mock.patch.object(F, limit, 1):
+            got = E.run_experiment(sc, policies)
+        for name, losses in want.items():
+            assert ([x.tolist() for x in got[name]]
+                    == [x.tolist() for x in losses]), name
+
+    @SETTINGS
     @given(sc=scenarios())
     def test_sampling_is_bit_identical_to_scalar_draws(self, sc):
         # vectorized draws against one scalar draw per record, stream by
-        # stream; the generators must also end at the same state
-        rngs = streams(sc.seed, ((0, k, sub) for k in range(1, sc.T + 1)
-                                 for sub in (1, 2, 3)))
-        for k in range(1, sc.T + 1):
-            day = E.realize_day(sc, rngs)
+        # stream
+        days = sampled_days(sc.profiles, sc.seed, range(1, sc.T + 1))
+        for k, day in zip(range(1, sc.T + 1), days):
             bookings, walkins = R.realize_day(sc, 0, k)
             b = day.bookings
             assert b.time.tolist() == [r.request_time for r in bookings]
@@ -149,7 +164,8 @@ class TestArrayEngineMatchesReference:
     def test_stage1_stream_ends_where_the_scalar_one_does(self, sc, seed):
         prof = sc.profiles
         fast, slow = substream(seed, 1), substream(seed, 1)
-        sample_stage1_day(prof, fast)
+        next(sample_blocks(prof, iter([fast, substream(seed, 2),
+                                       substream(seed, 3)]), 1))
         R.sample_stage1(prof, slow)
         assert fast.random() == slow.random()
 
@@ -195,8 +211,9 @@ class TestArrayEngineMatchesReference:
            p=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                       min_size=0, max_size=40))
     def test_booking_caps_match_scalar_closed_form(self, hat_C, iota, p):
-        # short days take the scalar branch, long ones the vectorized one
-        caps = booking_caps(hat_C, np.asarray(p, dtype=float), iota)
+        # the vectorized bracket against the reference's scalar bisection
+        caps = booking_caps(hat_C, np.asarray(p, dtype=float), iota,
+                            np.full(len(p), len(p)))
         assert caps == [min(max_bookings_within(hat_C, x, iota), len(p))
                         for x in p]
 
