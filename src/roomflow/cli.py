@@ -155,9 +155,10 @@ def _real(rule, ok):
 
 
 # a day's booking requests, walk-ins and single-day bookings are held as
-# arrays (Stage I's also as lists) of that length, so their expected count
-# is bounded where a day fits in memory: a fig4 day at lambda1 = 10**6
-# peaks near 260 MiB
+# arrays (Stage I's also as lists) of that length, in blocks of days that
+# hold little more than their largest day, so their expected count is
+# bounded where a day fits in memory: a fig4 day at lambda1 = 10**6 peaks
+# near 260 MiB
 _MAX_DAY_EVENTS = 1_000_000
 _RATE = _real(f"in [0, {_MAX_DAY_EVENTS}]",
               lambda x: 0.0 <= x <= _MAX_DAY_EVENTS)

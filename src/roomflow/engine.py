@@ -136,7 +136,6 @@ hat_capacity = lru_cache(maxsize=None)(_estimated_capacity)
 def replay_stage1(times, cancel_times, caps, first=0):
     """Replay one day's booking requests, and the cancellations of accepted
     ones, in time order. Request i is accepted iff B_alive + 1 <= caps[i];
-    caps may be any iterable.
     cancel_times[i] is nan for a request that survives the window.
 
     Cancellations are processed before requests at equal timestamps.
@@ -167,8 +166,7 @@ def stage1_accept(policy, bookings, profiles, C, starts):
     stage1_threshold(B_alive + 1, p_i, iota) <= hat_C, that is iff
     B_alive + 1 is at most the request's cap, computed for the whole block
     from the keep values sampled with it (policies.booking_caps)."""
-    law = profiles.duration_law
-    q1 = profiles.show_prob
+    law, q1 = profiles.duration_law, profiles.show_prob
     if isinstance(policy, AdaptivePolicy):
         hat_C = hat_capacity(law, C, q1, policy.iota)
         sizes = np.diff(starts)
@@ -398,8 +396,7 @@ def run_experiment(scenario, policies, rep=0):
             bench[k - 1] = run_day(k, day, oracle, bench_ledger, scenario,
                                    selected)
             for n in names:
-                ledger, hybrid_ledger = ledgers[n]
-                pol, hyb, _ = losses[n]
+                (ledger, hybrid_ledger), (pol, hyb, _) = ledgers[n], losses[n]
                 kept = survivors[n][d]
                 pol[k - 1] = run_day(k, day, policies[n], ledger, scenario,
                                      kept)

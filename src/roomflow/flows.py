@@ -203,14 +203,11 @@ class RateFunction:
             raise ValueError("Beta parameters must be positive")
         return cls("beta", t0, t1, mass, a=a, b=b)
 
-    def sample_times(self, n, rng):
-        """n i.i.d. times from the normalized density (unsorted)."""
-        return self.times(self.draw(n, rng))
-
     def draw(self, n, rng):
-        """The variates of n times, for `times`: n Beta draws, or two rows of
-        n uniforms, the pieces as rng.choice(len(w), n, p=w) draws them (less
-        its checks on w), then the positions in the pieces."""
+        """The variates of n i.i.d. times from the normalized density, for
+        `times`: n Beta draws, or two rows of n uniforms, the pieces as
+        rng.choice(len(w), n, p=w) draws them (less its checks on w), then
+        the positions in the pieces."""
         if self.kind == "beta":
             return rng.beta(self.a, self.b, n)
         if self.mass <= 0 and n:
@@ -413,8 +410,7 @@ class Bookings:
 
     @cached_property
     def lists(self):
-        """time and cancel_time as Python lists, for the Stage-I replays,
-        which read them one element at a time: made once per block."""
+        """time and cancel_time as lists, made once a block for Stage I."""
         return self.time.tolist(), self.cancel_time.tolist()
 
 
@@ -458,56 +454,47 @@ class DayBlock:
             [0, e - o], [0, x - w], self.walkin_stays[w:x])
 
 
-def sample_nhpp(rate, rng):
-    """Sorted event times of a non-homogeneous Poisson process: a
-    Poisson(total mass) count of i.i.d. times from the normalized density."""
-    if rate.mass <= 0:
-        return np.empty(0)
-    n = rng.poisson(rate.mass)
-    return np.sort(rate.sample_times(n, rng))
+def _draw_nhpp(rate, rng):
+    """The Poisson count of an NHPP and the i.i.d. variates of its times."""
+    n = int(rng.poisson(rate.mass)) if rate.mass > 0 else 0
+    return n, rate.draw(n, rng)
 
 
-# A block holds days until it has this many booking requests, and at most
-# this many days: enough to spread numpy's per-call cost over tiny days, few
-# enough to stay small in memory (a day's draws are held as small arrays,
-# about 1.4 KB a day, until the block's transforms run).
-_BLOCK_REQUESTS = 4096
+# A block closes at this many events (booking requests and walk-ins) or
+# days: enough to spread numpy's per-call cost, few enough to hold little
+# more than its largest day (under 60 bytes an event and 1.4 KB a day).
+_BLOCK_EVENTS = 4096
 _BLOCK_DAYS = 256
 
 
 def sample_blocks(profiles, rngs, n_days):
     """The realizations of n_days consecutive days, as DayBlocks. Each day
     draws from the next three streams of `rngs`, in this order: (1) the
-    Poisson count and times of its booking requests, one survival uniform
-    each in time order, the stay lengths, then one uniform per cancelling
-    request with p > 0 (KeepCurve.cancel_times); (2) the check-in outcomes
-    of every request (reserved_outcomes); (3) its walk-ins (sample_walkins).
-    The transforms of the draws run once per block. Stream 1's state is
-    kept after its fixed draws, and the cancel uniforms, whose count the
-    block's survival test decides, are drawn from it afterwards."""
-    rate, walkin = profiles.stage1_rate, profiles.walkin_rate
-    law, curve = profiles.duration_law, profiles.keep_curve
+    Poisson count and times of its booking requests (`_draw_nhpp`), one
+    survival uniform each in time order, the stay lengths, then one uniform
+    per cancelling request with p > 0 (KeepCurve.cancel_times); (2) the
+    check-in outcomes of every request (`_draw_outcomes`); (3) its walk-ins
+    (`_draw_walkins`). The transforms of the draws run once per block.
+    Stream 1's state is kept after its fixed draws, and the cancel
+    uniforms, whose count the block's survival test decides, are drawn
+    from it afterwards."""
+    rate, law = profiles.stage1_rate, profiles.duration_law
+    may_cancel = profiles.keep_curve.values[0] < 1.0
     while n_days > 0:
         days, total = [], 0
-        while (len(days) < min(n_days, _BLOCK_DAYS)
-               and total < _BLOCK_REQUESTS):
+        while len(days) < min(n_days, _BLOCK_DAYS) and total < _BLOCK_EVENTS:
             rng = next(rngs)
-            n = int(rng.poisson(rate.mass)) if rate.mass > 0 else 0
-            drawn = [n, rate.draw(n, rng), rng.random(n), law.sample(rng, n),
-                     rng, rng.bit_generator.state
-                     if n and curve.values[0] < 1.0 else None]
-            rng = next(rngs)
-            drawn += [profiles.arrival_density.draw(n, rng), rng.random(n)]
-            rng = next(rngs)
-            m = int(rng.poisson(walkin.mass)) if walkin.mass > 0 else 0
-            days.append(drawn + [m, walkin.draw(m, rng), law.sample(rng, m)])
-            total += n
+            n, t_raw = _draw_nhpp(rate, rng)
+            days.append((n, t_raw, rng.random(n), law.sample(rng, n), rng,
+                         rng.bit_generator.state if n and may_cancel else None,
+                         *_draw_outcomes(profiles, n, next(rngs)),
+                         *_draw_walkins(profiles, next(rngs))))
+            total += n + days[-1][8]  # requests and walk-ins
         (counts, t_raw, u_survive, stays, rng1, state1, a_raw, u_show,
          wk_counts, w_raw, wk_stays) = zip(*days)
         day = np.repeat(np.arange(len(days)), counts)
-        time = rate.times(np.concatenate(t_raw, axis=-1))
-        time = time[np.lexsort((time, day))]
-        keep = curve.value(time)
+        time = _by_day(rate.times(np.concatenate(t_raw, axis=-1)), counts)
+        keep = profiles.keep_curve.value(time)
         survives = np.concatenate(u_survive) < keep
         gone = np.flatnonzero(~survives)
         live = np.bincount(day[gone[keep[gone] > 0.0]], minlength=len(days))
@@ -515,12 +502,11 @@ def sample_blocks(profiles, rngs, n_days):
         for d in np.flatnonzero(live).tolist():
             rng1[d].bit_generator.state = state1[d]
             uniforms.append(rng1[d].random(live[d]))
-        cancel = np.full(total, np.nan)
-        cancel[gone] = curve.cancel_times(time[gone], keep[gone],
-                                          np.concatenate(uniforms))
-        wk_time = walkin.times(np.concatenate(w_raw, axis=-1))
-        wk_time = wk_time[np.lexsort((wk_time, np.repeat(
-            np.arange(len(days)), wk_counts)))]
+        cancel = np.full(len(time), np.nan)
+        cancel[gone] = profiles.keep_curve.cancel_times(
+            time[gone], keep[gone], np.concatenate(uniforms))
+        wk_time = _by_day(profiles.walkin_rate.times(
+            np.concatenate(w_raw, axis=-1)), wk_counts)
         wk_stays = np.concatenate(wk_stays)
         yield DayBlock(
             Bookings(time, keep, survives, cancel, np.concatenate(stays),
@@ -532,15 +518,33 @@ def sample_blocks(profiles, rngs, n_days):
         n_days -= len(days)
 
 
+def _by_day(x, counts):
+    """x sorted within its consecutive runs of counts[0], counts[1], ..."""
+    if len(counts) == 1:
+        return np.sort(x)
+    day = np.repeat(np.arange(len(counts), dtype=np.uint16), counts)
+    order = x.argsort()  # then stably, by radix, on the day
+    return x[order[day[order].argsort(kind="stable")]]
+
+
 def reserved_outcomes(profiles, n, rng):
-    """Unsorted arrival times and show flags of n reserved customers: each
-    arrives at a time from the arrival density and shows with probability
-    q1. Draw order: the n arrival times, then one show uniform each."""
-    arrival = profiles.arrival_density.sample_times(n, rng)
-    return arrival, rng.random(n) < profiles.show_prob
+    """Unsorted arrival times and show flags of n reserved customers: times
+    from the arrival density, each showing with probability q1."""
+    raw, u_show = _draw_outcomes(profiles, n, rng)
+    return profiles.arrival_density.times(raw), u_show < profiles.show_prob
+
+
+def _draw_outcomes(profiles, n, rng):
+    """n arrival time variates, then one show uniform each."""
+    return profiles.arrival_density.draw(n, rng), rng.random(n)
 
 
 def sample_walkins(profiles, rng):
-    time = sample_nhpp(profiles.walkin_rate, rng)
-    duration = profiles.duration_law.sample(rng, len(time))
-    return CheckIns(time, duration)
+    _, raw, duration = _draw_walkins(profiles, rng)
+    return CheckIns(np.sort(profiles.walkin_rate.times(raw)), duration)
+
+
+def _draw_walkins(profiles, rng):
+    """The count and time variates of the walk-ins, then their stays."""
+    m, raw = _draw_nhpp(profiles.walkin_rate, rng)
+    return m, raw, profiles.duration_law.sample(rng, m)

@@ -87,10 +87,10 @@ def booking_caps(hat_C, p, iota, m):
     """Stage-I caps of requests with keep probabilities p (an array): the
     largest integer B with stage1_threshold(B, p_i, iota) <= hat_C (-1 if
     none), clipped at m_i, the count of the request's day (an array), which
-    no alive count can pass. The closed-form inverse
-    is corrected against the threshold, nondecreasing in B in floating
-    point too, by an exponential bracket and integer bisection: where the
-    threshold's terms underflow, the estimate can be off by billions."""
+    no alive count can pass. The closed-form inverse is corrected against
+    the threshold, nondecreasing in B in floating point too, by an
+    exponential bracket and integer bisection: where the threshold's terms
+    underflow, the estimate can be off by billions."""
     flat = p == 0.0
     q = np.where(flat, 1.0, p)  # p = 0 is settled after the correction
 
@@ -112,8 +112,7 @@ def booking_caps(hat_C, p, iota, m):
         ok = fits(mid)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     if flat.any():
-        lo[flat] = (m[flat] if stage1_threshold(0, 0.0, iota) <= hat_C
-                    else -1.0)
+        lo[flat] = m[flat] if stage1_threshold(0, 0.0, iota) <= hat_C else -1
     return lo.tolist()
 
 

@@ -97,7 +97,7 @@ def engine_days(scenario, policy, ledger, rep=0):
 
 
 def sample_times(rate, n, rng):
-    """RateFunction.sample_times with numpy's own weighted choice."""
+    """RateFunction.times(draw(n, rng)) with numpy's own weighted choice."""
     if n == 0:
         return np.empty(0)
     if rate.kind == "beta":

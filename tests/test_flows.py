@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import roomflow.engine as E
+import roomflow.flows as F
 from roomflow.flows import (
     DurationLaw,
     KeepCurve,
@@ -12,10 +13,14 @@ from roomflow.flows import (
     StageProfiles,
     reserved_outcomes,
     sample_blocks,
-    sample_nhpp,
     sample_walkins,
 )
-from reference import sampled_days, substream
+from reference import day_streams, sampled_days, substream
+
+
+def sample_nhpp(rate, rng):
+    """Sorted event times of a non-homogeneous Poisson process."""
+    return np.sort(rate.times(F._draw_nhpp(rate, rng)[1]))
 
 
 def simple_profiles(q1=0.5, keep=None, lam1=30.0, lam2=30.0,
@@ -49,7 +54,7 @@ class TestRateFunction:
     def test_beta_density_symmetry(self):
         rate = RateFunction.beta_shaped(30.0, 6, 6)
         rng = substream(2)
-        t = rate.sample_times(500_000, rng)
+        t = rate.times(rate.draw(500_000, rng))
         assert abs(t.mean() - 0.5) < 0.002
 
     def test_mass_between(self):
@@ -311,3 +316,17 @@ class TestRecords:
             [substream(18), substream(19), substream(22)]), 1)).bookings
         assert len(day.arrival_time) == len(day.shows) == len(day) > 0
         assert day.shows.dtype == bool
+
+    def test_walkins_count_toward_the_block_budget(self, monkeypatch):
+        # a walk-in-heavy, booking-light horizon: a block closes once its
+        # requests and walk-ins reach the budget, so before its last day it
+        # holds fewer events than the budget, not _BLOCK_DAYS days of them
+        monkeypatch.setattr(F, "_BLOCK_EVENTS", 100)
+        profiles = simple_profiles(lam1=0.5, lam2=30.0)
+        blocks = list(sample_blocks(
+            profiles, day_streams(23, 0, range(1, 61)), 60))
+        assert sum(map(len, blocks)) == 60 and len(blocks) > 5
+        for block in blocks:
+            assert block.starts[-2] + block.wk_starts[-2] < 100
+        for block in blocks[:-1]:
+            assert len(block.bookings) + len(block.walkins) >= 100

@@ -124,9 +124,9 @@ class TestArrayEngineMatchesReference:
 
     @SETTINGS
     @given(case=cases(), limit=st.sampled_from(["_BLOCK_DAYS",
-                                                "_BLOCK_REQUESTS"]))
+                                                "_BLOCK_EVENTS"]))
     def test_block_limits_are_invisible(self, case, limit):
-        # blocks of one day, or closed at the first booking request, give
+        # blocks of one day, or closed at the first event, give
         # the losses of blocks that span the horizon
         sc, policies = case
         want = E.run_experiment(sc, policies)
