@@ -21,6 +21,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
+from itertools import product
 
 import numpy as np
 
@@ -198,9 +199,10 @@ _MAX_CELLS = 10_000  # of a grid, and so of points on one axis
 
 
 def parse_axis(text):
-    """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive). A
-    range is sized before it is built, so one far past the cell limit
-    fails without allocating its points."""
+    """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive up to
+    float error). A range is sized before it is built, so one far past the
+    cell limit fails without allocating its points. Values that print alike
+    would share a cell key, and so a seed: they fail."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
@@ -210,8 +212,16 @@ def parse_axis(text):
         if not steps < _MAX_CELLS:
             raise ConfigError(
                 f"axis range {text!r} has more than {_MAX_CELLS} points")
-        return [start + i * step for i in range(round(steps) + 1)]
-    return [float(x) for x in text.split(",")]
+        values = [start + i * step
+                  for i in range(math.floor(steps * (1 + 1e-9)) + 1)]
+    else:
+        values = [float(x) for x in text.split(",")]
+    printed = {}
+    for v in values:
+        if (key := f"{v:g}") in printed:
+            raise ConfigError(f"{printed[key]!r} and {v!r} share a cell key")
+        printed[key] = v
+    return values
 
 
 # policy kind -> (type, the keys its spec must give)
@@ -345,9 +355,7 @@ def _plan(cfg, args, limit):
     policies = parse_policies(cfg)
     axes = _axes_from_config(cfg, limit)
     names = [name for name, _ in axes]
-    grid = [()]
-    for name, values in axes:
-        grid = [cell + ((name, v),) for cell in grid for v in values]
+    grid = product(*([(name, v) for v in values] for name, values in axes))
     cells = [(coords, build_scenario(cfg, coords, names)) for coords in grid]
     mode = cells[0][1][0]
     f = _Fields(cfg, "run")
@@ -544,7 +552,8 @@ def cmd_fit(args):
 
 
 def _check_lines(mode, inputs, iota, alpha):
-    """Busy-season and call-timing verdicts of one grid cell."""
+    """Busy-season and call-timing verdicts of one grid cell at one policy's
+    iota ([check] iota, if given) and alpha (None: no adaptive policy)."""
     single_day = mode == "single-day"
     sc = inputs[1] if single_day else inputs
     C, v, prof = sc.C, sc.v, sc.profiles
@@ -560,6 +569,9 @@ def _check_lines(mode, inputs, iota, alpha):
     yield (f"walk-in condition: {'holds' if rpt.walkin_ok else 'fails'} "
            f"(lambda2={prof.walkin_rate.mass:g}, "
            f"required={rpt.required_lambda2:.4g})")
+    if alpha is None:
+        yield "call-timing condition: not applicable (no adaptive policy)"
+        return
     v_eff = max(v, 0.0)
     mass = prof.walkin_rate.mass_after(v_eff)
     try:
@@ -574,25 +586,27 @@ def _check_lines(mode, inputs, iota, alpha):
 
 
 def cmd_check(args):
-    """Verdicts of every grid cell, each distinct line printed once."""
+    """Verdicts of every grid cell per adaptive policy (named when there are
+    several), each distinct line printed once."""
     cfg = load_config(args.preset, args.config)
     policies, _, cells, mode, _, _ = _plan(cfg, args, limit=2)
     f = _Fields(cfg, "check")
     iota = f.get("iota", _IOTA, None)
     f.reject_unread(mode)
-    alpha = 0.4
-    for pol in policies.values():
-        if isinstance(pol, AdaptivePolicy):
-            iota = pol.iota if iota is None else iota
-            alpha = pol.alpha
-    if iota is None:
+    adaptive = [(n, p) for n, p in policies.items()
+                if isinstance(p, AdaptivePolicy)]
+    if not adaptive and iota is None:
         raise ConfigError("[check] iota: no adaptive policy or iota given")
+    judges = [(f"{n}: " if len(adaptive) > 1 else "",
+               p.iota if iota is None else iota, p.alpha)
+              for n, p in adaptive] or [("", iota, None)]
     printed = set()
     for _, (_, inputs) in cells:
-        for line in _check_lines(mode, inputs, iota, alpha):
-            if line not in printed:
-                printed.add(line)
-                print(line)
+        for name, *judge in judges:
+            for line in _check_lines(mode, inputs, *judge):
+                if (line := name + line) not in printed:
+                    printed.add(line)
+                    print(line)
     return 0
 
 

@@ -8,8 +8,8 @@ trajectory: the policy's, the benchmark's (clairvoyant Stage-I selection,
 then the offline optimum as check-in rule, on the same realizations:
 common random numbers) and a hybrid one (the offline optimum on top of the
 policy's Stage-I acceptances), which splits the regret into Stage-I and
-Stage-II components. A trajectory is one loss a day. Stage I, which never
-reads the ledger, runs a block of days at a time; Stage II, day by day.
+Stage-II components. Stage I never reads the ledger and runs a block of
+days at a time; Stage II runs day d of a block, on block positions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import copy
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -36,9 +35,9 @@ from .policies import (
     HeuristicPolicy,
     OraclePolicy,
     booking_caps,
+    estimated_capacity,
     heuristic_stage1_threshold,
 )
-from .policies import estimated_capacity as _estimated_capacity
 
 
 class CapacityError(RuntimeError):
@@ -130,8 +129,6 @@ class OccupancyLedger:
 # ---------------------------------------------------------------------------
 # Stage-I and Stage-II replays
 
-hat_capacity = lru_cache(maxsize=None)(_estimated_capacity)
-
 
 def replay_stage1(times, cancel_times, caps, first=0):
     """Replay one day's booking requests, and the cancellations of accepted
@@ -168,7 +165,7 @@ def stage1_accept(policy, bookings, profiles, C, starts):
     from the keep values sampled with it (policies.booking_caps)."""
     law, q1 = profiles.duration_law, profiles.show_prob
     if isinstance(policy, AdaptivePolicy):
-        hat_C = hat_capacity(law, C, q1, policy.iota)
+        hat_C = estimated_capacity(law, C, q1, policy.iota)
         sizes = np.diff(starts)
         caps = booking_caps(hat_C, bookings.keep, policy.iota,
                             np.repeat(sizes, sizes))
@@ -300,15 +297,14 @@ def allocated_capacity(scenario, ledger, k):
     return float(free), free
 
 
-def _finish_day(scenario, ledger, k, result, realization, reserved):
-    """Admit the served guests and return the day's loss. reserved: booking
+def _finish_day(scenario, ledger, k, result, block, reserved, w):
+    """Admit the served guests and return the day's loss. reserved: block
     positions (an index array) of the reserved customers the Stage-II
-    result indexes."""
+    result indexes; w: the block position of the day's first walk-in."""
     served = result.served_type1
-    stays = (realization.bookings.duration[reserved[served]].tolist()
+    stays = (block.bookings.duration[reserved[served]].tolist()
              if len(served) else [])
-    walkin_stays = realization.walkin_stays
-    stays += [walkin_stays[j] for j in result.served_walkins]
+    stays += [block.walkin_stays[w + j] for j in result.served_walkins]
     if stays:
         ledger.admit(k, stays)
     idle = scenario.C - ledger.occupied(k)
@@ -316,16 +312,17 @@ def _finish_day(scenario, ledger, k, result, realization, reserved):
             + scenario.reward * idle)
 
 
-def run_day(k, realization, policy, ledger, scenario, survivors):
-    """Day k of one trajectory: the policy's check-in rule on the surviving
-    bookings at positions `survivors`. Admits the served guests into the
-    ledger and returns the day's loss."""
-    bookings = realization.bookings
+def run_day(k, block, d, policy, ledger, scenario, kept):
+    """Day k of one trajectory, day d of the block: the policy's check-in
+    rule on the surviving bookings at block positions `kept`. Admits the
+    served guests into the ledger and returns the day's loss."""
+    bookings = block.bookings
+    w, x = block.wk_starts[d:d + 2]
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
-    result = replay_stage2(policy, bookings.arrival_time[survivors],
-                           bookings.shows[survivors], realization.walkins.time,
-                           C_tilde, C_rooms, scenario.profiles, scenario.v)
-    return _finish_day(scenario, ledger, k, result, realization, survivors)
+    result = replay_stage2(policy, bookings.arrival_time[kept],
+                           bookings.shows[kept], block.wk_time[w:x], C_tilde,
+                           C_rooms, scenario.profiles, scenario.v)
+    return _finish_day(scenario, ledger, k, result, block, kept, w)
 
 
 def warm_start_ledger(scenario, rng):
@@ -349,14 +346,13 @@ def warm_start_ledger(scenario, rng):
 
 
 def block_survivors(policy, block, scenario):
-    """Per day of the block, the positions in the day (an index array) of
-    the bookings the policy accepts in Stage I that survive the window."""
+    """Per day of the block, the block positions (an index array) of the
+    bookings the policy accepts in Stage I that survive the window."""
     bookings, starts = block.bookings, block.starts
     kept = np.array(stage1_accept(policy, bookings, scenario.profiles,
                                   scenario.C, starts), dtype=np.intp)
     kept = kept[bookings.survives[kept]]
     cut = kept.searchsorted(starts).tolist()
-    kept -= np.repeat(starts[:-1], np.diff(cut))
     return [kept[i:j] for i, j in zip(cut, cut[1:])]
 
 
@@ -388,20 +384,21 @@ def run_experiment(scenario, policies, rep=0):
     for block in sample_blocks(scenario.profiles, rngs, T):
         survivors = {n: block_survivors(policies[n], block, scenario)
                      for n in names}
-        for d in range(len(block)):
-            day, k = block.day(d), k + 1
+        survives, shows = block.bookings.survives, block.bookings.shows
+        for d, (o, e) in enumerate(zip(block.starts, block.starts[1:])):
+            k += 1
             _, C_rooms = allocated_capacity(scenario, bench_ledger, k)
-            selected = clairvoyant_stage1_select(day.bookings.survives,
-                                                 day.bookings.shows, C_rooms)
-            bench[k - 1] = run_day(k, day, oracle, bench_ledger, scenario,
-                                   selected)
+            selected = o + clairvoyant_stage1_select(survives[o:e],
+                                                     shows[o:e], C_rooms)
+            bench[k - 1] = run_day(k, block, d, oracle, bench_ledger,
+                                   scenario, selected)
             for n in names:
                 (ledger, hybrid_ledger), (pol, hyb, _) = ledgers[n], losses[n]
                 kept = survivors[n][d]
-                pol[k - 1] = run_day(k, day, policies[n], ledger, scenario,
-                                     kept)
-                hyb[k - 1] = run_day(k, day, oracle, hybrid_ledger, scenario,
-                                     kept)
+                pol[k - 1] = run_day(k, block, d, policies[n], ledger,
+                                     scenario, kept)
+                hyb[k - 1] = run_day(k, block, d, oracle, hybrid_ledger,
+                                     scenario, kept)
     return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 
@@ -460,7 +457,7 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         # the draw order is part of the seed contract
         arrival, shows = reserved_outcomes(profiles, B, rng)
         profiles.duration_law.sample(rng, B)
-        walkin_time = sample_walkins(profiles, rng).time
+        walkin_time = sample_walkins(profiles, rng)
         n_wk = len(walkin_time)
         ora_losses[i] = price(*offline_day_optimum(
             int(np.count_nonzero(shows)), n_wk, C))

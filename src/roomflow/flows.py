@@ -13,11 +13,12 @@ count-then-order-statistics (draw a Poisson count for the total mass, then
 i.i.d. times from the density).
 
 Days are sampled in blocks held as parallel numpy arrays (struct of
-arrays) with day offsets, not as one object per customer or per day. Each
-day draws its raw variates from its own streams, and the transforms of
-them run once per block. Vectorized draws take the same values from a
-Generator as the equivalent sequence of scalar draws, so the per-stream
-draw order (`sample_blocks`) is the seed contract.
+arrays) with day offsets, not as one object per customer or per day; a day
+is addressed by its block and its position in it. Each day draws its raw
+variates from its own streams, and the transforms of them run once per
+block. Vectorized draws take the same values from a Generator as the
+equivalent sequence of scalar draws, so the per-stream draw order
+(`sample_blocks`) is the seed contract.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ _BLOCK = 1024  # paths hashed together, so memory stays flat in their number
 def streams(master_seed, tails):
     """One Generator per path [master_seed, *tail], for each tail in turn.
 
-    The split rule is SeedSequence([master, *path]) with nonnegative integer
-    path components, conventionally (replication, day, subprocess id);
-    distinct paths give statistically independent streams. Each stream is
-    numpy's default_rng(SeedSequence([master, *tail])) bit for bit, but the
-    SeedSequence hash runs in numpy lanes over blocks of tails and the
+    The split rule is SeedSequence([master, *path]), conventionally with
+    path (replication, day, subprocess id); distinct paths give
+    statistically independent streams. Each stream is numpy's
+    default_rng(SeedSequence([master, *tail])) bit for bit, but the
+    SeedSequence hash runs in numpy lanes over blocks of tails (each entry
+    below 2**32, and a block's tails of one length, or ValueError) and the
     result is set into one Generator that is re-seeded and yielded again for
     every tail. A caller is done with one stream when it asks for the next.
     """
@@ -83,28 +85,16 @@ def _words(x):
 
 def _generate_states(head, block):
     """SeedSequence([*head words, *tail]).generate_state(4, uint64) as four
-    Python ints, for the tails of `block` in order. Tails of one-word
-    entries, the usual case, hash as one matrix; otherwise tails hash in
-    groups of equal word count."""
+    Python ints, for the tails of `block` in order: tails of one length
+    whose entries are 32-bit words, hashed as one matrix."""
     try:
         words = np.array(block, dtype=np.uint64)
-        one_word = words.ndim == 2 and not (words > _MASK32).any()
-    except (ValueError, OverflowError, TypeError):  # ragged, big or negative
-        one_word = False
-    if one_word:
-        return _hash(head, words)
-    groups = {}
-    for i, tail in enumerate(block):
-        row = [w for x in tail for w in _words(x)]
-        index, rows = groups.setdefault(len(row), ([], []))
-        index.append(i)
-        rows.append(row)
-    out = [None] * len(block)
-    for index, rows in groups.values():
-        for i, words in zip(index, _hash(head, np.array(rows,
-                                                        dtype=np.uint64))):
-            out[i] = words
-    return out
+    except (ValueError, OverflowError, TypeError):  # ragged or negative
+        words = None
+    if words is None or words.ndim != 2 or (words > _MASK32).any():
+        raise ValueError("stream tails must be of one length, with entries "
+                         "in [0, 2**32)")
+    return _hash(head, words)
 
 
 def _hash(head, tails):
@@ -415,43 +405,17 @@ class Bookings:
 
 
 @dataclass(eq=False)
-class CheckIns:
-    """Walk-ins as parallel arrays, each day's in time order; they always
-    show."""
-
-    time: np.ndarray
-    duration: np.ndarray
-
-    def __len__(self):
-        return len(self.time)
-
-
-@dataclass(eq=False)
 class DayBlock:
-    """Consecutive sampled days as flat arrays: day d's booking requests
-    are positions starts[d]:starts[d + 1] of `bookings`, its walk-ins
-    positions wk_starts[d]:wk_starts[d + 1] of `walkins`. walkin_stays is
-    walkins.duration as a list, read per served guest."""
+    """Consecutive sampled days as flat arrays, day d of the block at
+    positions starts[d]:starts[d + 1] of `bookings` and its walk-ins, who
+    always show, at positions wk_starts[d]:wk_starts[d + 1] of wk_time (in
+    time order within the day) and walkin_stays (a list, read per guest)."""
 
     bookings: Bookings
-    walkins: CheckIns
+    wk_time: np.ndarray
+    walkin_stays: list
     starts: list
     wk_starts: list
-    walkin_stays: list
-
-    def __len__(self):
-        return len(self.starts) - 1
-
-    def day(self, d):
-        """Day d as a block of one day, made of views."""
-        (o, e), (w, x) = self.starts[d:d + 2], self.wk_starts[d:d + 2]
-        b = self.bookings
-        return DayBlock(
-            Bookings(b.time[o:e], b.keep[o:e], b.survives[o:e],
-                     b.cancel_time[o:e], b.duration[o:e],
-                     b.arrival_time[o:e], b.shows[o:e]),
-            CheckIns(self.walkins.time[w:x], self.walkins.duration[w:x]),
-            [0, e - o], [0, x - w], self.walkin_stays[w:x])
 
 
 def _draw_nhpp(rate, rng):
@@ -505,16 +469,15 @@ def sample_blocks(profiles, rngs, n_days):
         cancel = np.full(len(time), np.nan)
         cancel[gone] = profiles.keep_curve.cancel_times(
             time[gone], keep[gone], np.concatenate(uniforms))
-        wk_time = _by_day(profiles.walkin_rate.times(
-            np.concatenate(w_raw, axis=-1)), wk_counts)
-        wk_stays = np.concatenate(wk_stays)
         yield DayBlock(
             Bookings(time, keep, survives, cancel, np.concatenate(stays),
                      profiles.arrival_density.times(
                          np.concatenate(a_raw, axis=-1)),
                      np.concatenate(u_show) < profiles.show_prob),
-            CheckIns(wk_time, wk_stays), [0, *accumulate(counts)],
-            [0, *accumulate(wk_counts)], wk_stays.tolist())
+            _by_day(profiles.walkin_rate.times(
+                np.concatenate(w_raw, axis=-1)), wk_counts),
+            np.concatenate(wk_stays).tolist(), [0, *accumulate(counts)],
+            [0, *accumulate(wk_counts)])
         n_days -= len(days)
 
 
@@ -540,8 +503,9 @@ def _draw_outcomes(profiles, n, rng):
 
 
 def sample_walkins(profiles, rng):
-    _, raw, duration = _draw_walkins(profiles, rng)
-    return CheckIns(np.sort(profiles.walkin_rate.times(raw)), duration)
+    """The sorted times of one day's walk-ins (their stays are drawn too)."""
+    _, raw, _ = _draw_walkins(profiles, rng)
+    return np.sort(profiles.walkin_rate.times(raw))
 
 
 def _draw_walkins(profiles, rng):

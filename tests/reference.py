@@ -21,12 +21,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 import roomflow.engine as E
-from roomflow.flows import sample_blocks, streams
+from roomflow.flows import Bookings, sample_blocks, streams
 from roomflow.policies import (
     AdaptivePolicy,
     OraclePolicy,
@@ -73,12 +73,27 @@ def day_streams(seed, rep, days):
     return streams(seed, ((rep, k, sub) for k in days for sub in (1, 2, 3)))
 
 
+@dataclass
+class SampledDay:
+    """One day cut out of a sampled block: its bookings, and its walk-ins'
+    times and stays."""
+
+    bookings: Bookings
+    wk_time: np.ndarray
+    walkin_stays: list
+
+
 def sampled_days(profiles, seed, days, rep=0):
     """The engine's realizations of the given days (a sequence of day
     numbers) of replication rep, one day at a time."""
     for block in sample_blocks(profiles, day_streams(seed, rep, days),
                                len(days)):
-        yield from (block.day(d) for d in range(len(block)))
+        b = block.bookings
+        for (o, e), (w, x) in zip(itertools.pairwise(block.starts),
+                                  itertools.pairwise(block.wk_starts)):
+            yield SampledDay(
+                Bookings(*(getattr(b, f.name)[o:e] for f in fields(b))),
+                block.wk_time[w:x], block.walkin_stays[w:x])
 
 
 def engine_days(scenario, policy, ledger, rep=0):
@@ -88,11 +103,10 @@ def engine_days(scenario, policy, ledger, rep=0):
     k = 0
     for block in sample_blocks(scenario.profiles, rngs, scenario.T):
         survivors = E.block_survivors(policy, block, scenario)
-        for d in range(len(block)):
+        for d, kept in enumerate(survivors):
             k += 1
             carried = ledger.occupied(k)
-            loss = E.run_day(k, block.day(d), policy, ledger, scenario,
-                             survivors[d])
+            loss = E.run_day(k, block, d, policy, ledger, scenario, kept)
             yield k, loss, ledger.occupied(k) - carried
 
 

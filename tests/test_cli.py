@@ -95,6 +95,21 @@ class TestParseAxis:
     def test_inclusive_range(self):
         assert cli.parse_axis("0:1:0.25") == pytest.approx(
             [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert cli.parse_axis("0.7:1:0.1") == pytest.approx(
+            [0.7, 0.8, 0.9, 1.0])
+        # a stop reached only up to float error is kept: 0.3 / 0.1 is
+        # 2.9999999999999996
+        assert cli.parse_axis("0:0.3:0.1") == pytest.approx(
+            [0.0, 0.1, 0.2, 0.3])
+
+    def test_range_never_passes_its_stop(self):
+        assert cli.parse_axis("0:1:0.6") == [0.0, 0.6]
+        assert cli.parse_axis("0:50:30") == [0.0, 30.0]
+
+    def test_values_that_share_a_cell_key_rejected(self):
+        for text in ("1.0000001,1.0000002", "2,3,2"):
+            with pytest.raises(cli.ConfigError, match="share a cell key"):
+                cli.parse_axis(text)
 
     def test_bad_range_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -501,6 +516,35 @@ class TestCheck:
         assert "call-timing condition at v=0: fails" in out
         assert "call-timing condition at v=1: fails" in out
 
+    def test_verdicts_per_adaptive_policy(self, tmp_path, capsys):
+        # each policy is judged at its own iota and alpha: iota = 0.2 with
+        # alpha = 0.1 would pass call timing, but neither policy has both
+        text = """\
+[scenario]
+T = 10
+C = 10
+lambda1 = 30
+lambda2 = 30
+q1 = 0.9
+v = 0.2
+
+[policies]
+a1 = adaptive iota=0.2 alpha=0.45
+"""
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["check", "--config", cfg]) == 0
+        one = capsys.readouterr().out
+        assert one.startswith("booking condition: holds")
+        assert "call-timing condition at v=0.2: fails" in one
+        cfg = write_cfg(tmp_path, text + "a2 = adaptive iota=3.0 alpha=0.1\n")
+        assert cli.main(["check", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["a1: " + ln for ln in one.splitlines()]
+        assert "a2: walk-in condition: fails (lambda2=30," in lines[4]
+        assert [ln for ln in lines if "call-timing" in ln] == [
+            f"{n}: call-timing condition at v=0.2: fails (walk-in mass "
+            "after v=24)" for n in ("a1", "a2")]
+
     def test_missing_adaptive_policy_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MULTIDAY.replace(
             "adaptive = adaptive iota=2.0 alpha=0.4", "h = heuristic beta=0.1"))
@@ -531,6 +575,16 @@ class TestConfigContract:
         assert rc == 1
         assert err == ("config error: [scenario] mode: unknown value "
                        "'singleday'\n")
+        assert not out.exists()
+
+    def test_axis_values_sharing_a_cell_key_rejected(self, tmp_path,
+                                                    capsys):
+        # both cells would print as lambda2=1 and draw from one seed
+        rc, err, out = self.run(tmp_path, capsys, MULTIDAY
+                                + "[sweep]\nlambda2 = 1.0000001,1.0000002\n")
+        assert rc == 1
+        assert err == ("config error: [sweep] lambda2: 1.0000001 and "
+                       "1.0000002 share a cell key\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("scenario", "q_sty"),
@@ -714,3 +768,6 @@ class TestCheckSweeps:
                   if ln.startswith("walk-in condition:")]
         assert len(walkin) == 11  # lambda2 = 0, 5, ..., 50
         assert "walk-in condition: fails (lambda2=50," in out
+        # an oracle makes no confirmation call
+        assert [ln for ln in out.splitlines() if "call-timing" in ln] == [
+            "call-timing condition: not applicable (no adaptive policy)"]

@@ -226,7 +226,7 @@ class TestStage2Day:
         for _ in range(2000):
             arrival, _, wk = stage2_day(profiles, 30, rng)
             t1_times += arrival.tolist()
-            wk_times += wk.time.tolist()
+            wk_times += wk.tolist()
         assert abs(np.mean(t1_times) - 0.5) < 0.005
         assert abs(np.mean(wk_times) - 0.5) < 0.005
 
@@ -235,7 +235,7 @@ class TestStage2Day:
         # which the Stage-II replay sorts
         profiles = simple_profiles()
         _, _, wk = stage2_day(profiles, 50, substream(16))
-        assert wk.time.tolist() == sorted(wk.time.tolist())
+        assert wk.tolist() == sorted(wk.tolist())
 
     def test_conditional_binomial_after_u(self):
         # conditioning on the counts determined by time u, the post-u shows
@@ -264,9 +264,9 @@ class TestStage2Day:
 
 
 def day_arrays(day):
-    b, w = day.bookings, day.walkins
+    b = day.bookings
     return [b.time, b.keep, b.survives, b.cancel_time, b.duration,
-            b.arrival_time, b.shows, w.time, w.duration]
+            b.arrival_time, b.shows, day.wk_time, day.walkin_stays]
 
 
 class TestDeterminism:
@@ -305,7 +305,7 @@ class TestRecords:
         assert not hasattr(wk, "shows") and len(wk) > 0
         # (no bookings, so the heuristic standard q1 B is zero)
         res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
-                              wk.time, 1000.0, 1000, profiles, 0.0)
+                              wk, 1000.0, 1000, profiles, 0.0)
         assert list(res.served_walkins) == list(range(len(wk)))
 
     def test_reserved_outcomes_cover_all_bookings(self):
@@ -325,8 +325,9 @@ class TestRecords:
         profiles = simple_profiles(lam1=0.5, lam2=30.0)
         blocks = list(sample_blocks(
             profiles, day_streams(23, 0, range(1, 61)), 60))
-        assert sum(map(len, blocks)) == 60 and len(blocks) > 5
+        assert sum(len(b.starts) - 1 for b in blocks) == 60
+        assert len(blocks) > 5
         for block in blocks:
             assert block.starts[-2] + block.wk_starts[-2] < 100
         for block in blocks[:-1]:
-            assert len(block.bookings) + len(block.walkins) >= 100
+            assert len(block.bookings) + len(block.wk_time) >= 100

@@ -154,10 +154,8 @@ class TestArrayEngineMatchesReference:
             assert b.arrival_time.tolist() == [r.arrival_time
                                                for r in bookings]
             assert b.shows.tolist() == [r.shows for r in bookings]
-            assert day.walkins.time.tolist() == [w.arrival_time
-                                                 for w in walkins]
-            assert day.walkins.duration.tolist() == [w.duration
-                                                     for w in walkins]
+            assert day.wk_time.tolist() == [w.arrival_time for w in walkins]
+            assert day.walkin_stays == [w.duration for w in walkins]
 
     @SETTINGS
     @given(sc=scenarios(), seed=st.integers(0, 2 ** 32))
@@ -292,14 +290,14 @@ class TestEngineInvariants:
 WORDS = (st.just(0) | st.integers(0, 2 ** 32 - 1)
          | st.integers(2 ** 32, 2 ** 64 - 1) | st.integers(0, 2 ** 128))
 MASTERS = st.just(0) | st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 128)
-# a block of same-length one-word tails, as the engine seeds a replication,
-# or tails of any length and word count
-TAIL_BLOCKS = (
-    st.integers(0, 5).flatmap(lambda n: st.lists(
-        st.tuples(*[st.integers(0, 2 ** 32 - 1)] * n), min_size=1,
-        max_size=12))
-    | st.lists(st.lists(WORDS, max_size=6).map(tuple), min_size=1,
-               max_size=12))
+# a block of same-length one-word tails, as the engine seeds a replication
+TAIL_BLOCKS = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 2 ** 32 - 1)] * n), min_size=1, max_size=12))
+# tails of any length and word count, but not one length of one-word entries
+OTHER_TAIL_BLOCKS = st.lists(
+    st.lists(WORDS, max_size=6).map(tuple), min_size=1, max_size=12).filter(
+    lambda tails: len(set(map(len, tails))) > 1
+    or any(x > 2 ** 32 - 1 for tail in tails for x in tail))
 
 
 def engine_draws(rng, n1, n2):
@@ -327,15 +325,25 @@ class TestStreams:
             n += 1
         assert n == len(tails)
 
+    @settings(max_examples=200, deadline=None)
+    @given(master=MASTERS, tails=OTHER_TAIL_BLOCKS)
+    def test_other_tails_rejected(self, master, tails):
+        with pytest.raises(ValueError):
+            next(streams(master, tails))
+
     def test_blocks_of_mixed_word_counts(self):
-        # more tails than one internal block, one-word and two-word days
+        # more tails than one internal block hash bit for bit; a block with
+        # a two-word day is rejected, not hashed
         master = 2 ** 64 - 1
-        tails = [(rep, k, sub) for rep in (0, 1)
-                 for k in (*range(700), 2 ** 32, 2 ** 40) for sub in (1, 2)]
+        tails = [(rep, k, sub) for rep in (0, 1) for k in range(700)
+                 for sub in (1, 2)]
         states = [rng.bit_generator.state
                   for rng in streams(master, tails)]
         assert states == [substream(master, *t).bit_generator.state
                           for t in tails]
+        for day in (2 ** 32, 2 ** 40):
+            with pytest.raises(ValueError):
+                list(streams(master, [*tails, (0, day, 1)]))
 
     def test_negative_entry_rejected(self):
         for master, tail in ((-1, (0,)), (3, (0, -2))):
