@@ -19,8 +19,9 @@ def offline_day_optimum(finals, n_walkins, C):
     return finals, min(n_walkins, C - finals), 0
 
 
-def clairvoyant_stage1_select(survives, shows, target):
-    """Positions of the first `target` bookings, in request order, that
-    survive the window and show on the service day (parallel arrays of a
-    day's bookings with realized outcomes)."""
-    return np.flatnonzero(survives & shows)[:max(target, 0)]
+def clairvoyant_stage1_select(survives, shows, starts):
+    """Positions, in request order, of a block's bookings (day d's at
+    starts[d]:starts[d + 1]) that survive the window and show, and where
+    each day's start among them (cut); day d selects its first `target`."""
+    positions = np.flatnonzero(survives & shows)
+    return positions, positions.searchsorted(starts).tolist()

@@ -3,14 +3,13 @@
 Each day runs Stage I (booking requests and cancellations replayed through
 an admission rule) and Stage II (check-ins, walk-ins, and the confirmation
 reveal replayed through a check-in rule), with inter-day coupling only
-through the occupancy ledger. One day step, `run_day`, serves every
-trajectory: the policy's, the benchmark's (clairvoyant Stage-I selection,
-then the offline optimum as check-in rule, on the same realizations:
-common random numbers) and a hybrid one (the offline optimum on top of the
-policy's Stage-I acceptances), which splits the regret into Stage-I and
-Stage-II components. Stage I never reads the ledger and runs a block of
-days at a time; Stage II runs day d of a block, on block positions.
-"""
+through the occupancy ledger. On the same realizations (common random
+numbers) run the policy's trajectory (`run_day`), the benchmark's
+(clairvoyant Stage-I selection, then the offline optimum) and a hybrid
+(the offline optimum on the policy's Stage-I acceptances), which splits
+the regret into Stage-I and Stage-II components. Stage I and Stage II's
+sorting and counting (`block_checkins`) run a block of days at a time;
+then each day decides in plain Python against the ledger."""
 
 from __future__ import annotations
 
@@ -180,109 +179,131 @@ def stage1_accept(policy, bookings, profiles, C, starts):
     return accepted
 
 
-@dataclass
-class Stage2Result:
-    served_type1: np.ndarray  # positions in the reserved-customer arrays
-    served_walkins: list | range  # positions in the walk-in arrays
-    overbooked: int
+@dataclass(eq=False)
+class CheckIns:
+    """One trajectory's Stage-II counts over a block of days, as lists:
+    kept[d] of its kept bookings in (day, arrival) order come before day
+    d, before[j] before walk-in j (reserved customers first at equal
+    times), and shows[d] and shows_before[j] of them show. Day d's
+    walk-ins are wk_starts[d]:wk_starts[d + 1]; before[j] and mass[j], the
+    walk-in mass after j, are read only below calls[d], before the call."""
+
+    kept: list
+    before: list
+    shows: list
+    shows_before: list
+    wk_starts: list
+    calls: list
+    mass: list
 
 
-def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
-                  profiles, v):
-    """Replay one service day through the policy's check-in rule.
-
-    arrival, shows: the reserved customers, in any order (ties in arrival
-    keep that order); walkin_time: walk-ins in time order. Reserved
-    customers are processed before walk-ins at equal timestamps; the
-    adaptive rule's confirmation call at v is processed before any event
-    at or after v (at the day start if v <= 0).
-
-    A walk-in is accepted iff the expected final shown-ups, not counting
-    it, stay strictly below C_tilde. With B1 reserved customers and W1
-    walk-ins checked in so far, those are
-    - adaptive before the call: B1 + q1 (B - B1 - B2) + W1 + alpha m(u),
-      with B2 the no-shows revealed so far and m(u) the walk-in mass
-      after u;
-    - adaptive after the call: B1 + B3 + W1, with B3 the confirmed shows
-      still to come;
-    - heuristic (no call): q1 B + B1 + W1.
-
-    A showing reserved customer gets a room iff one is free, so between two
-    walk-ins the shows fill free rooms in arrival order and the rest are
-    overbooked; only walk-ins need a decision. The walk-in loop stops at
-    the first walk-in that meets a full house, or that a rule turns away
-    while its test can only tighten: the heuristic test and the post-call
-    one (B1 + B3 = all shows while rooms are free) grow with B1 + W1 alone,
-    so every later walk-in would be turned away too. The walk-in mass after
-    u is computed only for walk-ins before v, once a decision needs it.
-
-    An OraclePolicy's check-in rule is the offline day optimum
-    (`oracle_stage2`).
-    """
-    if isinstance(policy, OraclePolicy):
-        return oracle_stage2(arrival, shows, len(walkin_time), C_rooms)
-    B = len(arrival)
-    q1 = profiles.show_prob
+def replay_walkins(policy, day, d, C_tilde, C_rooms, q1):
+    """Replay day d of `day` (CheckIns) through the policy's check-in rule:
+    (reserved customers served, positions j of the walk-ins served,
+    overbooked). A walk-in is accepted iff the expected final shown-ups,
+    not counting it, stay strictly below C_tilde. With B kept bookings,
+    and B1 reserved customers and W1 walk-ins checked in so far, those are
+    B1 + q1 (B - B1 - B2) + W1 + alpha m(u) before the adaptive rule's call
+    at v (B2 no-shows revealed, m(u) the walk-in mass after u), B1 + B3 +
+    W1 after it (B3 shows still to come), and q1 B + B1 + W1 for the
+    heuristic. A show gets a room iff one is free, so between two walk-ins
+    the shows fill free rooms in arrival order and the rest are
+    overbooked. The loop stops at a full house, or at a walk-in turned
+    away by a test that can only tighten (heuristic, or after the call)."""
+    shows, kept, wk_starts = day.shows, day.kept, day.wk_starts
+    decided, shows_end = shows[d], shows[d + 1]  # shows, counted in the block
+    no_shows, B = kept[d] - decided, kept[d + 1] - kept[d]  # before the day
+    w, call = wk_starts[d], day.calls[d]
     if isinstance(policy, AdaptivePolicy):
         alpha, standard = policy.alpha, None
     elif isinstance(policy, HeuristicPolicy):
         # no call: every walk-in faces the one fixed standard
-        alpha, standard, v = None, q1 * B, -math.inf
+        alpha, standard, call = None, q1 * B, w
     else:
         raise TypeError(f"no Stage-II rule for {type(policy).__name__}")
-    if B:
-        order = np.argsort(arrival, kind="stable")
-        ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
-        show_pos = order[ranks]
-        # reserved customers processed before each walk-in, and the shows
-        # among them
-        before = np.searchsorted(arrival[order], walkin_time, side="right")
-        shows_before = np.searchsorted(ranks, before).tolist()
-        before = before.tolist()
-    else:
-        show_pos = np.empty(0, dtype=np.intp)
-        before = shows_before = [0] * len(walkin_time)
-    shows_total = len(show_pos)
-    B1 = W1 = decided = overbooked = 0  # decided: shows replayed so far
+    shows_before = day.shows_before
+    B1 = W1 = overbooked = 0
     served_wk = []
-    mass = None
-    for j, (u, n, s) in enumerate(zip(walkin_time.tolist(), before,
-                                      shows_before)):
+    for j in range(w, wk_starts[d + 1]):
+        s = shows_before[j]
         take = min(s - decided, C_rooms - B1 - W1)
         B1 += take
         overbooked += s - decided - take
         decided = s
         if B1 + W1 >= C_rooms:
             break
-        if u < v:  # adaptive, before the call: n - s no-shows revealed
-            if mass is None:
-                mass = profiles.walkin_rate.mass_after(
-                    walkin_time[walkin_time < v]).tolist()
-            if B1 + q1 * (B - B1 - (n - s)) + W1 + alpha * mass[j] < C_tilde:
+        if j < call:  # adaptive, before the call: no-shows revealed
+            if (B1 + q1 * (B - B1 - (day.before[j] - s - no_shows)) + W1
+                    + alpha * day.mass[j] < C_tilde):
                 W1 += 1
                 served_wk.append(j)
-        elif ((shows_total - s if standard is None else standard) + B1 + W1
+        elif ((shows_end - s if standard is None else standard) + B1 + W1
               < C_tilde):
             W1 += 1
             served_wk.append(j)
         else:
             break
-    take = min(shows_total - decided, max(C_rooms - B1 - W1, 0))
+    take = min(shows_end - decided, max(C_rooms - B1 - W1, 0))
     B1 += take
-    overbooked += shows_total - decided - take
-    return Stage2Result(show_pos[:B1], served_wk, overbooked)
+    overbooked += shows_end - decided - take
+    return B1, served_wk, overbooked
 
 
-def oracle_stage2(arrival, shows, n_walkins, C_rooms):
-    """The offline day optimum (benchmarks.offline_day_optimum) as
-    positions: the showing reserved customers, or the earliest-arriving
-    C_rooms of them when they overflow, and the earliest walk-ins."""
-    finals = np.flatnonzero(shows)
-    served, walkins, overbooked = offline_day_optimum(len(finals), n_walkins,
-                                                      C_rooms)
-    if overbooked:
-        finals = finals[np.argsort(arrival[finals], kind="stable")[:served]]
-    return Stage2Result(finals, range(walkins), overbooked)
+def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
+                  profiles, v):
+    """One service day, every booking kept, through `replay_walkins`.
+    arrival, shows: the reserved customers, in any order (ties in arrival
+    keep it); walkin_time: sorted. Returns (positions of the served
+    reserved customers, of the served walk-ins, overbooked)."""
+    order = np.argsort(arrival, kind="stable")
+    ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
+    before = np.searchsorted(arrival[order], walkin_time, side="right")
+    call = (int(walkin_time.searchsorted(v))  # walk-ins before the call
+            if isinstance(policy, AdaptivePolicy) else 0)  # heuristic: none
+    day = CheckIns([0, len(order)], before.tolist(), [0, len(ranks)],
+                   ranks.searchsorted(before).tolist(), [0, len(walkin_time)],
+                   [call], profiles.walkin_rate.mass_after(
+                       walkin_time[:call]).tolist() if call else [])
+    served, served_wk, overbooked = replay_walkins(
+        policy, day, 0, C_tilde, C_rooms, profiles.show_prob)
+    return order[ranks[:served]], served_wk, overbooked
+
+
+def block_checkins(block, masks, profiles, v):
+    """A (CheckIns, stays) pair per boolean mask in `masks`, the bookings a
+    trajectory keeps in the block; stays: its kept shows' stays, each
+    day's in arrival order. The bookings are sorted once, ties in request
+    order, by an exact integer key: the day, then how many of the block's
+    arrivals come at or before the time. A walk-in's key passes those of
+    the bookings before it, so counts are cumulative sums in that order."""
+    bookings, starts, wk_time = block.bookings, block.starts, block.wk_time
+    wk_starts, n = np.array(block.wk_starts), len(bookings)
+    days = np.arange(len(starts) - 1) * (n + 1)
+    arrivals = np.sort(bookings.arrival_time)
+    key = np.repeat(days, np.diff(starts)) + arrivals.searchsorted(
+        bookings.arrival_time, side="right")
+    order = key.argsort(kind="stable")
+    cut = key[order].searchsorted(np.repeat(days, np.diff(wk_starts))
+                                  + arrivals.searchsorted(wk_time, "right"),
+                                  "right")
+    early = np.flatnonzero(wk_time < v)  # a prefix of each day's walk-ins
+    calls = (wk_starts[:-1] + np.diff(early.searchsorted(wk_starts))).tolist()
+    mass = np.zeros(len(wk_time) if len(early) else 0)
+    if len(early):
+        mass[early] = profiles.walkin_rate.mass_after(wk_time[early])
+    mass, shows = mass.tolist(), bookings.shows[order]
+    out = []
+    for mask in masks:
+        in_order = mask[order]
+        shown = in_order & shows
+        n_kept, n_shown = (np.concatenate(([0], flags.cumsum()))
+                           for flags in (in_order, shown))
+        out.append((CheckIns(n_kept[starts].tolist(),
+                             n_kept[cut].tolist() if len(early) else [],
+                             n_shown[starts].tolist(), n_shown[cut].tolist(),
+                             block.wk_starts, calls, mass),
+                    bookings.duration[order[shown]].tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,32 +318,41 @@ def allocated_capacity(scenario, ledger, k):
     return float(free), free
 
 
-def _finish_day(scenario, ledger, k, result, block, reserved, w):
-    """Admit the served guests and return the day's loss. reserved: block
-    positions (an index array) of the reserved customers the Stage-II
-    result indexes; w: the block position of the day's first walk-in."""
-    served = result.served_type1
-    stays = (block.bookings.duration[reserved[served]].tolist()
-             if len(served) else [])
-    stays += [block.walkin_stays[w + j] for j in result.served_walkins]
+def _finish_day(scenario, ledger, k, stays, overbooked):
+    """Admit the served guests, one stay each, and return the day's loss."""
     if stays:
         ledger.admit(k, stays)
     idle = scenario.C - ledger.occupied(k)
-    return (scenario.overbook_penalty * result.overbooked
-            + scenario.reward * idle)
+    return scenario.overbook_penalty * overbooked + scenario.reward * idle
 
 
-def run_day(k, block, d, policy, ledger, scenario, kept):
-    """Day k of one trajectory, day d of the block: the policy's check-in
-    rule on the surviving bookings at block positions `kept`. Admits the
-    served guests into the ledger and returns the day's loss."""
-    bookings = block.bookings
-    w, x = block.wk_starts[d:d + 2]
+def run_day(k, block, d, day, stays, policy, ledger, scenario):
+    """Day k of the policy's trajectory, day d of the block: its check-in
+    rule on `day` (CheckIns), `stays` its kept shows' stays in arrival
+    order. Admits the served guests, returns the day's loss."""
     C_tilde, C_rooms = allocated_capacity(scenario, ledger, k)
-    result = replay_stage2(policy, bookings.arrival_time[kept],
-                           bookings.shows[kept], block.wk_time[w:x], C_tilde,
-                           C_rooms, scenario.profiles, scenario.v)
-    return _finish_day(scenario, ledger, k, result, block, kept, w)
+    served, served_wk, overbooked = replay_walkins(
+        policy, day, d, C_tilde, C_rooms, scenario.profiles.show_prob)
+    a = day.shows[d]
+    stays = stays[a:a + served]
+    if served_wk:
+        stays += [block.walkin_stays[j] for j in served_wk]
+    return _finish_day(scenario, ledger, k, stays, overbooked)
+
+
+def run_oracle_day(k, block, d, cut, stays, ledger, scenario, select=False):
+    """Day k of the hybrid or benchmark trajectory, day d of the block: admit
+    the offline day optimum on the shows with stays stays[cut[d]:cut[d + 1]],
+    in serving order, and the walk-ins (with `select`, the clairvoyant Stage-I
+    selection keeps at most C_rooms shows first); return the day's loss."""
+    _, C_rooms = allocated_capacity(scenario, ledger, k)
+    a, w, finals = cut[d], block.wk_starts[d], cut[d + 1] - cut[d]
+    served, walkins, overbooked = offline_day_optimum(
+        min(finals, C_rooms) if select else finals,
+        block.wk_starts[d + 1] - w, C_rooms)
+    return _finish_day(scenario, ledger, k,
+                       stays[a:a + served] + block.walkin_stays[w:w + walkins],
+                       overbooked)
 
 
 def warm_start_ledger(scenario, rng):
@@ -346,14 +376,13 @@ def warm_start_ledger(scenario, rng):
 
 
 def block_survivors(policy, block, scenario):
-    """Per day of the block, the block positions (an index array) of the
-    bookings the policy accepts in Stage I that survive the window."""
-    bookings, starts = block.bookings, block.starts
-    kept = np.array(stage1_accept(policy, bookings, scenario.profiles,
-                                  scenario.C, starts), dtype=np.intp)
-    kept = kept[bookings.survives[kept]]
-    cut = kept.searchsorted(starts).tolist()
-    return [kept[i:j] for i, j in zip(cut, cut[1:])]
+    """A boolean mask of the block's bookings the policy accepts in Stage I
+    that survive the window."""
+    bookings = block.bookings
+    kept = np.zeros(len(bookings), dtype=bool)
+    kept[stage1_accept(policy, bookings, scenario.profiles, scenario.C,
+                       block.starts)] = True
+    return kept & bookings.survives
 
 
 def run_experiment(scenario, policies, rep=0):
@@ -369,7 +398,6 @@ def run_experiment(scenario, policies, rep=0):
     component hybrid - benchmark and its Stage-II component policy - hybrid.
     """
     T = scenario.T
-    oracle = OraclePolicy()
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
     # one replication's streams in draw order: (rep, 0, 0) for the warm
     # start, then three a day
@@ -380,25 +408,31 @@ def run_experiment(scenario, policies, rep=0):
     ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
     bench = np.empty(T)
     losses = {n: (np.empty(T), np.empty(T), bench) for n in names}
-    k = 0
-    for block in sample_blocks(scenario.profiles, rngs, T):
-        survivors = {n: block_survivors(policies[n], block, scenario)
-                     for n in names}
-        survives, shows = block.bookings.survives, block.bookings.shows
-        for d, (o, e) in enumerate(zip(block.starts, block.starts[1:])):
+
+    def replay(block, k):  # the block's lists go when it returns
+        bookings = block.bookings
+        candidates, cut = clairvoyant_stage1_select(
+            bookings.survives, bookings.shows, block.starts)
+        selected = bookings.duration[candidates].tolist()
+        trajectories = [
+            (policies[n], *ledgers[n], *losses[n][:2], day, stays)
+            for n, (day, stays) in zip(names, block_checkins(
+                block, [block_survivors(policies[n], block, scenario)
+                        for n in names], scenario.profiles, scenario.v))]
+        for d in range(len(block.starts) - 1):
+            bench[k] = run_oracle_day(k + 1, block, d, cut, selected,
+                                      bench_ledger, scenario, select=True)
+            for policy, ledger, hybrid, pol, hyb, day, stays in trajectories:
+                pol[k] = run_day(k + 1, block, d, day, stays, policy, ledger,
+                                 scenario)
+                hyb[k] = run_oracle_day(k + 1, block, d, day.shows, stays,
+                                        hybrid, scenario)
             k += 1
-            _, C_rooms = allocated_capacity(scenario, bench_ledger, k)
-            selected = o + clairvoyant_stage1_select(survives[o:e],
-                                                     shows[o:e], C_rooms)
-            bench[k - 1] = run_day(k, block, d, oracle, bench_ledger,
-                                   scenario, selected)
-            for n in names:
-                (ledger, hybrid_ledger), (pol, hyb, _) = ledgers[n], losses[n]
-                kept = survivors[n][d]
-                pol[k - 1] = run_day(k, block, d, policies[n], ledger,
-                                     scenario, kept)
-                hyb[k - 1] = run_day(k, block, d, oracle, hybrid_ledger,
-                                     scenario, kept)
+        return k
+
+    k = 0  # days done
+    for block in sample_blocks(scenario.profiles, rngs, T):
+        k = replay(block, k)
     return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 
@@ -461,9 +495,9 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         n_wk = len(walkin_time)
         ora_losses[i] = price(*offline_day_optimum(
             int(np.count_nonzero(shows)), n_wk, C))
-        res = replay_stage2(policy, arrival, shows, walkin_time, float(C), C,
-                            profiles, scenario.v)
-        pol_losses[i] = price(len(res.served_type1), len(res.served_walkins),
-                              res.overbooked)
-        rejected[i] = n_wk - len(res.served_walkins)
+        served, served_wk, overbooked = replay_stage2(
+            policy, arrival, shows, walkin_time, float(C), C, profiles,
+            scenario.v)
+        pol_losses[i] = price(len(served), len(served_wk), overbooked)
+        rejected[i] = n_wk - len(served_wk)
     return pol_losses, ora_losses, rejected

@@ -51,16 +51,17 @@ def streams(master_seed, tails):
     statistically independent streams. Each stream is numpy's
     default_rng(SeedSequence([master, *tail])) bit for bit, but the
     SeedSequence hash runs in numpy lanes over blocks of tails (each entry
-    below 2**32, and a block's tails of one length, or ValueError) and the
+    below 2**32, and all tails of one length, or ValueError) and the
     result is set into one Generator that is re-seeded and yielded again for
     every tail. A caller is done with one stream when it asks for the next.
     """
     head = _words(master_seed)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    tails = iter(tails)
+    tails, width = iter(tails), None  # width: the first block's tail length
     while block := list(islice(tails, _BLOCK)):
-        for seed_hi, seed_lo, seq_hi, seq_lo in _generate_states(head, block):
+        for seed_hi, seed_lo, seq_hi, seq_lo in _generate_states(head, block,
+                                                                 width):
             # PCG64's set-seed step for (seed, sequence), both 128 bits
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT
@@ -69,6 +70,7 @@ def streams(master_seed, tails):
                                    "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
             yield rng
+        width = len(block[0])
 
 
 def _words(x):
@@ -83,15 +85,16 @@ def _words(x):
     return out
 
 
-def _generate_states(head, block):
+def _generate_states(head, block, width):
     """SeedSequence([*head words, *tail]).generate_state(4, uint64) as four
-    Python ints, for the tails of `block` in order: tails of one length
-    whose entries are 32-bit words, hashed as one matrix."""
+    Python ints, for the tails of `block` in order, hashed as one matrix:
+    tails of one length (`width` unless None) with 32-bit word entries."""
     try:
         words = np.array(block, dtype=np.uint64)
     except (ValueError, OverflowError, TypeError):  # ragged or negative
         words = None
-    if words is None or words.ndim != 2 or (words > _MASK32).any():
+    if (words is None or words.ndim != 2 or (words > _MASK32).any()
+            or width not in (None, words.shape[1])):
         raise ValueError("stream tails must be of one length, with entries "
                          "in [0, 2**32)")
     return _hash(head, words)
@@ -441,7 +444,7 @@ def sample_blocks(profiles, rngs, n_days):
     (`_draw_walkins`). The transforms of the draws run once per block.
     Stream 1's state is kept after its fixed draws, and the cancel
     uniforms, whose count the block's survival test decides, are drawn
-    from it afterwards."""
+    from it afterwards. Raw draws are freed before a block is yielded."""
     rate, law = profiles.stage1_rate, profiles.duration_law
     may_cancel = profiles.keep_curve.values[0] < 1.0
     while n_days > 0:
@@ -454,6 +457,7 @@ def sample_blocks(profiles, rngs, n_days):
                          *_draw_outcomes(profiles, n, next(rngs)),
                          *_draw_walkins(profiles, next(rngs))))
             total += n + days[-1][8]  # requests and walk-ins
+        n_days -= len(days)
         (counts, t_raw, u_survive, stays, rng1, state1, a_raw, u_show,
          wk_counts, w_raw, wk_stays) = zip(*days)
         day = np.repeat(np.arange(len(days)), counts)
@@ -469,7 +473,7 @@ def sample_blocks(profiles, rngs, n_days):
         cancel = np.full(len(time), np.nan)
         cancel[gone] = profiles.keep_curve.cancel_times(
             time[gone], keep[gone], np.concatenate(uniforms))
-        yield DayBlock(
+        block = DayBlock(
             Bookings(time, keep, survives, cancel, np.concatenate(stays),
                      profiles.arrival_density.times(
                          np.concatenate(a_raw, axis=-1)),
@@ -478,7 +482,8 @@ def sample_blocks(profiles, rngs, n_days):
                 np.concatenate(w_raw, axis=-1)), wk_counts),
             np.concatenate(wk_stays).tolist(), [0, *accumulate(counts)],
             [0, *accumulate(wk_counts)])
-        n_days -= len(days)
+        del days, t_raw, u_survive, stays, a_raw, u_show, w_raw, wk_stays
+        yield block
 
 
 def _by_day(x, counts):

@@ -5,7 +5,7 @@ counts: Stage I accepts a booking only while an upper confidence bound on the
 final surviving bookings stays below an estimated capacity. Heuristic
 baselines replace it with a fixed linear cap. The Stage-II check-in rules
 read alpha or the heuristic standard from the policy in
-`engine.replay_stage2`. The busy-season and call-timing checks live here
+`engine.replay_walkins`. The busy-season and call-timing checks live here
 too.
 """
 

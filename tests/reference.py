@@ -102,11 +102,14 @@ def engine_days(scenario, policy, ledger, rep=0):
     rngs = day_streams(scenario.seed, rep, range(1, scenario.T + 1))
     k = 0
     for block in sample_blocks(scenario.profiles, rngs, scenario.T):
-        survivors = E.block_survivors(policy, block, scenario)
-        for d, kept in enumerate(survivors):
+        (day, stays), = E.block_checkins(
+            block, [E.block_survivors(policy, block, scenario)],
+            scenario.profiles, scenario.v)
+        for d in range(len(block.starts) - 1):
             k += 1
             carried = ledger.occupied(k)
-            loss = E.run_day(k, block, d, policy, ledger, scenario, kept)
+            loss = E.run_day(k, block, d, day, stays, policy, ledger,
+                             scenario)
             yield k, loss, ledger.occupied(k) - carried
 
 

@@ -53,6 +53,14 @@ class TestSingleDayOfflineOptimal:
             R.brute_force_day_optimal(1, 21, 5, 1.0, 1.0)
 
 
+def select(survives, shows, target):
+    """The clairvoyant selection of a one-day block: the first `target`
+    candidates."""
+    positions, cut = clairvoyant_stage1_select(survives, shows,
+                                               [0, len(survives)])
+    return positions[cut[0]:min(cut[1], cut[0] + target)]
+
+
 def outcomes(*pairs):
     """survives, shows arrays of bookings in request order."""
     survives, shows = zip(*pairs)
@@ -68,14 +76,22 @@ class TestClairvoyantSelect:
             (True, True),
             (True, True),
         )
-        sel = clairvoyant_stage1_select(survives, shows, 2)
-        assert sel.tolist() == [0, 3]
+        assert select(survives, shows, 2).tolist() == [0, 3]
 
     def test_short_demand_returns_everything_available(self):
-        assert len(clairvoyant_stage1_select(*outcomes((True, True)), 5)) == 1
+        assert len(select(*outcomes((True, True)), 5)) == 1
 
     def test_zero_target_selects_nothing(self):
-        assert clairvoyant_stage1_select(*outcomes((True, True)), 0).size == 0
+        assert select(*outcomes((True, True)), 0).size == 0
+
+    def test_each_day_selects_among_its_own_candidates(self):
+        # days [0, 3) and [3, 5) of one block: day 1's first candidate is
+        # position 4, whatever day 0 selects
+        survives, shows = outcomes((True, True), (True, True), (True, True),
+                                   (True, False), (True, True))
+        positions, cut = clairvoyant_stage1_select(survives, shows, [0, 3, 5])
+        assert cut == [0, 3, 4]
+        assert positions[cut[1]:cut[2]].tolist() == [4]
 
 
 class TestLowerBoundInstance:

@@ -8,6 +8,7 @@ import pytest
 
 import roomflow.cli as cli
 import roomflow.engine as E
+from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (
     DurationLaw,
     KeepCurve,
@@ -16,6 +17,7 @@ from roomflow.flows import (
     reserved_outcomes,
     sample_walkins,
 )
+import reference as R
 from reference import engine_days, substream
 
 
@@ -129,40 +131,41 @@ class TestStage2Replay:
             C = int(rng.integers(1, 8))
             arrival, shows = arrays(rng.random(B), rng.random(B) < 0.6)
             walkins = np.sort(rng.random(int(rng.integers(0, 9))))
-            res = E.replay_stage2(pol, arrival, shows, walkins, float(C), C,
-                                  prof, 0.0)
-            ref = E.oracle_stage2(arrival, shows, len(walkins), C)
-            assert len(res.served_type1) == len(ref.served_type1)
-            assert res.overbooked == ref.overbooked
-            assert (walkins[list(res.served_walkins)].tolist()
-                    == walkins[list(ref.served_walkins)].tolist())
+            served, served_wk, overbooked = E.replay_stage2(
+                pol, arrival, shows, walkins, float(C), C, prof, 0.0)
+            ref = offline_day_optimum(int(shows.sum()), len(walkins), C)
+            assert len(served) == ref[0]
+            assert overbooked == ref[2]
+            # the offline optimum serves the earliest walk-ins
+            assert (walkins[served_wk].tolist()
+                    == walkins[:ref[1]].tolist())
 
     def test_reveal_processed_before_event_at_v(self):
         # one confirmed no-show: a walk-in exactly at v sees the revealed
         # count (1 future show), not the expected one
         arrival, shows = arrays([0.9, 0.8], [True, False])
-        res = E.replay_stage2(E.AdaptivePolicy(0.0, 0.4), arrival, shows,
-                              arrays([0.5]), 2.0, 2,
-                              geometric_profiles(q1=0.9, lam2=4.0), 0.5)
-        assert len(res.served_walkins) == 1
-        assert len(res.served_type1) == 1
+        served, served_wk, _ = E.replay_stage2(
+            E.AdaptivePolicy(0.0, 0.4), arrival, shows, arrays([0.5]), 2.0,
+            2, geometric_profiles(q1=0.9, lam2=4.0), 0.5)
+        assert len(served_wk) == 1
+        assert len(served) == 1
 
     def test_heuristic_ignores_reveal(self):
         arrival, shows = arrays([0.9, 0.95], [False, False])
-        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
-                              arrays([0.5]), 2.0, 2,
-                              geometric_profiles(q1=0.9, lam2=4.0), 0.0)
+        _, served_wk, _ = E.replay_stage2(
+            E.HeuristicPolicy(0.0), arrival, shows, arrays([0.5]), 2.0, 2,
+            geometric_profiles(q1=0.9, lam2=4.0), 0.0)
         # standard q1 B = 1.8 + 0 accepted >= C_tilde 2 is false, so accept
-        assert len(res.served_walkins) == 1
+        assert len(served_wk) == 1
 
     def test_reserved_before_walkin_at_equal_times(self):
         # the reserved customer at 0.5 takes the last room first
         arrival, shows = arrays([0.5], [True])
-        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
-                              arrays([0.5]), 1.0, 1,
-                              geometric_profiles(q1=0.9, lam2=4.0), 0.0)
-        assert res.served_type1.tolist() == [0]
-        assert list(res.served_walkins) == []
+        served, served_wk, _ = E.replay_stage2(
+            E.HeuristicPolicy(0.0), arrival, shows, arrays([0.5]), 1.0, 1,
+            geometric_profiles(q1=0.9, lam2=4.0), 0.0)
+        assert served.tolist() == [0]
+        assert served_wk == []
 
 
 def run_days(sc, policy):
@@ -297,6 +300,8 @@ class TestSingleDayCell:
             arrival, shows = reserved_outcomes(prof, 30, rng)
             prof.duration_law.sample(rng, 30)
             walkins = sample_walkins(prof, rng)
-            res = E.oracle_stage2(arrival, shows, len(walkins), 20)
-            idle = 20 - len(res.served_type1) - len(res.served_walkins)
-            assert ora[i] == pytest.approx(res.overbooked + idle)
+            t1, wk, overbooked = R.oracle_stage2(
+                [R.Guest(t, s, 1) for t, s in zip(arrival, shows)],
+                [R.Guest(t, True, 1) for t in walkins], 20)
+            idle = 20 - len(t1) - len(wk)
+            assert ora[i] == pytest.approx(overbooked + idle)

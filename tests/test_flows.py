@@ -304,9 +304,10 @@ class TestRecords:
         arrival, shows, wk = stage2_day(profiles, 0, substream(21))
         assert not hasattr(wk, "shows") and len(wk) > 0
         # (no bookings, so the heuristic standard q1 B is zero)
-        res = E.replay_stage2(E.HeuristicPolicy(0.0), arrival, shows,
-                              wk, 1000.0, 1000, profiles, 0.0)
-        assert list(res.served_walkins) == list(range(len(wk)))
+        _, served_wk, _ = E.replay_stage2(E.HeuristicPolicy(0.0), arrival,
+                                          shows, wk, 1000.0, 1000, profiles,
+                                          0.0)
+        assert served_wk == list(range(len(wk)))
 
     def test_reserved_outcomes_cover_all_bookings(self):
         # the sampler draws an outcome for every request, admitted or not

@@ -206,9 +206,9 @@ def walkins_served(policy, reserved, walkins, C_tilde, C_rooms=1000, v=0.5,
     arrival = np.repeat([float(t) for t, _, _ in reserved], counts)
     shows = np.repeat([s for _, s, _ in reserved], counts).astype(bool)
     times = np.repeat([float(t) for t, _ in walkins], [n for _, n in walkins])
-    res = replay_stage2(policy, arrival, shows, times, C_tilde, C_rooms,
-                        day_profiles(q1, lam2), v)
-    return len(res.served_walkins)
+    _, served_wk, _ = replay_stage2(policy, arrival, shows, times, C_tilde,
+                                    C_rooms, day_profiles(q1, lam2), v)
+    return len(served_wk)
 
 
 # ten walk-ins at u = 0.3 see at most 180 + 9 + 0.4 * 21 = 197.4 and are
@@ -274,11 +274,12 @@ class TestDass2Decide:
                             0.95, 0.95, 0.95, 0.95])
         shows = np.array([True, True, False, False, False, False,
                           True, True, True, True])
-        res = replay_stage2(ADAPTIVE, arrival, shows, np.full(20, 0.9), 8.0,
-                            8, day_profiles(), 0.5)
-        accepted = len(res.served_walkins)
+        served, served_wk, overbooked = replay_stage2(
+            ADAPTIVE, arrival, shows, np.full(20, 0.9), 8.0, 8,
+            day_profiles(), 0.5)
+        accepted = len(served_wk)
         assert 6 + accepted <= 8.0
-        assert len(res.served_type1) == 6 and res.overbooked == 0
+        assert len(served) == 6 and overbooked == 0
         assert accepted == 2
 
 

@@ -2,6 +2,7 @@
 record-based reference in `reference.py`, and of the engine invariants, on
 small random scenarios."""
 
+import itertools
 import math
 import re
 
@@ -17,6 +18,7 @@ from reference import (engine_days, max_bookings_within, sampled_days,
                        substream)
 import roomflow.engine as E
 import roomflow.flows as F
+from roomflow.benchmarks import clairvoyant_stage1_select
 from roomflow.flows import (
     DurationLaw,
     KeepCurve,
@@ -190,19 +192,19 @@ class TestArrayEngineMatchesReference:
             arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
             walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
             duration_law=DurationLaw("geometric"))
-        res = E.replay_stage2(policy, np.array(arrival, dtype=float),
-                              np.array(shows, dtype=bool),
-                              np.array(walkins, dtype=float), C_tilde,
-                              C_rooms, prof, v)
+        served, served_wk, overbooked = E.replay_stage2(
+            policy, np.array(arrival, dtype=float),
+            np.array(shows, dtype=bool), np.array(walkins, dtype=float),
+            C_tilde, C_rooms, prof, v)
         guests = [R.Guest(t, s, 1) for t, s in zip(arrival, shows)]
         wk = [R.Guest(t, True, 1) for t in walkins]
-        t1, served_wk, over = R.replay_stage2(policy, guests, wk, C_tilde,
+        t1, ref_wk, over = R.replay_stage2(policy, guests, wk, C_tilde,
                                               C_rooms, prof, v)
-        assert sorted(res.served_type1.tolist()) == sorted(
+        assert sorted(served.tolist()) == sorted(
             next(i for i, g in enumerate(guests) if g is r) for r in t1)
-        assert list(res.served_walkins) == [
-            next(i for i, g in enumerate(wk) if g is r) for r in served_wk]
-        assert res.overbooked == over
+        assert served_wk == [
+            next(i for i, g in enumerate(wk) if g is r) for r in ref_wk]
+        assert overbooked == over
 
     @settings(max_examples=200, deadline=None)
     @given(hat_C=st.floats(0.0, 300.0), iota=st.floats(0.0, 8.0),
@@ -238,6 +240,111 @@ class TestArrayEngineMatchesReference:
             return
         assert abs(estimated_capacity(law, C, q1, iota) - want) <= (
             1e-8 * max(1.0, want))
+
+
+@st.composite
+def checkin_blocks(draw):
+    """A hand-built block of 1-5 days whose arrival and walk-in times lie on
+    GRID, so reserved customers, walk-ins and the call tie; days may have
+    no bookings or no walk-ins. Every booking and walk-in has its own stay
+    length, so the stays a trajectory admits name the guests it served.
+    Returns (block, kept mask)."""
+    days = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(GRID), max_size=8),
+        st.lists(st.sampled_from(GRID), max_size=6).map(sorted)),
+        min_size=1, max_size=5))
+    arrival = [t for a, _ in days for t in a]
+    wk_time = [t for _, w in days for t in w]
+    n = len(arrival)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    shows, survives = draw(flags), draw(flags)
+    kept = draw(st.sampled_from([[False] * n, [True] * n]) | flags)
+    bookings = F.Bookings(
+        np.zeros(n), np.ones(n), np.array(survives, dtype=bool),
+        np.full(n, np.nan), np.arange(1, n + 1),
+        np.array(arrival, dtype=float), np.array(shows, dtype=bool))
+    block = F.DayBlock(
+        bookings, np.array(wk_time, dtype=float),
+        list(range(1001, 1001 + len(wk_time))),
+        [0, *itertools.accumulate(len(a) for a, _ in days)],
+        [0, *itertools.accumulate(len(w) for _, w in days)])
+    return block, np.array(kept, dtype=bool)
+
+
+class RecordingLedger:
+    """occupied(k) is a drawn base occupancy plus the guests admitted on
+    day k, whose stays it records."""
+
+    def __init__(self, base):
+        self.base, self.admitted = base, {}
+
+    def occupied(self, k):
+        return self.base[k] + len(self.admitted.get(k, []))
+
+    def admit(self, k, stays):
+        self.admitted.setdefault(k, []).extend(stays)
+
+
+class TestBlockCheckinsMatchReference:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=checkin_blocks(), data=st.data(),
+           v=st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.6, 1.0]),
+           q1=st.floats(0.05, 1.0), alpha=st.floats(0.05, 0.95),
+           adaptive=st.booleans(),
+           law=st.sampled_from([DurationLaw("geometric"),
+                                DurationLaw("constant", d=2)]))
+    def test_every_trajectory_matches_the_record_replay(
+            self, case, data, v, q1, alpha, adaptive, law):
+        # the block path (block_checkins, run_day, run_oracle_day) against
+        # the reference's one-event-at-a-time replay of each day
+        block, kept = case
+        C = data.draw(st.integers(1, 8))
+        n_days = len(block.starts) - 1
+        base = {k: data.draw(st.integers(0, C)) for k in range(1, n_days + 1)}
+        sc = E.ScenarioConfig(
+            T=n_days, C=C, v=v, reward=1.0, overbook_penalty=2.0,
+            profiles=StageProfiles(
+                stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
+                keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
+                arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+                walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
+                duration_law=law))
+        policy = (AdaptivePolicy(0.0, alpha) if adaptive
+                  else HeuristicPolicy(0.0))
+        (day, stays), = E.block_checkins(block, [kept], sc.profiles, v)
+        candidates, cut = clairvoyant_stage1_select(
+            block.bookings.survives, block.bookings.shows, block.starts)
+        selected = block.bookings.duration[candidates].tolist()
+        ledgers = [RecordingLedger(base) for _ in range(3)]
+        b = block.bookings
+        for d in range(n_days):
+            k = d + 1
+            o, e = block.starts[d:d + 2]
+            w, x = block.wk_starts[d:d + 2]
+            guests = [R.Guest(float(b.arrival_time[i]), bool(b.shows[i]),
+                              int(b.duration[i])) for i in range(o, e)]
+            walkins = [R.Guest(float(block.wk_time[j]), True,
+                               block.walkin_stays[j]) for j in range(w, x)]
+            survivors = [g for g, i in zip(guests, range(o, e)) if kept[i]]
+            benchmark = [g for g, i in zip(guests, range(o, e))
+                         if b.survives[i] and b.shows[i]]
+            C_tilde, C_rooms = E.allocated_capacity(sc, ledgers[0], k)
+            want = [
+                R.replay_stage2(policy, survivors, walkins, C_tilde, C_rooms,
+                                sc.profiles, v),
+                R.oracle_stage2(survivors, walkins, C_rooms),
+                R.oracle_stage2(benchmark[:C_rooms], walkins, C_rooms)]
+            got = [
+                E.run_day(k, block, d, day, stays, policy, ledgers[0], sc),
+                E.run_oracle_day(k, block, d, day.shows, stays, ledgers[1],
+                                 sc),
+                E.run_oracle_day(k, block, d, cut, selected, ledgers[2], sc,
+                                 select=True)]
+            for loss, ledger, (t1, wk, over) in zip(got, ledgers, want):
+                served = sorted(g.duration for g in t1 + wk)
+                assert sorted(ledger.admitted.get(k, [])) == served
+                assert loss == 2.0 * over + (C - base[k] - len(served))
 
 
 class TestEngineInvariants:
@@ -344,6 +451,13 @@ class TestStreams:
         for day in (2 ** 32, 2 ** 40):
             with pytest.raises(ValueError):
                 list(streams(master, [*tails, (0, day, 1)]))
+
+    def test_later_block_of_another_length_rejected(self):
+        # the 1025th tail opens a second hashing block: it must keep the
+        # first block's length too
+        with pytest.raises(ValueError):
+            list(streams(0, [(1, 2, 3)] * 1024 + [(1, 2)]))
+        assert len(list(streams(0, [(1, 2, 3)] * 1025))) == 1025
 
     def test_negative_entry_rejected(self):
         for master, tail in ((-1, (0,)), (3, (0, -2))):
