@@ -224,10 +224,9 @@ def parse_axis(text):
     return values
 
 
-# policy kind -> (type, the keys its spec must give)
-_KINDS = {"adaptive": (AdaptivePolicy, ("iota", "alpha")),
-          "heuristic": (HeuristicPolicy, ("beta",)),
-          "oracle": (OraclePolicy, ())}
+# policy kind -> type; a spec gives each of the type's fields as key=value
+_KINDS = {"adaptive": AdaptivePolicy, "heuristic": HeuristicPolicy,
+          "oracle": OraclePolicy}
 
 
 def parse_policies(cfg):
@@ -239,7 +238,8 @@ def parse_policies(cfg):
         kind, *parts = spec.split() or [""]
         if kind not in _KINDS:
             raise ConfigError(f"[policies] {name}: unknown kind {kind!r}")
-        cls, keys = _KINDS[kind]
+        cls = _KINDS[kind]
+        keys = [field.name for field in dataclasses.fields(cls)]
         try:
             kv = {}
             for part in parts:
@@ -406,7 +406,7 @@ def _multiday_cell(_inputs, policies, _run, reps):
     rows, series = [], []
     for n in policies:
         cum, s1, s2 = zip(*(rep[n] for rep in reps))
-        _, mean, stderr = engine.aggregate(cum)
+        mean, stderr = engine.aggregate(cum)
         total = float(mean[-1])
         rows.append((n, (total, float(stderr[-1]), float(np.mean(s1)),
                          float(np.mean(s2))), "regret", total))
@@ -431,7 +431,7 @@ def _singleday_cell(inputs, policies, run, reps):
         # mismatch also charges turned-away walk-in demand, so over- and
         # undersupply both register
         for x in (losses, losses - oracle, losses + sc.reward * rejected):
-            _, mean, stderr = engine.aggregate(x)
+            mean, stderr = engine.aggregate(x)
             stats += [float(mean), float(stderr)]
         obj = objective
         if obj == "auto":

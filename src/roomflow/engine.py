@@ -382,7 +382,7 @@ def block_survivors(policy, block, scenario):
     kept = np.zeros(len(bookings), dtype=bool)
     kept[stage1_accept(policy, bookings, scenario.profiles, scenario.C,
                        block.starts)] = True
-    return kept & bookings.survives
+    return kept & np.isnan(bookings.cancel_time)
 
 
 def run_experiment(scenario, policies, rep=0):
@@ -412,7 +412,7 @@ def run_experiment(scenario, policies, rep=0):
     def replay(block, k):  # the block's lists go when it returns
         bookings = block.bookings
         candidates, cut = clairvoyant_stage1_select(
-            bookings.survives, bookings.shows, block.starts)
+            np.isnan(bookings.cancel_time), bookings.shows, block.starts)
         selected = bookings.duration[candidates].tolist()
         trajectories = [
             (policies[n], *ledgers[n], *losses[n][:2], day, stays)
@@ -448,7 +448,7 @@ def aggregate(curves):
         stderr = curves.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
-    return n, mean, stderr
+    return mean, stderr
 
 
 # ---------------------------------------------------------------------------

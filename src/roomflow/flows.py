@@ -224,33 +224,26 @@ class RateFunction:
         cdf /= cdf[-1]
         return cdf
 
-    def mass_between(self, lo, hi):
-        """Mass over [lo, hi]; lo and hi may be arrays of the same shape."""
-        lo = np.maximum(lo, self.t0)
-        hi = np.minimum(hi, self.t1)
-        if self.kind == "beta":
-            span = self.t1 - self.t0
-            zlo = (lo - self.t0) / span
-            zhi = (hi - self.t0) / span
-            mass = self.mass * (betainc(self.a, self.b, zhi)
-                                - betainc(self.a, self.b, zlo))
-        else:
-            mass = self._cdf(hi) - self._cdf(lo)
-        mass = np.where(hi <= lo, 0.0, mass)
-        return float(mass) if mass.ndim == 0 else mass
-
-    def _cdf(self, x):
-        """Piecewise mass up to x, for x inside the domain."""
-        cum = np.concatenate([[0.0], np.cumsum(self.piece_mass)])
-        i = np.searchsorted(self.breaks, x, side="right") - 1
-        i = np.clip(i, 0, len(self.piece_mass) - 1)
-        seg = self.breaks[i + 1] - self.breaks[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(seg == 0, 0.0, (x - self.breaks[i]) / seg)
-        return cum[i] + frac * self.piece_mass[i]
+    @cached_property
+    def _cum_mass(self):
+        return np.concatenate([[0.0], np.cumsum(self.piece_mass)])
 
     def mass_after(self, u):
-        return self.mass_between(u, self.t1)
+        """Mass over [u, t1]; u may be an array."""
+        lo = np.maximum(u, self.t0)
+        if self.kind == "beta":
+            z = (lo - self.t0) / (self.t1 - self.t0)
+            mass = self.mass * (1.0 - betainc(self.a, self.b, z))
+        else:
+            cum = self._cum_mass
+            i = np.minimum(self.breaks.searchsorted(lo, side="right") - 1,
+                           len(self.piece_mass) - 1)
+            seg = self.breaks[i + 1] - self.breaks[i]
+            frac = np.divide(lo - self.breaks[i], seg,
+                             out=np.zeros_like(seg), where=seg != 0)
+            mass = cum[-1] - (cum[i] + frac * self.piece_mass[i])
+        mass = np.where(self.t1 <= lo, 0.0, mass)
+        return float(mass) if mass.ndim == 0 else mass
 
 
 class KeepCurve:
@@ -392,7 +385,6 @@ class Bookings:
 
     time: np.ndarray
     keep: np.ndarray
-    survives: np.ndarray
     cancel_time: np.ndarray
     duration: np.ndarray
     arrival_time: np.ndarray
@@ -463,8 +455,7 @@ def sample_blocks(profiles, rngs, n_days):
         day = np.repeat(np.arange(len(days)), counts)
         time = _by_day(rate.times(np.concatenate(t_raw, axis=-1)), counts)
         keep = profiles.keep_curve.value(time)
-        survives = np.concatenate(u_survive) < keep
-        gone = np.flatnonzero(~survives)
+        gone = np.flatnonzero(np.concatenate(u_survive) >= keep)
         live = np.bincount(day[gone[keep[gone] > 0.0]], minlength=len(days))
         uniforms = [np.empty(0)]
         for d in np.flatnonzero(live).tolist():
@@ -474,7 +465,7 @@ def sample_blocks(profiles, rngs, n_days):
         cancel[gone] = profiles.keep_curve.cancel_times(
             time[gone], keep[gone], np.concatenate(uniforms))
         block = DayBlock(
-            Bookings(time, keep, survives, cancel, np.concatenate(stays),
+            Bookings(time, keep, cancel, np.concatenate(stays),
                      profiles.arrival_density.times(
                          np.concatenate(a_raw, axis=-1)),
                      np.concatenate(u_show) < profiles.show_prob),

@@ -6,7 +6,9 @@ one entry per room-night. It is slow and obvious on purpose: the property
 tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
 day, on the same realizations. The Stage-II check-in rules are this
 module's own copies, one running-counter state per customer, so the engine's
-replay is never compared with itself. `brute_force_day_optimal` is the
+replay is never compared with itself; `mass_between` is the two-sided
+walk-in mass those rules read, where the engine's `RateFunction.mass_after`
+holds the upper end at the day's end. `brute_force_day_optimal` is the
 enumeration oracle for the offline day optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
 bisection where the engine inverts the threshold in closed form, and
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import betainc
 
 import roomflow.engine as E
 from roomflow.flows import Bookings, sample_blocks, streams
@@ -129,6 +132,34 @@ def sample_nhpp(rate, rng):
     if rate.mass <= 0:
         return np.empty(0)
     return np.sort(sample_times(rate, rng.poisson(rate.mass), rng))
+
+
+def mass_between(rate, lo, hi):
+    """Mass of a RateFunction over [lo, hi], from its cumulative mass at
+    each end; lo and hi may be arrays of the same shape."""
+    lo = np.maximum(lo, rate.t0)
+    hi = np.minimum(hi, rate.t1)
+    if rate.kind == "beta":
+        span = rate.t1 - rate.t0
+        zlo = (lo - rate.t0) / span
+        zhi = (hi - rate.t0) / span
+        mass = rate.mass * (betainc(rate.a, rate.b, zhi)
+                            - betainc(rate.a, rate.b, zlo))
+    else:
+        mass = _cdf(rate, hi) - _cdf(rate, lo)
+    mass = np.where(hi <= lo, 0.0, mass)
+    return float(mass) if mass.ndim == 0 else mass
+
+
+def _cdf(rate, x):
+    """Piecewise mass up to x, for x inside the domain."""
+    cum = np.concatenate([[0.0], np.cumsum(rate.piece_mass)])
+    i = np.searchsorted(rate.breaks, x, side="right") - 1
+    i = np.clip(i, 0, len(rate.piece_mass) - 1)
+    seg = rate.breaks[i + 1] - rate.breaks[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(seg == 0, 0.0, (x - rate.breaks[i]) / seg)
+    return cum[i] + frac * rate.piece_mass[i]
 
 
 def _inverse(curve, y):
@@ -365,8 +396,9 @@ def replay_stage2(policy, survivors, walkins, C_tilde, C_rooms, profiles, v):
         else:
             if adaptive:
                 if not revealed:
-                    state.remaining_walkin_mass = (
-                        profiles.walkin_rate.mass_after(u))
+                    rate = profiles.walkin_rate
+                    state.remaining_walkin_mass = mass_between(rate, u,
+                                                               rate.t1)
                 accept = dass2_decide_walkin(state, u, v, q1, policy.alpha)
             else:
                 accept = heuristic2_decide_walkin(state, standard)

@@ -4,8 +4,11 @@ calibration closure, and the fitted-scenario policy comparison."""
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,20 @@ from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
                             StageProfiles)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
+
+
+def load_checks():
+    """perfbench/checks.py, which holds the closed forms and imports nothing
+    of roomflow, loaded by path so that each closed form has one copy."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up here
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = load_checks()
 
 
 def reference_profiles(lam1=300.0, lam2=30.0, q1=0.4, q_stay=0.3, p0=0.5):
@@ -191,6 +208,37 @@ class TestCallTimingSweep:
                 assert m <= 0.25 * late
 
 
+class TestClosedForms:
+    # the shipped outputs against exact values, within perfbench's 5
+    # standard errors: over master seeds 1-100 the largest |z| was 2.9
+    # (lower-bound) and 2.0 (fig3), so 5 fails by chance almost never
+
+    def test_lower_bound_daily_regret(self, lower_bound_result):
+        cfg = cli.load_config("lower-bound", None)
+        iota = cli.parse_policies(cfg)["adaptive"].iota
+        header, rows = checks.read_result(lower_bound_result[3] + ".series")
+        _, curves = checks.series_by_curve(header, rows)
+        cum = [float(r["mean_cumulative_regret"])
+               for r in curves[("adaptive",)]]
+        check = checks.check_daily_rate(
+            cum, checks.lower_bound_daily_regret(iota))
+        assert check.ok, check.detail
+
+    def test_fig3_immediate_call_loss(self, fig3_result):
+        # at v = 0 the adaptive rule decides with full information, so its
+        # mean loss is the exact single-day loss mean
+        cfg = cli.load_config("fig3", None)
+        _, (B, sc) = cli.build_scenario(cfg)
+        mean, sd = checks.single_day_loss_moments(
+            B, sc.profiles.show_prob, sc.C, sc.profiles.walkin_rate.mass,
+            sc.reward, sc.overbook_penalty)
+        _, rows = checks.read_result(fig3_result[3])
+        (v0,) = [r for r in rows if float(r["v"]) == 0.0]
+        n = cfg.getint("run", "reps") * cfg.getint("run", "sims")
+        check = checks.check_mean_loss(v0, mean, sd, n)
+        assert check.ok, check.detail
+
+
 class TestMultiDayComparison:
     def test_adaptive_dominates_heuristics(self, fig4_result):
         _, header, rows, _ = fig4_result
@@ -233,7 +281,7 @@ class TestStageOneConcentration:
         for day in sampled_days(prof, 2024, range(10_000), rep=7):
             recs = day.bookings
             accepted = E.stage1_accept(pol, recs, prof, 100, [0, len(recs)])
-            survivors = int(recs.survives[accepted].sum())
+            survivors = int(np.isnan(recs.cancel_time[accepted]).sum())
             exceed += survivors > hat_C
         assert exceed / 10_000 <= 0.1
 
@@ -304,7 +352,7 @@ class TestInvariantSuite:
         prof = reference_profiles(p0=0.4)
         days = [d.bookings for d in sampled_days(prof, 9, range(300))]
         times = np.concatenate([d.time for d in days])
-        survived = np.concatenate([d.survives for d in days])
+        survived = np.isnan(np.concatenate([d.cancel_time for d in days]))
         for lo in np.arange(0.0, 1.0, 0.25):
             sel = (times >= lo) & (times < lo + 0.25)
             n = int(sel.sum())
@@ -318,8 +366,9 @@ class TestInvariantSuite:
         total_B, total_shows = 0, 0
         for day in sampled_days(prof, 10, range(400)):
             recs = day.bookings
-            total_B += int(recs.survives.sum())
-            total_shows += int((recs.shows & recs.survives).sum())
+            survives = np.isnan(recs.cancel_time)
+            total_B += int(survives.sum())
+            total_shows += int((recs.shows & survives).sum())
         expect = 0.35 * total_B
         sigma = np.sqrt(total_B * 0.35 * 0.65)
         assert abs(total_shows - expect) <= 3.0 * sigma

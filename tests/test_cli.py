@@ -1,5 +1,6 @@
 """Command-line driver: config parsing, reproducibility, subcommands."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -221,6 +222,29 @@ class TestParsePolicies:
         assert err.startswith("config error: [policies] bad: ")
         assert field in err
         assert not (tmp_path / "x.csv").exists()
+
+    # a valid value of every policy field
+    VALID = {"iota": 2.0, "alpha": 0.4, "beta": 0.2}
+
+    @pytest.mark.parametrize("kind", sorted(cli._KINDS))
+    def test_accepted_keys_are_the_policy_fields(self, tmp_path, kind):
+        # a spec must give each field of its kind's dataclass and no other
+        # key
+        cls = cli._KINDS[kind]
+        fields = [f.name for f in dataclasses.fields(cls)]
+
+        def parse(keys):
+            spec = " ".join(f"{k}={self.VALID[k]}" for k in keys)
+            return cli.parse_policies(cli.load_config(None, write_cfg(
+                tmp_path, f"[policies]\nx = {kind} {spec}\n")))["x"]
+
+        assert parse(fields) == cls(**{k: self.VALID[k] for k in fields})
+        for key in fields:
+            with pytest.raises(cli.ConfigError, match=f"{key}: missing"):
+                parse([k for k in fields if k != key])
+        for key in sorted(set(self.VALID) - set(fields)):
+            with pytest.raises(cli.ConfigError, match=f"{key}: not read"):
+                parse([*fields, key])
 
     def test_option_case_preserved(self, tmp_path):
         cfg = cli.load_config(None, write_cfg(

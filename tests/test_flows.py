@@ -60,7 +60,8 @@ class TestRateFunction:
     def test_mass_between(self):
         rate = RateFunction.piecewise([((0.0, 0.5), 10.0), ((0.5, 1.0), 20.0)])
         assert rate.mass == pytest.approx(15.0)
-        assert rate.mass_between(0.25, 0.75) == pytest.approx(2.5 + 5.0)
+        assert rate.mass_after(0.25) - rate.mass_after(0.75) == (
+            pytest.approx(2.5 + 5.0))
         beta = RateFunction.beta_shaped(30.0, 6, 6)
         assert beta.mass_after(0.5) == pytest.approx(15.0)
         assert beta.mass_after(0.0) == pytest.approx(30.0)
@@ -69,7 +70,7 @@ class TestRateFunction:
         # chi-square goodness of fit at significance 0.001 on 1e5 samples
         rate = RateFunction.beta_shaped(5.0, 2, 3)
         rng = substream(3)
-        sub_mass = rate.mass_between(0.2, 0.6)
+        sub_mass = rate.mass_after(0.2) - rate.mass_after(0.6)
         counts = []
         for _ in range(2000):
             times = sample_nhpp(rate, rng)
@@ -150,7 +151,7 @@ class TestStage1Day:
         profiles = simple_profiles(keep=KeepCurve.linear(1.0, 0.0, 1.0))
         day = next(sampled_days(profiles, 9, [1])).bookings
         assert len(day) > 0
-        assert day.survives.all() and np.isnan(day.cancel_time).all()
+        assert np.isnan(day.cancel_time).all()
 
     def test_constant_half_survival(self):
         profiles = simple_profiles(
@@ -161,7 +162,7 @@ class TestStage1Day:
                 break
             day = day.bookings
             total += len(day)
-            survived += int(day.survives.sum())
+            survived += int(np.isnan(day.cancel_time).sum())
         assert abs(survived / total - 0.5) < 0.005
 
     def test_records_sorted_and_consistent(self):
@@ -169,7 +170,7 @@ class TestStage1Day:
         day = next(sampled_days(profiles, 11, [1])).bookings
         times = day.time.tolist()
         assert times == sorted(times)
-        gone = ~day.survives
+        gone = ~np.isnan(day.cancel_time)
         assert gone.any()
         assert np.all(day.cancel_time[gone] >= day.time[gone])
 
@@ -182,9 +183,10 @@ class TestStage1Day:
         for day in sampled_days(profiles, 12, range(1, 2001)):
             day = day.bookings
             # nan cancel times (survivors) compare False
-            live = (day.time <= t) & (day.survives | (day.cancel_time > t))
+            survives = np.isnan(day.cancel_time)
+            live = (day.time <= t) & (survives | (day.cancel_time > t))
             alive += int(live.sum())
-            surv += int((live & day.survives).sum())
+            surv += int((live & survives).sum())
         p_hat = surv / alive
         sigma = np.sqrt(curve.value(t) * (1 - curve.value(t)) / alive)
         assert abs(p_hat - curve.value(t)) < 3 * sigma + 1e-9
@@ -265,7 +267,7 @@ class TestStage2Day:
 
 def day_arrays(day):
     b = day.bookings
-    return [b.time, b.keep, b.survives, b.cancel_time, b.duration,
+    return [b.time, b.keep, b.cancel_time, b.duration,
             b.arrival_time, b.shows, day.wk_time, day.walkin_stays]
 
 
@@ -292,9 +294,8 @@ class TestRecords:
         profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0),
                                    lam1=200.0)
         day = next(sampled_days(profiles, 20, [1])).bookings
-        np.testing.assert_array_equal(np.isnan(day.cancel_time),
-                                      day.survives)
-        gone = ~day.survives
+        gone = ~np.isnan(day.cancel_time)
+        assert gone.any() and not gone.all()
         assert np.all(day.cancel_time[gone] >= day.time[gone])
 
     def test_walkins_always_show(self):

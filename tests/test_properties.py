@@ -148,7 +148,8 @@ class TestArrayEngineMatchesReference:
             bookings, walkins = R.realize_day(sc, 0, k)
             b = day.bookings
             assert b.time.tolist() == [r.request_time for r in bookings]
-            assert b.survives.tolist() == [r.survives for r in bookings]
+            assert np.isnan(b.cancel_time).tolist() == [r.survives
+                                                        for r in bookings]
             assert [None if math.isnan(c) else c for c in
                     b.cancel_time.tolist()] == [r.cancel_time
                                                 for r in bookings]
@@ -260,8 +261,8 @@ def checkin_blocks(draw):
     shows, survives = draw(flags), draw(flags)
     kept = draw(st.sampled_from([[False] * n, [True] * n]) | flags)
     bookings = F.Bookings(
-        np.zeros(n), np.ones(n), np.array(survives, dtype=bool),
-        np.full(n, np.nan), np.arange(1, n + 1),
+        np.zeros(n), np.ones(n), np.where(survives, np.nan, 0.0),
+        np.arange(1, n + 1),
         np.array(arrival, dtype=float), np.array(shows, dtype=bool))
     block = F.DayBlock(
         bookings, np.array(wk_time, dtype=float),
@@ -314,7 +315,8 @@ class TestBlockCheckinsMatchReference:
                   else HeuristicPolicy(0.0))
         (day, stays), = E.block_checkins(block, [kept], sc.profiles, v)
         candidates, cut = clairvoyant_stage1_select(
-            block.bookings.survives, block.bookings.shows, block.starts)
+            np.isnan(block.bookings.cancel_time), block.bookings.shows,
+            block.starts)
         selected = block.bookings.duration[candidates].tolist()
         ledgers = [RecordingLedger(base) for _ in range(3)]
         b = block.bookings
@@ -328,7 +330,7 @@ class TestBlockCheckinsMatchReference:
                                block.walkin_stays[j]) for j in range(w, x)]
             survivors = [g for g, i in zip(guests, range(o, e)) if kept[i]]
             benchmark = [g for g, i in zip(guests, range(o, e))
-                         if b.survives[i] and b.shows[i]]
+                         if np.isnan(b.cancel_time[i]) and b.shows[i]]
             C_tilde, C_rooms = E.allocated_capacity(sc, ledgers[0], k)
             want = [
                 R.replay_stage2(policy, survivors, walkins, C_tilde, C_rooms,
@@ -463,3 +465,43 @@ class TestStreams:
         for master, tail in ((-1, (0,)), (3, (0, -2))):
             with pytest.raises(ValueError):
                 next(streams(master, [tail]))
+
+
+@st.composite
+def any_rates(draw):
+    """A Beta-shaped rate or a piecewise-constant one of 1-4 pieces, over a
+    domain starting anywhere in [-2, 2]; pieces and domains may have zero
+    width, and rates may be zero."""
+    t0 = draw(st.sampled_from([0.0, -1.5]) | st.floats(-2.0, 2.0))
+    widths = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)
+    if draw(st.booleans()):
+        return RateFunction.beta_shaped(
+            draw(st.floats(0.0, 50.0)), draw(st.floats(0.1, 8.0)),
+            draw(st.floats(0.1, 8.0)), t0, t0 + draw(widths))
+    pieces, lo = [], t0
+    for width in draw(st.lists(widths, min_size=1, max_size=4)):
+        pieces.append(((lo, lo + width), draw(st.floats(0.0, 50.0))))
+        lo += width
+    return RateFunction.piecewise(pieces)
+
+
+class TestRateMass:
+    @settings(max_examples=500, deadline=None)
+    @given(rate=any_rates(), data=st.data())
+    def test_mass_after_is_the_two_sided_mass_to_the_end(self, rate, data):
+        # bit for bit, on the domain's knots, inside and outside it, for a
+        # scalar, an empty array and an array
+        knots = [rate.t0, rate.t1]
+        if rate.kind == "piecewise":
+            knots += rate.breaks.tolist()
+        points = (st.sampled_from(knots) | st.floats(-3.0, 5.0)
+                  | st.sampled_from([-math.inf, math.inf]))
+        for u in (data.draw(points), np.empty(0),
+                  np.array(data.draw(st.lists(points, max_size=6)))):
+            # a zero-width Beta domain divides by zero, and u past a
+            # tiny last piece overflows its fraction; both are masked
+            with np.errstate(all="ignore"):
+                got = rate.mass_after(u)
+                want = R.mass_between(rate, u, rate.t1)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
