@@ -22,6 +22,8 @@ def offline_day_optimum(finals, n_walkins, C):
 def clairvoyant_stage1_select(survives, shows, starts):
     """Positions, in request order, of a block's bookings (day d's at
     starts[d]:starts[d + 1]) that survive the window and show, and where
-    each day's start among them (cut); day d selects its first `target`."""
+    each day's start among them (cut). Day d selects the first
+    min(finals, C_rooms) of its cut[d + 1] - cut[d] = finals candidates
+    (`engine.run_oracle_day` with select=True)."""
     positions = np.flatnonzero(survives & shows)
     return positions, positions.searchsorted(starts).tolist()

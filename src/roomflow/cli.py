@@ -623,12 +623,13 @@ def build_parser():
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--preset", choices=PRESETS, default=None)
         if name == "fit":
             p.add_argument("--capacity", type=int, default=70)
             p.add_argument("--components", type=int, default=2)
+        else:
+            p.add_argument("--reps", type=int, default=None)
+            p.add_argument("--preset", choices=PRESETS, default=None)
         p.set_defaults(fn=fn)
     return parser
 

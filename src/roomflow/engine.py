@@ -7,9 +7,10 @@ through the occupancy ledger. On the same realizations (common random
 numbers) run the policy's trajectory (`run_day`), the benchmark's
 (clairvoyant Stage-I selection, then the offline optimum) and a hybrid
 (the offline optimum on the policy's Stage-I acceptances), which splits
-the regret into Stage-I and Stage-II components. Stage I and Stage II's
-sorting and counting (`block_checkins`) run a block of days at a time;
-then each day decides in plain Python against the ledger."""
+the regret into Stage-I and Stage-II components. Stage I
+(`block_survivors`) and Stage II's sorting and counting (`block_checkins`)
+run once per block of days for every policy; then each day decides in
+plain Python against the ledger."""
 
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ from .policies import (
     AdaptivePolicy,
     HeuristicPolicy,
     OraclePolicy,
-    booking_caps,
-    estimated_capacity,
-    heuristic_stage1_threshold,
+    stage1_caps,
 )
 
 
@@ -155,28 +154,28 @@ def replay_stage1(times, cancel_times, caps, first=0):
     return accepted
 
 
-def stage1_accept(policy, bookings, profiles, C, starts):
-    """Positions of the bookings accepted under the policy's Stage-I rule
-    in a block of days, day d at positions starts[d]:starts[d + 1]; each
-    day replays on its own. The adaptive rule accepts request i iff
-    stage1_threshold(B_alive + 1, p_i, iota) <= hat_C, that is iff
-    B_alive + 1 is at most the request's cap, computed for the whole block
-    from the keep values sampled with it (policies.booking_caps)."""
-    law, q1 = profiles.duration_law, profiles.show_prob
-    if isinstance(policy, AdaptivePolicy):
-        hat_C = estimated_capacity(law, C, q1, policy.iota)
-        sizes = np.diff(starts)
-        caps = booking_caps(hat_C, bookings.keep, policy.iota,
-                            np.repeat(sizes, sizes))
-    elif isinstance(policy, HeuristicPolicy):
-        caps = [heuristic_stage1_threshold(policy, law, C, q1)] * len(bookings)
-    else:
-        raise TypeError(f"no Stage-I rule for {type(policy).__name__}")
-    times, cancels = bookings.lists
-    accepted = []
-    for o, e in zip(starts, starts[1:]):
-        accepted += replay_stage1(times[o:e], cancels[o:e], caps[o:e], o)
-    return accepted
+def block_survivors(block, policies, scenario):
+    """A boolean mask per policy of the block's bookings it accepts in
+    Stage I that survive the window. Each day replays on its own through
+    `replay_stage1`, with the policy's caps for the whole block
+    (policies.stage1_caps); the times as lists, the day sizes and the
+    survival mask are made once for all policies."""
+    bookings, starts = block.bookings, block.starts
+    times, cancels = bookings.time.tolist(), bookings.cancel_time.tolist()
+    sizes = np.diff(starts)
+    m = np.repeat(sizes, sizes)  # each request's day size
+    survives = np.isnan(bookings.cancel_time)
+    masks = []
+    for policy in policies:
+        caps = stage1_caps(policy, bookings.keep, m, scenario.profiles,
+                           scenario.C)
+        accepted = []
+        for o, e in zip(starts, starts[1:]):
+            accepted += replay_stage1(times[o:e], cancels[o:e], caps[o:e], o)
+        kept = np.zeros(len(bookings), dtype=bool)
+        kept[accepted] = True
+        masks.append(kept & survives)
+    return masks
 
 
 @dataclass(eq=False)
@@ -375,17 +374,7 @@ def warm_start_ledger(scenario, rng):
     return ledger
 
 
-def block_survivors(policy, block, scenario):
-    """A boolean mask of the block's bookings the policy accepts in Stage I
-    that survive the window."""
-    bookings = block.bookings
-    kept = np.zeros(len(bookings), dtype=bool)
-    kept[stage1_accept(policy, bookings, scenario.profiles, scenario.C,
-                       block.starts)] = True
-    return kept & np.isnan(bookings.cancel_time)
-
-
-def run_experiment(scenario, policies, rep=0):
+def run_experiment(scenario, policies):
     """All policy trajectories plus hybrid and benchmark on one realization.
 
     policies: dict name -> AdaptivePolicy | HeuristicPolicy | OraclePolicy.
@@ -399,11 +388,12 @@ def run_experiment(scenario, policies, rep=0):
     """
     T = scenario.T
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
-    # one replication's streams in draw order: (rep, 0, 0) for the warm
-    # start, then three a day
+    rules = [policies[n] for n in names]
+    # the streams in draw order: (0, 0, 0) for the warm start, then three a
+    # day; the replication enters through scenario.seed
     rngs = streams(scenario.seed, chain(
-        [(rep, 0, 0)], ((rep, k, sub) for k in range(1, T + 1)
-                        for sub in (1, 2, 3))))
+        [(0, 0, 0)], ((0, k, sub) for k in range(1, T + 1)
+                      for sub in (1, 2, 3))))
     bench_ledger = warm_start_ledger(scenario, next(rngs))
     ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
     bench = np.empty(T)
@@ -415,10 +405,10 @@ def run_experiment(scenario, policies, rep=0):
             np.isnan(bookings.cancel_time), bookings.shows, block.starts)
         selected = bookings.duration[candidates].tolist()
         trajectories = [
-            (policies[n], *ledgers[n], *losses[n][:2], day, stays)
-            for n, (day, stays) in zip(names, block_checkins(
-                block, [block_survivors(policies[n], block, scenario)
-                        for n in names], scenario.profiles, scenario.v))]
+            (policy, *ledgers[n], *losses[n][:2], day, stays)
+            for n, policy, (day, stays) in zip(names, rules, block_checkins(
+                block, block_survivors(block, rules, scenario),
+                scenario.profiles, scenario.v))]
         for d in range(len(block.starts) - 1):
             bench[k] = run_oracle_day(k + 1, block, d, cut, selected,
                                       bench_ledger, scenario, select=True)

@@ -393,11 +393,6 @@ class Bookings:
     def __len__(self):
         return len(self.time)
 
-    @cached_property
-    def lists(self):
-        """time and cancel_time as lists, made once a block for Stage I."""
-        return self.time.tolist(), self.cancel_time.tolist()
-
 
 @dataclass(eq=False)
 class DayBlock:

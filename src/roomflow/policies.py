@@ -3,10 +3,11 @@
 The adaptive policy adds a concentration-derived safety stock to expected
 counts: Stage I accepts a booking only while an upper confidence bound on the
 final surviving bookings stays below an estimated capacity. Heuristic
-baselines replace it with a fixed linear cap. The Stage-II check-in rules
-read alpha or the heuristic standard from the policy in
-`engine.replay_walkins`. The busy-season and call-timing checks live here
-too.
+baselines replace it with a fixed linear cap. Both rules reach the engine as
+per-request caps (`stage1_caps`), computed per policy for a block of days.
+The Stage-II check-in rules read alpha or the heuristic standard from the
+policy in `engine.replay_walkins`. The busy-season and call-timing checks
+live here too.
 """
 
 from __future__ import annotations
@@ -139,11 +140,17 @@ def estimated_capacity(law, C, q1, iota):
     return float(_cap_estimate(rhs, q1, iota))
 
 
-def heuristic_stage1_threshold(policy, law, C, q1):
-    """Fixed booking cap (1+beta) * delta * C / q1."""
-    if q1 <= 0:
-        raise ValueError("q1 must be positive")
-    return (1.0 + policy.beta) * law.delta * C / q1
+def stage1_caps(policy, keep, m, profiles, C):
+    """The Stage-I rule of an adaptive or heuristic policy as per-request
+    caps (a list): request i is accepted iff B_alive + 1 <= caps[i]. The
+    adaptive rule accepts iff stage1_threshold(B_alive + 1, keep[i], iota)
+    <= hat_C (`booking_caps`, m the request's day size); the heuristic
+    caps every request at (1+beta) * delta * C / q1."""
+    law, q1 = profiles.duration_law, profiles.show_prob
+    if isinstance(policy, HeuristicPolicy):
+        return [(1.0 + policy.beta) * law.delta * C / q1] * len(keep)
+    hat_C = estimated_capacity(law, C, q1, policy.iota)
+    return booking_caps(hat_C, keep, policy.iota, m)
 
 
 @dataclass(frozen=True)

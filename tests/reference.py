@@ -35,7 +35,6 @@ from roomflow.policies import (
     OraclePolicy,
     departure_floor,
     estimated_capacity,
-    heuristic_stage1_threshold,
     stage1_threshold,
 )
 
@@ -99,14 +98,14 @@ def sampled_days(profiles, seed, days, rep=0):
                 block.wk_time[w:x], block.walkin_stays[w:x])
 
 
-def engine_days(scenario, policy, ledger, rep=0):
-    """The engine's policy trajectory of replication rep on `ledger`, one
-    day at a time: yields (k, day loss, guests served on day k)."""
-    rngs = day_streams(scenario.seed, rep, range(1, scenario.T + 1))
+def engine_days(scenario, policy, ledger):
+    """The engine's policy trajectory on `ledger`, one day at a time:
+    yields (k, day loss, guests served on day k)."""
+    rngs = day_streams(scenario.seed, 0, range(1, scenario.T + 1))
     k = 0
     for block in sample_blocks(scenario.profiles, rngs, scenario.T):
         (day, stays), = E.block_checkins(
-            block, [E.block_survivors(policy, block, scenario)],
+            block, E.block_survivors(block, [policy], scenario),
             scenario.profiles, scenario.v)
         for d in range(len(block.starts) - 1):
             k += 1
@@ -284,8 +283,9 @@ def stage1_accept(policy, bookings, profiles, C):
             p = float(curve.value(t))
             return stage1_threshold(alive + 1, p, policy.iota) <= hat_C
     else:
-        cap = heuristic_stage1_threshold(policy, profiles.duration_law, C,
-                                         profiles.show_prob)
+        # the heuristic's fixed cap (1 + beta) * delta * C / q1
+        cap = ((1.0 + policy.beta) * profiles.duration_law.delta * C
+               / profiles.show_prob)
 
         def decide(t, alive):
             return alive + 1 <= cap
@@ -500,17 +500,17 @@ def _finish(scenario, ledger, k, served, overbooked):
     return scenario.overbook_penalty * overbooked + scenario.reward * idle
 
 
-def run_experiment(scenario, policies, rep=0):
+def run_experiment(scenario, policies):
     """name -> (policy, hybrid, benchmark) per-day loss lists."""
     warm = lambda: warm_start(  # noqa: E731
-        scenario, substream(scenario.seed, rep, 0, 0))
+        scenario, substream(scenario.seed, 0, 0, 0))
     bench_ledger = warm()
     ledgers = {n: (warm(), warm()) for n in policies}
     bench = []
     losses = {n: ([], []) for n in policies}
     for k in range(1, scenario.T + 1):
         profiles = scenario.profiles
-        bookings, walkins = realize_day(scenario, rep, k)
+        bookings, walkins = realize_day(scenario, 0, k)
         _, C_rooms = _capacity(scenario, bench_ledger, k)
         selected = [r for r in bookings if r.survives and r.shows][:C_rooms]
         t1, wk, over = oracle_stage2(selected, walkins, C_rooms)

@@ -20,7 +20,7 @@ import roomflow.cli as cli
 import roomflow.engine as E
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
-                            StageProfiles)
+                            StageProfiles, sample_blocks)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
 
@@ -277,12 +277,17 @@ class TestStageOneConcentration:
         prof = reference_profiles()
         pol = E.AdaptivePolicy(4.0, 0.4)
         hat_C = estimated_capacity(prof.duration_law, 100, 0.4, 4.0)
-        exceed = 0
-        for day in sampled_days(prof, 2024, range(10_000), rep=7):
-            recs = day.bookings
-            accepted = E.stage1_accept(pol, recs, prof, 100, [0, len(recs)])
-            survivors = int(np.isnan(recs.cancel_time[accepted]).sum())
-            exceed += survivors > hat_C
+        sc = E.ScenarioConfig(T=1, C=100, v=0.0, reward=1.0,
+                              overbook_penalty=1.0, profiles=prof)
+        exceed = days = 0
+        for block in sample_blocks(
+                prof, R.day_streams(2024, 7, range(10_000)), 10_000):
+            mask, = E.block_survivors(block, [pol], sc)
+            survivors = np.diff(np.concatenate(([0], mask.cumsum()))[
+                block.starts])  # per day
+            exceed += int((survivors > hat_C).sum())
+            days += len(survivors)
+        assert days == 10_000
         assert exceed / 10_000 <= 0.1
 
 
@@ -437,7 +442,7 @@ class TestFittedScenarioComparison:
         policies = {"dass": E.AdaptivePolicy(2.0, 0.4)}
         for b in (-0.2, -0.1, 0.0, 0.1, 0.2):
             policies[f"h{b:g}"] = E.HeuristicPolicy(beta=b)
-        losses = E.run_experiment(sc, policies, rep=0)
+        losses = E.run_experiment(sc, policies)
         dass = losses["dass"][0].sum()
         for name, (pol, _, _) in losses.items():
             if name != "dass":

@@ -480,6 +480,16 @@ class TestFit:
     def test_fit_without_config_rejected(self, capsys):
         assert cli.main(["fit"]) == 1
 
+    @pytest.mark.parametrize("flag", [("--preset", "fig4"), ("--reps", "3")])
+    def test_run_flags_are_usage_errors(self, flag, capsys):
+        # fit reads no preset and no replication count: the flags are
+        # rejected before anything runs, not silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--config", "b.csv", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+
     def test_output_bytes_pinned(self, tmp_path, capsys):
         # SHA-256 of a fixed dataset and of what fit writes for it: a change
         # to ingestion, the fitters or the report that is meant to keep the

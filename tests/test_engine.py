@@ -247,11 +247,13 @@ class TestRegret:
 
 class TestMonteCarlo:
     def curves(self, sc, n_reps):
-        """Cumulative-regret curves of n_reps replications."""
+        """Cumulative-regret curves of n_reps replications, each seeded as
+        the CLI seeds a cell's replications."""
         curves = []
         for rep in range(n_reps):
             pol, _, ben = E.run_experiment(
-                sc, {"a": E.AdaptivePolicy(2.0, 0.4)}, rep=rep)["a"]
+                dataclasses.replace(sc, seed=cli.cell_seed(sc.seed, "", rep)),
+                {"a": E.AdaptivePolicy(2.0, 0.4)})["a"]
             curves.append(np.cumsum(pol - ben))
         return curves
 

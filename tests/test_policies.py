@@ -21,7 +21,7 @@ from roomflow.policies import (
     check_call_timing,
     departure_floor,
     estimated_capacity,
-    heuristic_stage1_threshold,
+    stage1_caps,
     stage1_threshold,
 )
 from reference import (
@@ -196,6 +196,13 @@ def day_profiles(q1=0.5, lam2=30.0):
         duration_law=GEO)
 
 
+def heuristic_cap(policy, C, q1):
+    """The heuristic's Stage-I cap, read through stage1_caps for one
+    request on `day_profiles(q1)` (GEO stays)."""
+    cap, = stage1_caps(policy, np.ones(1), np.ones(1), day_profiles(q1), C)
+    return cap
+
+
 def walkins_served(policy, reserved, walkins, C_tilde, C_rooms=1000, v=0.5,
                    q1=0.5, lam2=30.0):
     """Walk-ins served by engine.replay_stage2 on a constructed day.
@@ -306,10 +313,10 @@ class TestType1CheckIn:
 
 class TestHeuristics:
     def test_cap_values(self):
-        assert heuristic_stage1_threshold(HeuristicPolicy(0.0), GEO, 100, 0.4) \
+        assert heuristic_cap(HeuristicPolicy(0.0), 100, 0.4) \
             == pytest.approx(175.0)
-        assert heuristic_stage1_threshold(HeuristicPolicy(-1.0), GEO, 100, 0.4) == 0.0
-        assert heuristic_stage1_threshold(HeuristicPolicy(0.2), GEO, 100, 0.4) \
+        assert heuristic_cap(HeuristicPolicy(-1.0), 100, 0.4) == 0.0
+        assert heuristic_cap(HeuristicPolicy(0.2), 100, 0.4) \
             == pytest.approx(210.0)
 
     def test_stage2_standard(self):
@@ -325,8 +332,8 @@ class TestHeuristics:
 
     def test_stage1_cap_linear_in_C_but_adaptive_is_not(self):
         h = HeuristicPolicy(0.1)
-        h100 = heuristic_stage1_threshold(h, GEO, 100, 0.4)
-        h200 = heuristic_stage1_threshold(h, GEO, 200, 0.4)
+        h100 = heuristic_cap(h, 100, 0.4)
+        h200 = heuristic_cap(h, 200, 0.4)
         assert h200 == pytest.approx(2 * h100)
         a100 = estimated_capacity(GEO, 100, 0.4, 2.0)
         a200 = estimated_capacity(GEO, 200, 0.4, 2.0)

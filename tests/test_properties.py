@@ -349,6 +349,61 @@ class TestBlockCheckinsMatchReference:
                 assert loss == 2.0 * over + (C - base[k] - len(served))
 
 
+@st.composite
+def stage1_blocks(draw):
+    """A hand-built block of 1-5 days of booking requests, times on GRID
+    and sorted within each day, so requests tie with each other and with
+    cancellations; keep values in [0, 1]; each request cancels at a GRID
+    lag after it or survives (nan). Days may have no requests."""
+    days = draw(st.lists(st.lists(st.sampled_from(GRID), max_size=10)
+                         .map(sorted), min_size=1, max_size=5))
+    time = np.array([t for day in days for t in day], dtype=float)
+    n = len(time)
+    keep = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=n, max_size=n))
+    lags = draw(st.lists(st.none() | st.sampled_from(GRID), min_size=n,
+                         max_size=n))
+    cancel = [math.nan if lag is None else t + lag
+              for t, lag in zip(time.tolist(), lags)]
+    bookings = F.Bookings(time, np.array(keep), np.array(cancel),
+                          np.ones(n, dtype=int), np.zeros(n),
+                          np.ones(n, dtype=bool))
+    return F.DayBlock(bookings, np.zeros(0), [],
+                      [0, *itertools.accumulate(map(len, days))],
+                      [0] * (len(days) + 1))
+
+
+class TestBlockSurvivors:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(block=stage1_blocks(), C=st.integers(1, 12),
+           iota=st.floats(0.0, 1.0), q1=st.floats(0.05, 1.0),
+           betas=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           law=st.sampled_from([DurationLaw("geometric"),
+                                DurationLaw("constant", d=2)]))
+    def test_policies_together_equal_each_alone(self, block, C, iota, q1,
+                                                betas, law):
+        # one call builds the lists, day sizes and survival mask for every
+        # policy: no policy's replay may change what the next one reads
+        sc = E.ScenarioConfig(
+            T=len(block.starts) - 1, C=C, v=0.5, reward=1.0,
+            overbook_penalty=1.0, profiles=StageProfiles(
+                stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
+                keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
+                arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+                walkin_rate=RateFunction.constant(1.0, 0.0, 1.0),
+                duration_law=law))
+        policies = [AdaptivePolicy(iota, 0.4),
+                    *(HeuristicPolicy(b) for b in betas)]
+        together = E.block_survivors(block, policies, sc)
+        assert len(together) == len(policies)
+        survives = np.isnan(block.bookings.cancel_time)
+        for policy, mask in zip(policies, together):
+            alone, = E.block_survivors(block, [policy], sc)
+            assert mask.dtype == bool and np.array_equal(mask, alone)
+            assert not (mask & ~survives).any()
+
+
 class TestEngineInvariants:
     @SETTINGS
     @given(case=cases())
