@@ -176,8 +176,8 @@ _MAX_ROOMS = 1_000_000
 # a single-day cell keeps three float64 results a draw for each policy and
 # replication (24 MB at this count) until the file is written
 _MAX_SIMS = 1_000_000
-# a replication of a cell is one work unit (a 5-tuple with its own cell key,
-# about 240 bytes), so 10**6 units of one cell take about 240 MB
+# a replication of a cell is one work unit (a 4-tuple with its own seed,
+# about 120 bytes), so 10**6 units of one cell take about 120 MB
 _MAX_REPS = 1_000_000
 # results a whole run holds until its files are written: per cell, rep and
 # policy a T-day float64 cumulative-regret curve (multiday, 800 KB at
@@ -347,62 +347,33 @@ def _axes_from_config(cfg, limit):
     return axes
 
 
-def _plan(cfg, args, limit):
-    """Everything a grid command needs, parsed and checked before any cell
-    runs: the policies, the axis names, each cell's coordinates and typed
-    inputs, the mode, and the [run] settings (master seed, reps, output
-    path, and for single-day the draws per cell and the objective)."""
+def _grid(cfg, limit):
+    """The scenario grid, parsed and checked before any cell runs: the
+    policies, the axis names, each cell's coordinates and typed inputs, and
+    the mode."""
     policies = parse_policies(cfg)
     axes = _axes_from_config(cfg, limit)
     names = [name for name, _ in axes]
     grid = product(*([(name, v) for v in values] for name, values in axes))
     cells = [(coords, build_scenario(cfg, coords, names)) for coords in grid]
-    mode = cells[0][1][0]
-    f = _Fields(cfg, "run")
-    master = f.get("seed", int, 0)
-    reps = f.get("reps", str, "1")  # checked once --reps is laid over it
-    out = f.get("out", str, "results.csv")
-    sims = objective = None
-    if mode == "single-day":
-        sims = f.get("sims", _whole(1, _MAX_SIMS), 1000)
-        objective = f.get("objective", _one_of("auto", "loss", "regret",
-                                               "mismatch"), "auto")
-    f.reject_unread(mode)
-    master = args.seed if args.seed is not None else master
-    try:
-        reps = _whole(1, _MAX_REPS)(
-            str(args.reps) if args.reps is not None else reps)
-    except ValueError as exc:
-        raise ConfigError(f"[run] reps: {exc}") from exc
-    # result bytes of one rep of every cell, checked before any is allocated
-    per_rep = 8 * len(policies) * sum(
-        3 * sims if mode == "single-day" else inputs.T
-        for _, (_, inputs) in cells)
-    if reps * per_rep > _MAX_RUN_BYTES:
-        raise ConfigError(
-            f"[run] reps: must be at most {_MAX_RUN_BYTES // per_rep} where "
-            f"one rep of every cell holds {per_rep} bytes of results, "
-            f"got {reps}")
-    run = (master, reps, sims, objective)
-    return policies, names, cells, mode, run, args.out or out
+    return policies, names, cells, cells[0][1][0]
 
 
 # ---------------------------------------------------------------------------
-# work units, one replication of one grid cell: (typed inputs, cell key,
-# policies, run settings, rep) -> per-policy results of that replication.
-# Grid cells: (typed inputs, policies, run settings, the results of the
-# cell's replications in rep order) -> per-policy rows (name, stats,
+# work units, one replication of one grid cell: (typed inputs, seed,
+# policies, single-day draws) -> per-policy results of that replication.
+# Grid cells: (typed inputs, policies, single-day objective, the results of
+# the cell's replications in rep order) -> per-policy rows (name, stats,
 # objective, objective value) and per-day series
 
 def _multiday_rep(unit):
-    sc, key, policies, (master, _, _, _), rep = unit
-    seeded = dataclasses.replace(sc, seed=cell_seed(master, key, rep))
+    sc, seed, policies, _ = unit
     return {n: (np.cumsum(pol - ben), (hyb - ben).sum(), (pol - hyb).sum())
-            for n, (pol, hyb, ben)
-            in engine.run_experiment(seeded, policies).items()}
+            for n, (pol, hyb, ben) in engine.run_experiment(
+                dataclasses.replace(sc, seed=seed), policies).items()}
 
 
-def _multiday_cell(_inputs, policies, _run, reps):
+def _multiday_cell(_inputs, policies, _objective, reps):
     rows, series = [], []
     for n in policies:
         cum, s1, s2 = zip(*(rep[n] for rep in reps))
@@ -415,14 +386,13 @@ def _multiday_cell(_inputs, policies, _run, reps):
 
 
 def _singleday_rep(unit):
-    (B, sc), key, policies, (master, _, sims, _), rep = unit
-    seed = cell_seed(master, key, rep)
+    (B, sc), seed, policies, sims = unit
     return {name: engine.single_day_cell(sc, B, pol, sims, seed)
             for name, pol in policies.items()}
 
 
-def _singleday_cell(inputs, policies, run, reps):
-    sc, objective = inputs[1], run[3]
+def _singleday_cell(inputs, policies, objective, reps):
+    sc = inputs[1]
     rows = []
     for name, pol in policies.items():
         losses, oracle, rejected = (
@@ -463,17 +433,43 @@ def _cell_key(coords):
 
 
 def run_grid(cfg, args, limit):
-    """Run every cell of the [sweep] grid (at most `limit` axes) and write
-    one result row per cell and policy, with an `# argmin` line when there
-    are axes; multiday runs also write the per-day `<out>.series`. Returns
-    the rows."""
-    policies, names, cells, mode, run, out = _plan(cfg, args, limit)
+    """Run every cell of the [sweep] grid (at most `limit` axes) with the
+    [run] settings, the --seed, --reps and --out flags laid over them, and
+    write one result row per cell and policy, with an `# argmin` line when
+    there are axes; multiday runs also write the per-day `<out>.series`.
+    Everything is parsed and checked before any cell runs."""
+    policies, names, cells, mode = _grid(cfg, limit)
     single_day = mode == "single-day"
+    f = _Fields(cfg, "run")
+    master = f.get("seed", int, 0)
+    reps = f.get("reps", str, "1")  # checked once --reps is laid over it
+    out = f.get("out", str, "results.csv")
+    sims = objective = None
+    if single_day:
+        sims = f.get("sims", _whole(1, _MAX_SIMS), 1000)
+        objective = f.get("objective", _one_of("auto", "loss", "regret",
+                                               "mismatch"), "auto")
+    f.reject_unread(mode)
+    master = args.seed if args.seed is not None else master
+    out = args.out or out
+    try:
+        reps = _whole(1, _MAX_REPS)(
+            str(args.reps) if args.reps is not None else reps)
+    except ValueError as exc:
+        raise ConfigError(f"[run] reps: {exc}") from exc
+    # result bytes of one rep of every cell, checked before any is allocated
+    per_rep = 8 * len(policies) * sum(
+        3 * sims if single_day else inputs.T for _, (_, inputs) in cells)
+    if reps * per_rep > _MAX_RUN_BYTES:
+        raise ConfigError(
+            f"[run] reps: must be at most {_MAX_RUN_BYTES // per_rep} where "
+            f"one rep of every cell holds {per_rep} bytes of results, "
+            f"got {reps}")
+
     rep_work, cell_work = ((_singleday_rep, _singleday_cell) if single_day
                            else (_multiday_rep, _multiday_cell))
-    reps = run[1]
-    units = [(inputs, _cell_key(coords), policies, run, rep)
-             for coords, (_, inputs) in cells for rep in range(reps)]
+    units = [(inputs, cell_seed(master, _cell_key(coords), rep), policies,
+              sims) for coords, (_, inputs) in cells for rep in range(reps)]
     workers = min(args.jobs, len(units))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -481,7 +477,8 @@ def run_grid(cfg, args, limit):
     else:
         done = [rep_work(u) for u in units]
     # each cell's replications, gathered in rep order
-    results = [cell_work(inputs, policies, run, done[i * reps:(i + 1) * reps])
+    results = [cell_work(inputs, policies, objective,
+                         done[i * reps:(i + 1) * reps])
                for i, (_, (_, inputs)) in enumerate(cells)]
 
     rows = [(coords, *row)
@@ -499,7 +496,7 @@ def run_grid(cfg, args, limit):
             fh.write(",".join([f"{v:g}" for _, v in coords] + [name]
                               + [f"{x:.10g}" for x in stats]) + "\n")
     if single_day:
-        return rows
+        return
     with _open_out(str(out) + ".series") as fh:
         fh.write(",".join(names + [
             "policy", "day", "mean_cumulative_regret", "stderr"]) + "\n")
@@ -509,7 +506,6 @@ def run_grid(cfg, args, limit):
                 for day, (m, se) in enumerate(zip(mean, stderr), start=1):
                     fh.write(",".join(vals + [name, str(day), f"{m:.10g}",
                                               f"{se:.10g}"]) + "\n")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +585,7 @@ def cmd_check(args):
     """Verdicts of every grid cell per adaptive policy (named when there are
     several), each distinct line printed once."""
     cfg = load_config(args.preset, args.config)
-    policies, _, cells, mode, _, _ = _plan(cfg, args, limit=2)
+    policies, _, cells, mode = _grid(cfg, limit=2)
     f = _Fields(cfg, "check")
     iota = f.get("iota", _IOTA, None)
     f.reject_unread(mode)
@@ -621,15 +617,17 @@ def build_parser():
                      ("fit", cmd_fit), ("check", cmd_check)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name != "fit":
+            p.add_argument("--preset", choices=PRESETS, default=None)
+        if name != "check":  # check writes no file and draws nothing
+            p.add_argument("--out", default=None)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
         if name == "fit":
             p.add_argument("--capacity", type=int, default=70)
             p.add_argument("--components", type=int, default=2)
-        else:
+        elif fn is cmd_grid:
             p.add_argument("--reps", type=int, default=None)
-            p.add_argument("--preset", choices=PRESETS, default=None)
         p.set_defaults(fn=fn)
     return parser
 

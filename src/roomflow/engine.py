@@ -213,13 +213,11 @@ def replay_walkins(policy, day, d, C_tilde, C_rooms, q1):
     decided, shows_end = shows[d], shows[d + 1]  # shows, counted in the block
     no_shows, B = kept[d] - decided, kept[d + 1] - kept[d]  # before the day
     w, call = wk_starts[d], day.calls[d]
-    if isinstance(policy, AdaptivePolicy):
-        alpha, standard = policy.alpha, None
-    elif isinstance(policy, HeuristicPolicy):
+    if isinstance(policy, HeuristicPolicy):
         # no call: every walk-in faces the one fixed standard
         alpha, standard, call = None, q1 * B, w
     else:
-        raise TypeError(f"no Stage-II rule for {type(policy).__name__}")
+        alpha, standard = policy.alpha, None
     shows_before = day.shows_before
     B1 = W1 = overbooked = 0
     served_wk = []
@@ -404,21 +402,21 @@ def run_experiment(scenario, policies):
         candidates, cut = clairvoyant_stage1_select(
             np.isnan(bookings.cancel_time), bookings.shows, block.starts)
         selected = bookings.duration[candidates].tolist()
-        trajectories = [
-            (policy, *ledgers[n], *losses[n][:2], day, stays)
-            for n, policy, (day, stays) in zip(names, rules, block_checkins(
+        days = range(len(block.starts) - 1)
+        for d in days:
+            bench[k + d] = run_oracle_day(k + d + 1, block, d, cut, selected,
+                                          bench_ledger, scenario, select=True)
+        # each trajectory has its own ledger: they run one after another
+        for n, policy, (day, stays) in zip(names, rules, block_checkins(
                 block, block_survivors(block, rules, scenario),
-                scenario.profiles, scenario.v))]
-        for d in range(len(block.starts) - 1):
-            bench[k] = run_oracle_day(k + 1, block, d, cut, selected,
-                                      bench_ledger, scenario, select=True)
-            for policy, ledger, hybrid, pol, hyb, day, stays in trajectories:
-                pol[k] = run_day(k + 1, block, d, day, stays, policy, ledger,
-                                 scenario)
-                hyb[k] = run_oracle_day(k + 1, block, d, day.shows, stays,
-                                        hybrid, scenario)
-            k += 1
-        return k
+                scenario.profiles, scenario.v)):
+            (ledger, hybrid), (pol, hyb, _) = ledgers[n], losses[n]
+            for d in days:
+                pol[k + d] = run_day(k + d + 1, block, d, day, stays, policy,
+                                     ledger, scenario)
+                hyb[k + d] = run_oracle_day(k + d + 1, block, d, day.shows,
+                                            stays, hybrid, scenario)
+        return k + len(days)
 
     k = 0  # days done
     for block in sample_blocks(scenario.profiles, rngs, T):

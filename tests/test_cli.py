@@ -1,5 +1,6 @@
 """Command-line driver: config parsing, reproducibility, subcommands."""
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -263,6 +264,24 @@ class TestExitCodes:
         rc = cli.main(["simulate", "--config", cfg,
                        "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert rc == 3
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--config", "--preset", "--out", "--seed", "--jobs",
+                      "--reps"]),
+        ("sweep", ["--config", "--preset", "--out", "--seed", "--jobs",
+                   "--reps"]),
+        ("fit", ["--config", "--out", "--seed", "--jobs", "--capacity",
+                 "--components"]),
+        # check writes no file and draws nothing
+        ("check", ["--config", "--preset", "--jobs"]),
+    ])
+    def test_each_subcommand_takes_only_what_it_reads(self, command, flags):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert [a.option_strings[0] for a in sub.choices[command]._actions
+                if a.dest != "help"] == flags
 
 
 class TestSimulate:
@@ -583,6 +602,27 @@ a1 = adaptive iota=0.2 alpha=0.45
         cfg = write_cfg(tmp_path, MULTIDAY.replace(
             "adaptive = adaptive iota=2.0 alpha=0.4", "h = heuristic beta=0.1"))
         assert cli.main(["check", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("flag", [("--out", "here.csv"), ("--seed", "5"),
+                                      ("--reps", "3")])
+    def test_run_flags_are_usage_errors(self, flag, capsys):
+        # the verdicts read no output path, seed or replication count: the
+        # flags are rejected before anything runs, not silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--preset", "fig4", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+
+    def test_run_section_is_not_read(self, tmp_path, capsys):
+        # [run] belongs to simulate and sweep: a reps count past their
+        # bound leaves the verdicts as they are
+        assert cli.main(["check", "--preset", "fig4"]) == 0
+        plain = capsys.readouterr().out
+        over = write_cfg(tmp_path, "[run]\nreps = 100000000\n")
+        assert cli.main(["check", "--preset", "fig4", "--config", over]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (plain, "")
 
 
 def data_rows(path):
