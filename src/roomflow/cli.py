@@ -619,10 +619,10 @@ def build_parser():
         p.add_argument("--config", default=None)
         if name != "fit":
             p.add_argument("--preset", choices=PRESETS, default=None)
-        if name != "check":  # check writes no file and draws nothing
+        if name != "check":  # check writes no file, draws nothing, no pool
             p.add_argument("--out", default=None)
             p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=int, default=1)
         if name == "fit":
             p.add_argument("--capacity", type=int, default=70)
             p.add_argument("--components", type=int, default=2)
@@ -635,7 +635,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:  # check takes no --jobs
             raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         return args.fn(args)
     except (ConfigError, calibration.IngestError) as exc:

@@ -8,14 +8,14 @@ numbers) run the policy's trajectory (`run_day`), the benchmark's
 (clairvoyant Stage-I selection, then the offline optimum) and a hybrid
 (the offline optimum on the policy's Stage-I acceptances), which splits
 the regret into Stage-I and Stage-II components. Stage I
-(`block_survivors`) and Stage II's sorting and counting (`block_checkins`)
-run once per block of days for every policy; then each day decides in
-plain Python against the ledger."""
+(`block_survivors`: one plain loop per policy over the whole block, on
+release slots computed once for every policy) and Stage II's sorting and
+counting (`block_checkins`) run once per block of days; then each day
+decides its check-ins in plain Python against the ledger."""
 
 from __future__ import annotations
 
 import copy
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -128,51 +128,46 @@ class OccupancyLedger:
 # Stage-I and Stage-II replays
 
 
-def replay_stage1(times, cancel_times, caps, first=0):
-    """Replay one day's booking requests, and the cancellations of accepted
-    ones, in time order. Request i is accepted iff B_alive + 1 <= caps[i];
-    cancel_times[i] is nan for a request that survives the window.
-
-    Cancellations are processed before requests at equal timestamps.
-    Returns the positions of the accepted requests, counted from `first`.
-    """
-    heappop, heappush = heapq.heappop, heapq.heappush
-    cancels = []
-    alive = 0
-    accepted = []
-    i = first - 1
-    for t, c, cap in zip(times, cancel_times, caps):
-        i += 1
-        while cancels and cancels[0] <= t:
-            heappop(cancels)
-            alive -= 1
-        if alive + 1 <= cap:
-            alive += 1
-            accepted.append(i)
-            if c == c:  # not nan: the booking cancels
-                heappush(cancels, c)
-    return accepted
-
-
 def block_survivors(block, policies, scenario):
     """A boolean mask per policy of the block's bookings it accepts in
-    Stage I that survive the window. Each day replays on its own through
-    `replay_stage1`, with the policy's caps for the whole block
-    (policies.stage1_caps); the times as lists, the day sizes and the
-    survival mask are made once for all policies."""
+    Stage I that survive the window: request i is accepted iff B_alive + 1
+    <= caps[i], with the policy's caps for the whole block
+    (policies.stage1_caps).
+
+    An accepted booking counts as alive up to its slot, the block position
+    of the first request it no longer counts for; slots do not depend on
+    the policy, so they are computed once for all policies. A cancel goes
+    before requests at equal times, so its slot is the first later request
+    of its day at or after it, found by an exact integer key: the day, then
+    how many of the block's request times lie strictly below the time. A
+    survivor (nan sorts last), or a cancel after its day's last request,
+    releases at the next day's first request: alive is back at 0 when each
+    day opens, so one loop replays the whole block."""
     bookings, starts = block.bookings, block.starts
-    times, cancels = bookings.time.tolist(), bookings.cancel_time.tolist()
-    sizes = np.diff(starts)
+    n, sizes = len(bookings), np.diff(starts)
+    days = np.repeat(np.arange(len(sizes)) * (n + 1), sizes)
+    times = np.sort(bookings.time)
+    keys = days + times.searchsorted(bookings.time)
+    # a cancel at the request's own time releases at the next request
+    slots = np.maximum(
+        keys.searchsorted(days + times.searchsorted(bookings.cancel_time)),
+        np.arange(1, n + 1)).tolist()
     m = np.repeat(sizes, sizes)  # each request's day size
     survives = np.isnan(bookings.cancel_time)
     masks = []
     for policy in policies:
         caps = stage1_caps(policy, bookings.keep, m, scenario.profiles,
                            scenario.C)
+        gone = [0] * (n + 1)  # bookings released at each slot
+        alive = 0
         accepted = []
-        for o, e in zip(starts, starts[1:]):
-            accepted += replay_stage1(times[o:e], cancels[o:e], caps[o:e], o)
-        kept = np.zeros(len(bookings), dtype=bool)
+        for i, (s, cap) in enumerate(zip(slots, caps)):
+            alive -= gone[i]
+            if alive + 1 <= cap:
+                alive += 1
+                gone[s] += 1
+                accepted.append(i)
+        kept = np.zeros(n, dtype=bool)
         kept[accepted] = True
         masks.append(kept & survives)
     return masks

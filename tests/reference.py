@@ -273,6 +273,18 @@ def replay_stage1(bookings, decide):
     return accepted
 
 
+def accepted_positions(times, cancel_times, caps):
+    """Positions of the requests `replay_stage1` accepts when request i is
+    accepted iff B_alive + 1 <= caps[i]; cancel_times[i] is nan for a
+    request that survives the window."""
+    records = [Booking(t, math.isnan(c), c, 1, 0.0, True)
+               for t, c in zip(times, cancel_times)]
+    caps = iter(caps)
+    accepted = {id(rec) for rec in replay_stage1(
+        records, lambda t, alive: alive + 1 <= next(caps))}
+    return [i for i, rec in enumerate(records) if id(rec) in accepted]
+
+
 def stage1_accept(policy, bookings, profiles, C):
     curve = profiles.keep_curve
     if isinstance(policy, AdaptivePolicy):

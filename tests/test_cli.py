@@ -274,8 +274,8 @@ class TestFlags:
                    "--reps"]),
         ("fit", ["--config", "--out", "--seed", "--jobs", "--capacity",
                  "--components"]),
-        # check writes no file and draws nothing
-        ("check", ["--config", "--preset", "--jobs"]),
+        # check writes no file, draws nothing and starts no pool
+        ("check", ["--config", "--preset"]),
     ])
     def test_each_subcommand_takes_only_what_it_reads(self, command, flags):
         sub = next(a for a in cli.build_parser()._actions
@@ -604,10 +604,11 @@ a1 = adaptive iota=0.2 alpha=0.45
         assert cli.main(["check", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("flag", [("--out", "here.csv"), ("--seed", "5"),
-                                      ("--reps", "3")])
+                                      ("--reps", "3"), ("--jobs", "2")])
     def test_run_flags_are_usage_errors(self, flag, capsys):
-        # the verdicts read no output path, seed or replication count: the
-        # flags are rejected before anything runs, not silently ignored
+        # the verdicts read no output path, seed, replication count or job
+        # count: the flags are rejected before anything runs, not silently
+        # ignored
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--preset", "fig4", *flag])
         assert exc.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 
 import roomflow.cli as cli
 import roomflow.engine as E
+import roomflow.flows as F
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (
     DurationLaw,
@@ -100,18 +101,29 @@ class TestWarmStart:
 NAN = float("nan")
 
 
+def one_day_survivors(times, cancels, beta):
+    """block_survivors of one day of requests (cancel time nan for a
+    survivor) under the heuristic, whose cap (1 + beta) * delta * C / q1 is
+    1 + beta at C = 1, q1 = 1 and one-night stays."""
+    n = len(times)
+    block = F.DayBlock(
+        F.Bookings(np.array(times), np.ones(n), np.array(cancels),
+                   np.ones(n, dtype=int), np.zeros(n), np.ones(n, dtype=bool)),
+        np.zeros(0), [], [0, n], [0, 0])
+    mask, = E.block_survivors(block, [E.HeuristicPolicy(beta)],
+                              scenario(T=1, C=1, q1=1.0, q_stay=0.0))
+    return mask.tolist()
+
+
 class TestStage1Replay:
     def test_cancellation_frees_a_slot_before_later_request(self):
-        # (request time, cancel time or nan if the booking survives)
-        times, cancels = [0.1, 0.2, 0.4], [0.3, NAN, NAN]
-        # cap of 2 alive: third request admitted only because the first
-        # cancelled at 0.3 < 0.4
-        accepted = E.replay_stage1(times, cancels, [2, 2, 2])
-        assert len(accepted) == 3
+        # cap of 2 alive: the third request is admitted only because the
+        # first cancelled at 0.3 < 0.4
+        assert one_day_survivors([0.1, 0.2, 0.4], [0.3, NAN, NAN],
+                                 1.0) == [False, True, True]
 
     def test_tie_processes_cancellation_first(self):
-        accepted = E.replay_stage1([0.1, 0.4], [0.4, NAN], [1, 1])
-        assert len(accepted) == 2
+        assert one_day_survivors([0.1, 0.4], [0.4, NAN], 0.0) == [False, True]
 
 
 def arrays(times, shows=None):

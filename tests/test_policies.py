@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomflow.engine import replay_stage1, replay_stage2
+from roomflow.engine import replay_stage2
 from roomflow.flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
 from roomflow.policies import (
     AdaptivePolicy,
@@ -26,6 +26,7 @@ from roomflow.policies import (
 )
 from reference import (
     StageTwoState,
+    accepted_positions,
     expected_shownups,
     heuristic2_decide_walkin,
     heuristic_stage2_standard,
@@ -150,7 +151,7 @@ def stage1_accepted(times, curve, hat_C, iota):
     times = np.asarray(times, dtype=float)
     caps = booking_caps(hat_C, curve.value(times), iota,
                         np.full(len(times), len(times)))
-    return replay_stage1(times.tolist(), [math.nan] * len(times), caps)
+    return accepted_positions(times.tolist(), [math.nan] * len(times), caps)
 
 
 class TestDass1Decide:

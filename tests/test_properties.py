@@ -33,6 +33,7 @@ from roomflow.policies import (
     OraclePolicy,
     booking_caps,
     estimated_capacity,
+    stage1_caps,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -383,8 +384,9 @@ class TestBlockSurvivors:
                                 DurationLaw("constant", d=2)]))
     def test_policies_together_equal_each_alone(self, block, C, iota, q1,
                                                 betas, law):
-        # one call builds the lists, day sizes and survival mask for every
-        # policy: no policy's replay may change what the next one reads
+        # one call builds the slots, day sizes and survival mask for every
+        # policy: no policy's replay may change what the next one reads, and
+        # each mask is the record replay's, one day at a time
         sc = E.ScenarioConfig(
             T=len(block.starts) - 1, C=C, v=0.5, reward=1.0,
             overbook_penalty=1.0, profiles=StageProfiles(
@@ -397,11 +399,21 @@ class TestBlockSurvivors:
                     *(HeuristicPolicy(b) for b in betas)]
         together = E.block_survivors(block, policies, sc)
         assert len(together) == len(policies)
-        survives = np.isnan(block.bookings.cancel_time)
+        b, starts = block.bookings, block.starts
+        survives = np.isnan(b.cancel_time)
+        sizes = np.diff(starts)
         for policy, mask in zip(policies, together):
             alone, = E.block_survivors(block, [policy], sc)
             assert mask.dtype == bool and np.array_equal(mask, alone)
-            assert not (mask & ~survives).any()
+            # the record replay, day by day, of the surviving acceptances
+            caps = stage1_caps(policy, b.keep, np.repeat(sizes, sizes),
+                               sc.profiles, C)
+            want = np.zeros(len(b), dtype=bool)
+            for o, e in itertools.pairwise(starts):
+                want[[o + i for i in R.accepted_positions(
+                    b.time[o:e].tolist(), b.cancel_time[o:e].tolist(),
+                    caps[o:e])]] = True
+            assert np.array_equal(mask, want & survives)
 
 
 class TestEngineInvariants:
