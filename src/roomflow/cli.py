@@ -33,6 +33,7 @@ from .policies import (
     OraclePolicy,
     check_busy_season,
     check_call_timing,
+    estimated_capacity,
 )
 
 PRESETS = ("fig2", "fig3", "fig4", "lower-bound")
@@ -163,7 +164,7 @@ def _real(rule, ok):
 _MAX_DAY_EVENTS = 1_000_000
 _RATE = _real(f"in [0, {_MAX_DAY_EVENTS}]",
               lambda x: 0.0 <= x <= _MAX_DAY_EVENTS)
-_POSITIVE = _real("positive", lambda x: x > 0.0)
+_POSITIVE = _real("finite and positive", lambda x: 0.0 < x < math.inf)
 _IOTA = _real("finite and nonnegative", lambda x: 0.0 <= x < math.inf)
 # a multiday replication keeps a float64 loss and a ledger slot a day for
 # each of its trajectories, the benchmark's and two per policy: fig4's
@@ -432,6 +433,22 @@ def _cell_key(coords):
     return ";".join(f"{k}={v:g}" for k, v in coords)
 
 
+def _check_stage1_caps(policies, cells):
+    """Fail on a multiday cell where an adaptive policy's Stage-I rule has
+    no capacity estimate, before any cell runs."""
+    for _, (_, sc) in cells:
+        law = sc.profiles.duration_law
+        for name, pol in policies.items():
+            if isinstance(pol, AdaptivePolicy):
+                try:
+                    estimated_capacity(law, sc.C, sc.profiles.show_prob,
+                                       pol.iota)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"[policies] {name}: {exc} at C={sc.C}, "
+                        f"q_stay={law.q_stay:g}") from exc
+
+
 def run_grid(cfg, args, limit):
     """Run every cell of the [sweep] grid (at most `limit` axes) with the
     [run] settings, the --seed, --reps and --out flags laid over them, and
@@ -440,6 +457,8 @@ def run_grid(cfg, args, limit):
     Everything is parsed and checked before any cell runs."""
     policies, names, cells, mode = _grid(cfg, limit)
     single_day = mode == "single-day"
+    if not single_day:
+        _check_stage1_caps(policies, cells)
     f = _Fields(cfg, "run")
     master = f.get("seed", int, 0)
     reps = f.get("reps", str, "1")  # checked once --reps is laid over it

@@ -250,12 +250,11 @@ def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
     order = np.argsort(arrival, kind="stable")
     ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
     before = np.searchsorted(arrival[order], walkin_time, side="right")
-    call = (int(walkin_time.searchsorted(v))  # walk-ins before the call
-            if isinstance(policy, AdaptivePolicy) else 0)  # heuristic: none
+    call = int(walkin_time.searchsorted(v))  # walk-ins before the call
     day = CheckIns([0, len(order)], before.tolist(), [0, len(ranks)],
                    ranks.searchsorted(before).tolist(), [0, len(walkin_time)],
                    [call], profiles.walkin_rate.mass_after(
-                       walkin_time[:call]).tolist() if call else [])
+                       walkin_time[:call]).tolist())
     served, served_wk, overbooked = replay_walkins(
         policy, day, 0, C_tilde, C_rooms, profiles.show_prob)
     return order[ranks[:served]], served_wk, overbooked

@@ -2,15 +2,14 @@
 check-ins, and walk-ins.
 
 All randomness flows through explicit numpy Generators, so identical seeds
-yield bit-identical event streams. Streams follow the split rule
-SeedSequence([master, rep, day, sub]); `streams` computes that hash for a
-block of paths at once and re-seeds one Generator per path, and the test
-suite holds each stream to numpy's own SeedSequence. Arrival intensities
-are stored as a total mass plus a normalized density, which makes a scaled
-Beta density and a piecewise-constant rate interchangeable, and lets
-non-homogeneous Poisson streams be sampled exactly by
-count-then-order-statistics (draw a Poisson count for the total mass, then
-i.i.d. times from the density).
+yield bit-identical event streams: SeedSequence([seed, *path]), a day of a
+multiday replication on path (0, day, sub) under its cell seed, which holds
+the replication. The test suite holds each stream to numpy's own
+SeedSequence. Arrival intensities are stored as a total mass plus a
+normalized density, which makes a scaled Beta density and a
+piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
+streams be sampled exactly by count-then-order-statistics (draw a Poisson
+count for the total mass, then i.i.d. times from the density).
 
 Days are sampled in blocks held as parallel numpy arrays (struct of
 arrays) with day offsets, not as one object per customer or per day; a day
@@ -46,9 +45,9 @@ _BLOCK = 1024  # paths hashed together, so memory stays flat in their number
 def streams(master_seed, tails):
     """One Generator per path [master_seed, *tail], for each tail in turn.
 
-    The split rule is SeedSequence([master, *path]), conventionally with
-    path (replication, day, subprocess id); distinct paths give
-    statistically independent streams. Each stream is numpy's
+    The split rule is SeedSequence([master, *path]); a multiday day's path
+    is (0, day, subprocess id) under a cell seed that holds the replication.
+    Distinct paths give independent streams. Each stream is numpy's
     default_rng(SeedSequence([master, *tail])) bit for bit, but the
     SeedSequence hash runs in numpy lanes over blocks of tails (each entry
     below 2**32, and all tails of one length, or ValueError) and the
@@ -192,8 +191,8 @@ class RateFunction:
 
     @classmethod
     def beta_shaped(cls, mass, a, b, t0=0.0, t1=1.0):
-        if a <= 0 or b <= 0:
-            raise ValueError("Beta parameters must be positive")
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ValueError("Beta parameters must be finite and positive")
         return cls("beta", t0, t1, mass, a=a, b=b)
 
     def draw(self, n, rng):
@@ -424,41 +423,38 @@ _BLOCK_DAYS = 256
 def sample_blocks(profiles, rngs, n_days):
     """The realizations of n_days consecutive days, as DayBlocks. Each day
     draws from the next three streams of `rngs`, in this order: (1) the
-    Poisson count and times of its booking requests (`_draw_nhpp`), one
-    survival uniform each in time order, the stay lengths, then one uniform
-    per cancelling request with p > 0 (KeepCurve.cancel_times); (2) the
-    check-in outcomes of every request (`_draw_outcomes`); (3) its walk-ins
-    (`_draw_walkins`). The transforms of the draws run once per block.
-    Stream 1's state is kept after its fixed draws, and the cancel
-    uniforms, whose count the block's survival test decides, are drawn
-    from it afterwards. Raw draws are freed before a block is yielded."""
+    Poisson count and times of its booking requests (`_draw_nhpp`), then
+    one survival uniform, one stay length and one cancel uniform per
+    request, each kind for all requests in time order; (2) the check-in
+    outcomes of every request (`_draw_outcomes`); (3) its walk-ins
+    (`_draw_walkins`). The j-th cancelling request with p > 0 of a day
+    takes the day's j-th cancel uniform (KeepCurve.cancel_times), so the
+    rest go unused. The transforms of the draws run once per block. Raw
+    draws are freed before a block is yielded."""
     rate, law = profiles.stage1_rate, profiles.duration_law
-    may_cancel = profiles.keep_curve.values[0] < 1.0
     while n_days > 0:
         days, total = [], 0
         while len(days) < min(n_days, _BLOCK_DAYS) and total < _BLOCK_EVENTS:
             rng = next(rngs)
             n, t_raw = _draw_nhpp(rate, rng)
-            days.append((n, t_raw, rng.random(n), law.sample(rng, n), rng,
-                         rng.bit_generator.state if n and may_cancel else None,
+            days.append((n, t_raw, rng.random(n), law.sample(rng, n),
+                         rng.random(n),
                          *_draw_outcomes(profiles, n, next(rngs)),
                          *_draw_walkins(profiles, next(rngs))))
-            total += n + days[-1][8]  # requests and walk-ins
+            total += n + days[-1][7]  # requests and walk-ins
         n_days -= len(days)
-        (counts, t_raw, u_survive, stays, rng1, state1, a_raw, u_show,
+        (counts, t_raw, u_survive, stays, u_cancel, a_raw, u_show,
          wk_counts, w_raw, wk_stays) = zip(*days)
-        day = np.repeat(np.arange(len(days)), counts)
+        starts = [0, *accumulate(counts)]
         time = _by_day(rate.times(np.concatenate(t_raw, axis=-1)), counts)
         keep = profiles.keep_curve.value(time)
         gone = np.flatnonzero(np.concatenate(u_survive) >= keep)
-        live = np.bincount(day[gone[keep[gone] > 0.0]], minlength=len(days))
-        uniforms = [np.empty(0)]
-        for d in np.flatnonzero(live).tolist():
-            rng1[d].bit_generator.state = state1[d]
-            uniforms.append(rng1[d].random(live[d]))
+        live = gone[keep[gone] > 0.0]
+        first = np.repeat(starts[:-1], counts)[live]  # each one's day start
         cancel = np.full(len(time), np.nan)
         cancel[gone] = profiles.keep_curve.cancel_times(
-            time[gone], keep[gone], np.concatenate(uniforms))
+            time[gone], keep[gone], np.concatenate(u_cancel)[
+                first + np.arange(len(live)) - live.searchsorted(first)])
         block = DayBlock(
             Bookings(time, keep, cancel, np.concatenate(stays),
                      profiles.arrival_density.times(
@@ -466,9 +462,10 @@ def sample_blocks(profiles, rngs, n_days):
                      np.concatenate(u_show) < profiles.show_prob),
             _by_day(profiles.walkin_rate.times(
                 np.concatenate(w_raw, axis=-1)), wk_counts),
-            np.concatenate(wk_stays).tolist(), [0, *accumulate(counts)],
+            np.concatenate(wk_stays).tolist(), starts,
             [0, *accumulate(wk_counts)])
-        del days, t_raw, u_survive, stays, a_raw, u_show, w_raw, wk_stays
+        del (days, t_raw, u_survive, stays, u_cancel, a_raw, u_show, w_raw,
+             wk_stays)
         yield block
 
 

@@ -185,15 +185,19 @@ def cancel_time(curve, s, rng):
 
 def sample_stage1(profiles, rng):
     """(request_time, survives, cancel_time or None, duration) per request,
-    with one scalar cancellation draw per cancelling request."""
+    with one scalar cancellation draw per cancelling request with p > 0;
+    the stream then draws the unused rest of the day's n cancel uniforms."""
     curve = profiles.keep_curve
     times = sample_nhpp(profiles.stage1_rate, rng)
     n = len(times)
     survives = rng.random(n) < np.atleast_1d(curve.value(times))
     durations = profiles.duration_law.sample(rng, n)
-    return [(float(times[i]), bool(survives[i]),
-             None if survives[i] else cancel_time(curve, times[i], rng),
-             int(durations[i])) for i in range(n)]
+    out = [(float(times[i]), bool(survives[i]),
+            None if survives[i] else cancel_time(curve, times[i], rng),
+            int(durations[i])) for i in range(n)]
+    drawn = sum(not s and curve.value(t) > 0 for t, s, _, _ in out)
+    rng.random(n - drawn)
+    return out
 
 
 def realize_day(scenario, rep, k):

@@ -3,10 +3,12 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +214,9 @@ class TestParsePolicies:
         ("heuristic beta", "beta: not key=value"),
         # a % is no interpolation syntax, just a character float rejects
         ("adaptive iota=2% alpha=0.4", "'2%'"),
+        # no positive departure bound, so no Stage-I capacity estimate
+        ("adaptive iota=100 alpha=0.4", "infeasible instance: departure "
+         "bound is nonpositive at C=20, q_stay=0.3"),
     ])
     def test_invalid_parameters_exit_1(self, tmp_path, capsys, spec, field):
         cfg = write_cfg(tmp_path, MULTIDAY.replace(
@@ -282,6 +287,27 @@ class TestFlags:
                    if isinstance(a, argparse._SubParsersAction))
         assert [a.option_strings[0] for a in sub.choices[command]._actions
                 if a.dest != "help"] == flags
+
+
+class TestBenchmarkCommandLines:
+    def test_workload_command_lines_parse(self, tmp_path):
+        # the benchmark's workloads are frozen, so every flag they pass
+        # (fit-bookings passes --jobs 1, which fit never reads) stays; the
+        # --jobs 2 lines are those of `perfbench/run.py --verify`
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        with mock.patch.dict(sys.modules), mock.patch.object(
+                sys, "path", [str(bench), *sys.path]):
+            spec = importlib.util.spec_from_file_location(
+                "workloads", bench / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            for name, cls in workloads.WORKLOADS.items():
+                (tmp_path / name).mkdir()
+                argv = cls(tmp_path / name, 0).argv
+                jobs2 = argv[:argv.index("--jobs")] + ["--jobs", "2"]
+                for line in (argv, jobs2):
+                    assert cli.build_parser().parse_args(line).jobs == int(
+                        line[-1])
 
 
 class TestSimulate:
@@ -778,6 +804,8 @@ class TestConfigContract:
         (MULTIDAY.replace("q_stay = 0.3", "q_stay = 1.2"), None, "q_stay"),
         (MULTIDAY.replace("q_stay = 0.3", "q_stay = 0.3\narrival_beta_a = 0"),
          None, "arrival_beta_a"),
+        # rng.beta(inf, b) draws nan times
+        ("[scenario]\nT = 2\nwalkin_beta_a = inf\n", "fig4", "walkin_beta_a"),
         (MULTIDAY.replace("keep_p0 = 0.5", "keep_p0 = 1.5"), None, "keep_p0"),
         ("[scenario]\nlambda2 = inf\n", "fig4", "lambda2"),
         ("[scenario]\nlambda1 = 1e300\n", "fig4", "lambda1"),
@@ -797,7 +825,8 @@ class TestConfigContract:
             "single-day-B-negative", "fig4-costs", "fig4-penalty",
             "reward-infinite", "penalty-infinite", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
-            "q_stay-above-one", "beta-shape-zero", "keep_p0-above-one",
+            "q_stay-above-one", "beta-shape-zero", "beta-shape-infinite",
+            "keep_p0-above-one",
             "lambda2-infinite", "lambda1-past-poisson-limit",
             "lambda1-past-day-bound", "lambda2-past-day-bound",
             "single-day-B-past-day-bound", "T-past-bound", "C-past-bound",

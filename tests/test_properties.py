@@ -56,12 +56,14 @@ def rates(draw, mass, t1=1.0):
 
 @st.composite
 def keep_curves(draw, k0):
-    kind = draw(st.sampled_from(["constant", "linear", "always"]))
+    kind = draw(st.sampled_from(["constant", "linear", "late", "always"]))
     p0 = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.95))
     if kind == "constant":
         return KeepCurve([0.0, k0, k0], [p0, p0, 1.0])
     if kind == "linear":
         return KeepCurve.linear(p0, 0.0, k0)
+    if kind == "late":  # one day mixes cancels with p = 0 and p > 0
+        return KeepCurve([0.0, k0 / 2, k0 / 2, k0], [0.0, 0.0, 0.5, 1.0])
     return KeepCurve.linear(1.0, 0.0, k0)
 
 
