@@ -7,11 +7,16 @@ through the occupancy ledger. On the same realizations (common random
 numbers) run the policy's trajectory (`run_day`), the benchmark's
 (clairvoyant Stage-I selection, then the offline optimum) and a hybrid
 (the offline optimum on the policy's Stage-I acceptances), which splits
-the regret into Stage-I and Stage-II components. Stage I
-(`block_survivors`: one plain loop per policy over the whole block, on
-release slots computed once for every policy) and Stage II's sorting and
-counting (`block_checkins`) run once per block of days; then each day
-decides its check-ins in plain Python against the ledger."""
+the regret into Stage-I and Stage-II components.
+
+Stage I reads stream 1 and constants only, never the ledger, so a
+replication runs at two levels. A Stage-I batch of whole days draws those
+days' stream 1 and settles every policy's Stage I at once
+(`batch_survivors`: numpy lanes, one per day and policy, stepped once per
+request position of the batch's largest day). Stage-II blocks within the
+batch then draw streams 2 and 3 of their days; Stage II's sorting and
+counting (`block_checkins`) runs once per block, and each day decides its
+check-ins in plain Python against the ledger."""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from .benchmarks import clairvoyant_stage1_select, offline_day_optimum
 from .flows import (
     StageProfiles,
     reserved_outcomes,
+    sample_batches,
     sample_blocks,
     sample_walkins,
     streams,
@@ -128,49 +134,62 @@ class OccupancyLedger:
 # Stage-I and Stage-II replays
 
 
-def block_survivors(block, policies, scenario):
-    """A boolean mask per policy of the block's bookings it accepts in
-    Stage I that survive the window: request i is accepted iff B_alive + 1
-    <= caps[i], with the policy's caps for the whole block
-    (policies.stage1_caps).
+def batch_survivors(batch, policies, scenario):
+    """A boolean mask per policy, the rows of a policies x requests array,
+    of the RequestBatch's bookings it accepts in Stage I that survive the
+    window: request i is accepted iff B_alive + 1 <= caps[i], with the
+    policy's caps (policies.stage1_caps).
 
-    An accepted booking counts as alive up to its slot, the block position
-    of the first request it no longer counts for; slots do not depend on
-    the policy, so they are computed once for all policies. A cancel goes
+    Every policy's replay runs at once in numpy lanes, one per (day,
+    policy), over arrays indexed [i, lane], i a request's position in its
+    day, padded to the batch's largest day M. B_alive is whole, so a lane's
+    cap is the floor of the policy's cap, clipped at the day's size, as
+    int32; -1 pads, and accepts nothing. An accepted booking counts as alive
+    up to its slot, the position of the first request of its day it no
+    longer counts for; slots do not depend on the policy. A cancel goes
     before requests at equal times, so its slot is the first later request
-    of its day at or after it, found by an exact integer key: the day, then
-    how many of the block's request times lie strictly below the time. A
-    survivor (nan sorts last), or a cancel after its day's last request,
-    releases at the next day's first request: alive is back at 0 when each
-    day opens, so one loop replays the whole block."""
-    bookings, starts = block.bookings, block.starts
-    n, sizes = len(bookings), np.diff(starts)
-    days = np.repeat(np.arange(len(sizes)) * (n + 1), sizes)
-    times = np.sort(bookings.time)
-    keys = days + times.searchsorted(bookings.time)
+    of its day at or after it, found by an exact key: the complex number
+    day + time * 1j (finite times), which numpy orders by its real part
+    first. A survivor, or a cancel after its day's last request, gets the
+    day's size, a step of the lane's padding. Step i releases the bookings
+    whose slot is i, then decides request i in every lane."""
+    starts, n, P = batch.starts, len(batch.time), len(policies)
+    sizes = np.diff(starts)
+    D, M = len(sizes), int(sizes.max())
+    L = D * P
+    day = np.repeat(np.arange(D, dtype=np.int32), sizes)
+    local = np.arange(n, dtype=np.int32) - np.repeat(  # position in the day
+        np.array(starts[:-1], dtype=np.int32), sizes)
+    m = np.repeat(sizes.astype(np.int32), sizes)  # the day's size
+    rows = local * D + day  # [i, lane] is row i * D + day, column policy
+    cap = np.full((M * D, P), -1, dtype=np.int32)
+    for p, policy in enumerate(policies):
+        cap[rows, p] = np.minimum(np.floor(stage1_caps(
+            policy, batch.keep, m, scenario.profiles, scenario.C)), m)
+    survives = np.isnan(batch.cancel_time)
+    c = np.flatnonzero(~survives)  # the cancelling requests
+    slot = m  # the caps are set: m is now each survivor's slot
     # a cancel at the request's own time releases at the next request
-    slots = np.maximum(
-        keys.searchsorted(days + times.searchsorted(bookings.cancel_time)),
-        np.arange(1, n + 1)).tolist()
-    m = np.repeat(sizes, sizes)  # each request's day size
-    survives = np.isnan(bookings.cancel_time)
-    masks = []
-    for policy in policies:
-        caps = stage1_caps(policy, bookings.keep, m, scenario.profiles,
-                           scenario.C)
-        gone = [0] * (n + 1)  # bookings released at each slot
-        alive = 0
-        accepted = []
-        for i, (s, cap) in enumerate(zip(slots, caps)):
-            alive -= gone[i]
-            if alive + 1 <= cap:
-                alive += 1
-                gone[s] += 1
-                accepted.append(i)
-        kept = np.zeros(n, dtype=bool)
-        kept[accepted] = True
-        masks.append(kept & survives)
-    return masks
+    slot[c] = np.maximum((day + batch.time * 1j).searchsorted(
+        day[c] + batch.cancel_time[c] * 1j) - c + local[c], local[c] + 1)
+    # step i releases cell [i, lane] at slot * L + lane of a flat array;
+    # a padding cell accepts nothing, so it releases nothing, at step 0
+    at = np.zeros(M * D, dtype=np.int32)
+    at[rows] = slot
+    fidx = np.empty((M, D, P), dtype=np.int32)
+    np.multiply(at.reshape(M, D, 1), L, out=fidx)
+    fidx = fidx.reshape(M, L)
+    fidx += np.arange(L, dtype=np.int32)
+    cap = cap.reshape(M, L)
+    gone = np.zeros((M + 1) * L, dtype=np.int32)  # releases at each step
+    alive = np.zeros(L, dtype=np.int32)
+    acc = np.empty((M, L), dtype=bool)
+    for i in range(M):
+        alive -= gone[i * L:(i + 1) * L]
+        np.less(alive, cap[i], out=acc[i])
+        alive += acc[i]
+        gone[fidx[i]] += acc[i]
+    return acc.reshape(M * D, P)[rows].T & survives
 
 
 @dataclass(eq=False)
@@ -381,17 +400,21 @@ def run_experiment(scenario, policies):
     T = scenario.T
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
     rules = [policies[n] for n in names]
-    # the streams in draw order: (0, 0, 0) for the warm start, then three a
-    # day; the replication enters through scenario.seed
+    # two iterators of streams, each with its own Generator: (0, 0, 0) for
+    # the warm start, then streams 2 and 3 of each day a Stage-II block at a
+    # time; and stream 1 of each day a Stage-I batch at a time, ahead of
+    # them. Each stream depends only on its path, so the order in which the
+    # paths are asked for is free. The replication enters through
+    # scenario.seed
     rngs = streams(scenario.seed, chain(
         [(0, 0, 0)], ((0, k, sub) for k in range(1, T + 1)
-                      for sub in (1, 2, 3))))
+                      for sub in (2, 3))))
     bench_ledger = warm_start_ledger(scenario, next(rngs))
     ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
     bench = np.empty(T)
     losses = {n: (np.empty(T), np.empty(T), bench) for n in names}
 
-    def replay(block, k):  # the block's lists go when it returns
+    def replay(block, masks, k):  # the block's lists go when it returns
         bookings = block.bookings
         candidates, cut = clairvoyant_stage1_select(
             np.isnan(bookings.cancel_time), bookings.shows, block.starts)
@@ -402,8 +425,7 @@ def run_experiment(scenario, policies):
                                           bench_ledger, scenario, select=True)
         # each trajectory has its own ledger: they run one after another
         for n, policy, (day, stays) in zip(names, rules, block_checkins(
-                block, block_survivors(block, rules, scenario),
-                scenario.profiles, scenario.v)):
+                block, masks, scenario.profiles, scenario.v)):
             (ledger, hybrid), (pol, hyb, _) = ledgers[n], losses[n]
             for d in days:
                 pol[k + d] = run_day(k + d + 1, block, d, day, stays, policy,
@@ -413,8 +435,13 @@ def run_experiment(scenario, policies):
         return k + len(days)
 
     k = 0  # days done
-    for block in sample_blocks(scenario.profiles, rngs, T):
-        k = replay(block, k)
+    for batch in sample_batches(scenario.profiles, streams(
+            scenario.seed, ((0, day, 1) for day in range(1, T + 1))), T,
+            len(rules)):
+        masks, o = batch_survivors(batch, rules, scenario), 0
+        for block in sample_blocks(scenario.profiles, batch, rngs):
+            e = o + len(block.bookings)  # the block's requests are o:e
+            k, o = replay(block, masks[:, o:e], k), e
     return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 

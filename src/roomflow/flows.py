@@ -11,13 +11,17 @@ piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
 streams be sampled exactly by count-then-order-statistics (draw a Poisson
 count for the total mass, then i.i.d. times from the density).
 
-Days are sampled in blocks held as parallel numpy arrays (struct of
-arrays) with day offsets, not as one object per customer or per day; a day
-is addressed by its block and its position in it. Each day draws its raw
-variates from its own streams, and the transforms of them run once per
-block. Vectorized draws take the same values from a Generator as the
+Days are sampled as parallel numpy arrays (struct of arrays) with day
+offsets, not as one object per customer or per day: a Stage-I batch of
+days holds their booking requests (`sample_batches`, stream 1), and the
+Stage-II blocks cut from it add check-in outcomes and walk-ins
+(`sample_blocks`, streams 2 and 3); a day is addressed by its block and its
+position in it. Each day draws its raw variates from its own streams, and
+the transforms of them run once per batch or block. Each stream depends
+only on its path, so the order in which paths are asked for changes no
+draw. Vectorized draws take the same values from a Generator as the
 equivalent sequence of scalar draws, so the per-stream draw order
-(`sample_blocks`) is the seed contract.
+(`sample_batches`, `sample_blocks`) is the seed contract.
 """
 
 from __future__ import annotations
@@ -347,7 +351,7 @@ class DurationLaw:
     def sample(self, rng, size):
         """`size` stay lengths as an array."""
         if self.kind == "constant":
-            return np.full(size, self.d, dtype=int)
+            return np.array([self.d] * size, dtype=int)
         return rng.geometric(1.0 - self.q_stay, size)
 
 
@@ -413,59 +417,107 @@ def _draw_nhpp(rate, rng):
     return n, rate.draw(n, rng)
 
 
-# A block closes at this many events (booking requests and walk-ins) or
-# days: enough to spread numpy's per-call cost, few enough to hold little
-# more than its largest day (under 60 bytes an event and 1.4 KB a day).
+@dataclass(eq=False)
+class RequestBatch:
+    """Consecutive days' booking requests as the arrays of Bookings that
+    stream 1 draws, day d of the batch at positions starts[d]:starts[d + 1],
+    each day's in request order."""
+
+    time: np.ndarray
+    keep: np.ndarray
+    cancel_time: np.ndarray
+    duration: np.ndarray
+    starts: list
+
+
+# A Stage-I batch closes before its lanes' cells (one more than its
+# largest day's requests, times its days, times the lanes of a day) pass
+# _BATCH_CELLS, or at _BLOCK_DAYS days; a day always fits an empty batch.
+# Its lanes hold about 14 bytes a cell (engine.batch_survivors), its
+# requests about 40 bytes each. Within a batch, a Stage-II block closes at
+# _BLOCK_EVENTS events (booking requests and walk-ins): enough to spread
+# numpy's per-call cost, few enough to hold little more than its largest
+# day (under 60 bytes an event and 1.4 KB a day).
+_BATCH_CELLS = 2 ** 17
 _BLOCK_EVENTS = 4096
 _BLOCK_DAYS = 256
 
 
-def sample_blocks(profiles, rngs, n_days):
-    """The realizations of n_days consecutive days, as DayBlocks. Each day
-    draws from the next three streams of `rngs`, in this order: (1) the
+def sample_batches(profiles, rngs, n_days, lanes):
+    """The booking requests of n_days consecutive days, as RequestBatches.
+    Each day draws from the next stream of `rngs`, its stream 1: the
     Poisson count and times of its booking requests (`_draw_nhpp`), then
     one survival uniform, one stay length and one cancel uniform per
-    request, each kind for all requests in time order; (2) the check-in
-    outcomes of every request (`_draw_outcomes`); (3) its walk-ins
-    (`_draw_walkins`). The j-th cancelling request with p > 0 of a day
-    takes the day's j-th cancel uniform (KeepCurve.cancel_times), so the
-    rest go unused. The transforms of the draws run once per block. Raw
-    draws are freed before a block is yielded."""
+    request, each kind for all requests in time order. The j-th cancelling
+    request with p > 0 of a day takes the day's j-th cancel uniform
+    (KeepCurve.cancel_times), so the rest go unused. A batch is sized for
+    `lanes` lanes a day; the transforms of the draws run once per batch.
+    Raw draws are freed before a batch is yielded."""
     rate, law = profiles.stage1_rate, profiles.duration_law
-    while n_days > 0:
+    days, width = [], 0  # width: the batch's largest day
+    for _ in range(n_days):
+        rng = next(rngs)
+        n, t_raw = _draw_nhpp(rate, rng)
+        day = (n, t_raw, rng.random(n), law.sample(rng, n), rng.random(n))
+        width = max(width, n)
+        if days and (len(days) == _BLOCK_DAYS or (width + 1) * lanes
+                     * (len(days) + 1) > _BATCH_CELLS):
+            batch, days, width = _request_batch(profiles, days), [], n
+            yield batch
+        days.append(day)
+    batch, days = _request_batch(profiles, days), None
+    yield batch
+
+
+def _request_batch(profiles, days):
+    """The RequestBatch of days' raw stream-1 draws."""
+    curve = profiles.keep_curve
+    counts, t_raw, u_survive, stays, u_cancel = zip(*days)
+    starts = [0, *accumulate(counts)]
+    time = _by_day(profiles.stage1_rate.times(np.concatenate(t_raw, axis=-1)),
+                   counts)
+    keep = curve.value(time)
+    gone = np.flatnonzero(np.concatenate(u_survive) >= keep)
+    live = gone[keep[gone] > 0.0]
+    first = np.repeat(starts[:-1], counts)[live]  # each one's day start
+    cancel = np.full(len(time), np.nan)
+    cancel[gone] = curve.cancel_times(
+        time[gone], keep[gone], np.concatenate(u_cancel)[
+            first + np.arange(len(live)) - live.searchsorted(first)])
+    return RequestBatch(time, keep, cancel, np.concatenate(stays), starts)
+
+
+def sample_blocks(profiles, batch, rngs):
+    """The realizations of a RequestBatch's days, as DayBlocks whose
+    bookings are views of the batch's. Each day draws from the next two
+    streams of `rngs`, in this order: (2) the check-in outcomes of every
+    request (`_draw_outcomes`); (3) its walk-ins (`_draw_walkins`). The
+    transforms of the draws run once per block. Raw draws are freed before
+    a block is yielded."""
+    starts = batch.starts
+    o = 0  # the block's first day
+    while o < len(starts) - 1:
         days, total = [], 0
-        while len(days) < min(n_days, _BLOCK_DAYS) and total < _BLOCK_EVENTS:
-            rng = next(rngs)
-            n, t_raw = _draw_nhpp(rate, rng)
-            days.append((n, t_raw, rng.random(n), law.sample(rng, n),
-                         rng.random(n),
-                         *_draw_outcomes(profiles, n, next(rngs)),
+        while o + len(days) < len(starts) - 1 and total < _BLOCK_EVENTS:
+            n = starts[o + len(days) + 1] - starts[o + len(days)]
+            days.append((*_draw_outcomes(profiles, n, next(rngs)),
                          *_draw_walkins(profiles, next(rngs))))
-            total += n + days[-1][7]  # requests and walk-ins
-        n_days -= len(days)
-        (counts, t_raw, u_survive, stays, u_cancel, a_raw, u_show,
-         wk_counts, w_raw, wk_stays) = zip(*days)
-        starts = [0, *accumulate(counts)]
-        time = _by_day(rate.times(np.concatenate(t_raw, axis=-1)), counts)
-        keep = profiles.keep_curve.value(time)
-        gone = np.flatnonzero(np.concatenate(u_survive) >= keep)
-        live = gone[keep[gone] > 0.0]
-        first = np.repeat(starts[:-1], counts)[live]  # each one's day start
-        cancel = np.full(len(time), np.nan)
-        cancel[gone] = profiles.keep_curve.cancel_times(
-            time[gone], keep[gone], np.concatenate(u_cancel)[
-                first + np.arange(len(live)) - live.searchsorted(first)])
+            total += n + days[-1][2]  # requests and walk-ins
+        a_raw, u_show, wk_counts, w_raw, wk_stays = zip(*days)
+        e = o + len(days)
+        a, b = starts[o], starts[e]
         block = DayBlock(
-            Bookings(time, keep, cancel, np.concatenate(stays),
+            Bookings(batch.time[a:b], batch.keep[a:b],
+                     batch.cancel_time[a:b], batch.duration[a:b],
                      profiles.arrival_density.times(
                          np.concatenate(a_raw, axis=-1)),
                      np.concatenate(u_show) < profiles.show_prob),
             _by_day(profiles.walkin_rate.times(
                 np.concatenate(w_raw, axis=-1)), wk_counts),
-            np.concatenate(wk_stays).tolist(), starts,
-            [0, *accumulate(wk_counts)])
-        del (days, t_raw, u_survive, stays, u_cancel, a_raw, u_show, w_raw,
-             wk_stays)
+            np.concatenate(wk_stays).tolist(),
+            [s - a for s in starts[o:e + 1]], [0, *accumulate(wk_counts)])
+        del days, a_raw, u_show, w_raw, wk_stays
+        o = e
         yield block
 
 

@@ -4,7 +4,7 @@ The adaptive policy adds a concentration-derived safety stock to expected
 counts: Stage I accepts a booking only while an upper confidence bound on the
 final surviving bookings stays below an estimated capacity. Heuristic
 baselines replace it with a fixed linear cap. Both rules reach the engine as
-per-request caps (`stage1_caps`), computed per policy for a block of days.
+per-request caps (`stage1_caps`), computed per policy for a batch of days.
 The Stage-II check-in rules read alpha or the heuristic standard from the
 policy in `engine.replay_walkins`. The busy-season and call-timing checks
 live here too.
@@ -85,10 +85,10 @@ def _cap_estimate(hat_C, p, iota):
 
 
 def booking_caps(hat_C, p, iota, m):
-    """Stage-I caps of requests with keep probabilities p (an array): the
-    largest integer B with stage1_threshold(B, p_i, iota) <= hat_C (-1 if
-    none), clipped at m_i, the count of the request's day (an array), which
-    no alive count can pass. The closed-form inverse is corrected against
+    """Stage-I caps of requests with keep probabilities p (an array), as an
+    array: the largest integer B with stage1_threshold(B, p_i, iota) <=
+    hat_C (-1 if none), clipped at m_i, the count of the request's day (an
+    array), which no alive count can pass. The closed-form inverse is corrected against
     the threshold, nondecreasing in B in floating point too, by an
     exponential bracket and integer bisection: where the threshold's terms
     underflow, the estimate can be off by billions."""
@@ -114,7 +114,7 @@ def booking_caps(hat_C, p, iota, m):
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     if flat.any():
         lo[flat] = m[flat] if stage1_threshold(0, 0.0, iota) <= hat_C else -1
-    return lo.tolist()
+    return lo
 
 
 def departure_floor(law, C, iota):
@@ -142,13 +142,13 @@ def estimated_capacity(law, C, q1, iota):
 
 def stage1_caps(policy, keep, m, profiles, C):
     """The Stage-I rule of an adaptive or heuristic policy as per-request
-    caps (a list): request i is accepted iff B_alive + 1 <= caps[i]. The
+    caps (an array): request i is accepted iff B_alive + 1 <= caps[i]. The
     adaptive rule accepts iff stage1_threshold(B_alive + 1, keep[i], iota)
     <= hat_C (`booking_caps`, m the request's day size); the heuristic
     caps every request at (1+beta) * delta * C / q1."""
     law, q1 = profiles.duration_law, profiles.show_prob
     if isinstance(policy, HeuristicPolicy):
-        return [(1.0 + policy.beta) * law.delta * C / q1] * len(keep)
+        return np.full(len(keep), (1.0 + policy.beta) * law.delta * C / q1)
     hat_C = estimated_capacity(law, C, q1, policy.iota)
     return booking_caps(hat_C, keep, policy.iota, m)
 

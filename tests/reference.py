@@ -14,8 +14,8 @@ enumeration oracle for the offline day optimum, and
 bisection where the engine inverts the threshold in closed form, and
 `max_bookings_within` finds a request's Stage-I cap the same way.
 `engine_days` steps the engine's own policy trajectory day by day for the
-invariant tests, and `sampled_days` yields the days of the engine's block
-sampler one at a time.
+invariant tests, `sampled_batches` yields the engine's Stage-I batches with
+their Stage-II blocks, and `sampled_days` yields their days one at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import betainc
 
 import roomflow.engine as E
-from roomflow.flows import Bookings, sample_blocks, streams
+from roomflow.flows import Bookings, sample_batches, sample_blocks, streams
 from roomflow.policies import (
     AdaptivePolicy,
     OraclePolicy,
@@ -69,10 +69,10 @@ def substream(master_seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def day_streams(seed, rep, days):
-    """The streams of the given days of replication rep, in the order
-    `flows.sample_blocks` takes them: three a day."""
-    return streams(seed, ((rep, k, sub) for k in days for sub in (1, 2, 3)))
+def day_streams(seed, rep, days, subs):
+    """The streams `subs` of the given days of replication rep, day by
+    day: (1,) for `flows.sample_batches`, (2, 3) for `flows.sample_blocks`."""
+    return streams(seed, ((rep, k, sub) for k in days for sub in subs))
 
 
 @dataclass
@@ -85,34 +85,49 @@ class SampledDay:
     walkin_stays: list
 
 
+def sampled_batches(profiles, seed, days, rep=0):
+    """The engine's realizations of the given days (a sequence of day
+    numbers) of replication rep: yields each Stage-I batch, sized for one
+    policy, with its Stage-II blocks, as a list of (the block's first
+    request in the batch, DayBlock)."""
+    rngs = day_streams(seed, rep, days, (2, 3))
+    for batch in sample_batches(profiles, day_streams(seed, rep, days, (1,)),
+                                len(days), 1):
+        blocks = list(sample_blocks(profiles, batch, rngs))
+        yield batch, list(zip(itertools.accumulate(
+            (len(b.bookings) for b in blocks), initial=0), blocks))
+
+
 def sampled_days(profiles, seed, days, rep=0):
     """The engine's realizations of the given days (a sequence of day
     numbers) of replication rep, one day at a time."""
-    for block in sample_blocks(profiles, day_streams(seed, rep, days),
-                               len(days)):
-        b = block.bookings
-        for (o, e), (w, x) in zip(itertools.pairwise(block.starts),
-                                  itertools.pairwise(block.wk_starts)):
-            yield SampledDay(
-                Bookings(*(getattr(b, f.name)[o:e] for f in fields(b))),
-                block.wk_time[w:x], block.walkin_stays[w:x])
+    for _, blocks in sampled_batches(profiles, seed, days, rep):
+        for _, block in blocks:
+            b = block.bookings
+            for (o, e), (w, x) in zip(itertools.pairwise(block.starts),
+                                      itertools.pairwise(block.wk_starts)):
+                yield SampledDay(
+                    Bookings(*(getattr(b, f.name)[o:e] for f in fields(b))),
+                    block.wk_time[w:x], block.walkin_stays[w:x])
 
 
 def engine_days(scenario, policy, ledger):
     """The engine's policy trajectory on `ledger`, one day at a time:
     yields (k, day loss, guests served on day k)."""
-    rngs = day_streams(scenario.seed, 0, range(1, scenario.T + 1))
     k = 0
-    for block in sample_blocks(scenario.profiles, rngs, scenario.T):
-        (day, stays), = E.block_checkins(
-            block, E.block_survivors(block, [policy], scenario),
-            scenario.profiles, scenario.v)
-        for d in range(len(block.starts) - 1):
-            k += 1
-            carried = ledger.occupied(k)
-            loss = E.run_day(k, block, d, day, stays, policy, ledger,
-                             scenario)
-            yield k, loss, ledger.occupied(k) - carried
+    for batch, blocks in sampled_batches(scenario.profiles, scenario.seed,
+                                         range(1, scenario.T + 1)):
+        mask, = E.batch_survivors(batch, [policy], scenario)
+        for o, block in blocks:
+            (day, stays), = E.block_checkins(
+                block, [mask[o:o + len(block.bookings)]], scenario.profiles,
+                scenario.v)
+            for d in range(len(block.starts) - 1):
+                k += 1
+                carried = ledger.occupied(k)
+                loss = E.run_day(k, block, d, day, stays, policy, ledger,
+                                 scenario)
+                yield k, loss, ledger.occupied(k) - carried
 
 
 def sample_times(rate, n, rng):

@@ -20,7 +20,7 @@ import roomflow.cli as cli
 import roomflow.engine as E
 from roomflow.benchmarks import offline_day_optimum
 from roomflow.flows import (DurationLaw, KeepCurve, RateFunction,
-                            StageProfiles, sample_blocks)
+                            StageProfiles, sample_batches)
 from roomflow.policies import (departure_floor, estimated_capacity,
                                stage1_threshold)
 
@@ -280,11 +280,11 @@ class TestStageOneConcentration:
         sc = E.ScenarioConfig(T=1, C=100, v=0.0, reward=1.0,
                               overbook_penalty=1.0, profiles=prof)
         exceed = days = 0
-        for block in sample_blocks(
-                prof, R.day_streams(2024, 7, range(10_000)), 10_000):
-            mask, = E.block_survivors(block, [pol], sc)
+        for batch in sample_batches(
+                prof, R.day_streams(2024, 7, range(10_000), (1,)), 10_000, 1):
+            mask, = E.batch_survivors(batch, [pol], sc)
             survivors = np.diff(np.concatenate(([0], mask.cumsum()))[
-                block.starts])  # per day
+                batch.starts])  # per day
             exceed += int((survivors > hat_C).sum())
             days += len(survivors)
         assert days == 10_000

@@ -102,15 +102,13 @@ NAN = float("nan")
 
 
 def one_day_survivors(times, cancels, beta):
-    """block_survivors of one day of requests (cancel time nan for a
+    """batch_survivors of one day of requests (cancel time nan for a
     survivor) under the heuristic, whose cap (1 + beta) * delta * C / q1 is
     1 + beta at C = 1, q1 = 1 and one-night stays."""
     n = len(times)
-    block = F.DayBlock(
-        F.Bookings(np.array(times), np.ones(n), np.array(cancels),
-                   np.ones(n, dtype=int), np.zeros(n), np.ones(n, dtype=bool)),
-        np.zeros(0), [], [0, n], [0, 0])
-    mask, = E.block_survivors(block, [E.HeuristicPolicy(beta)],
+    batch = F.RequestBatch(np.array(times), np.ones(n), np.array(cancels),
+                           np.ones(n, dtype=int), [0, n])
+    mask, = E.batch_survivors(batch, [E.HeuristicPolicy(beta)],
                               scenario(T=1, C=1, q1=1.0, q_stay=0.0))
     return mask.tolist()
 

@@ -98,7 +98,7 @@ class TestMaxBookingsWithin:
                 "from roomflow.policies import booking_caps\n"
                 "print(max_bookings_within(1e-300, 1e-310, 1e-300))\n"
                 "print(booking_caps(1e-300, np.array([1e-310, 0.5]), 1e-300,"
-                " np.array([2e10, 2e10])))\n")
+                " np.array([2e10, 2e10])).tolist())\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(__file__).parent), *sys.path]))
         out = subprocess.run([sys.executable, "-c", code], env=env,
