@@ -7,6 +7,9 @@ curve and show probability are derived from the joint law of (lead time,
 cancellation flag, cancellation interval): a cancellation landing with less
 than one day of remaining lead behaves as a no-show, earlier ones as
 in-window cancellations.
+
+scipy is imported only inside the fitters and the report that call it, so
+importing this module (as `roomflow.cli` does) does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaln, logsumexp, polygamma
 
 from .engine import ScenarioConfig
 from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, streams
@@ -183,6 +185,7 @@ def _newton(k, step):
 def fit_gamma(samples):
     """Gamma MLE via Newton on the profile shape equation
     log k - digamma(k) = log(mean) - mean(log)."""
+    from scipy.special import digamma, polygamma
     x = np.asarray(samples, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least 2 samples")
@@ -235,6 +238,7 @@ def fit_geometric(durations):
 
 
 def _mixture_loglik(counts, log_w, rates):
+    from scipy.special import gammaln, logsumexp
     # log pmf matrix, guarding the rate-0 atom at zero
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = (counts[:, None] * np.log(rates[None, :]) - rates[None, :]
@@ -248,6 +252,7 @@ def _mixture_loglik(counts, log_w, rates):
 def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
                         seed=0):
     """EM for a Poisson mixture; best of independently seeded restarts."""
+    from scipy.special import logsumexp
     counts = np.asarray(daily_counts, dtype=float)
     if len(counts) == 0:
         raise ValueError("counts must be nonempty")
@@ -359,6 +364,7 @@ def _weibull_cdf(x, shape, scale):
 
 def _gamma_logpdf(x, shape, scale):
     """Gamma log-density at positive x."""
+    from scipy.special import gammaln
     return ((shape - 1.0) * np.log(x) - x / scale
             - gammaln(shape) - shape * np.log(scale))
 
@@ -517,6 +523,7 @@ def load_model(path):
 
 def fit_report(model, data):
     """Quality report: log-likelihoods and histogram comparisons per law."""
+    from scipy.special import gammainc
     lead = data["lead_days"]
     leads = lead[lead > 0].astype(float)  # walk-ins have lead 0
     reserved = np.count_nonzero(~data["is_walk_in"])

@@ -19,7 +19,6 @@ import datetime
 import hashlib
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from itertools import product
 
@@ -491,6 +490,7 @@ def run_grid(cfg, args, limit):
               sims) for coords, (_, inputs) in cells for rep in range(reps)]
     workers = min(args.jobs, len(units))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(rep_work, units))
     else:

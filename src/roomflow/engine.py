@@ -442,6 +442,8 @@ def run_experiment(scenario, policies):
         for block in sample_blocks(scenario.profiles, batch, rngs):
             e = o + len(block.bookings)  # the block's requests are o:e
             k, o = replay(block, masks[:, o:e], k), e
+            del block  # each is freed before the next is drawn
+        del batch, masks
     return {n: losses.get(n, (bench, bench, bench)) for n in policies}
 
 

@@ -22,6 +22,8 @@ only on its path, so the order in which paths are asked for changes no
 draw. Vectorized draws take the same values from a Generator as the
 equivalent sequence of scalar draws, so the per-stream draw order
 (`sample_batches`, `sample_blocks`) is the seed contract.
+
+scipy is imported only by `RateFunction.mass_after` of a Beta-shaped rate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from functools import cached_property
 from itertools import accumulate, islice
 
 import numpy as np
-from scipy.special import betainc
 
 
 # numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
@@ -235,6 +236,7 @@ class RateFunction:
         """Mass over [u, t1]; u may be an array."""
         lo = np.maximum(u, self.t0)
         if self.kind == "beta":
+            from scipy.special import betainc
             z = (lo - self.t0) / (self.t1 - self.t0)
             mass = self.mass * (1.0 - betainc(self.a, self.b, z))
         else:
@@ -462,22 +464,25 @@ def sample_batches(profiles, rngs, n_days, lanes):
         width = max(width, n)
         if days and (len(days) == _BLOCK_DAYS or (width + 1) * lanes
                      * (len(days) + 1) > _BATCH_CELLS):
-            batch, days, width = _request_batch(profiles, days), [], n
-            yield batch
+            yield _request_batch(profiles, days)  # empties days
+            width = n
         days.append(day)
-    batch, days = _request_batch(profiles, days), None
-    yield batch
+    yield _request_batch(profiles, days)
 
 
 def _request_batch(profiles, days):
-    """The RequestBatch of days' raw stream-1 draws."""
+    """The RequestBatch of days' raw stream-1 draws, which it takes out of
+    the list `days`: each kind of draw is freed once it is joined."""
     curve = profiles.keep_curve
     counts, t_raw, u_survive, stays, u_cancel = zip(*days)
+    days.clear()
     starts = [0, *accumulate(counts)]
     time = _by_day(profiles.stage1_rate.times(np.concatenate(t_raw, axis=-1)),
                    counts)
+    del t_raw
     keep = curve.value(time)
     gone = np.flatnonzero(np.concatenate(u_survive) >= keep)
+    del u_survive
     live = gone[keep[gone] > 0.0]
     first = np.repeat(starts[:-1], counts)[live]  # each one's day start
     cancel = np.full(len(time), np.nan)
@@ -519,6 +524,7 @@ def sample_blocks(profiles, batch, rngs):
         del days, a_raw, u_show, w_raw, wk_stays
         o = e
         yield block
+        del block  # freed before the next block is drawn
 
 
 def _by_day(x, counts):

@@ -1,6 +1,7 @@
 """Command-line driver: config parsing, reproducibility, subcommands."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
@@ -395,7 +396,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # run_grid imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         out = str(tmp_path / "x.csv")
         assert cli.main(["sweep", "--config", write_cfg(tmp_path, SINGLEDAY),
                          "--out", out, "--jobs", "64"]) == 0
@@ -434,6 +436,34 @@ class TestSweep:
         cli.main(["sweep", "--config", cfg, "--out", a])
         cli.main(["simulate", "--config", cfg, "--out", b])
         assert body(a) == body(b)
+
+
+class TestLazyImports:
+    def test_scipy_and_pool_load_only_where_used(self, tmp_path):
+        # every module of the package loads with the command, scipy and the
+        # process pool do not; a lower-bound run (no Beta rate, one job)
+        # reaches neither
+        cfg = write_cfg(tmp_path, "[scenario]\nT = 40\n")
+        code = "\n".join([
+            "import sys",
+            "import roomflow.cli as cli",
+            "heavy = ('scipy', 'concurrent.futures.process')",
+            "print(*(m for m in heavy if m in sys.modules), sep=',')",
+            "print(*sorted(m for m in sys.modules if m.startswith('roomflow')),"
+            " sep=',')",
+            f"argv = ['simulate', '--preset', 'lower-bound', '--config', "
+            f"{cfg!r}, '--out', {str(tmp_path / 'x.csv')!r}, '--jobs', '1']",
+            "assert cli.main(argv) == 0",
+            "print(*(m for m in heavy if m in sys.modules), sep=',')",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True)
+        assert run.stdout.split("\n") == [
+            "", "roomflow,roomflow.benchmarks,roomflow.calibration,"
+            "roomflow.cli,roomflow.engine,roomflow.flows,roomflow.policies",
+            "", ""]
 
 
 class TestFit:
