@@ -8,6 +8,10 @@ cancellation flag, cancellation interval): a cancellation landing with less
 than one day of remaining lead behaves as a no-show, earlier ones as
 in-window cancellations.
 
+The mixture's EM restarts run together, one array pass per iteration over
+the restarts still improving, and each restart's numbers equal those of a
+lone run (`tests/reference.py` holds the one-after-another loop).
+
 scipy is imported only inside the fitters and the report that call it, so
 importing this module (as `roomflow.cli` does) does not load it.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +42,11 @@ COLUMNS = BOOKING_DTYPE.names
 
 class IngestError(ValueError):
     """Malformed dataset; message carries line-numbered diagnostics."""
+
+
+class ComponentsReduced(UserWarning):
+    """The mixture fit was asked for more components than the counts have
+    distinct values, and fits that many instead."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,18 @@ class FittedModel:
 # ---------------------------------------------------------------------------
 # ingestion
 
-def _parse_row(raw, lineno):
+def _parse_row(raw, lineno, ordinals):
     """One CSV record, its fields in COLUMNS order, as a BOOKING_DTYPE
-    tuple; a broken rule raises IngestError naming the line."""
+    tuple; a broken rule raises IngestError naming the line. ordinals
+    caches the ordinal of every date string that has parsed."""
     try:
         if len(raw) < len(COLUMNS):
             raise ValueError("fewer fields than the header")
         date, lead, canceled, cancel_lead, stay, walkin = raw
-        date = datetime.date.fromisoformat(date)
+        day = ordinals.get(date)
+        if day is None:
+            day = ordinals[date] = (
+                datetime.date.fromisoformat(date).toordinal())
         canceled, walkin = canceled.strip(), walkin.strip()
         if canceled not in ("0", "1") or walkin not in ("0", "1"):
             raise ValueError("boolean columns must be 0 or 1")
@@ -113,8 +127,7 @@ def _parse_row(raw, lineno):
             raise ValueError("lead_days and stay_nights must be below 2**63")
     except ValueError as exc:
         raise IngestError(f"line {lineno}: {exc}") from exc
-    return (date.toordinal(), lead, canceled, cancel_lead or 0, stay,
-            walkin)
+    return (day, lead, canceled, cancel_lead or 0, stay, walkin)
 
 
 def ingest_bookings(path):
@@ -133,10 +146,13 @@ def ingest_bookings(path):
             # a repeated column name reads its last occurrence
             where = {name: i for i, name in enumerate(header)}
             order = [where[c] for c in COLUMNS]
+            pick, width = operator.itemgetter(*order), max(order) + 1
+            ordinals = {}
             for raw in filter(None, reader):  # a blank line holds no record
                 try:
-                    rows.append(_parse_row([raw[i] for i in order
-                                            if i < len(raw)], reader.line_num))
+                    fields = (pick(raw) if len(raw) >= width
+                              else [raw[i] for i in order if i < len(raw)])
+                    rows.append(_parse_row(fields, reader.line_num, ordinals))
                 except IngestError as exc:
                     problems.append(str(exc))
         except UnicodeDecodeError as exc:
@@ -237,22 +253,39 @@ def fit_geometric(durations):
     return float(1.0 - len(d) / d.sum())
 
 
-def _mixture_loglik(counts, log_w, rates):
-    from scipy.special import gammaln, logsumexp
-    # log pmf matrix, guarding the rate-0 atom at zero
+def _mixture_loglik(counts, log_factorial, log_w, rates):
+    """Log-likelihood of daily counts under several Poisson mixtures at once.
+
+    counts and log_factorial (gammaln(counts + 1)) hold one value per day;
+    log_w and rates hold one mixture per row. Returns comp, the log joint
+    of (mixture, day, component); lse, comp's logsumexp over components
+    with that axis kept; and each mixture's log-likelihood, its lse summed
+    over days. Every day and component reduction runs along the last axis,
+    so each row's numbers equal a lone mixture's.
+    """
+    from scipy.special import logsumexp
+    rates = rates[:, None, :]
+    # log pmf, guarding the rate-0 atom at zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp = (counts[:, None] * np.log(rates[None, :]) - rates[None, :]
-              - gammaln(counts[:, None] + 1.0))
-    zero = rates[None, :] == 0.0
-    lp = np.where(zero, np.where(counts[:, None] == 0, 0.0, -np.inf), lp)
-    comp = lp + log_w[None, :]
-    return comp, float(logsumexp(comp, axis=1).sum())
+        lp = counts[:, None] * np.log(rates) - rates - log_factorial[:, None]
+    lp = np.where(rates == 0.0,
+                  np.where(counts[:, None] == 0, 0.0, -np.inf), lp)
+    comp = lp + log_w[:, None, :]
+    lse = logsumexp(comp, axis=-1, keepdims=True)
+    return comp, lse, lse[..., 0].sum(axis=-1)
 
 
 def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
                         seed=0):
-    """EM for a Poisson mixture; best of independently seeded restarts."""
-    from scipy.special import logsumexp
+    """EM for a Poisson mixture; best of independently seeded restarts.
+
+    Restart r starts from stream (r,) of seed. The restarts run together,
+    one array pass per EM iteration over those still improving; a restart
+    leaves that set where its gain in log-likelihood falls below _EM_TOL,
+    and its numbers equal a lone run's. The result is the first restart of
+    greatest log-likelihood, its components in increasing rate.
+    """
+    from scipy.special import gammaln
     counts = np.asarray(daily_counts, dtype=float)
     if len(counts) == 0:
         raise ValueError("counts must be nonempty")
@@ -260,46 +293,56 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
         raise ValueError("counts must be nonnegative")
     if n_components < 1:
         raise ValueError("need at least one component")
+    if n_restarts < 1:
+        raise ValueError("need at least one restart")
     distinct = len(np.unique(counts))
     if n_components > distinct:
         warnings.warn(
             f"reducing components from {n_components} to {distinct} "
-            "(more components than distinct count values)")
+            "(more components than distinct count values)", ComponentsReduced)
         n_components = distinct
     if n_components == 1:
         return [(1.0, float(counts.mean()))]
 
-    best = None
-    for rng in streams(seed, ((r,) for r in range(n_restarts))):
-        rates = np.sort(rng.choice(counts, n_components, replace=False)
-                        + rng.uniform(0.0, 1.0, n_components))
-        w = rng.dirichlet(np.ones(n_components))
-        log_w = np.log(w)
-        prev_ll = -np.inf
-        for _ in range(_EM_MAX_ITER):
-            comp, ll = _mixture_loglik(counts, log_w, rates)
-            assert ll >= prev_ll - 1e-9, "EM log-likelihood decreased"
-            if ll - prev_ll < _EM_TOL:
-                break
-            prev_ll = ll
-            resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
-            nk = resp.sum(axis=0)
-            nk = np.maximum(nk, 1e-300)
-            rates = resp.T @ counts / nk
-            log_w = np.log(nk / len(counts))
-        if best is None or ll > best[0]:
-            best = (ll, np.exp(log_w), rates)
-    _, w, rates = best
+    starts = [(np.sort(rng.choice(counts, n_components, replace=False)
+                       + rng.uniform(0.0, 1.0, n_components)),
+               rng.dirichlet(np.ones(n_components)))
+              for rng in streams(seed, ((r,) for r in range(n_restarts)))]
+    rates = np.array([r for r, _ in starts])
+    log_w = np.log([w for _, w in starts])
+    log_factorial = gammaln(counts + 1.0)
+    ll = np.full(n_restarts, -np.inf)
+    active = np.arange(n_restarts)  # the restarts still improving
+    for _ in range(_EM_MAX_ITER):
+        comp, lse, new_ll = _mixture_loglik(counts, log_factorial,
+                                            log_w[active], rates[active])
+        prev_ll = ll[active]
+        assert np.all(new_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
+        ll[active] = new_ll
+        # a NaN gain (-inf to -inf) stops no restart, as in a lone run
+        go = ~(new_ll - prev_ll < _EM_TOL)
+        active = active[go]
+        if not len(active):
+            break
+        resp = np.exp(comp[go] - lse[go])
+        nk = resp.sum(axis=1)
+        nk = np.maximum(nk, 1e-300)
+        # one matrix-vector product per restart, as a lone run rounds it
+        rates[active] = np.array([r.T @ counts for r in resp]) / nk
+        log_w[active] = np.log(nk / len(counts))
+    best = max(range(n_restarts), key=ll.__getitem__)  # first of the greatest
+    w, rates = np.exp(log_w[best]), rates[best]
     order = np.argsort(rates)
     return [(float(w[i]), float(rates[i])) for i in order]
 
 
 def poisson_mixture_loglik(daily_counts, mixture):
+    from scipy.special import gammaln
     counts = np.asarray(daily_counts, dtype=float)
-    w = np.array([wt for wt, _ in mixture])
-    r = np.array([rt for _, rt in mixture])
-    _, ll = _mixture_loglik(counts, np.log(w), r)
-    return ll
+    w = np.array([[wt for wt, _ in mixture]])
+    r = np.array([[rt for _, rt in mixture]])
+    _, _, ll = _mixture_loglik(counts, gammaln(counts + 1.0), np.log(w), r)
+    return float(ll[0])
 
 
 # ---------------------------------------------------------------------------

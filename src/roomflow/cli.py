@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import math
 import sys
+import warnings
 from importlib import resources
 from itertools import product
 
@@ -553,11 +554,18 @@ def cmd_fit(args):
         print("notice: walk-in-only dataset; Gamma lead-time and Weibull "
               "cancellation fitters skipped (nominal parameters written)")
     try:
-        model = calibration.fit_model(data, args.capacity,
-                                      n_components=args.components,
-                                      seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", calibration.ComponentsReduced)
+            model = calibration.fit_model(data, args.capacity,
+                                          n_components=args.components,
+                                          seed=seed)
     except ValueError as exc:  # the message names the law
         raise ConfigError(f"{args.config}: {exc}") from exc
+    for w in caught:
+        if issubclass(w.category, calibration.ComponentsReduced):
+            print(f"notice: --components: {w.message}")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     calibration.save_model(model, out)
     report = calibration.fit_report(model, data)
     with open(str(out) + ".report", "w", encoding="utf-8") as fh:

@@ -16,6 +16,8 @@ bisection where the engine inverts the threshold in closed form, and
 `engine_days` steps the engine's own policy trajectory day by day for the
 invariant tests, `sampled_batches` yields the engine's Stage-I batches with
 their Stage-II blocks, and `sampled_days` yields their days one at a time.
+`fit_poisson_mixture` runs the EM restarts of the walk-in mixture fit one
+after another, where `roomflow.calibration` runs them together.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, gammaln, logsumexp
 
+import roomflow.calibration as C
 import roomflow.engine as E
 from roomflow.flows import Bookings, sample_batches, sample_blocks, streams
 from roomflow.policies import (
@@ -563,3 +567,61 @@ def run_experiment(scenario, policies):
     return {n: (bench, bench, bench) if isinstance(p, OraclePolicy)
             else (losses[n][0], losses[n][1], bench)
             for n, p in policies.items()}
+
+
+# ---------------------------------------------------------------------------
+# calibration
+
+def mixture_loglik(counts, log_w, rates):
+    """Log joint of (day, component) of one Poisson mixture, and its
+    log-likelihood."""
+    # log pmf matrix, guarding the rate-0 atom at zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = (counts[:, None] * np.log(rates[None, :]) - rates[None, :]
+              - gammaln(counts[:, None] + 1.0))
+    zero = rates[None, :] == 0.0
+    lp = np.where(zero, np.where(counts[:, None] == 0, 0.0, -np.inf), lp)
+    comp = lp + log_w[None, :]
+    return comp, float(logsumexp(comp, axis=1).sum())
+
+
+def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
+                        seed=0):
+    """EM for a Poisson mixture, one restart after another, each from
+    stream (r,) of seed, until its gain falls below the engine's tolerance
+    or the iteration cap; the first restart of greatest log-likelihood
+    wins. `roomflow.calibration.fit_poisson_mixture` runs the restarts
+    together and must equal this."""
+    counts = np.asarray(daily_counts, dtype=float)
+    distinct = len(np.unique(counts))
+    if n_components > distinct:
+        warnings.warn(
+            f"reducing components from {n_components} to {distinct} "
+            "(more components than distinct count values)")
+        n_components = distinct
+    if n_components == 1:
+        return [(1.0, float(counts.mean()))]
+
+    best = None
+    for rng in streams(seed, ((r,) for r in range(n_restarts))):
+        rates = np.sort(rng.choice(counts, n_components, replace=False)
+                        + rng.uniform(0.0, 1.0, n_components))
+        w = rng.dirichlet(np.ones(n_components))
+        log_w = np.log(w)
+        prev_ll = -np.inf
+        for _ in range(C._EM_MAX_ITER):
+            comp, ll = mixture_loglik(counts, log_w, rates)
+            assert ll >= prev_ll - 1e-9, "EM log-likelihood decreased"
+            if ll - prev_ll < C._EM_TOL:
+                break
+            prev_ll = ll
+            resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
+            nk = resp.sum(axis=0)
+            nk = np.maximum(nk, 1e-300)
+            rates = resp.T @ counts / nk
+            log_w = np.log(nk / len(counts))
+        if best is None or ll > best[0]:
+            best = (ll, np.exp(log_w), rates)
+    _, w, rates = best
+    order = np.argsort(rates)
+    return [(float(w[i]), float(rates[i])) for i in order]

@@ -1,10 +1,15 @@
 """Fitter closure, ingestion round-trips, and scenario assembly."""
 
 import datetime
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference as R
 import roomflow.calibration as C
 from reference import substream
 
@@ -172,6 +177,10 @@ class TestFitPoissonMixture:
             mix = C.fit_poisson_mixture([0, 0, 0], 2)
         assert mix == [(1.0, 0.0)]
 
+    def test_no_restart_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one restart$"):
+            C.fit_poisson_mixture([2, 4, 9], 2, n_restarts=0)
+
     def test_excess_components_reduced_with_warning(self):
         with pytest.warns(UserWarning, match="reducing components"):
             C.fit_poisson_mixture([3, 3, 7, 7], 3, n_restarts=2)
@@ -195,6 +204,58 @@ class TestFitPoissonMixture:
         one = C.fit_poisson_mixture(counts, 1)
         assert (C.poisson_mixture_loglik(counts, two)
                 >= C.poisson_mixture_loglik(counts, one))
+
+
+# daily walk-in counts: spread, mostly zeros, all equal, two clusters, and
+# zeros beside large counts, where a component can fall onto the rate-0 atom
+DAILY_COUNTS = st.one_of(
+    st.lists(st.integers(0, 30), min_size=1, max_size=30),
+    st.lists(st.sampled_from([0, 0, 0, 0, 1, 3]), min_size=1, max_size=30),
+    st.builds(lambda c, n: [c] * n, st.integers(0, 9), st.integers(1, 30)),
+    st.builds(lambda a, b: a + b,
+              st.lists(st.integers(0, 4), min_size=1, max_size=15),
+              st.lists(st.integers(25, 40), min_size=1, max_size=15)),
+    st.lists(st.sampled_from([0, 0, 0, 30, 40]), min_size=1, max_size=30),
+)
+
+
+class TestBatchedEMMatchesReference:
+    """The restarts run together equal the reference's restarts run one
+    after another, to the bit. The iteration cap is drawn small as well,
+    which keeps degenerate counts (which run to the cap) cheap and puts
+    the capped path in most examples."""
+
+    @staticmethod
+    def fits(fit, counts, k, restarts, seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mixture = fit(counts, k, n_restarts=restarts, seed=seed)
+        return mixture, [str(w.message) for w in caught]
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=DAILY_COUNTS, k=st.integers(1, 4),
+           restarts=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+           cap=st.integers(1, 40))
+    @example(counts=[0] * 8 + [30, 40] * 3, k=3, restarts=4, seed=0,
+             cap=C._EM_MAX_ITER).via("rate-0 atom at the shipped cap")
+    @example(counts=[2, 3, 3, 2, 3, 3, 2], k=4, restarts=3, seed=1,
+             cap=C._EM_MAX_ITER).via("4 components reduced to 2")
+    @example(counts=[i % 7 + 20 * (i % 3 == 0) for i in range(240)], k=2,
+             restarts=5, seed=3, cap=C._EM_MAX_ITER).via(
+        "more days than numpy's pairwise-summation block of 128")
+    def test_equals_restarts_one_after_another(self, counts, k, restarts,
+                                               seed, cap):
+        with mock.patch.object(C, "_EM_MAX_ITER", cap):
+            fast = self.fits(C.fit_poisson_mixture, counts, k, restarts, seed)
+            plain = self.fits(R.fit_poisson_mixture, counts, k, restarts,
+                              seed)
+        assert fast == plain
+
+    def test_rate_zero_atom_reached(self):
+        # the first explicit example above takes the atom path
+        counts = [0] * 8 + [30, 40] * 3
+        mixture = C.fit_poisson_mixture(counts, 3, n_restarts=4, seed=0)
+        assert 0.0 in [rate for _, rate in mixture]
 
 
 class TestScenarioFromFit:

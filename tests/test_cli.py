@@ -496,6 +496,31 @@ class TestFit:
         assert rc == 0
         assert "walk-in-only dataset" in capsys.readouterr().out
 
+    def test_components_reduced_notice(self, tmp_path):
+        # no walk-ins: every day counts 0, one distinct value, so three
+        # components reduce to one; a fresh process shows what its stderr
+        # gets, where pytest would capture a raw warning
+        data = tmp_path / "w.csv"
+        data.write_text(",".join(calib.COLUMNS) + "\n" + "".join(
+            f"2017-01-0{day},{lead},0,,{stay},0\n"
+            for day, lead, stay in ((1, 5, 2), (2, 3, 1), (3, 7, 3),
+                                    (4, 2, 1))))
+        out = tmp_path / "m.txt"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "roomflow.cli", "fit", "--config",
+             str(data), "--out", str(out), "--components", "3"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 0
+        report = Path(str(out) + ".report").read_text()
+        assert proc.stdout == (
+            "notice: --components: reducing components from 3 to 1 (more "
+            "components than distinct count values)\n" + report)
+        assert proc.stderr == ""
+        for text in ("UserWarning", "calibration.py", src):
+            assert text not in proc.stdout + proc.stderr
+
     def test_bad_dataset_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "b.csv"
         data.write_text("arrival_date,lead_days\n2017-01-01,5\n")
