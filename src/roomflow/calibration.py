@@ -8,6 +8,13 @@ cancellation flag, cancellation interval): a cancellation landing with less
 than one day of remaining lead behaves as a no-show, earlier ones as
 in-window cancellations.
 
+A booking dataset of plain rows is ingested a chunk of lines at a time,
+each column converted and each rule checked over the whole chunk. Any
+other file (quoted fields, bare CR line ends, ragged rows) and any file
+that breaks a rule is read again by the per-row csv loop, which words the
+line-numbered errors; both give the same array or the same error
+(`tests/reference.py` holds the per-row reader).
+
 The mixture's EM restarts run together, one array pass per iteration over
 the restarts still improving, and each restart's numbers equal those of a
 lone run (`tests/reference.py` holds the one-after-another loop).
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 import operator
 import warnings
@@ -130,9 +138,125 @@ def _parse_row(raw, lineno, ordinals):
     return (day, lead, canceled, cancel_lead or 0, stay, walkin)
 
 
+def _column_order(header):
+    """Index in the header of each of COLUMNS; a repeated column name
+    reads its last occurrence."""
+    missing = set(COLUMNS) - set(header)
+    if missing:
+        raise IngestError(f"missing columns: {sorted(missing)}")
+    where = {name: i for i, name in enumerate(header)}
+    return [where[c] for c in COLUMNS]
+
+
+# lines of a dataset that _ingest_columns checks and converts together
+CHUNK_LINES = 4096
+_FLAGS = frozenset(("0", "1"))
+
+
+def _int64(fields, n):
+    """The fields as int's grammar reads them; ValueError or OverflowError
+    when one is not an integer or lies outside int64."""
+    return np.fromiter(map(int, fields), np.int64, n)
+
+
+def _flags(fields):
+    """The stripped 0/1 fields as bool, or None when one is neither."""
+    fields = list(map(str.strip, fields))
+    if not _FLAGS.issuperset(fields):
+        return None
+    return np.frombuffer("".join(fields).encode(), np.uint8) == ord("1")
+
+
+def _columns_chunk(lines, width, order, ordinals):
+    """The records of a chunk of lines, their terminators included, as a
+    BOOKING_DTYPE array, or None when the chunk needs the per-row path:
+    a quote, a NUL or a bare carriage return, a field count other than
+    width, or a value that breaks a rule of _parse_row."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    crs = text.count("\r")
+    if crs:  # csv.writer ends its lines with \r\n
+        if crs != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    rows = list(filter(None, text.split("\n")))  # a blank line holds none
+    if not rows:
+        return np.empty(0, BOOKING_DTYPE)
+    # a "\n" field after each record but the last: every record has width
+    # fields iff the n - 1 of them fall one stride apart, the first after
+    # width fields, and the last record ends the list
+    n, stride, flat = len(rows), width + 1, ",\n,".join(rows).split(",")
+    if (len(flat) != n * stride - 1
+            or flat[width::stride].count("\n") != n - 1):
+        return None
+    date, lead, canceled, cancel_lead, stay, walkin = (
+        flat[i::stride] for i in order)
+    try:
+        for d in set(date).difference(ordinals):
+            ordinals[d] = datetime.date.fromisoformat(d).toordinal()
+        lead, stay = _int64(lead, n), _int64(stay, n)
+        cancel_lead = list(map(str.strip, cancel_lead))
+        present = np.fromiter(map(bool, cancel_lead), np.bool_, n)
+        values = np.zeros(n, np.int64)
+        values[present] = _int64(filter(None, cancel_lead),
+                                 np.count_nonzero(present))
+    except (ValueError, OverflowError):
+        return None
+    canceled, walkin = _flags(canceled), _flags(walkin)
+    if canceled is None or walkin is None or not np.all(
+            (lead >= 0) & (stay >= 1) & (canceled == present)
+            & (values >= 0) & (values <= lead) & ~(walkin & (lead != 0))):
+        return None
+    out = np.empty(n, BOOKING_DTYPE)
+    out["arrival_date"] = np.fromiter(map(ordinals.__getitem__, date),
+                                      np.int64, n)
+    out["lead_days"], out["is_canceled"] = lead, canceled
+    out["cancel_lead_days"], out["stay_nights"] = values, stay
+    out["is_walk_in"] = walkin
+    return out
+
+
+def _ingest_columns(path):
+    """The dataset as ingest_bookings returns it, read a chunk of lines at
+    a time and checked a column at a time; None when the file needs the
+    per-row path, which alone reads quoted fields and words errors."""
+    limit = csv.field_size_limit()
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            line = fh.readline()
+            header = line.removesuffix("\n").removesuffix("\r").split(",")
+            if ('"' in line or "\0" in line or len(line) >= limit
+                    or set(COLUMNS) - set(header)):
+                return None
+            order, width = _column_order(header), len(header)
+            parts, ordinals = [], {}
+            while lines := list(itertools.islice(fh, CHUNK_LINES)):
+                if max(map(len, lines)) >= limit:
+                    return None
+                part = _columns_chunk(lines, width, order, ordinals)
+                if part is None:
+                    return None
+                parts.append(part)
+        except UnicodeDecodeError:
+            return None
+    return np.concatenate(parts) if parts else np.empty(0, BOOKING_DTYPE)
+
+
 def ingest_bookings(path):
     """Parse and validate a booking dataset into one BOOKING_DTYPE array;
-    every malformed row is reported with its line number."""
+    every malformed row is reported with its line number.
+
+    A file of plain records is checked and converted a column at a time
+    (_ingest_columns). Any other file, and every file that breaks a rule,
+    is read again record by record, and that path words the errors: both
+    paths return the same array, or the same error."""
+    data = _ingest_columns(path)
+    return _ingest_rows(path) if data is None else data
+
+
+def _ingest_rows(path):
+    """ingest_bookings one csv record at a time."""
     rows, problems = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -140,12 +264,7 @@ def ingest_bookings(path):
             header = next(reader, None)
             if header is None:
                 raise IngestError("empty file without header")
-            missing = set(COLUMNS) - set(header)
-            if missing:
-                raise IngestError(f"missing columns: {sorted(missing)}")
-            # a repeated column name reads its last occurrence
-            where = {name: i for i, name in enumerate(header)}
-            order = [where[c] for c in COLUMNS]
+            order = _column_order(header)
             pick, width = operator.itemgetter(*order), max(order) + 1
             ordinals = {}
             for raw in filter(None, reader):  # a blank line holds no record

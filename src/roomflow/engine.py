@@ -283,19 +283,16 @@ def block_checkins(block, masks, profiles, v):
     """A (CheckIns, stays) pair per boolean mask in `masks`, the bookings a
     trajectory keeps in the block; stays: its kept shows' stays, each
     day's in arrival order. The bookings are sorted once, ties in request
-    order, by an exact integer key: the day, then how many of the block's
-    arrivals come at or before the time. A walk-in's key passes those of
-    the bookings before it, so counts are cumulative sums in that order."""
+    order, by the exact complex key day + time·1j (numpy orders complex
+    numbers by real part first). A walk-in's key passes those of the
+    bookings before it, so counts are cumulative sums in that order."""
     bookings, starts, wk_time = block.bookings, block.starts, block.wk_time
-    wk_starts, n = np.array(block.wk_starts), len(bookings)
-    days = np.arange(len(starts) - 1) * (n + 1)
-    arrivals = np.sort(bookings.arrival_time)
-    key = np.repeat(days, np.diff(starts)) + arrivals.searchsorted(
-        bookings.arrival_time, side="right")
+    wk_starts = np.array(block.wk_starts)
+    days = np.arange(len(starts) - 1)
+    key = np.repeat(days, np.diff(starts)) + bookings.arrival_time * 1j
     order = key.argsort(kind="stable")
-    cut = key[order].searchsorted(np.repeat(days, np.diff(wk_starts))
-                                  + arrivals.searchsorted(wk_time, "right"),
-                                  "right")
+    cut = key[order].searchsorted(
+        np.repeat(days, np.diff(wk_starts)) + wk_time * 1j, "right")
     early = np.flatnonzero(wk_time < v)  # a prefix of each day's walk-ins
     calls = (wk_starts[:-1] + np.diff(early.searchsorted(wk_starts))).tolist()
     mass = np.zeros(len(wk_time) if len(early) else 0)

@@ -17,11 +17,15 @@ bisection where the engine inverts the threshold in closed form, and
 invariant tests, `sampled_batches` yields the engine's Stage-I batches with
 their Stage-II blocks, and `sampled_days` yields their days one at a time.
 `fit_poisson_mixture` runs the EM restarts of the walk-in mixture fit one
-after another, where `roomflow.calibration` runs them together.
+after another, where `roomflow.calibration` runs them together, and
+`ingest_bookings` reads a booking dataset one csv record at a time, where
+`roomflow.calibration` checks clean files a column at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime
 import heapq
 import itertools
 import math
@@ -571,6 +575,72 @@ def run_experiment(scenario, policies):
 
 # ---------------------------------------------------------------------------
 # calibration
+
+def _booking_record(fields):
+    """One dataset record, its fields in dataset-column order, as a
+    BOOKING_DTYPE tuple; a broken rule raises ValueError."""
+    date, lead, canceled, cancel_lead, stay, walkin = fields
+    day = datetime.date.fromisoformat(date).toordinal()
+    canceled, walkin = canceled.strip(), walkin.strip()
+    if canceled not in ("0", "1") or walkin not in ("0", "1"):
+        raise ValueError("boolean columns must be 0 or 1")
+    cancel_lead = cancel_lead.strip()
+    lead = int(lead)
+    cancel_lead = int(cancel_lead) if cancel_lead else None
+    stay = int(stay)
+    canceled, walkin = canceled == "1", walkin == "1"
+    if lead < 0:
+        raise ValueError("negative lead_days")
+    if stay < 1:
+        raise ValueError("stay_nights must be positive")
+    if canceled != (cancel_lead is not None):
+        raise ValueError("cancel_lead_days present iff canceled")
+    if cancel_lead is not None:
+        if cancel_lead < 0:
+            raise ValueError("negative cancel_lead_days")
+        if cancel_lead > lead:
+            raise ValueError("cancel_lead_days exceeds lead_days")
+    if walkin and lead != 0:
+        raise ValueError("walk-ins must have lead_days 0")
+    if max(lead, stay) >= 2 ** 63:
+        raise ValueError("lead_days and stay_nights must be below 2**63")
+    return (day, lead, canceled, cancel_lead or 0, stay, walkin)
+
+
+def ingest_bookings(path):
+    """The booking dataset one csv record at a time: every record's broken
+    rule as "line N: rule", joined by "; ". `roomflow.calibration`
+    checks clean files a column at a time and must equal this, array
+    bytes and error message alike."""
+    rows, problems = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise C.IngestError("empty file without header")
+            missing = set(C.COLUMNS) - set(header)
+            if missing:
+                raise C.IngestError(f"missing columns: {sorted(missing)}")
+            where = {name: i for i, name in enumerate(header)}  # last wins
+            order = [where[c] for c in C.COLUMNS]
+            for raw in reader:
+                if not raw:  # a blank line
+                    continue
+                try:
+                    if len(raw) <= max(order):
+                        raise ValueError("fewer fields than the header")
+                    rows.append(_booking_record([raw[i] for i in order]))
+                except ValueError as exc:
+                    problems.append(f"line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise C.IngestError(f"{path}: not UTF-8 ({exc})") from exc
+        except csv.Error as exc:
+            raise C.IngestError(f"line {reader.line_num}: {exc}") from exc
+    if problems:
+        raise C.IngestError("; ".join(problems))
+    return np.array(rows, dtype=C.BOOKING_DTYPE)
+
 
 def mixture_loglik(counts, log_w, rates):
     """Log joint of (day, component) of one Poisson mixture, and its

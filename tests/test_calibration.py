@@ -1,7 +1,12 @@
 """Fitter closure, ingestion round-trips, and scenario assembly."""
 
+import csv
 import datetime
+import importlib.util
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -113,6 +118,280 @@ class TestIngestion:
         p = tmp_path / "out.csv"
         C.write_bookings(np.array(rows, dtype=C.BOOKING_DTYPE), p)
         assert C.ingest_bookings(p).tolist() == rows
+
+    # the csv dialect as the per-row reader has always read it: each case
+    # is a whole file and its records, or its whole error message
+    @pytest.mark.parametrize("text, expected", [
+        (HEADER + '"2017-01-01","5","0","","2","0"\n', [row()]),
+        (HEADER.replace("\n", "\r") + "2017-01-01,5,0,,2,0\r"
+         "2017-01-02,10,1,4,1,0\r", [row(), row(10, True, 4, 1, day=1)]),
+        (HEADER.replace("\n", "\r\n") + "2017-01-01,5,0,,2,0\r\n"
+         "2017-01-02,10,1,4,1,0\r\n", [row(), row(10, True, 4, 1, day=1)]),
+        (HEADER + "2017-01-01, 5 , 0 ,  , 2 , 0 \n", [row()]),
+        (HEADER + "2017-01-01,5,0,,2,0,extra\n", [row()]),
+        (HEADER.replace("\n", ",lead_days\n") + "2017-01-01,9,0,,2,0,5\n",
+         [row()]),
+        (HEADER + "2017-01-01,1_0,0,,2,0\n", [row(lead=10)]),
+        (HEADER + "2017-01-01,-99999999999999999999,0,,2,0\n",
+         "line 2: negative lead_days"),
+        (HEADER + "   \n", "line 2: fewer fields than the header"),
+        (HEADER + " 2017-01-01,5,0,,2,0\n",
+         "line 2: Invalid isoformat string: ' 2017-01-01'"),
+    ], ids=["quoted", "cr-line-ends", "crlf-line-ends", "padded-fields",
+            "extra-field", "repeated-column", "underscore-digits",
+            "below-int64", "whitespace-line", "padded-date"])
+    def test_dialect(self, tmp_path, text, expected):
+        p = tmp_path / "b.csv"
+        p.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(C.IngestError) as exc:
+                C.ingest_bookings(p)
+            assert str(exc.value) == expected
+        else:
+            data = C.ingest_bookings(p)
+            assert data.dtype == C.BOOKING_DTYPE
+            assert data.tolist() == expected
+
+
+def ingested(ingest, path):
+    """ingest(path) as comparable bytes, or its IngestError's message."""
+    try:
+        data = ingest(path)
+    except C.IngestError as exc:
+        return str(exc)
+    return data.dtype, data.tobytes()
+
+
+def per_row_path_raises():
+    """Makes the per-row path of calibration fail if it runs at all."""
+    return mock.patch.object(C, "_parse_row",
+                             side_effect=AssertionError("per-row path"))
+
+
+# how a clean file may write a field: padded, signed, with underscores,
+# in other Unicode digits; each int's grammar and str.strip read alike
+PADS = ["", " ", "\t", "\u3000"]
+DIGITS = [str.maketrans("0123456789", "０１２３４５６７８９"),
+          str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")]
+# Python reads compact dates (20170101) from 3.11 on
+DATE_FORMATS = ["%Y-%m-%d"] + (["%Y%m%d"] if sys.version_info >= (3, 11)
+                               else [])
+# a broken field: (column, text); each one breaks a rule of the format
+BROKEN = [("lead_days", "-1"), ("lead_days", ""), ("lead_days", "x"),
+          ("lead_days", str(2 ** 63)), ("lead_days", str(-2 ** 63 - 1)),
+          ("lead_days", "-99999999999999999999"), ("stay_nights", "0"),
+          ("stay_nights", str(2 ** 63)), ("is_canceled", "2"),
+          ("is_walk_in", "yes"), ("cancel_lead_days", "-1"),
+          ("cancel_lead_days", "x"), ("cancel_lead_days", str(2 ** 64)),
+          ("arrival_date", "2017-13-01"), ("arrival_date", " 2017-01-01"),
+          ("arrival_date", ""), ("lead_days", "5\0")]
+
+
+@st.composite
+def integer_text(draw, value):
+    """value as a field of a clean file may write it."""
+    text = str(abs(value))
+    style = draw(st.sampled_from(["plain", "plus", "underscore", "unicode"]))
+    if style == "plus" and value >= 0:
+        text = "+" + text
+    elif style == "underscore" and len(text) > 1:
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "_" + text[cut:]
+    elif style == "unicode":
+        text = text.translate(draw(st.sampled_from(DIGITS)))
+    if value < 0:
+        text = "-" + text
+    return draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
+
+
+@st.composite
+def record_fields(draw):
+    """The six fields of one valid record, by column name, written in any
+    form that a clean file may use."""
+    walkin = draw(st.booleans())
+    big = 2 ** 63 - 1
+    lead = 0 if walkin else draw(st.one_of(st.integers(0, 400),
+                                           st.just(big)))
+    canceled = not walkin and draw(st.booleans())
+    cancel = draw(st.sampled_from([0, lead]) | st.integers(0, lead))
+    date = datetime.date(2017, 1, 1) + datetime.timedelta(
+        days=draw(st.integers(0, 800)))
+    pad = st.sampled_from(PADS)
+    return {
+        "arrival_date": date.strftime(draw(st.sampled_from(DATE_FORMATS))),
+        "lead_days": draw(integer_text(lead)),
+        "is_canceled": draw(pad) + str(int(canceled)) + draw(pad),
+        "cancel_lead_days": (draw(integer_text(cancel)) if canceled
+                             else draw(pad)),
+        "stay_nights": draw(integer_text(draw(st.one_of(
+            st.integers(1, 30), st.just(big))))),
+        "is_walk_in": draw(pad) + str(int(walkin)) + draw(pad),
+    }
+
+
+@st.composite
+def booking_texts(draw):
+    """(text, clean): a booking dataset, and whether it was drawn from
+    clean forms only, which the columnar path must read by itself. The
+    other forms (bare CR line ends, quotes, short and long rows,
+    whitespace lines, broken fields and missing columns) send the file
+    to the per-row path, and most make it fail."""
+    clean = True
+    header = draw(st.permutations(C.COLUMNS))
+    for name in draw(st.lists(st.sampled_from(["hotel", *C.COLUMNS]),
+                              max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 19)) == 19:
+        header.remove(draw(st.sampled_from(C.COLUMNS)))
+        clean = False
+    last = {name: i for i, name in enumerate(header)}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        fields = draw(record_fields())
+        line = [fields[name] if last[name] == i and name in fields
+                else draw(st.sampled_from(["", "x", " 7 "]))
+                for i, name in enumerate(header)]
+        flaw = draw(st.integers(0, 29))  # drawn near 0 most often
+        if flaw == 29:  # a broken field
+            name, text = draw(st.sampled_from(BROKEN))
+            if name in last:
+                line[last[name]] = text
+                clean = False
+        elif flaw == 28:  # a quoted field, maybe with a comma inside
+            i = draw(st.integers(0, len(line) - 1))
+            line[i] = '"' + draw(st.sampled_from([line[i], "a,b"])) + '"'
+            clean = False
+        elif flaw == 27:  # a short or a long row
+            line = (line[:draw(st.integers(0, len(line) - 1))]
+                    if draw(st.booleans()) else line + ["x"])
+            clean = False
+        elif flaw == 26:  # a whitespace line
+            lines.append(draw(st.sampled_from([" ", "\t"])))
+            clean = False
+        elif flaw >= 23:
+            lines.append("")  # a blank line
+        lines.append(",".join(line))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    if ends == "mixed":
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    else:
+        ends = [ends] * len(lines)
+    clean = clean and "\r" not in [e for e in ends if e != "\r\n"]
+    if len(lines) > 1 and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last record
+    return "".join(map(str.__add__, lines, ends)), clean
+
+
+class TestColumnarIngestMatchesReference:
+    """ingest_bookings against the reference's one-record-at-a-time
+    reader: the same array bytes or the same error message. A clean file
+    must not reach the per-row path at all. The chunk size is drawn
+    small, so most files span several chunks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=booking_texts(), chunk=st.integers(1, 5))
+    def test_equals_reference(self, case, chunk):
+        text, clean = case
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "b.csv"
+            p.write_bytes(text.encode())
+            expected = ingested(R.ingest_bookings, p)
+            with mock.patch.object(C, "CHUNK_LINES", chunk):
+                assert ingested(C.ingest_bookings, p) == expected
+                if clean:
+                    assert not isinstance(expected, str)
+                    with per_row_path_raises():
+                        assert ingested(C.ingest_bookings, p) == expected
+
+    @pytest.mark.parametrize("bad, message", [
+        ("2017-01-02,3,1,9,2,0", "cancel_lead_days exceeds lead_days"),
+        ('"2017-01-02",3,0,,2,0', None),
+        ("2017-01-02,3,0,,2", "fewer fields than the header"),
+    ], ids=["broken-rule", "quoted", "short-row"])
+    def test_bad_line_in_second_chunk(self, tmp_path, bad, message):
+        # at the shipped chunk size: the first chunk is clean
+        n = C.CHUNK_LINES + 10
+        lines = ["2017-01-01,5,0,,2,0"] * n
+        lines[C.CHUNK_LINES + 3] = bad
+        p = tmp_path / "b.csv"
+        p.write_text(HEADER + "\n".join(lines) + "\n")
+        expected = ingested(R.ingest_bookings, p)
+        assert ingested(C.ingest_bookings, p) == expected
+        if message:
+            assert expected == f"line {C.CHUNK_LINES + 5}: {message}"
+        else:
+            assert len(C.ingest_bookings(p)) == n
+
+    @pytest.mark.parametrize("note, message", [
+        ("x" * 85, None),  # a line over the limit, its fields under it
+        ("x" * 120, "line 2: field larger than field limit (100)"),
+    ], ids=["long-line", "long-field"])
+    def test_field_size_limit(self, tmp_path, note, message):
+        p = tmp_path / "b.csv"
+        p.write_text(HEADER.replace("\n", ",note\n")
+                     + f"2017-01-01,5,0,,2,0,{note}\n")
+        limit = csv.field_size_limit(100)
+        try:
+            expected = ingested(R.ingest_bookings, p)
+            assert ingested(C.ingest_bookings, p) == expected
+        finally:
+            csv.field_size_limit(limit)
+        if message:
+            assert expected == message
+        else:
+            assert not isinstance(expected, str)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_bytes(HEADER.encode() + b"2017-01-01,5,0,,2,0\n" * 5000
+                      + b"2017-01-01,\xff,0,,2,0\n")
+        expected = ingested(R.ingest_bookings, p)
+        assert expected.endswith("invalid start byte)")
+        assert ingested(C.ingest_bookings, p) == expected
+
+
+def load_perfbench_workloads():
+    """perfbench/workloads.py, loaded by path with its sibling `checks`."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    with mock.patch.dict(sys.modules), mock.patch.object(
+            sys, "path", [str(bench), *sys.path]):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestColumnarPath:
+    """Clean files, the benchmark's dataset among them, are read by the
+    columnar path alone: with the per-row path failing, each still
+    ingests, and to the reference's array."""
+
+    def check(self, p):
+        with per_row_path_raises():
+            data = C.ingest_bookings(p)
+        assert data.tobytes() == R.ingest_bookings(p).tobytes()
+        return data
+
+    def test_lf_file(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text(HEADER + "2017-01-01,5,0,,2,0\n"
+                     "2017-01-02,10,1,4,1,0\n2017-01-03,0,0,,3,1\n")
+        assert self.check(p).tolist() == [
+            row(), row(10, True, 4, 1, day=1), row(0, stay=3, walkin=True,
+                                                   day=2)]
+
+    def test_written_crlf_file(self, tmp_path):
+        p = tmp_path / "b.csv"
+        data = C.simulate_booking_records(MODEL, 30, seed=4)
+        C.write_bookings(data, p)
+        assert b"\r\n" in p.read_bytes()
+        assert self.check(p).tobytes() == data.tobytes()
+
+    def test_benchmark_dataset(self, tmp_path):
+        p = tmp_path / "b.csv"
+        rows = load_perfbench_workloads().write_bookings(p, 20240401)
+        assert len(self.check(p)) == rows > C.CHUNK_LINES
 
 
 class TestFitGamma:
