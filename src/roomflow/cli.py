@@ -201,13 +201,16 @@ _MAX_CELLS = 10_000  # of a grid, and so of points on one axis
 
 def parse_axis(text):
     """Value grid: either "a,b,c" or "start:stop:step" (stop inclusive up to
-    float error). A range is sized before it is built, so one far past the
-    cell limit fails without allocating its points. Values that print alike
-    would share a cell key, and so a seed: they fail."""
+    float error; start and step finite). A range is sized before it is
+    built, so one far past the cell limit fails without allocating its
+    points. Values that print alike would share a cell key, and so a seed:
+    they fail."""
     text = text.strip()
     if ":" in text:
-        start, stop, step = (float(x) for x in text.split(":"))
-        if not (step > 0 and start <= stop):  # nan fails both
+        bounds = [float(x) for x in text.split(":")]
+        start, stop, step = bounds if len(bounds) == 3 else [math.nan] * 3
+        if not (math.isfinite(start) and 0 < step < math.inf
+                and start <= stop):  # nan fails every test
             raise ConfigError(f"bad axis range {text!r}")
         steps = (stop - start) / step
         if not steps < _MAX_CELLS:

@@ -11,12 +11,13 @@ the regret into Stage-I and Stage-II components.
 
 Stage I reads stream 1 and constants only, never the ledger, so a
 replication runs at two levels. A Stage-I batch of whole days draws those
-days' stream 1 and settles every policy's Stage I at once
-(`batch_survivors`: numpy lanes, one per day and policy, stepped once per
-request position of the batch's largest day). Stage-II blocks within the
-batch then draw streams 2 and 3 of their days; Stage II's sorting and
-counting (`block_checkins`) runs once per block, and each day decides its
-check-ins in plain Python against the ledger."""
+days' booking requests and their would-be check-ins (streams 1 and 2) and
+settles every policy's Stage I at once (`batch_survivors`: numpy lanes, one
+per day and policy, stepped once per request position of the batch's
+largest day). Stage-II blocks within the batch then draw the walk-ins of
+their days (stream 3); Stage II's sorting and counting (`block_checkins`)
+runs once per block, and each day decides its check-ins in plain Python
+against the ledger."""
 
 from __future__ import annotations
 
@@ -94,7 +95,6 @@ class OccupancyLedger:
         self.day = 1
         self._occupied = 0
         self._leaves = [0] * (T + 2)
-        self.total_room_nights = 0
 
     def occupied(self, day):
         """Rooms committed on `day`, which becomes the open day."""
@@ -113,15 +113,12 @@ class OccupancyLedger:
                 f"day {day}: committed {occupied} > capacity {self.C}")
         end = self.T + 1
         leaves = self._leaves
-        nights = 0
         for d in stays:
             j = day + d
             if j > end:
                 j = end
             leaves[j] += 1
-            nights += j - day
         self._occupied = occupied
-        self.total_room_nights += nights
 
     def copy(self):
         """An independent ledger with the same commitments."""
@@ -136,7 +133,7 @@ class OccupancyLedger:
 
 def batch_survivors(batch, policies, scenario):
     """A boolean mask per policy, the rows of a policies x requests array,
-    of the RequestBatch's bookings it accepts in Stage I that survive the
+    of the batch's Bookings it accepts in Stage I that survive the
     window: request i is accepted iff B_alive + 1 <= caps[i], with the
     policy's caps (policies.stage1_caps).
 
@@ -286,7 +283,8 @@ def block_checkins(block, masks, profiles, v):
     order, by the exact complex key day + time·1j (numpy orders complex
     numbers by real part first). A walk-in's key passes those of the
     bookings before it, so counts are cumulative sums in that order."""
-    bookings, starts, wk_time = block.bookings, block.starts, block.wk_time
+    bookings, wk_time = block.bookings, block.wk_time
+    starts = bookings.starts
     wk_starts = np.array(block.wk_starts)
     days = np.arange(len(starts) - 1)
     key = np.repeat(days, np.diff(starts)) + bookings.arrival_time * 1j
@@ -398,14 +396,13 @@ def run_experiment(scenario, policies):
     names = [n for n, p in policies.items() if not isinstance(p, OraclePolicy)]
     rules = [policies[n] for n in names]
     # two iterators of streams, each with its own Generator: (0, 0, 0) for
-    # the warm start, then streams 2 and 3 of each day a Stage-II block at a
-    # time; and stream 1 of each day a Stage-I batch at a time, ahead of
+    # the warm start, then stream 3 of each day a Stage-II block at a time;
+    # and streams 1 and 2 of each day a Stage-I batch at a time, ahead of
     # them. Each stream depends only on its path, so the order in which the
     # paths are asked for is free. The replication enters through
     # scenario.seed
     rngs = streams(scenario.seed, chain(
-        [(0, 0, 0)], ((0, k, sub) for k in range(1, T + 1)
-                      for sub in (2, 3))))
+        [(0, 0, 0)], ((0, k, 3) for k in range(1, T + 1))))
     bench_ledger = warm_start_ledger(scenario, next(rngs))
     ledgers = {n: (bench_ledger.copy(), bench_ledger.copy()) for n in names}
     bench = np.empty(T)
@@ -414,9 +411,9 @@ def run_experiment(scenario, policies):
     def replay(block, masks, k):  # the block's lists go when it returns
         bookings = block.bookings
         candidates, cut = clairvoyant_stage1_select(
-            np.isnan(bookings.cancel_time), bookings.shows, block.starts)
+            np.isnan(bookings.cancel_time), bookings.shows, bookings.starts)
         selected = bookings.duration[candidates].tolist()
-        days = range(len(block.starts) - 1)
+        days = range(len(bookings.starts) - 1)
         for d in days:
             bench[k + d] = run_oracle_day(k + d + 1, block, d, cut, selected,
                                           bench_ledger, scenario, select=True)
@@ -433,8 +430,8 @@ def run_experiment(scenario, policies):
 
     k = 0  # days done
     for batch in sample_batches(scenario.profiles, streams(
-            scenario.seed, ((0, day, 1) for day in range(1, T + 1))), T,
-            len(rules)):
+            scenario.seed, ((0, day, sub) for day in range(1, T + 1)
+                            for sub in (1, 2))), T, len(rules)):
         masks, o = batch_survivors(batch, rules, scenario), 0
         for block in sample_blocks(scenario.profiles, batch, rngs):
             e = o + len(block.bookings)  # the block's requests are o:e

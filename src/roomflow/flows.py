@@ -13,14 +13,14 @@ count for the total mass, then i.i.d. times from the density).
 
 Days are sampled as parallel numpy arrays (struct of arrays) with day
 offsets, not as one object per customer or per day: a Stage-I batch of
-days holds their booking requests (`sample_batches`, stream 1), and the
-Stage-II blocks cut from it add check-in outcomes and walk-ins
-(`sample_blocks`, streams 2 and 3); a day is addressed by its block and its
-position in it. Each day draws its raw variates from its own streams, and
-the transforms of them run once per batch or block. Each stream depends
-only on its path, so the order in which paths are asked for changes no
-draw. Vectorized draws take the same values from a Generator as the
-equivalent sequence of scalar draws, so the per-stream draw order
+days holds their booking requests with each one's would-be check-in
+(`sample_batches`, streams 1 and 2), and the Stage-II blocks cut from it
+add their walk-ins (`sample_blocks`, stream 3); a day is addressed by its
+block and its position in it. Each day draws its raw variates from its own
+streams, and the transforms of them run once per batch or block. Each
+stream depends only on its path, so the order in which paths are asked for
+changes no draw. Vectorized draws take the same values from a Generator as
+the equivalent sequence of scalar draws, so the per-stream draw order
 (`sample_batches`, `sample_blocks`) is the seed contract.
 
 scipy is imported only by `RateFunction.mass_after` of a Beta-shaped rate.
@@ -379,7 +379,8 @@ class StageProfiles:
 
 @dataclass(eq=False)
 class Bookings:
-    """Booking requests as parallel arrays, each day's in request order.
+    """Consecutive days' booking requests as parallel arrays, day d at
+    positions starts[d]:starts[d + 1], each day's in request order.
 
     time is relative to the window start; keep is p(time); cancel_time is
     nan for requests that survive the window. arrival_time/shows hold each
@@ -394,6 +395,7 @@ class Bookings:
     duration: np.ndarray
     arrival_time: np.ndarray
     shows: np.ndarray
+    starts: list
 
     def __len__(self):
         return len(self.time)
@@ -401,15 +403,13 @@ class Bookings:
 
 @dataclass(eq=False)
 class DayBlock:
-    """Consecutive sampled days as flat arrays, day d of the block at
-    positions starts[d]:starts[d + 1] of `bookings` and its walk-ins, who
+    """Consecutive sampled days: their `bookings`, and day d's walk-ins, who
     always show, at positions wk_starts[d]:wk_starts[d + 1] of wk_time (in
     time order within the day) and walkin_stays (a list, read per guest)."""
 
     bookings: Bookings
     wk_time: np.ndarray
     walkin_stays: list
-    starts: list
     wk_starts: list
 
 
@@ -417,19 +417,6 @@ def _draw_nhpp(rate, rng):
     """The Poisson count of an NHPP and the i.i.d. variates of its times."""
     n = int(rng.poisson(rate.mass)) if rate.mass > 0 else 0
     return n, rate.draw(n, rng)
-
-
-@dataclass(eq=False)
-class RequestBatch:
-    """Consecutive days' booking requests as the arrays of Bookings that
-    stream 1 draws, day d of the batch at positions starts[d]:starts[d + 1],
-    each day's in request order."""
-
-    time: np.ndarray
-    keep: np.ndarray
-    cancel_time: np.ndarray
-    duration: np.ndarray
-    starts: list
 
 
 # A Stage-I batch closes before its lanes' cells (one more than its
@@ -446,11 +433,12 @@ _BLOCK_DAYS = 256
 
 
 def sample_batches(profiles, rngs, n_days, lanes):
-    """The booking requests of n_days consecutive days, as RequestBatches.
-    Each day draws from the next stream of `rngs`, its stream 1: the
+    """The booking requests of n_days consecutive days, as Bookings. Each
+    day draws from the next two streams of `rngs`, in this order: (1) the
     Poisson count and times of its booking requests (`_draw_nhpp`), then
     one survival uniform, one stay length and one cancel uniform per
-    request, each kind for all requests in time order. The j-th cancelling
+    request, each kind for all requests in time order; (2) the check-in
+    outcomes of every request (`_draw_outcomes`). The j-th cancelling
     request with p > 0 of a day takes the day's j-th cancel uniform
     (KeepCurve.cancel_times), so the rest go unused. A batch is sized for
     `lanes` lanes a day; the transforms of the draws run once per batch.
@@ -460,7 +448,8 @@ def sample_batches(profiles, rngs, n_days, lanes):
     for _ in range(n_days):
         rng = next(rngs)
         n, t_raw = _draw_nhpp(rate, rng)
-        day = (n, t_raw, rng.random(n), law.sample(rng, n), rng.random(n))
+        day = (n, t_raw, rng.random(n), law.sample(rng, n), rng.random(n),
+               *_draw_outcomes(profiles, n, next(rngs)))
         width = max(width, n)
         if days and (len(days) == _BLOCK_DAYS or (width + 1) * lanes
                      * (len(days) + 1) > _BATCH_CELLS):
@@ -471,10 +460,10 @@ def sample_batches(profiles, rngs, n_days, lanes):
 
 
 def _request_batch(profiles, days):
-    """The RequestBatch of days' raw stream-1 draws, which it takes out of
-    the list `days`: each kind of draw is freed once it is joined."""
+    """The Bookings of days' raw draws, which it takes out of the list
+    `days`: each kind of draw is freed once it is joined."""
     curve = profiles.keep_curve
-    counts, t_raw, u_survive, stays, u_cancel = zip(*days)
+    counts, t_raw, u_survive, stays, u_cancel, a_raw, u_show = zip(*days)
     days.clear()
     starts = [0, *accumulate(counts)]
     time = _by_day(profiles.stage1_rate.times(np.concatenate(t_raw, axis=-1)),
@@ -489,14 +478,17 @@ def _request_batch(profiles, days):
     cancel[gone] = curve.cancel_times(
         time[gone], keep[gone], np.concatenate(u_cancel)[
             first + np.arange(len(live)) - live.searchsorted(first)])
-    return RequestBatch(time, keep, cancel, np.concatenate(stays), starts)
+    del u_cancel
+    return Bookings(
+        time, keep, cancel, np.concatenate(stays),
+        profiles.arrival_density.times(np.concatenate(a_raw, axis=-1)),
+        np.concatenate(u_show) < profiles.show_prob, starts)
 
 
 def sample_blocks(profiles, batch, rngs):
-    """The realizations of a RequestBatch's days, as DayBlocks whose
-    bookings are views of the batch's. Each day draws from the next two
-    streams of `rngs`, in this order: (2) the check-in outcomes of every
-    request (`_draw_outcomes`); (3) its walk-ins (`_draw_walkins`). The
+    """The days of a batch of Bookings with their walk-ins, as DayBlocks
+    whose bookings are views of the batch's. Each day draws its walk-ins
+    (`_draw_walkins`) from the next stream of `rngs`, its stream 3. The
     transforms of the draws run once per block. Raw draws are freed before
     a block is yielded."""
     starts = batch.starts
@@ -504,24 +496,20 @@ def sample_blocks(profiles, batch, rngs):
     while o < len(starts) - 1:
         days, total = [], 0
         while o + len(days) < len(starts) - 1 and total < _BLOCK_EVENTS:
-            n = starts[o + len(days) + 1] - starts[o + len(days)]
-            days.append((*_draw_outcomes(profiles, n, next(rngs)),
-                         *_draw_walkins(profiles, next(rngs))))
-            total += n + days[-1][2]  # requests and walk-ins
-        a_raw, u_show, wk_counts, w_raw, wk_stays = zip(*days)
-        e = o + len(days)
+            days.append(_draw_walkins(profiles, next(rngs)))
+            e = o + len(days)
+            total += starts[e] - starts[e - 1] + days[-1][0]  # and walk-ins
+        wk_counts, w_raw, wk_stays = zip(*days)
         a, b = starts[o], starts[e]
         block = DayBlock(
             Bookings(batch.time[a:b], batch.keep[a:b],
                      batch.cancel_time[a:b], batch.duration[a:b],
-                     profiles.arrival_density.times(
-                         np.concatenate(a_raw, axis=-1)),
-                     np.concatenate(u_show) < profiles.show_prob),
+                     batch.arrival_time[a:b], batch.shows[a:b],
+                     [s - a for s in starts[o:e + 1]]),
             _by_day(profiles.walkin_rate.times(
                 np.concatenate(w_raw, axis=-1)), wk_counts),
-            np.concatenate(wk_stays).tolist(),
-            [s - a for s in starts[o:e + 1]], [0, *accumulate(wk_counts)])
-        del days, a_raw, u_show, w_raw, wk_stays
+            np.concatenate(wk_stays).tolist(), [0, *accumulate(wk_counts)])
+        del days, w_raw, wk_stays
         o = e
         yield block
         del block  # freed before the next block is drawn

@@ -14,8 +14,10 @@ enumeration oracle for the offline day optimum, and
 bisection where the engine inverts the threshold in closed form, and
 `max_bookings_within` finds a request's Stage-I cap the same way.
 `engine_days` steps the engine's own policy trajectory day by day for the
-invariant tests, `sampled_batches` yields the engine's Stage-I batches with
-their Stage-II blocks, and `sampled_days` yields their days one at a time.
+invariant tests, whose room-night conservation checks count the nights
+admitted outside the engine (`CountingLedger`, `counting_warm_start`).
+`sampled_batches` yields the engine's Stage-I batches with their Stage-II
+blocks, and `sampled_days` yields their days one at a time.
 `fit_poisson_mixture` runs the EM restarts of the walk-in mixture fit one
 after another, where `roomflow.calibration` runs them together, and
 `ingest_bookings` reads a booking dataset one csv record at a time, where
@@ -29,6 +31,7 @@ import datetime
 import heapq
 import itertools
 import math
+import unittest.mock
 import warnings
 from dataclasses import dataclass, fields
 
@@ -79,7 +82,7 @@ def substream(master_seed, *path):
 
 def day_streams(seed, rep, days, subs):
     """The streams `subs` of the given days of replication rep, day by
-    day: (1,) for `flows.sample_batches`, (2, 3) for `flows.sample_blocks`."""
+    day: (1, 2) for `flows.sample_batches`, (3,) for `flows.sample_blocks`."""
     return streams(seed, ((rep, k, sub) for k in days for sub in subs))
 
 
@@ -98,8 +101,8 @@ def sampled_batches(profiles, seed, days, rep=0):
     numbers) of replication rep: yields each Stage-I batch, sized for one
     policy, with its Stage-II blocks, as a list of (the block's first
     request in the batch, DayBlock)."""
-    rngs = day_streams(seed, rep, days, (2, 3))
-    for batch in sample_batches(profiles, day_streams(seed, rep, days, (1,)),
+    rngs = day_streams(seed, rep, days, (3,))
+    for batch in sample_batches(profiles, day_streams(seed, rep, days, (1, 2)),
                                 len(days), 1):
         blocks = list(sample_blocks(profiles, batch, rngs))
         yield batch, list(zip(itertools.accumulate(
@@ -112,10 +115,12 @@ def sampled_days(profiles, seed, days, rep=0):
     for _, blocks in sampled_batches(profiles, seed, days, rep):
         for _, block in blocks:
             b = block.bookings
-            for (o, e), (w, x) in zip(itertools.pairwise(block.starts),
+            arrays = [f.name for f in fields(b) if f.name != "starts"]
+            for (o, e), (w, x) in zip(itertools.pairwise(b.starts),
                                       itertools.pairwise(block.wk_starts)):
                 yield SampledDay(
-                    Bookings(*(getattr(b, f.name)[o:e] for f in fields(b))),
+                    Bookings(*(getattr(b, name)[o:e] for name in arrays),
+                             [0, e - o]),
                     block.wk_time[w:x], block.walkin_stays[w:x])
 
 
@@ -130,7 +135,7 @@ def engine_days(scenario, policy, ledger):
             (day, stays), = E.block_checkins(
                 block, [mask[o:o + len(block.bookings)]], scenario.profiles,
                 scenario.v)
-            for d in range(len(block.starts) - 1):
+            for d in range(len(block.bookings.starts) - 1):
                 k += 1
                 carried = ledger.occupied(k)
                 loss = E.run_day(k, block, d, day, stays, policy, ledger,
@@ -252,7 +257,6 @@ class DictLedger:
         self.C = C
         self.T = T
         self.committed = {}
-        self.total_room_nights = 0
 
     def occupied(self, day):
         return self.committed.get(day, 0)
@@ -264,7 +268,25 @@ class DictLedger:
             if n > self.C:
                 raise E.CapacityError(f"day {j}: {n} > {self.C}")
             self.committed[j] = n
-        self.total_room_nights += max(0, last - day + 1)
+
+
+class CountingLedger(E.OccupancyLedger):
+    """The engine's ledger, which also counts the room-nights inside the
+    horizon of every guest it admits, from their stays alone: a guest
+    admitted on day k for d nights holds min(d, T + 1 - k) of them."""
+
+    room_nights = 0
+
+    def admit(self, day, stays):
+        super().admit(day, stays)
+        self.room_nights += sum(min(d, self.T + 1 - day) for d in stays)
+
+
+def counting_warm_start(scenario, rng):
+    """`engine.warm_start_ledger`'s ledger as a CountingLedger, so that its
+    warm-start guests are counted too."""
+    with unittest.mock.patch.object(E, "OccupancyLedger", CountingLedger):
+        return E.warm_start_ledger(scenario, rng)
 
 
 def warm_start(scenario, rng):

@@ -281,7 +281,8 @@ class TestStageOneConcentration:
                               overbook_penalty=1.0, profiles=prof)
         exceed = days = 0
         for batch in sample_batches(
-                prof, R.day_streams(2024, 7, range(10_000), (1,)), 10_000, 1):
+                prof, R.day_streams(2024, 7, range(10_000), (1, 2)), 10_000,
+                1):
             mask, = E.batch_survivors(batch, [pol], sc)
             survivors = np.diff(np.concatenate(([0], mask.cumsum()))[
                 batch.starts])  # per day
@@ -340,7 +341,7 @@ class TestInvariantSuite:
         pol = E.AdaptivePolicy(2.0, 0.4)
         for _ in range(8):
             sc = self.random_scenario(rng)
-            led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+            led = R.counting_warm_start(sc, substream(sc.seed, 0, 0, 0))
             committed = []
             for k, loss, _ in engine_days(sc, pol, led):
                 # daily conservation: idle + occupied = C, priced at r; the
@@ -350,7 +351,7 @@ class TestInvariantSuite:
                 overbooked = (loss - sc.reward * idle) / sc.overbook_penalty
                 assert overbooked >= 0 and overbooked.is_integer()
                 committed.append(led.occupied(k))
-            assert led.total_room_nights == sum(committed)
+            assert led.room_nights == sum(committed)
 
     def test_survival_law_three_sigma(self):
         # empirical window survival per request-time bin vs the keep value

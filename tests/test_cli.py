@@ -795,6 +795,16 @@ class TestConfigContract:
                        "more than 10000 points\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0:1", "0:1:0.5:2", "inf:inf:1",
+                                      "0:1:inf"])
+    def test_malformed_axis_range_rejected(self, tmp_path, capsys, text):
+        # two or four parts, or a start or step that is not finite
+        rc, err, out = self.run(tmp_path, capsys,
+                                MULTIDAY + f"[sweep]\nv = {text}\n")
+        assert rc == 1
+        assert err == (f"config error: [sweep] v: bad axis range {text!r}\n")
+        assert not out.exists()
+
     def test_horizon_axis_is_honoured(self, tmp_path, capsys):
         rc, _, out = self.run(tmp_path, capsys, "[sweep]\nT = 10,20\n",
                               "--reps", "1", preset="lower-bound")

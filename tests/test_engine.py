@@ -48,10 +48,10 @@ class TestOccupancyLedger:
             == [0, 1, 1, 1, 0]
 
     def test_truncates_at_horizon(self):
-        led = E.OccupancyLedger(C=3, T=6)
+        led = R.CountingLedger(C=3, T=6)
         led.admit(5, [10])
         assert led.occupied(6) == 1 and led.occupied(7) == 0
-        assert led.total_room_nights == 2
+        assert led.room_nights == 2
 
     def test_capacity_violation_raises(self):
         led = E.OccupancyLedger(C=1, T=10)
@@ -106,8 +106,9 @@ def one_day_survivors(times, cancels, beta):
     survivor) under the heuristic, whose cap (1 + beta) * delta * C / q1 is
     1 + beta at C = 1, q1 = 1 and one-night stays."""
     n = len(times)
-    batch = F.RequestBatch(np.array(times), np.ones(n), np.array(cancels),
-                           np.ones(n, dtype=int), [0, n])
+    batch = F.Bookings(np.array(times), np.ones(n), np.array(cancels),
+                       np.ones(n, dtype=int), np.zeros(n),
+                       np.ones(n, dtype=bool), [0, n])
     mask, = E.batch_survivors(batch, [E.HeuristicPolicy(beta)],
                               scenario(T=1, C=1, q1=1.0, q_stay=0.0))
     return mask.tolist()
@@ -216,12 +217,12 @@ class TestRunHorizonAccounting:
             scenario(T=0)
 
     def test_room_night_conservation(self):
-        # ledger total equals the sum of daily committed counts
+        # the room-nights admitted equal the sum of daily committed counts
         sc = scenario(T=25)
         pol = E.AdaptivePolicy(2.0, 0.4)
-        led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+        led = R.counting_warm_start(sc, substream(sc.seed, 0, 0, 0))
         committed = [led.occupied(k) for k, _, _ in engine_days(sc, pol, led)]
-        assert led.total_room_nights == sum(committed)
+        assert led.room_nights == sum(committed)
 
 
 class TestRegret:

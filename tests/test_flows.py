@@ -315,9 +315,10 @@ class TestRecords:
         # the sampler draws an outcome for every request, admitted or not
         profiles = simple_profiles(
             keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]))
-        batch = next(sample_batches(profiles, iter([substream(18)]), 1, 1))
+        batch = next(sample_batches(profiles, iter(
+            [substream(18), substream(19)]), 1, 1))
         day = next(sample_blocks(profiles, batch, iter(
-            [substream(19), substream(22)]))).bookings
+            [substream(22)]))).bookings
         assert len(day.arrival_time) == len(day.shows) == len(day) > 0
         assert day.shows.dtype == bool
 
@@ -328,12 +329,12 @@ class TestRecords:
         monkeypatch.setattr(F, "_BLOCK_EVENTS", 100)
         profiles = simple_profiles(lam1=0.5, lam2=30.0)
         batch, = sample_batches(
-            profiles, day_streams(23, 0, range(1, 61), (1,)), 60, 1)
+            profiles, day_streams(23, 0, range(1, 61), (1, 2)), 60, 1)
         blocks = list(sample_blocks(
-            profiles, batch, day_streams(23, 0, range(1, 61), (2, 3))))
-        assert sum(len(b.starts) - 1 for b in blocks) == 60
+            profiles, batch, day_streams(23, 0, range(1, 61), (3,))))
+        assert sum(len(b.bookings.starts) - 1 for b in blocks) == 60
         assert len(blocks) > 5
         for block in blocks:
-            assert block.starts[-2] + block.wk_starts[-2] < 100
+            assert block.bookings.starts[-2] + block.wk_starts[-2] < 100
         for block in blocks[:-1]:
             assert len(block.bookings) + len(block.wk_time) >= 100

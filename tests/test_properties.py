@@ -170,7 +170,7 @@ class TestArrayEngineMatchesReference:
     def test_stage1_stream_ends_where_the_scalar_one_does(self, sc, seed):
         prof = sc.profiles
         fast, slow = substream(seed, 1), substream(seed, 1)
-        next(sample_batches(prof, iter([fast]), 1, 1))
+        next(sample_batches(prof, iter([fast, substream(seed, 2)]), 1, 1))
         R.sample_stage1(prof, slow)
         assert fast.random() == slow.random()
 
@@ -267,11 +267,11 @@ def checkin_blocks(draw):
     bookings = F.Bookings(
         np.zeros(n), np.ones(n), np.where(survives, np.nan, 0.0),
         np.arange(1, n + 1),
-        np.array(arrival, dtype=float), np.array(shows, dtype=bool))
+        np.array(arrival, dtype=float), np.array(shows, dtype=bool),
+        [0, *itertools.accumulate(len(a) for a, _ in days)])
     block = F.DayBlock(
         bookings, np.array(wk_time, dtype=float),
         list(range(1001, 1001 + len(wk_time))),
-        [0, *itertools.accumulate(len(a) for a, _ in days)],
         [0, *itertools.accumulate(len(w) for _, w in days)])
     return block, np.array(kept, dtype=bool)
 
@@ -305,7 +305,7 @@ class TestBlockCheckinsMatchReference:
         # the reference's one-event-at-a-time replay of each day
         block, kept = case
         C = data.draw(st.integers(1, 8))
-        n_days = len(block.starts) - 1
+        n_days = len(block.bookings.starts) - 1
         base = {k: data.draw(st.integers(0, C)) for k in range(1, n_days + 1)}
         sc = E.ScenarioConfig(
             T=n_days, C=C, v=v, reward=1.0, overbook_penalty=2.0,
@@ -320,13 +320,13 @@ class TestBlockCheckinsMatchReference:
         (day, stays), = E.block_checkins(block, [kept], sc.profiles, v)
         candidates, cut = clairvoyant_stage1_select(
             np.isnan(block.bookings.cancel_time), block.bookings.shows,
-            block.starts)
+            block.bookings.starts)
         selected = block.bookings.duration[candidates].tolist()
         ledgers = [RecordingLedger(base) for _ in range(3)]
         b = block.bookings
         for d in range(n_days):
             k = d + 1
-            o, e = block.starts[d:d + 2]
+            o, e = b.starts[d:d + 2]
             w, x = block.wk_starts[d:d + 2]
             guests = [R.Guest(float(b.arrival_time[i]), bool(b.shows[i]),
                               int(b.duration[i])) for i in range(o, e)]
@@ -369,9 +369,10 @@ def stage1_batches(draw):
                          max_size=n))
     cancel = [math.nan if lag is None else t + lag
               for t, lag in zip(time.tolist(), lags)]
-    return F.RequestBatch(time, np.array(keep), np.array(cancel),
-                          np.ones(n, dtype=int),
-                          [0, *itertools.accumulate(map(len, days))])
+    return F.Bookings(time, np.array(keep), np.array(cancel),
+                      np.ones(n, dtype=int), np.zeros(n),
+                      np.ones(n, dtype=bool),
+                      [0, *itertools.accumulate(map(len, days))])
 
 
 class TestBatchSurvivors:
@@ -436,7 +437,7 @@ class TestEngineInvariants:
     def test_capacity_accounting_and_room_nights(self, case):
         sc, policies = case
         for policy in (policies["adaptive"], policies["heuristic"]):
-            led = E.warm_start_ledger(sc, substream(sc.seed, 0, 0, 0))
+            led = R.counting_warm_start(sc, substream(sc.seed, 0, 0, 0))
             occupied = []
             for k, loss, _ in engine_days(sc, policy, led):
                 # capacity safety: the ledger raises CapacityError before
@@ -450,7 +451,7 @@ class TestEngineInvariants:
                 occupied.append(led.occupied(k))
             # room-night conservation: nights admitted inside the horizon
             # equal the nights the daily occupancies add up to
-            assert led.total_room_nights == sum(occupied)
+            assert led.room_nights == sum(occupied)
 
     @SETTINGS
     @given(case=cases())
