@@ -1,12 +1,9 @@
 """Fitting hotel-booking records to the generative model.
 
 Lead times get a Gamma law, cancellation intervals a Weibull law, stay
-durations a Geometric law, and daily walk-in counts a Poisson mixture; the
-fitted marginals are then reassembled into a replayable scenario. The keep
-curve and show probability are derived from the joint law of (lead time,
-cancellation flag, cancellation interval): a cancellation landing with less
-than one day of remaining lead behaves as a no-show, earlier ones as
-in-window cancellations.
+durations a Geometric law, and daily walk-in counts a Poisson mixture. The
+fitted model is written as key=value text (`save_model`) beside a quality
+report (`fit_report`).
 
 A booking dataset of plain rows is ingested a chunk of lines at a time,
 each column converted and each rule checked over the whole chunk. Any
@@ -31,12 +28,11 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ScenarioConfig
-from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles, streams
+from .flows import streams
 
 # a booking dataset: one record per CSV row, one field per column. The
 # arrival date is held as its proleptic Gregorian ordinal, and a booking
@@ -59,12 +55,8 @@ class ComponentsReduced(UserWarning):
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Fitted marginals plus the aggregates needed to rebuild a scenario.
-
-    cancel_prob and mean_daily_bookings are not themselves fitted laws but
-    scenario_from_fit cannot shape a booking rate or keep curve without
-    them.
-    """
+    """Fitted marginals, plus two aggregates of the reserved rows that are
+    not themselves fitted laws: cancel_prob and mean_daily_bookings."""
 
     lead_gamma: tuple          # (shape, scale)
     cancel_weibull: tuple      # (shape, scale)
@@ -73,7 +65,6 @@ class FittedModel:
     capacity: int
     cancel_prob: float = 0.0
     mean_daily_bookings: float = 0.0
-    mean_daily_walkins: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         for name, (a, b) in (("lead_gamma", self.lead_gamma),
@@ -92,7 +83,6 @@ class FittedModel:
             raise ValueError("mixture weights must be positive and sum to 1")
         if np.any(r < 0):
             raise ValueError("mixture rates must be nonnegative")
-        object.__setattr__(self, "mean_daily_walkins", float(w @ r))
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +273,6 @@ def _ingest_rows(path):
     return np.array(rows, dtype=BOOKING_DTYPE)
 
 
-def write_bookings(data, path):
-    """Inverse of ingest_bookings (round-trips exactly)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for date, lead, canceled, cancel_lead, stay, walkin in data.tolist():
-            writer.writerow([
-                datetime.date.fromordinal(date).isoformat(), lead,
-                int(canceled), cancel_lead if canceled else "", stay,
-                int(walkin)])
-
-
 # ---------------------------------------------------------------------------
 # fitters
 
@@ -465,7 +443,7 @@ def poisson_mixture_loglik(daily_counts, mixture):
 
 
 # ---------------------------------------------------------------------------
-# model assembly
+# the model, its file and its report
 
 def daily_walkin_counts(data):
     """Walk-in count of every arrival date of the dataset, in sorted date
@@ -519,123 +497,11 @@ def fit_model(data, capacity, n_components=2, seed=0):
     )
 
 
-def _weibull_cdf(x, shape, scale):
-    x = np.maximum(np.asarray(x, dtype=float), 0.0)
-    return 1.0 - np.exp(-((x / scale) ** shape))
-
-
 def _gamma_logpdf(x, shape, scale):
     """Gamma log-density at positive x."""
     from scipy.special import gammaln
     return ((shape - 1.0) * np.log(x) - x / scale
             - gammaln(shape) - shape * np.log(scale))
-
-
-def _gamma_pdf(x, shape, scale):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(_gamma_logpdf(x[pos], shape, scale))
-    return out
-
-
-# knots of the fitted keep curve and pieces of the booking rate
-_GRID = 200
-
-
-def scenario_from_fit(model, T, k0, v, reward=1.0, overbook_penalty=1.0):
-    """Rebuild a replayable scenario with capacity model.capacity from
-    fitted marginals.
-
-    A booking made at window time t has lead u = k0 - t days. It cancels
-    with probability cancel_prob at interval Z ~ Weibull; the cancellation
-    lands in the booking window when Z <= u - 1 and behaves as a no-show
-    when Z > u - 1. This yields the keep curve
-    p(t) = 1 - cancel_prob F_Z(u - 1) and the aggregate show probability
-    among window survivors. Booking volume is shaped by the truncated lead
-    density; walk-in mass is the mixture mean (deterministic-rate mode).
-    Intraday timing is not identifiable from daily data: both intraday
-    densities are uniform.
-    """
-    if k0 < 1:
-        raise ValueError("k0: must be at least 1")
-    if T < k0:
-        raise ValueError("horizon shorter than the booking window")
-    pi_c = model.cancel_prob
-    wk, wsc = model.cancel_weibull
-    gk, gsc = model.lead_gamma
-
-    t = np.linspace(0.0, k0, _GRID + 1)
-    lead = k0 - t
-    keep = 1.0 - pi_c * _weibull_cdf(lead - 1.0, wk, wsc)
-    keep = np.maximum.accumulate(np.clip(keep, 0.0, 1.0))
-    keep[-1] = 1.0
-    curve = KeepCurve(t, keep)
-
-    density = _gamma_pdf(lead, gk, gsc)
-    seg_w = 0.5 * (density[:-1] + density[1:])
-    if seg_w.sum() <= 0:
-        seg_w = np.ones(_GRID)
-    seg_mass = seg_w / seg_w.sum() * model.mean_daily_bookings
-    widths = np.diff(t)
-    pieces = [((float(t[i]), float(t[i + 1])),
-               float(seg_mass[i] / widths[i])) for i in range(_GRID)]
-    stage1_rate = RateFunction.piecewise(pieces)
-
-    # shows are non-cancellers; survivors also include would-be no-shows
-    survive = keep[:-1]
-    shows = (1.0 - pi_c) * np.ones(_GRID)
-    booked_w = seg_mass
-    q1 = float((booked_w * shows).sum() / (booked_w * survive).sum())
-    q1 = min(max(q1, 1e-9), 1.0)
-
-    profiles = StageProfiles(
-        stage1_rate=stage1_rate,
-        keep_curve=curve,
-        show_prob=q1,
-        arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
-        walkin_rate=RateFunction.constant(model.mean_daily_walkins, 0.0, 1.0),
-        duration_law=DurationLaw("geometric", q_stay=model.duration_geometric),
-    )
-    return ScenarioConfig(
-        T=T, C=model.capacity, v=v, reward=reward,
-        overbook_penalty=overbook_penalty, profiles=profiles,
-    )
-
-
-# ---------------------------------------------------------------------------
-# synthetic data and persistence
-
-def simulate_booking_records(model, n_days, seed=0):
-    """Synthetic dataset drawn from a known model (for round-trip checks).
-
-    Lead times, cancellation intervals, and counts are integerized the way
-    the record format requires; intervals are clipped to the lead.
-    """
-    rng = next(streams(seed, [(97,)]))
-    gk, gsc = model.lead_gamma
-    wk, wsc = model.cancel_weibull
-    weights = np.array([w for w, _ in model.walkin_mixture])
-    rates = np.array([r for _, r in model.walkin_mixture])
-    first = datetime.date(2017, 1, 1).toordinal()
-    rows = []
-    for date in range(first, first + n_days):
-        n_res = rng.poisson(model.mean_daily_bookings)
-        for _ in range(n_res):
-            lead = max(1, int(round(rng.gamma(gk, gsc))))
-            canceled = bool(rng.random() < model.cancel_prob)
-            cancel_lead = 0
-            if canceled:
-                z = wsc * rng.weibull(wk)
-                cancel_lead = min(max(1, int(round(z))), lead)
-            stay = int(rng.geometric(1.0 - model.duration_geometric))
-            rows.append((date, lead, canceled, cancel_lead, stay, False))
-        comp = rng.choice(len(weights), p=weights)
-        for _ in range(rng.poisson(rates[comp])):
-            rows.append((date, 0, False, 0,
-                         int(rng.geometric(1.0 - model.duration_geometric)),
-                         True))
-    return np.array(rows, dtype=BOOKING_DTYPE)
 
 
 def save_model(model, path):
@@ -656,31 +522,6 @@ def save_model(model, path):
         lines.append(f"walkin_rate_{i}={r!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path):
-    kv = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key] = val
-    n = int(kv["walkin_components"])
-    mixture = tuple((float(kv[f"walkin_weight_{i}"]),
-                     float(kv[f"walkin_rate_{i}"])) for i in range(n))
-    return FittedModel(
-        lead_gamma=(float(kv["lead_gamma_shape"]),
-                    float(kv["lead_gamma_scale"])),
-        cancel_weibull=(float(kv["cancel_weibull_shape"]),
-                        float(kv["cancel_weibull_scale"])),
-        duration_geometric=float(kv["duration_geometric_q_stay"]),
-        walkin_mixture=mixture,
-        capacity=int(kv["capacity"]),
-        cancel_prob=float(kv["cancel_prob"]),
-        mean_daily_bookings=float(kv["mean_daily_bookings"]),
-    )
 
 
 def fit_report(model, data):

@@ -6,10 +6,10 @@ yield bit-identical event streams: SeedSequence([seed, *path]), a day of a
 multiday replication on path (0, day, sub) under its cell seed, which holds
 the replication. The test suite holds each stream to numpy's own
 SeedSequence. Arrival intensities are stored as a total mass plus a
-normalized density, which makes a scaled Beta density and a
-piecewise-constant rate interchangeable, and lets non-homogeneous Poisson
-streams be sampled exactly by count-then-order-statistics (draw a Poisson
-count for the total mass, then i.i.d. times from the density).
+normalized density, which makes a scaled Beta density and a flat rate
+interchangeable, and lets non-homogeneous Poisson streams be sampled
+exactly by count-then-order-statistics (draw a Poisson count for the total
+mass, then i.i.d. times from the density).
 
 Days are sampled as parallel numpy arrays (struct of arrays) with day
 offsets, not as one object per customer or per day: a Stage-I batch of
@@ -29,7 +29,6 @@ scipy is imported only by `RateFunction.mass_after` of a Beta-shaped rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, islice
 
 import numpy as np
@@ -149,13 +148,11 @@ def _hash(head, tails):
 class RateFunction:
     """Nonnegative arrival intensity over an interval.
 
-    Stored as (mass, normalized density). Supported shapes: piecewise
-    constant over contiguous intervals, and a Beta(a, b) density scaled to a
-    total mass.
+    Stored as (mass, normalized density). Supported shapes: flat, and a
+    Beta(a, b) density scaled to a total mass.
     """
 
-    def __init__(self, kind, t0, t1, mass, breaks=None, piece_mass=None,
-                 a=None, b=None):
+    def __init__(self, kind, t0, t1, mass, a=None, b=None):
         if t1 < t0:
             raise ValueError("empty domain")
         if mass < 0:
@@ -164,35 +161,14 @@ class RateFunction:
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.mass = float(mass)
-        self.breaks = breaks
-        self.piece_mass = piece_mass
         self.a = a
         self.b = b
 
     @classmethod
     def constant(cls, rate, t0=0.0, t1=1.0):
-        return cls.piecewise([((t0, t1), rate)])
-
-    @classmethod
-    def piecewise(cls, pieces):
-        """pieces: list of ((lo, hi), rate) with contiguous intervals."""
-        if not pieces:
-            raise ValueError("no pieces")
-        breaks = [pieces[0][0][0]]
-        masses = []
-        for (lo, hi), rate in pieces:
-            if rate < 0:
-                raise ValueError("negative rate")
-            if hi < lo:
-                raise ValueError("piece with hi < lo")
-            if abs(lo - breaks[-1]) > 1e-12:
-                raise ValueError("pieces not contiguous")
-            breaks.append(hi)
-            masses.append(rate * (hi - lo))
-        breaks = np.asarray(breaks, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        return cls("piecewise", breaks[0], breaks[-1], float(masses.sum()),
-                   breaks=breaks, piece_mass=masses)
+        if rate < 0:
+            raise ValueError("negative rate")
+        return cls("flat", t0, t1, rate * (t1 - t0))
 
     @classmethod
     def beta_shaped(cls, mass, a, b, t0=0.0, t1=1.0):
@@ -202,9 +178,9 @@ class RateFunction:
 
     def draw(self, n, rng):
         """The variates of n i.i.d. times from the normalized density, for
-        `times`: n Beta draws, or two rows of n uniforms, the pieces as
-        rng.choice(len(w), n, p=w) draws them (less its checks on w), then
-        the positions in the pieces."""
+        `times`: n Beta draws, or two rows of n uniforms, the positions in
+        the domain in row 1. Row 0 goes unread; it is drawn because the seed
+        contract fixes the draw order."""
         if self.kind == "beta":
             return rng.beta(self.a, self.b, n)
         if self.mass <= 0 and n:
@@ -213,40 +189,19 @@ class RateFunction:
 
     def times(self, raw):
         """Times of `draw` variates, or of several draws joined on axis -1."""
-        if self.kind == "beta":
-            return self.t0 + (self.t1 - self.t0) * raw
-        if not raw.shape[-1]:
-            return np.empty(0)
-        idx = self._piece_cdf.searchsorted(raw[0], side="right")
-        lo = self.breaks[idx]
-        hi = self.breaks[idx + 1]
-        return lo + raw[1] * (hi - lo)
-
-    @cached_property
-    def _piece_cdf(self):
-        cdf = (self.piece_mass / self.mass).cumsum()
-        cdf /= cdf[-1]
-        return cdf
-
-    @cached_property
-    def _cum_mass(self):
-        return np.concatenate([[0.0], np.cumsum(self.piece_mass)])
+        if self.kind == "flat":
+            raw = raw[1]
+        return self.t0 + (self.t1 - self.t0) * raw
 
     def mass_after(self, u):
         """Mass over [u, t1]; u may be an array."""
         lo = np.maximum(u, self.t0)
+        z = (lo - self.t0) / (self.t1 - self.t0)
         if self.kind == "beta":
             from scipy.special import betainc
-            z = (lo - self.t0) / (self.t1 - self.t0)
             mass = self.mass * (1.0 - betainc(self.a, self.b, z))
         else:
-            cum = self._cum_mass
-            i = np.minimum(self.breaks.searchsorted(lo, side="right") - 1,
-                           len(self.piece_mass) - 1)
-            seg = self.breaks[i + 1] - self.breaks[i]
-            frac = np.divide(lo - self.breaks[i], seg,
-                             out=np.zeros_like(seg), where=seg != 0)
-            mass = cum[-1] - (cum[i] + frac * self.piece_mass[i])
+            mass = self.mass - z * self.mass
         mass = np.where(self.t1 <= lo, 0.0, mass)
         return float(mass) if mass.ndim == 0 else mass
 

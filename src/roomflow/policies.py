@@ -95,8 +95,9 @@ def booking_caps(hat_C, p, iota, m):
     flat = p == 0.0
     q = np.where(flat, 1.0, p)  # p = 0 is settled after the correction
 
-    def fits(n):  # at n = -1 the threshold is nan and never compared
-        with np.errstate(invalid="ignore"):
+    def fits(n):  # at n = -1 the threshold is nan and never compared, and
+        # one that overflows is inf, which never fits
+        with np.errstate(invalid="ignore", over="ignore"):
             return (n < 0.0) | ((n <= m)
                                 & (_threshold(n, q, iota, np.sqrt) <= hat_C))
 

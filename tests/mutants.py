@@ -7,10 +7,10 @@ program, and its note says why. Each old text occurs exactly once in its
 file (`test_mutants.py` checks it), so a refactor that rewrites one must
 port its mutant here, as a deleted test is ported.
 
-To check that a mutant is killed, apply it to a copy of the tree and run
-its tests there with a fresh hypothesis database: delete the copy's
-`.hypothesis` directory, then run `python -m pytest -p no:cacheprovider
-<tests>` in it.
+`python tests/run_mutants.py` checks every mutant: it applies each to its
+own copy of the tree and runs its tests there with a fresh hypothesis
+database. An equivalent mutant runs the tests of the other mutants of its
+file instead, and must survive them.
 """
 
 BATCH_SURVIVORS = "tests/test_properties.py::TestBatchSurvivors::" \
@@ -63,18 +63,17 @@ MUTANTS = [
     ("flows.py", "first + np.arange(len(live)) - live.searchsorted(first)",
      "first + gone.searchsorted(live) - gone.searchsorted(first)",
      (SAMPLING,)),
-    # the piece index of a point at or past the last knot not clipped
-    ("flows.py",
-     'i = np.minimum(self.breaks.searchsorted(lo, side="right") - 1,\n'
-     "                           len(self.piece_mass) - 1)",
-     'i = (self.breaks.searchsorted(lo, side="right") - 1)',
+    # a flat rate's tail mass with the product regrouped: equal in exact
+    # arithmetic, not in floats
+    ("flows.py", "mass = self.mass - z * self.mass",
+     "mass = self.mass - (lo - self.t0) * (self.mass / (self.t1 - self.t0))",
      (RATE_MASS,)),
+    # a flat rate's times read from the unread row of its draws
+    ("flows.py", "raw = raw[1]", "raw = raw[0]", (SAMPLING, FINGERPRINTS)),
     # the upper tail by betaincc: equal in exact arithmetic, not in floats
     ("flows.py", "from scipy.special import betainc\n"
-     "            z = (lo - self.t0) / (self.t1 - self.t0)\n"
      "            mass = self.mass * (1.0 - betainc(self.a, self.b, z))",
      "from scipy.special import betaincc\n"
-     "            z = (lo - self.t0) / (self.t1 - self.t0)\n"
      "            mass = self.mass * betaincc(self.a, self.b, z)",
      (RATE_MASS,)),
     # `fit` without --jobs, which the fit-bookings workload passes

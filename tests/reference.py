@@ -21,19 +21,27 @@ blocks, and `sampled_days` yields their days one at a time.
 `fit_poisson_mixture` runs the EM restarts of the walk-in mixture fit one
 after another, where `roomflow.calibration` runs them together, and
 `ingest_bookings` reads a booking dataset one csv record at a time, where
-`roomflow.calibration` checks clean files a column at a time.
+`roomflow.calibration` checks clean files a column at a time. Synthetic
+booking datasets come from the benchmark's own generator
+(`load_perfbench_workloads`, `write_bookings`), and fitted-model files are
+read back by the benchmark's reader (`checks.read_model` of the loaded
+module).
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import heapq
+import importlib.util
 import itertools
 import math
+import sys
 import unittest.mock
 import warnings
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc, gammaln, logsumexp
@@ -144,15 +152,13 @@ def engine_days(scenario, policy, ledger):
 
 
 def sample_times(rate, n, rng):
-    """RateFunction.times(draw(n, rng)) with numpy's own weighted choice."""
+    """RateFunction.times(draw(n, rng)), one kind of draw after another."""
     if n == 0:
         return np.empty(0)
     if rate.kind == "beta":
         return rate.t0 + (rate.t1 - rate.t0) * rng.beta(rate.a, rate.b, n)
-    idx = rng.choice(len(rate.piece_mass), size=n,
-                     p=rate.piece_mass / rate.mass)
-    u = rng.random(n)
-    return rate.breaks[idx] + u * (rate.breaks[idx + 1] - rate.breaks[idx])
+    rng.random(n)  # drawn and unread, as the seed contract fixes
+    return rate.t0 + (rate.t1 - rate.t0) * rng.random(n)
 
 
 def sample_nhpp(rate, rng):
@@ -173,20 +179,14 @@ def mass_between(rate, lo, hi):
         mass = rate.mass * (betainc(rate.a, rate.b, zhi)
                             - betainc(rate.a, rate.b, zlo))
     else:
-        mass = _cdf(rate, hi) - _cdf(rate, lo)
+        mass = _flat_mass_to(rate, hi) - _flat_mass_to(rate, lo)
     mass = np.where(hi <= lo, 0.0, mass)
     return float(mass) if mass.ndim == 0 else mass
 
 
-def _cdf(rate, x):
-    """Piecewise mass up to x, for x inside the domain."""
-    cum = np.concatenate([[0.0], np.cumsum(rate.piece_mass)])
-    i = np.searchsorted(rate.breaks, x, side="right") - 1
-    i = np.clip(i, 0, len(rate.piece_mass) - 1)
-    seg = rate.breaks[i + 1] - rate.breaks[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(seg == 0, 0.0, (x - rate.breaks[i]) / seg)
-    return cum[i] + frac * rate.piece_mass[i]
+def _flat_mass_to(rate, x):
+    """Flat mass over [t0, x], for x inside the domain."""
+    return (x - rate.t0) / (rate.t1 - rate.t0) * rate.mass
 
 
 def _inverse(curve, y):
@@ -717,3 +717,31 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
     _, w, rates = best
     order = np.argsort(rates)
     return [(float(w[i]), float(rates[i])) for i in order]
+
+
+@functools.cache
+def load_perfbench_workloads():
+    """perfbench/workloads.py, loaded by path with its sibling `checks`
+    (the module's `checks` attribute)."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    with unittest.mock.patch.dict(sys.modules), unittest.mock.patch.object(
+            sys, "path", [str(bench), *sys.path]):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def write_bookings(path, model, days, seed):
+    """A booking CSV of `days` arrival dates from 2017-01-01, drawn from the
+    laws of the FittedModel `model` by the benchmark's generator; returns
+    its row count."""
+    weights, rates = zip(*model.walkin_mixture)
+    return load_perfbench_workloads().write_bookings(path, seed, dict(
+        days=days, first_date=datetime.date(2017, 1, 1),
+        bookings_per_day=model.mean_daily_bookings,
+        lead_gamma=model.lead_gamma, cancel_prob=model.cancel_prob,
+        cancel_weibull=model.cancel_weibull,
+        q_stay=model.duration_geometric, walkin_weights=weights,
+        walkin_rates=rates))

@@ -1,6 +1,6 @@
 """End-to-end acceptance checks: golden values, oracle agreement, preset
 experiment behavior, concentration, linear-regret instance, invariants,
-calibration closure, and the fitted-scenario policy comparison."""
+and calibration closure."""
 
 import dataclasses
 import hashlib
@@ -428,23 +428,3 @@ class TestCalibrationClosure:
         one = calib.fit_poisson_mixture(counts, 1)
         assert (calib.poisson_mixture_loglik(counts, two)
                 >= calib.poisson_mixture_loglik(counts, one))
-
-
-class TestFittedScenarioComparison:
-    def test_adaptive_beats_heuristics_on_refit_scenario(self):
-        model = calib.FittedModel(
-            lead_gamma=(2.0, 3.0), cancel_weibull=(1.5, 4.0),
-            duration_geometric=0.3,
-            walkin_mixture=((0.5, 70.0), (0.5, 140.0)),
-            capacity=70, cancel_prob=0.35, mean_daily_bookings=180.0)
-        rows = calib.simulate_booking_records(model, 300, seed=11)
-        fit = calib.fit_model(rows, 70, seed=1)
-        sc = calib.scenario_from_fit(fit, T=200, k0=14, v=0.7)
-        policies = {"dass": E.AdaptivePolicy(2.0, 0.4)}
-        for b in (-0.2, -0.1, 0.0, 0.1, 0.2):
-            policies[f"h{b:g}"] = E.HeuristicPolicy(beta=b)
-        losses = E.run_experiment(sc, policies)
-        dass = losses["dass"][0].sum()
-        for name, (pol, _, _) in losses.items():
-            if name != "dass":
-                assert dass < pol.sum(), name

@@ -1,8 +1,8 @@
-"""Fitter closure, ingestion round-trips, and scenario assembly."""
+"""Ingestion, fitter closure, the model file, and fits of synthetic
+datasets drawn by the benchmark's generator."""
 
 import csv
 import datetime
-import importlib.util
 import sys
 import tempfile
 import warnings
@@ -110,14 +110,6 @@ class TestIngestion:
             row(lead=10, canceled=True, cancel=4, stay=1, day=1),
             row(lead=0, stay=3, walkin=True, day=2),
         ]
-
-    def test_write_and_reingest_round_trip(self, tmp_path):
-        rows = [row(lead=5, stay=2),
-                row(lead=10, canceled=True, cancel=4, day=1),
-                row(lead=0, stay=3, walkin=True, day=2)]
-        p = tmp_path / "out.csv"
-        C.write_bookings(np.array(rows, dtype=C.BOOKING_DTYPE), p)
-        assert C.ingest_bookings(p).tolist() == rows
 
     # the csv dialect as the per-row reader has always read it: each case
     # is a whole file and its records, or its whole error message
@@ -350,18 +342,6 @@ class TestColumnarIngestMatchesReference:
         assert ingested(C.ingest_bookings, p) == expected
 
 
-def load_perfbench_workloads():
-    """perfbench/workloads.py, loaded by path with its sibling `checks`."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    with mock.patch.dict(sys.modules), mock.patch.object(
-            sys, "path", [str(bench), *sys.path]):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", bench / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
-
-
 class TestColumnarPath:
     """Clean files, the benchmark's dataset among them, are read by the
     columnar path alone: with the per-row path failing, each still
@@ -382,15 +362,20 @@ class TestColumnarPath:
                                                    day=2)]
 
     def test_written_crlf_file(self, tmp_path):
-        p = tmp_path / "b.csv"
-        data = C.simulate_booking_records(MODEL, 30, seed=4)
-        C.write_bookings(data, p)
+        # a generated dataset written again by csv.writer, which ends its
+        # lines with \r\n
+        lf, p = tmp_path / "lf.csv", tmp_path / "b.csv"
+        R.write_bookings(lf, MODEL, 30, seed=4)
+        data = R.ingest_bookings(lf)
+        with open(lf, encoding="utf-8", newline="") as src, \
+                open(p, "w", encoding="utf-8", newline="") as dst:
+            csv.writer(dst).writerows(csv.reader(src))
         assert b"\r\n" in p.read_bytes()
         assert self.check(p).tobytes() == data.tobytes()
 
     def test_benchmark_dataset(self, tmp_path):
         p = tmp_path / "b.csv"
-        rows = load_perfbench_workloads().write_bookings(p, 20240401)
+        rows = R.load_perfbench_workloads().write_bookings(p, 20240401)
         assert len(self.check(p)) == rows > C.CHUNK_LINES
 
 
@@ -537,68 +522,41 @@ class TestBatchedEMMatchesReference:
         assert 0.0 in [rate for _, rate in mixture]
 
 
-class TestScenarioFromFit:
-    ECON = dict(T=100, k0=14, v=0.7)
-
-    def test_no_cancellations_degenerate(self):
-        model = C.FittedModel(
-            lead_gamma=(2.0, 3.0), cancel_weibull=(1.5, 4.0),
-            duration_geometric=0.3, walkin_mixture=((1.0, 5.0),),
-            capacity=70, cancel_prob=0.0, mean_daily_bookings=100.0)
-        sc = C.scenario_from_fit(model, **self.ECON)
-        prof = sc.profiles
-        assert prof.show_prob == pytest.approx(1.0)
-        assert np.all(prof.keep_curve.values == 1.0)
-
-    def test_walkin_mass_is_mixture_mean(self):
-        sc = C.scenario_from_fit(MODEL, **self.ECON)
-        assert sc.profiles.walkin_rate.mass == pytest.approx(9.0)
-
-    def test_capacity_and_policy_passthrough(self):
-        sc = C.scenario_from_fit(MODEL, **self.ECON)
-        assert sc.C == 70 and sc.v == 0.7
-
-    def test_keep_curve_monotone_and_ends_at_one(self):
-        sc = C.scenario_from_fit(MODEL, **self.ECON)
-        curve = sc.profiles.keep_curve
-        assert np.all(np.diff(curve.values) >= 0)
-        assert curve.values[-1] == 1.0
-
-    def test_horizon_shorter_than_window_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            C.scenario_from_fit(MODEL, T=7, k0=14, v=0.7)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError, match="^k0: must be at least 1"):
-            C.scenario_from_fit(MODEL, T=7, k0=0, v=0.7)
-
-    @pytest.mark.parametrize("key", ["reward", "overbook_penalty"])
-    def test_infinite_cost_rejected(self, key):
-        with pytest.raises(ValueError, match=(
-                f"^{key}: must be finite and nonnegative, got inf$")):
-            C.scenario_from_fit(MODEL, **self.ECON, **{key: float("inf")})
-
-
 class TestModelPersistence:
     def test_save_load_round_trip(self, tmp_path):
+        # every field at full precision, as the benchmark's reader reads it
         p = tmp_path / "model.txt"
         C.save_model(MODEL, p)
-        assert C.load_model(p) == MODEL
+        assert R.load_perfbench_workloads().checks.read_model(p) == {
+            "lead_gamma_shape": 2.0, "lead_gamma_scale": 3.0,
+            "cancel_weibull_shape": 1.5, "cancel_weibull_scale": 4.0,
+            "duration_geometric_q_stay": 0.3, "capacity": 70,
+            "cancel_prob": 0.35, "mean_daily_bookings": 180.0,
+            "walkin_components": 2, "walkin_weight_0": 0.5,
+            "walkin_rate_0": 3.0, "walkin_weight_1": 0.5,
+            "walkin_rate_1": 15.0}
+
+
+def simulated(tmp_path, days, seed):
+    """An ingested dataset of `days` dates drawn from MODEL."""
+    p = tmp_path / "b.csv"
+    R.write_bookings(p, MODEL, days, seed)
+    return C.ingest_bookings(p)
 
 
 class TestEndToEndFit:
-    def test_simulated_records_recover_model(self):
-        rows = C.simulate_booking_records(MODEL, 200, seed=5)
+    def test_simulated_records_recover_model(self, tmp_path):
+        rows = simulated(tmp_path, 200, seed=5)
         fit = C.fit_model(rows, 70, seed=1)
         # integerized records: looser than the raw-sample closures
         assert fit.duration_geometric == pytest.approx(0.3, abs=0.02)
         assert fit.cancel_prob == pytest.approx(0.35, abs=0.02)
         assert fit.mean_daily_bookings == pytest.approx(180.0, rel=0.05)
-        mean_wk = fit.mean_daily_walkins
+        mean_wk = sum(w * r for w, r in fit.walkin_mixture)
         assert mean_wk == pytest.approx(9.0, rel=0.10)
 
-    def test_fit_report_mentions_demand_caveat(self):
-        rows = C.simulate_booking_records(MODEL, 30, seed=2)
+    def test_fit_report_mentions_demand_caveat(self, tmp_path):
+        rows = simulated(tmp_path, 30, seed=2)
         fit = C.fit_model(rows, 70, seed=1)
         report = C.fit_report(fit, rows)
         assert "rejected requests" in report

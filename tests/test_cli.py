@@ -4,16 +4,16 @@ import argparse
 import concurrent.futures
 import dataclasses
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
+import reference as R
 import roomflow.calibration as calib
 import roomflow.cli as cli
 
@@ -295,20 +295,14 @@ class TestBenchmarkCommandLines:
         # the benchmark's workloads are frozen, so every flag they pass
         # (fit-bookings passes --jobs 1, which fit never reads) stays; the
         # --jobs 2 lines are those of `perfbench/run.py --verify`
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        with mock.patch.dict(sys.modules), mock.patch.object(
-                sys, "path", [str(bench), *sys.path]):
-            spec = importlib.util.spec_from_file_location(
-                "workloads", bench / "workloads.py")
-            workloads = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(workloads)
-            for name, cls in workloads.WORKLOADS.items():
-                (tmp_path / name).mkdir()
-                argv = cls(tmp_path / name, 0).argv
-                jobs2 = argv[:argv.index("--jobs")] + ["--jobs", "2"]
-                for line in (argv, jobs2):
-                    assert cli.build_parser().parse_args(line).jobs == int(
-                        line[-1])
+        workloads = R.load_perfbench_workloads()
+        for name, cls in workloads.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            argv = cls(tmp_path / name, 0).argv
+            jobs2 = argv[:argv.index("--jobs")] + ["--jobs", "2"]
+            for line in (argv, jobs2):
+                assert cli.build_parser().parse_args(line).jobs == int(
+                    line[-1])
 
 
 class TestSimulate:
@@ -474,23 +468,23 @@ class TestFit:
 
     def test_fit_writes_model_and_report(self, tmp_path, capsys):
         data = tmp_path / "b.csv"
-        calib.write_bookings(
-            calib.simulate_booking_records(self.MODEL, 120, seed=3), data)
+        R.write_bookings(data, self.MODEL, 120, seed=3)
         out = str(tmp_path / "model.txt")
         rc = cli.main(["fit", "--config", str(data), "--out", out,
                        "--capacity", "40", "--seed", "1"])
         assert rc == 0
-        fitted = calib.load_model(out)
-        assert fitted.capacity == 40
-        assert fitted.duration_geometric == pytest.approx(0.3, abs=0.03)
+        fitted = R.load_perfbench_workloads().checks.read_model(out)
+        assert fitted["capacity"] == 40
+        assert fitted["duration_geometric_q_stay"] == pytest.approx(
+            0.3, abs=0.03)
         report = open(out + ".report").read()
         assert "loglik" in report
         assert "rejected requests" in capsys.readouterr().out
 
     def test_walkin_only_dataset_notice(self, tmp_path, capsys):
-        rows = calib.simulate_booking_records(self.MODEL, 60, seed=4)
         data = tmp_path / "w.csv"
-        calib.write_bookings(rows[rows["is_walk_in"]], data)
+        R.write_bookings(data, dataclasses.replace(
+            self.MODEL, mean_daily_bookings=0.0), 60, seed=4)
         rc = cli.main(["fit", "--config", str(data),
                        "--out", str(tmp_path / "m.txt"), "--seed", "1"])
         assert rc == 0
@@ -532,8 +526,7 @@ class TestFit:
     def test_flag_counts_at_least_one(self, tmp_path, capsys, flag, value,
                                       least):
         data = tmp_path / "b.csv"
-        calib.write_bookings(
-            calib.simulate_booking_records(self.MODEL, 10, seed=3), data)
+        R.write_bookings(data, self.MODEL, 10, seed=3)
         out = tmp_path / "model.txt"
         rc = cli.main(["fit", "--config", str(data), "--out", str(out),
                        flag, value])
@@ -595,8 +588,7 @@ class TestFit:
         # to ingestion, the fitters or the report that is meant to keep the
         # output must keep these bytes
         data = tmp_path / "b.csv"
-        calib.write_bookings(
-            calib.simulate_booking_records(self.MODEL, 60, seed=5), data)
+        R.write_bookings(data, self.MODEL, 60, seed=5)
         out = tmp_path / "model.txt"
         rc = cli.main(["fit", "--config", str(data), "--out", str(out),
                        "--capacity", "40", "--seed", "1"])
@@ -604,17 +596,16 @@ class TestFit:
         digests = [hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in (data, out, Path(str(out) + ".report"))]
         assert digests == [
-            "f485292c1fad328d1b669aa720361466a9bff0d7cedd4f072cf3b91c81ea57dd",
-            "5bb923a372d7e058971353dcf25e2e3881867b2ea09f9f5863edaa95b4ed893c",
-            "19e1915161d9e8003ce7ab1a49b747d3811dca1a27550f14608dc85630a01963",
+            "d8bf747dc2b016f03dd463fe74a955ce82c1954189e2713633063d1e70ce0e56",
+            "484017918186291f26fd2b96fb22f2cf2e19d53c91d4af3bb5db00a52de03312",
+            "be5968d17c1d5d1530cc1a7f52b0bcae4e425516fea9e79241e52512f02e186a",
         ]
 
     def test_model_independent_of_hash_seed(self, tmp_path):
         # the walk-in day counts seed the EM restarts; their order must not
         # follow the interpreter's set order
         data = tmp_path / "b.csv"
-        calib.write_bookings(
-            calib.simulate_booking_records(self.MODEL, 60, seed=5), data)
+        R.write_bookings(data, self.MODEL, 60, seed=5)
         src = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for hash_seed in ("1", "2"):
@@ -841,6 +832,21 @@ class TestConfigContract:
         assert rc == 1
         assert err.startswith(f"config error: [run] {field}: must be {rule}")
         assert not out.exists()
+
+    def test_overflowing_threshold_prints_no_warning(self, tmp_path,
+                                                     capsys):
+        # iota = 1e200 overflows the Stage-I threshold to inf, which never
+        # fits: the run is right and must not print numpy's warning
+        out = tmp_path / "x.csv"
+        cfg = write_cfg(tmp_path, "[scenario]\nT = 40\nkeep_p0 = 0.5\n"
+                        "[policies]\np = adaptive iota=1e200 alpha=0.4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--preset", "lower-bound", "--config",
+                           cfg, "--out", str(out), "--reps", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
 
     def test_counts_at_their_bounds_parse(self):
         # the bounds are inclusive; only the parse runs here

@@ -59,10 +59,10 @@ class TestRateFunction:
         assert abs(t.mean() - 0.5) < 0.002
 
     def test_mass_between(self):
-        rate = RateFunction.piecewise([((0.0, 0.5), 10.0), ((0.5, 1.0), 20.0)])
+        rate = RateFunction.constant(15.0, 0.0, 1.0)
         assert rate.mass == pytest.approx(15.0)
         assert rate.mass_after(0.25) - rate.mass_after(0.75) == (
-            pytest.approx(2.5 + 5.0))
+            pytest.approx(7.5))
         beta = RateFunction.beta_shaped(30.0, 6, 6)
         assert beta.mass_after(0.5) == pytest.approx(15.0)
         assert beta.mass_after(0.0) == pytest.approx(30.0)
@@ -91,7 +91,7 @@ class TestRateFunction:
         with pytest.raises(ValueError):
             RateFunction.constant(-1.0)
         with pytest.raises(ValueError):
-            RateFunction.piecewise([((0.0, 0.5), 1.0), ((0.6, 1.0), 1.0)])
+            RateFunction.constant(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             RateFunction.beta_shaped(1.0, 0, 6)
 

@@ -43,15 +43,11 @@ GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 @st.composite
 def rates(draw, mass, t1=1.0):
-    """A Beta-shaped or two-piece piecewise-constant rate of the given mass
-    over [0, t1]."""
+    """A Beta-shaped or flat rate of the given mass over [0, t1]."""
     if draw(st.booleans()):
         return RateFunction.beta_shaped(mass, draw(st.floats(0.5, 6.0)),
                                         draw(st.floats(0.5, 6.0)), 0.0, t1)
-    share = draw(st.floats(0.0, 1.0))
-    mid = t1 / 2
-    return RateFunction.piecewise([((0.0, mid), share * mass / mid),
-                                   ((mid, t1), (1.0 - share) * mass / mid)])
+    return RateFunction.constant(mass / t1, 0.0, t1)
 
 
 @st.composite
@@ -551,20 +547,15 @@ class TestStreams:
 
 @st.composite
 def any_rates(draw):
-    """A Beta-shaped rate or a piecewise-constant one of 1-4 pieces, over a
-    domain starting anywhere in [-2, 2]; pieces and domains may have zero
-    width, and rates may be zero."""
+    """A Beta-shaped or flat rate over a domain starting anywhere in
+    [-2, 2]; domains may have zero width, and rates may be zero."""
     t0 = draw(st.sampled_from([0.0, -1.5]) | st.floats(-2.0, 2.0))
-    widths = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)
+    t1 = t0 + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0))
     if draw(st.booleans()):
         return RateFunction.beta_shaped(
             draw(st.floats(0.0, 50.0)), draw(st.floats(0.1, 8.0)),
-            draw(st.floats(0.1, 8.0)), t0, t0 + draw(widths))
-    pieces, lo = [], t0
-    for width in draw(st.lists(widths, min_size=1, max_size=4)):
-        pieces.append(((lo, lo + width), draw(st.floats(0.0, 50.0))))
-        lo += width
-    return RateFunction.piecewise(pieces)
+            draw(st.floats(0.1, 8.0)), t0, t1)
+    return RateFunction.constant(draw(st.floats(0.0, 50.0)), t0, t1)
 
 
 class TestRateMass:
@@ -574,14 +565,12 @@ class TestRateMass:
         # bit for bit, on the domain's knots, inside and outside it, for a
         # scalar, an empty array and an array
         knots = [rate.t0, rate.t1]
-        if rate.kind == "piecewise":
-            knots += rate.breaks.tolist()
         points = (st.sampled_from(knots) | st.floats(-3.0, 5.0)
                   | st.sampled_from([-math.inf, math.inf]))
         for u in (data.draw(points), np.empty(0),
                   np.array(data.draw(st.lists(points, max_size=6)))):
-            # a zero-width Beta domain divides by zero, and u past a
-            # tiny last piece overflows its fraction; both are masked
+            # a zero-width domain divides by zero, and u = inf makes an
+            # infinite fraction of the domain; both are masked
             with np.errstate(all="ignore"):
                 got = rate.mass_after(u)
                 want = R.mass_between(rate, u, rate.t1)

@@ -1,10 +1,9 @@
 """Guard against test-only API: every top-level function and class in
-`src/roomflow` must be reachable from the `roomflow` command (`cli.main`)
-or from one of calibration's documented library entry points, every
-method, property and classmethod must be named by the package outside its
-own body, every parameter must be read, and every dataclass field must be
-read as an attribute. A name that only tests reach is code the program
-does not need."""
+`src/roomflow` must be reachable from the `roomflow` command (`cli.main`),
+the only entry point, every method, property and classmethod must be named
+by the package outside its own body, every parameter must be read, and
+every dataclass field must be read as an attribute. A name that only tests
+reach is code the program does not need."""
 
 import ast
 from pathlib import Path
@@ -12,11 +11,7 @@ from pathlib import Path
 import roomflow
 
 SRC = Path(roomflow.__file__).resolve().parent
-ENTRY_POINTS = {("cli", "main"),
-                ("calibration", "scenario_from_fit"),
-                ("calibration", "load_model"),
-                ("calibration", "simulate_booking_records"),
-                ("calibration", "write_bookings")}
+ENTRY_POINTS = {("cli", "main")}
 
 
 def _references(tree, module):
