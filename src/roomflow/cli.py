@@ -26,7 +26,13 @@ from itertools import product
 import numpy as np
 
 from . import calibration, engine
-from .flows import DurationLaw, KeepCurve, RateFunction, StageProfiles
+from .flows import (
+    MAX_SHAPE,
+    DurationLaw,
+    KeepCurve,
+    RateFunction,
+    StageProfiles,
+)
 from .policies import (
     AdaptivePolicy,
     HeuristicPolicy,
@@ -272,13 +278,15 @@ def _profiles(f, lam1, p0, k0):
     lam2 = f.get("lambda2", _RATE)
     q1 = f.get("q1", _real("in (0, 1]", lambda x: 0.0 < x <= 1.0))
 
-    def day_rate(prefix, mass):  # Beta(a, b)-shaped, flat when a = b = 1
-        a, b = (f.get(f"{prefix}_beta_{x}", _POSITIVE, 1.0) for x in "ab")
+    def day_rate(prefix, shape, mass):  # Beta(a, b), flat when a = b = 1
+        a, b = (f.get(f"{prefix}_beta_{x}", shape, 1.0) for x in "ab")
         return (RateFunction.constant(mass, 0.0, 1.0) if a == b == 1.0
                 else RateFunction.beta_shaped(mass, a, b))
 
-    arrival = day_rate("arrival", 1.0)
-    walkin = day_rate("walkin", lam2)
+    # only rng.beta reads the arrival shapes; the walk-in rate's tail mass
+    # (RateFunction.mass_after) is a sum over whole shapes
+    arrival = day_rate("arrival", _POSITIVE, 1.0)
+    walkin = day_rate("walkin", _whole(1, MAX_SHAPE), lam2)
     kind = f.get("duration", _one_of("geometric", "constant"), "geometric")
     if kind == "constant":
         law = DurationLaw(kind, d=f.get("d", _whole(1, _MAX_DAYS), 1))

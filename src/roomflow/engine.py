@@ -257,22 +257,22 @@ def replay_walkins(policy, day, d, C_tilde, C_rooms, q1):
     return B1, served_wk, overbooked
 
 
-def replay_stage2(policy, arrival, shows, walkin_time, C_tilde, C_rooms,
-                  profiles, v):
+def replay_stage2(policy, arrival, shows, walkin_time, mass, C_tilde,
+                  C_rooms, q1):
     """One service day, every booking kept, through `replay_walkins`.
     arrival, shows: the reserved customers, in any order (ties in arrival
-    keep it); walkin_time: sorted. Returns (positions of the served
-    reserved customers, of the served walk-ins, overbooked)."""
+    keep it); walkin_time: sorted; mass: a list, the walk-in mass after each
+    walk-in before the call, which comes after the first len(mass) walk-ins.
+    Returns (positions of the served reserved customers, of the served
+    walk-ins, overbooked)."""
     order = np.argsort(arrival, kind="stable")
     ranks = np.flatnonzero(shows[order])  # arrival ranks of the shows
     before = np.searchsorted(arrival[order], walkin_time, side="right")
-    call = int(walkin_time.searchsorted(v))  # walk-ins before the call
     day = CheckIns([0, len(order)], before.tolist(), [0, len(ranks)],
                    ranks.searchsorted(before).tolist(), [0, len(walkin_time)],
-                   [call], profiles.walkin_rate.mass_after(
-                       walkin_time[:call]).tolist())
+                   [len(mass)], mass)
     served, served_wk, overbooked = replay_walkins(
-        policy, day, 0, C_tilde, C_rooms, profiles.show_prob)
+        policy, day, 0, C_tilde, C_rooms, q1)
     return order[ranks[:served]], served_wk, overbooked
 
 
@@ -459,6 +459,13 @@ def aggregate(curves):
 # ---------------------------------------------------------------------------
 # single-day cells (fixed surviving bookings, Stage II only)
 
+# the draws of a single-day cell are replayed in chunks that close once they
+# reach this many events (reserved customers and walk-ins), each with one
+# mass_after call: at about 9 bytes an event a chunk holds about 0.6 MB plus
+# its last draw, however many draws a cell has
+_CELL_EVENTS = 2 ** 16
+
+
 def single_day_cell(scenario, B, policy, n_sims, master_seed):
     """Replications of a single service day with B surviving bookings and
     full capacity scenario.C, replayed through the policy's Stage-II rule.
@@ -468,7 +475,9 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
 
     The offline optimum depends on the realization only through the show
     and walk-in counts, so oracle losses (and adaptive ones at v <= 0,
-    which are identical) are computed from counts directly.
+    which are identical) are computed from counts directly. Otherwise the
+    draws are sampled a chunk at a time, and the walk-in mass after every
+    walk-in of the chunk before the call comes from one mass_after call.
     """
     profiles, C = scenario.profiles, scenario.C
     pol_losses = np.empty(n_sims)
@@ -481,6 +490,24 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         return (scenario.overbook_penalty * overbooked
                 + scenario.reward * (C - served_type1 - served_walkins))
 
+    def replay(first, draws):  # draws: (arrival, shows, walk-in times)
+        calls = [int(wk.searchsorted(scenario.v)) for _, _, wk in draws]
+        mass = profiles.walkin_rate.mass_after(np.concatenate(
+            [wk[:call] for (_, _, wk), call in zip(draws, calls)])).tolist()
+        o = 0  # the draw's first walk-in mass
+        for i, ((arrival, shows, walkin_time), call) in enumerate(
+                zip(draws, calls), first):
+            n_wk = len(walkin_time)
+            ora_losses[i] = price(*offline_day_optimum(
+                int(np.count_nonzero(shows)), n_wk, C))
+            served, served_wk, overbooked = replay_stage2(
+                policy, arrival, shows, walkin_time, mass[o:o + call],
+                float(C), C, profiles.show_prob)
+            pol_losses[i] = price(len(served), len(served_wk), overbooked)
+            rejected[i] = n_wk - len(served_wk)
+            o += call
+
+    draws, events = [], 0
     for i, rng in enumerate(streams(master_seed,
                                     ((j,) for j in range(n_sims)))):
         if count_based:
@@ -497,12 +524,9 @@ def single_day_cell(scenario, B, policy, n_sims, master_seed):
         arrival, shows = reserved_outcomes(profiles, B, rng)
         profiles.duration_law.sample(rng, B)
         walkin_time = sample_walkins(profiles, rng)
-        n_wk = len(walkin_time)
-        ora_losses[i] = price(*offline_day_optimum(
-            int(np.count_nonzero(shows)), n_wk, C))
-        served, served_wk, overbooked = replay_stage2(
-            policy, arrival, shows, walkin_time, float(C), C, profiles,
-            scenario.v)
-        pol_losses[i] = price(len(served), len(served_wk), overbooked)
-        rejected[i] = n_wk - len(served_wk)
+        draws.append((arrival, shows, walkin_time))
+        events += B + len(walkin_time)
+        if events >= _CELL_EVENTS or i == n_sims - 1:
+            replay(i + 1 - len(draws), draws)
+            draws, events = [], 0
     return pol_losses, ora_losses, rejected

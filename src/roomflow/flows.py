@@ -22,13 +22,13 @@ stream depends only on its path, so the order in which paths are asked for
 changes no draw. Vectorized draws take the same values from a Generator as
 the equivalent sequence of scalar draws, so the per-stream draw order
 (`sample_batches`, `sample_blocks`) is the seed contract.
-
-scipy is imported only by `RateFunction.mass_after` of a Beta-shaped rate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice
 
 import numpy as np
@@ -44,6 +44,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _BLOCK = 1024  # paths hashed together, so memory stays flat in their number
+# the largest whole Beta shape whose tail mass `RateFunction.mass_after`
+# sums, in about 4a + b array operations a call
+MAX_SHAPE = 100
 
 
 def streams(master_seed, tails):
@@ -149,7 +152,9 @@ class RateFunction:
     """Nonnegative arrival intensity over an interval.
 
     Stored as (mass, normalized density). Supported shapes: flat, and a
-    Beta(a, b) density scaled to a total mass.
+    Beta(a, b) density scaled to a total mass. Any positive shapes can be
+    drawn from; `mass_after` of a Beta rate needs whole shapes in
+    [1, MAX_SHAPE].
     """
 
     def __init__(self, kind, t0, t1, mass, a=None, b=None):
@@ -194,16 +199,45 @@ class RateFunction:
         return self.t0 + (self.t1 - self.t0) * raw
 
     def mass_after(self, u):
-        """Mass over [u, t1]; u may be an array."""
+        """Mass over [u, t1]; u may be an array. A point's mass depends on
+        that point alone, not on the array it sits in."""
         lo = np.maximum(u, self.t0)
         z = (lo - self.t0) / (self.t1 - self.t0)
-        if self.kind == "beta":
-            from scipy.special import betainc
-            mass = self.mass * (1.0 - betainc(self.a, self.b, z))
+        if self.kind == "beta":  # z > 1 only past t1, which is masked
+            mass = self.mass * self._upper_tail(np.minimum(z, 1.0))
         else:
             mass = self.mass - z * self.mass
         mass = np.where(self.t1 <= lo, 0.0, mass)
         return float(mass) if mass.ndim == 0 else mass
+
+    @cached_property
+    def _binomials(self):
+        """C(n, j) for j < a, n = a + b - 1, as floats."""
+        if not all(float(s).is_integer() and s <= MAX_SHAPE
+                   for s in (self.a, self.b)):
+            raise ValueError("the tail mass of a Beta rate needs whole "
+                             f"shapes in [1, {MAX_SHAPE}], got "
+                             f"({self.a:g}, {self.b:g})")
+        a, n = int(self.a), int(self.a + self.b) - 1
+        return [float(math.comb(n, j)) for j in range(a)]
+
+    def _upper_tail(self, z):
+        """1 - I_z(a, b) for z in [0, 1], as the binomial sum
+        sum_{j<a} C(n, j) z^j (1 - z)^(n-j), n = a + b - 1, in Horner's form
+        (1 - z)^b sum_{j<a} C(n, j) z^j (1 - z)^(a-1-j). Each step adds or
+        multiplies positive numbers, so nothing cancels, and acts on each
+        point alone."""
+        first, *rest = self._binomials
+        z = np.asarray(z)
+        w = 1.0 - z
+        tail, zj = np.full(z.shape, first), np.ones(z.shape)
+        for c in rest:
+            zj *= z  # z^j, a running product
+            tail *= w
+            tail += c * zj
+        for _ in range(int(self.b)):
+            tail *= w
+        return tail
 
 
 class KeepCurve:

@@ -136,7 +136,9 @@ def estimated_capacity(law, C, q1, iota):
     rhs = departure_floor(law, C, iota)
     if rhs <= 0:
         raise ValueError("infeasible instance: departure bound is nonpositive")
-    if rhs <= stage1_threshold(0.0, q1, iota):
+    # the threshold at no bookings is nan where 2 iota overflows (inf * 0);
+    # then every threshold is inf or nan and no request is accepted
+    if not rhs > stage1_threshold(0.0, q1, iota):
         return 0.0
     return float(_cap_estimate(rhs, q1, iota))
 

@@ -24,6 +24,7 @@ RATE_MASS = "tests/test_properties.py::TestRateMass::" \
     "test_mass_after_is_the_two_sided_mass_to_the_end"
 COMMAND_LINES = "tests/test_cli.py::TestBenchmarkCommandLines::" \
     "test_workload_command_lines_parse"
+LAZY_IMPORTS = "tests/test_cli.py::TestLazyImports"
 
 MUTANTS = [
     # accept while alive < cap rather than alive + 1 <= cap: caps rounded
@@ -70,12 +71,19 @@ MUTANTS = [
      (RATE_MASS,)),
     # a flat rate's times read from the unread row of its draws
     ("flows.py", "raw = raw[1]", "raw = raw[0]", (SAMPLING, FINGERPRINTS)),
-    # the upper tail by betaincc: equal in exact arithmetic, not in floats
-    ("flows.py", "from scipy.special import betainc\n"
-     "            mass = self.mass * (1.0 - betainc(self.a, self.b, z))",
-     "from scipy.special import betaincc\n"
-     "            mass = self.mass * betaincc(self.a, self.b, z)",
+    # the upper tail as 1 minus the lower binomial sum: equal in exact
+    # arithmetic, but it cancels where the tail is small
+    ("flows.py", "        for _ in range(int(self.b)):\n"
+     "            tail *= w\n"
+     "        return tail\n",
+     "        n = int(self.a + self.b) - 1\n"
+     "        return 1.0 - sum(math.comb(n, j) * z ** j * w ** (n - j)\n"
+     "                         for j in range(len(rest) + 1, n + 1))\n",
      (RATE_MASS,)),
+    # scipy imported with the module again, by every command
+    ("flows.py", "import numpy as np\n",
+     "import numpy as np\nimport scipy.special  # noqa: F401\n",
+     (LAZY_IMPORTS,)),
     # `fit` without --jobs, which the fit-bookings workload passes
     ("cli.py", '            p.add_argument("--jobs", type=int, default=1)',
      '            if name != "fit":\n'

@@ -7,9 +7,13 @@ tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
 day, on the same realizations. The Stage-II check-in rules are this
 module's own copies, one running-counter state per customer, so the engine's
 replay is never compared with itself; `mass_between` is the two-sided
-walk-in mass those rules read, where the engine's `RateFunction.mass_after`
-holds the upper end at the day's end. `brute_force_day_optimal` is the
-enumeration oracle for the offline day optimum, and
+walk-in mass those rules read (scipy's `betainc` for a Beta rate), where
+the engine's `RateFunction.mass_after` holds the upper end at the day's end
+and sums the binomial tail of whole shapes, which `exact_mass_after` sums
+in rational arithmetic. `pre_call_mass` gives the engine's `replay_stage2`
+the walk-in masses that the single-day cell asks for once per chunk.
+`brute_force_day_optimal` is the enumeration oracle for the offline day
+optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
 bisection where the engine inverts the threshold in closed form, and
 `max_bookings_within` finds a request's Stage-I cap the same way.
@@ -41,6 +45,7 @@ import sys
 import unittest.mock
 import warnings
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +187,27 @@ def mass_between(rate, lo, hi):
         mass = _flat_mass_to(rate, hi) - _flat_mass_to(rate, lo)
     mass = np.where(hi <= lo, 0.0, mass)
     return float(mass) if mass.ndim == 0 else mass
+
+
+def pre_call_mass(profiles, walkin_time, v):
+    """The engine's `replay_stage2` argument: the walk-in mass after each
+    walk-in before the call at v (sorted walkin_time), as a list."""
+    return profiles.walkin_rate.mass_after(
+        walkin_time[:walkin_time.searchsorted(v)]).tolist()
+
+
+def exact_mass_after(rate, u):
+    """The exact mass of a Beta rate (whole shapes) over [u, t1], for a
+    float u, as a Fraction: the binomial sum of its upper tail,
+    sum_{j<a} C(n, j) z^j (1 - z)^(n-j), n = a + b - 1, at the float
+    z = (max(u, t0) - t0) / (t1 - t0) that the engine computes."""
+    lo = max(u, rate.t0)
+    if rate.t1 <= lo:
+        return Fraction(0)
+    z = Fraction(min((lo - rate.t0) / (rate.t1 - rate.t0), 1.0))
+    a, n = int(rate.a), int(rate.a + rate.b) - 1
+    return Fraction(rate.mass) * sum(math.comb(n, j) * z ** j
+                                     * (1 - z) ** (n - j) for j in range(a))
 
 
 def _flat_mass_to(rate, x):

@@ -174,8 +174,8 @@ class TestImmediateCallIdentity:
             shows = rng.random(B) < q1
             walkins = np.sort(rng.random(int(rng.integers(0, 10))))
             served, served_wk, overbooked = E.replay_stage2(
-                pol, arrival, shows, walkins, float(C), C,
-                dataclasses.replace(base, show_prob=q1), 0.0)
+                pol, arrival, shows, walkins,
+                R.pre_call_mass(base, walkins, 0.0), float(C), C, q1)
             ref = offline_day_optimum(int(shows.sum()), len(walkins), C)
             assert len(served) == ref[0]
             assert len(served_wk) == ref[1]

@@ -459,6 +459,47 @@ class TestLazyImports:
             "roomflow.cli,roomflow.engine,roomflow.flows,roomflow.policies",
             "", ""]
 
+    def test_beta_rate_runs_load_no_scipy(self, tmp_path):
+        # every preset but lower-bound has a Beta walk-in rate, whose tail
+        # mass is a binomial sum: a small fig4 run, a small fig3 sweep and
+        # fig4's check each ask for it and leave scipy unloaded
+        small = {
+            "fig4": write_cfg(tmp_path, "[scenario]\nT = 20\n"
+                              "[sweep]\nv = 0.7\n[run]\nreps = 1\n",
+                              "fig4.cfg"),
+            "fig3": write_cfg(tmp_path, "[sweep]\nv = 0.5\n"
+                              "[run]\nreps = 1\nsims = 20\n", "fig3.cfg")}
+        out = str(tmp_path / "x.csv")
+        commands = [
+            ["simulate", "--preset", "fig4", "--config", small["fig4"],
+             "--out", out],
+            ["sweep", "--preset", "fig3", "--config", small["fig3"],
+             "--out", out],
+            ["check", "--preset", "fig4"]]
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import roomflow.cli as cli",
+            "from roomflow.flows import RateFunction",
+            "calls, mass_after = [], RateFunction.mass_after",
+            "def counted(rate, u):",
+            "    calls.append(rate.kind)",
+            "    return mass_after(rate, u)",
+            "RateFunction.mass_after = counted",
+            "seen = []",
+            f"for argv in {commands!r}:",
+            "    calls.clear()",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) == 0",
+            "    seen.append(('beta' in calls, sorted(",
+            "        m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+            "print(seen)",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True)
+        assert run.stdout == f"{[(True, [])] * 3}\n"
+
 
 class TestFit:
     MODEL = calib.FittedModel(
@@ -848,6 +889,31 @@ class TestConfigContract:
         assert capsys.readouterr().err == ""
         assert out.exists()
 
+    def test_threshold_overflow_at_no_bookings_prints_no_warning(
+            self, tmp_path, capsys):
+        # iota = 1e308 overflows 2 iota: the threshold at no bookings is
+        # nan, so the capacity estimate is 0 and the run accepts nothing; it
+        # ends neither in an OverflowError nor with a warning
+        out = tmp_path / "x.csv"
+        cfg = write_cfg(tmp_path, "[scenario]\nT = 40\nkeep_p0 = 0.5\n"
+                        "[policies]\np = adaptive iota=1e308 alpha=0.4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--preset", "lower-bound", "--config",
+                           cfg, "--out", str(out), "--reps", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
+    def test_real_arrival_shapes_run(self, tmp_path, capsys):
+        # only rng.beta reads the arrival shapes, which need not be whole
+        rc, err, out = self.run(tmp_path, capsys,
+                                "[scenario]\narrival_beta_a = 2.5\n"
+                                "[sweep]\nv = 0.5\n[run]\nreps = 1\n"
+                                "sims = 20\n", preset="fig3")
+        assert (rc, err) == (0, "")
+        assert out.exists()
+
     def test_counts_at_their_bounds_parse(self):
         # the bounds are inclusive; only the parse runs here
         cfg = cli.load_config("fig4", None)
@@ -877,6 +943,12 @@ class TestConfigContract:
          None, "arrival_beta_a"),
         # rng.beta(inf, b) draws nan times
         ("[scenario]\nT = 2\nwalkin_beta_a = inf\n", "fig4", "walkin_beta_a"),
+        # the walk-in tail mass is a binomial sum over whole shapes
+        ("[scenario]\nT = 2\nwalkin_beta_a = 2.5\n", "fig4",
+         "walkin_beta_a"),
+        ("[scenario]\nT = 2\nwalkin_beta_b = 0\n", "fig4", "walkin_beta_b"),
+        ("[scenario]\nT = 2\nwalkin_beta_a = 1e9\n", "fig4",
+         "walkin_beta_a"),
         (MULTIDAY.replace("keep_p0 = 0.5", "keep_p0 = 1.5"), None, "keep_p0"),
         ("[scenario]\nlambda2 = inf\n", "fig4", "lambda2"),
         ("[scenario]\nlambda1 = 1e300\n", "fig4", "lambda1"),
@@ -897,6 +969,8 @@ class TestConfigContract:
             "reward-infinite", "penalty-infinite", "fig3-v",
             "fig3-reward", "q1-above-one", "lambda2-negative",
             "q_stay-above-one", "beta-shape-zero", "beta-shape-infinite",
+            "walkin-shape-fraction", "walkin-shape-zero",
+            "walkin-shape-past-bound",
             "keep_p0-above-one",
             "lambda2-infinite", "lambda1-past-poisson-limit",
             "lambda1-past-day-bound", "lambda2-past-day-bound",

@@ -143,7 +143,9 @@ class TestStage2Replay:
             arrival, shows = arrays(rng.random(B), rng.random(B) < 0.6)
             walkins = np.sort(rng.random(int(rng.integers(0, 9))))
             served, served_wk, overbooked = E.replay_stage2(
-                pol, arrival, shows, walkins, float(C), C, prof, 0.0)
+                pol, arrival, shows, walkins,
+                R.pre_call_mass(prof, walkins, 0.0), float(C), C,
+                prof.show_prob)
             ref = offline_day_optimum(int(shows.sum()), len(walkins), C)
             assert len(served) == ref[0]
             assert overbooked == ref[2]
@@ -155,26 +157,29 @@ class TestStage2Replay:
         # one confirmed no-show: a walk-in exactly at v sees the revealed
         # count (1 future show), not the expected one
         arrival, shows = arrays([0.9, 0.8], [True, False])
+        prof, walkins = geometric_profiles(q1=0.9, lam2=4.0), arrays([0.5])
         served, served_wk, _ = E.replay_stage2(
-            E.AdaptivePolicy(0.0, 0.4), arrival, shows, arrays([0.5]), 2.0,
-            2, geometric_profiles(q1=0.9, lam2=4.0), 0.5)
+            E.AdaptivePolicy(0.0, 0.4), arrival, shows, walkins,
+            R.pre_call_mass(prof, walkins, 0.5), 2.0, 2, prof.show_prob)
         assert len(served_wk) == 1
         assert len(served) == 1
 
     def test_heuristic_ignores_reveal(self):
         arrival, shows = arrays([0.9, 0.95], [False, False])
+        prof, walkins = geometric_profiles(q1=0.9, lam2=4.0), arrays([0.5])
         _, served_wk, _ = E.replay_stage2(
-            E.HeuristicPolicy(0.0), arrival, shows, arrays([0.5]), 2.0, 2,
-            geometric_profiles(q1=0.9, lam2=4.0), 0.0)
+            E.HeuristicPolicy(0.0), arrival, shows, walkins,
+            R.pre_call_mass(prof, walkins, 0.0), 2.0, 2, prof.show_prob)
         # standard q1 B = 1.8 + 0 accepted >= C_tilde 2 is false, so accept
         assert len(served_wk) == 1
 
     def test_reserved_before_walkin_at_equal_times(self):
         # the reserved customer at 0.5 takes the last room first
         arrival, shows = arrays([0.5], [True])
+        prof, walkins = geometric_profiles(q1=0.9, lam2=4.0), arrays([0.5])
         served, served_wk, _ = E.replay_stage2(
-            E.HeuristicPolicy(0.0), arrival, shows, arrays([0.5]), 1.0, 1,
-            geometric_profiles(q1=0.9, lam2=4.0), 0.0)
+            E.HeuristicPolicy(0.0), arrival, shows, walkins,
+            R.pre_call_mass(prof, walkins, 0.0), 1.0, 1, prof.show_prob)
         assert served.tolist() == [0]
         assert served_wk == []
 
@@ -300,6 +305,19 @@ class TestSingleDayCell:
         pol, ora, _ = E.single_day_cell(sc, 400, E.AdaptivePolicy(2.0, 0.4),
                                         n_sims=100, master_seed=5)
         assert np.array_equal(pol, ora)
+
+    @pytest.mark.parametrize("policy", [E.AdaptivePolicy(2.0, 0.4),
+                                        E.HeuristicPolicy(0.1)])
+    def test_chunks_change_no_result(self, policy, monkeypatch):
+        # one mass_after call per chunk of draws: a draw a chunk, and the
+        # whole cell in one, give the same bytes
+        sc = one_day(60, 0.6, q1=0.5, lam2=30.0)
+        runs = []
+        for events in (1, 10 ** 9):
+            monkeypatch.setattr(E, "_CELL_EVENTS", events)
+            runs.append(b"".join(a.tobytes() for a in E.single_day_cell(
+                sc, 100, policy, n_sims=40, master_seed=9)))
+        assert runs[0] == runs[1]
 
     def test_count_fast_path_matches_replay(self):
         # the count-based oracle must agree with a full event replay

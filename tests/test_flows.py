@@ -16,7 +16,7 @@ from roomflow.flows import (
     sample_blocks,
     sample_walkins,
 )
-from reference import day_streams, sampled_days, substream
+from reference import day_streams, pre_call_mass, sampled_days, substream
 
 
 def sample_nhpp(rate, rng):
@@ -306,9 +306,10 @@ class TestRecords:
         arrival, shows, wk = stage2_day(profiles, 0, substream(21))
         assert not hasattr(wk, "shows") and len(wk) > 0
         # (no bookings, so the heuristic standard q1 B is zero)
-        _, served_wk, _ = E.replay_stage2(E.HeuristicPolicy(0.0), arrival,
-                                          shows, wk, 1000.0, 1000, profiles,
-                                          0.0)
+        _, served_wk, _ = E.replay_stage2(
+            E.HeuristicPolicy(0.0), arrival, shows, wk,
+            pre_call_mass(profiles, wk, 0.0), 1000.0, 1000,
+            profiles.show_prob)
         assert served_wk == list(range(len(wk)))
 
     def test_reserved_outcomes_cover_all_bookings(self):

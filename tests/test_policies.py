@@ -31,6 +31,7 @@ from reference import (
     heuristic2_decide_walkin,
     heuristic_stage2_standard,
     max_bookings_within,
+    pre_call_mass,
     type1_checkin_decide,
 )
 
@@ -214,8 +215,10 @@ def walkins_served(policy, reserved, walkins, C_tilde, C_rooms=1000, v=0.5,
     arrival = np.repeat([float(t) for t, _, _ in reserved], counts)
     shows = np.repeat([s for _, s, _ in reserved], counts).astype(bool)
     times = np.repeat([float(t) for t, _ in walkins], [n for _, n in walkins])
-    _, served_wk, _ = replay_stage2(policy, arrival, shows, times, C_tilde,
-                                    C_rooms, day_profiles(q1, lam2), v)
+    prof = day_profiles(q1, lam2)
+    _, served_wk, _ = replay_stage2(policy, arrival, shows, times,
+                                    pre_call_mass(prof, times, v), C_tilde,
+                                    C_rooms, prof.show_prob)
     return len(served_wk)
 
 
@@ -282,9 +285,11 @@ class TestDass2Decide:
                             0.95, 0.95, 0.95, 0.95])
         shows = np.array([True, True, False, False, False, False,
                           True, True, True, True])
+        walkins = np.full(20, 0.9)
         served, served_wk, overbooked = replay_stage2(
-            ADAPTIVE, arrival, shows, np.full(20, 0.9), 8.0, 8,
-            day_profiles(), 0.5)
+            ADAPTIVE, arrival, shows, walkins,
+            pre_call_mass(day_profiles(), walkins, 0.5), 8.0, 8,
+            day_profiles().show_prob)
         accepted = len(served_wk)
         assert 6 + accepted <= 8.0
         assert len(served) == 6 and overbooked == 0

@@ -5,6 +5,7 @@ small random scenarios."""
 import itertools
 import math
 import re
+from fractions import Fraction
 
 from unittest import mock
 
@@ -43,10 +44,11 @@ GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 @st.composite
 def rates(draw, mass, t1=1.0):
-    """A Beta-shaped or flat rate of the given mass over [0, t1]."""
+    """A Beta-shaped (whole shapes) or flat rate of the given mass over
+    [0, t1]."""
     if draw(st.booleans()):
-        return RateFunction.beta_shaped(mass, draw(st.floats(0.5, 6.0)),
-                                        draw(st.floats(0.5, 6.0)), 0.0, t1)
+        return RateFunction.beta_shaped(mass, draw(st.integers(1, 6)),
+                                        draw(st.integers(1, 6)), 0.0, t1)
     return RateFunction.constant(mass / t1, 0.0, t1)
 
 
@@ -193,10 +195,11 @@ class TestArrayEngineMatchesReference:
             arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
             walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
             duration_law=DurationLaw("geometric"))
+        walkin_time = np.array(walkins, dtype=float)
         served, served_wk, overbooked = E.replay_stage2(
             policy, np.array(arrival, dtype=float),
-            np.array(shows, dtype=bool), np.array(walkins, dtype=float),
-            C_tilde, C_rooms, prof, v)
+            np.array(shows, dtype=bool), walkin_time,
+            R.pre_call_mass(prof, walkin_time, v), C_tilde, C_rooms, q1)
         guests = [R.Guest(t, s, 1) for t, s in zip(arrival, shows)]
         wk = [R.Guest(t, True, 1) for t in walkins]
         t1, ref_wk, over = R.replay_stage2(policy, guests, wk, C_tilde,
@@ -547,26 +550,57 @@ class TestStreams:
 
 @st.composite
 def any_rates(draw):
-    """A Beta-shaped or flat rate over a domain starting anywhere in
-    [-2, 2]; domains may have zero width, and rates may be zero."""
+    """A Beta-shaped (whole shapes) or flat rate over a domain starting
+    anywhere in [-2, 2]; domains may have zero width, and rates may be
+    zero."""
     t0 = draw(st.sampled_from([0.0, -1.5]) | st.floats(-2.0, 2.0))
     t1 = t0 + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0))
     if draw(st.booleans()):
         return RateFunction.beta_shaped(
-            draw(st.floats(0.0, 50.0)), draw(st.floats(0.1, 8.0)),
-            draw(st.floats(0.1, 8.0)), t0, t1)
+            draw(st.floats(0.0, 50.0)), draw(st.integers(1, 8)),
+            draw(st.integers(1, 8)), t0, t1)
     return RateFunction.constant(draw(st.floats(0.0, 50.0)), t0, t1)
+
+
+def mass_points(rate):
+    """Points u for mass_after: the domain's knots, inside and outside it,
+    and +-inf."""
+    return (st.sampled_from([rate.t0, rate.t1])
+            | st.floats(rate.t0, rate.t1) | st.floats(-3.0, 5.0)
+            | st.sampled_from([-math.inf, math.inf]))
+
+
+def beta_ulp_bound(rate):
+    """Ulps by which the Beta tail mass may miss the exact binomial sum,
+    stated before any test runs. mass_after evaluates it in Horner's form
+    (1 - z)^b S, S = sum_{j<a} C(n, j) z^j (1 - z)^(a-1-j), n = a + b - 1,
+    by s <- s (1 - z) + C(n, j) z^j, and every operand is positive, so
+    relative errors add along each term's path. To first order in
+    u = 2**-53: 1 - z rounds once, z^j takes j - 1 roundings (a running
+    product) and its product with the binomial (exact below 2**53) one;
+    each later step multiplies by the rounded 1 - z and adds, 3 u; so
+    S is off by at most 3 (a - 1) u. The b products with 1 - z add 2b u
+    and the mass u: (3a + 2b - 2) u = (2n + a) u of the mass, below 2n + a
+    of its ulps. One ulp more covers the higher orders and a subnormal
+    result."""
+    n = rate.a + rate.b - 1
+    return 2 * n + rate.a + 1
+
+
+def ulps_off(got, exact):
+    """|got - exact| in ulps of the exact value rounded to a float."""
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
 
 
 class TestRateMass:
     @settings(max_examples=500, deadline=None)
     @given(rate=any_rates(), data=st.data())
     def test_mass_after_is_the_two_sided_mass_to_the_end(self, rate, data):
-        # bit for bit, on the domain's knots, inside and outside it, for a
-        # scalar, an empty array and an array
-        knots = [rate.t0, rate.t1]
-        points = (st.sampled_from(knots) | st.floats(-3.0, 5.0)
-                  | st.sampled_from([-math.inf, math.inf]))
+        # for a scalar, an empty array and an array: a flat rate bit for bit
+        # to the reference's two-sided mass; a Beta rate within its stated
+        # ulp bound of the exact binomial sum, and close to the reference's
+        # (scipy's betainc), whose 1 - I_z cancels in the far tail
+        points = mass_points(rate)
         for u in (data.draw(points), np.empty(0),
                   np.array(data.draw(st.lists(points, max_size=6)))):
             # a zero-width domain divides by zero, and u = inf makes an
@@ -575,4 +609,38 @@ class TestRateMass:
                 got = rate.mass_after(u)
                 want = R.mass_between(rate, u, rate.t1)
             assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if rate.kind == "flat":
+                assert np.asarray(got).tobytes() == np.asarray(
+                    want).tobytes()
+                continue
+            assert np.asarray(got) == pytest.approx(
+                want, rel=1e-12, abs=1e-13 * max(rate.mass, 1.0))
+            for g, x in zip(np.ravel(got), np.ravel(u)):
+                assert ulps_off(g, R.exact_mass_after(rate, x)) <= (
+                    beta_ulp_bound(rate))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=any_rates(), data=st.data())
+    def test_one_call_on_a_concatenation_equals_calls_on_its_pieces(
+            self, rate, data):
+        # a point's mass does not depend on the array it sits in, byte for
+        # byte: the single-day cell asks once for many draws' walk-ins
+        pieces = data.draw(st.lists(st.lists(mass_points(rate), max_size=6),
+                                    max_size=4))
+        joined = np.array([u for piece in pieces for u in piece], dtype=float)
+        with np.errstate(all="ignore"):
+            whole = rate.mass_after(joined)
+            parts = [rate.mass_after(np.array(piece, dtype=float))
+                     for piece in pieces]
+            one_by_one = [rate.mass_after(u) for u in joined.tolist()]
+        assert whole.tobytes() == np.concatenate(
+            [np.empty(0), *parts]).tobytes()
+        assert whole.tobytes() == np.array(one_by_one, dtype=float).tobytes()
+
+    def test_tail_mass_needs_whole_shapes_up_to_the_bound(self):
+        # only rng.beta reads other shapes
+        for a, b in ((2.5, 3), (2, 0.5), (F.MAX_SHAPE + 1, 1)):
+            rate = RateFunction.beta_shaped(1.0, a, b)
+            rate.draw(3, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="whole shapes"):
+                rate.mass_after(0.5)
