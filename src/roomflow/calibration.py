@@ -5,12 +5,14 @@ durations a Geometric law, and daily walk-in counts a Poisson mixture. The
 fitted model is written as key=value text (`save_model`) beside a quality
 report (`fit_report`).
 
-A booking dataset of plain rows is ingested a chunk of lines at a time,
-each column converted and each rule checked over the whole chunk. Any
-other file (quoted fields, bare CR line ends, ragged rows) and any file
-that breaks a rule is read again by the per-row csv loop, which words the
-line-numbered errors; both give the same array or the same error
-(`tests/reference.py` holds the per-row reader).
+A booking dataset of plain rows is ingested from its bytes a block of
+whole lines at a time: numpy finds the fields, converts each column of
+plain fields from its bytes (any other column through int, str.strip and
+fromisoformat) and checks each rule over the whole block. Any other file
+(quoted fields, bare CR line ends, ragged rows, bytes that are not UTF-8)
+and any file that breaks a rule is read again by the per-row csv loop,
+which words the line-numbered errors; both give the same array or the
+same error (`tests/reference.py` holds the per-row reader).
 
 The mixture's EM restarts run together, one array pass per iteration over
 the restarts still improving, and each restart's numbers equal those of a
@@ -24,13 +26,13 @@ from __future__ import annotations
 
 import csv
 import datetime
-import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .flows import streams
 
@@ -138,9 +140,13 @@ def _column_order(header):
     return [where[c] for c in COLUMNS]
 
 
-# lines of a dataset that _ingest_columns checks and converts together
-CHUNK_LINES = 4096
+# bytes of a dataset that _ingest_columns reads, checks and converts
+# together; a block ends at its last line end
+CHUNK_BYTES = 1 << 16
 _FLAGS = frozenset(("0", "1"))
+_COMMA, _LF, _ZERO, _ONE = b",\n01"  # byte values
+# 10**k for the k-th digit from a field's end: 18 digits stay below 2**63
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _int64(fields, n):
@@ -149,87 +155,172 @@ def _int64(fields, n):
     return np.fromiter(map(int, fields), np.int64, n)
 
 
-def _flags(fields):
+def _texts(buf, start, end):
+    """The fields buf[start:end] as str."""
+    return [buf[i:j].tobytes().decode()
+            for i, j in zip(start.tolist(), end.tolist())]
+
+
+def _digits(buf, start, end):
+    """The fields buf[start:end] as int64 when each is 1 to 18 ASCII
+    digits, else None: each digit times its power of ten, summed per
+    field."""
+    size = end - start
+    if not np.all((size >= 1) & (size <= len(_POW10))):
+        return None
+    last = np.cumsum(size)  # one past each field in the list of their bytes
+    first, k = last - size, np.arange(size.sum())
+    digit = buf[k + np.repeat(start - first, size)] - _ZERO  # wraps below 0
+    if np.any(digit > 9):
+        return None
+    return np.add.reduceat(digit * _POW10[np.repeat(last - 1, size) - k],
+                           first)
+
+
+def _integers(buf, start, end):
+    """The integer fields buf[start:end] as int64, as _int64 reads them."""
+    values = _digits(buf, start, end)
+    if values is None:
+        values = _int64(_texts(buf, start, end), len(start))
+    return values
+
+
+def _optional(buf, start, end):
+    """(present, values) of cancel_lead_days: a field is present when it
+    is not empty once stripped, and an absent one reads 0."""
+    present, values = end > start, np.zeros(len(start), np.int64)
+    given = _digits(buf, start[present], end[present])
+    if given is None:
+        fields = list(map(str.strip, _texts(buf, start, end)))
+        present = np.fromiter(map(bool, fields), np.bool_, len(fields))
+        given = _int64(filter(None, fields), np.count_nonzero(present))
+    values[present] = given
+    return present, values
+
+
+def _flags(buf, start, end):
     """The stripped 0/1 fields as bool, or None when one is neither."""
-    fields = list(map(str.strip, fields))
-    if not _FLAGS.issuperset(fields):
-        return None
-    return np.frombuffer("".join(fields).encode(), np.uint8) == ord("1")
-
-
-def _columns_chunk(lines, width, order, ordinals):
-    """The records of a chunk of lines, their terminators included, as a
-    BOOKING_DTYPE array, or None when the chunk needs the per-row path:
-    a quote, a NUL or a bare carriage return, a field count other than
-    width, or a value that breaks a rule of _parse_row."""
-    text = "".join(lines)
-    if '"' in text or "\0" in text:
-        return None
-    crs = text.count("\r")
-    if crs:  # csv.writer ends its lines with \r\n
-        if crs != text.count("\r\n"):
+    first = buf[start]
+    if not np.all((end - start == 1) & ((first == _ZERO) | (first == _ONE))):
+        fields = list(map(str.strip, _texts(buf, start, end)))
+        if not _FLAGS.issuperset(fields):
             return None
-        text = text.replace("\r\n", "\n")
-    rows = list(filter(None, text.split("\n")))  # a blank line holds none
-    if not rows:
-        return np.empty(0, BOOKING_DTYPE)
-    # a "\n" field after each record but the last: every record has width
-    # fields iff the n - 1 of them fall one stride apart, the first after
-    # width fields, and the last record ends the list
-    n, stride, flat = len(rows), width + 1, ",\n,".join(rows).split(",")
-    if (len(flat) != n * stride - 1
-            or flat[width::stride].count("\n") != n - 1):
+        first = np.frombuffer("".join(fields).encode(), np.uint8)
+    return first == _ONE
+
+
+def _dates(buf, start, end, ordinals):
+    """The proleptic ordinals of the date fields as fromisoformat reads
+    them; ValueError when one is not a date. ordinals caches them by text,
+    and a column of 10-byte fields (YYYY-MM-DD) looks one up per run of
+    equal fields."""
+    n = len(start)
+    if np.all(end - start == 10):
+        key = sliding_window_view(buf, 10)[start].view("S10").ravel()
+        run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        texts = [k.decode() for k in key[run].tolist()]  # each run's first
+        counts = np.diff(run, append=n)
+    else:
+        texts, counts = _texts(buf, start, end), 1
+    for d in set(texts).difference(ordinals):
+        ordinals[d] = datetime.date.fromisoformat(d).toordinal()
+    return np.repeat(np.fromiter(map(ordinals.__getitem__, texts), np.int64,
+                                 len(texts)), counts)
+
+
+def _columns_block(block, width, order, ordinals, limit):
+    """The records of a block of whole lines as a BOOKING_DTYPE array, or
+    None when the block needs the per-row path: a quote, a NUL, a bare
+    carriage return, bytes that are not UTF-8, a line of at least limit
+    bytes, a field count other than width, or a value that breaks a rule
+    of _parse_row."""
+    if b'"' in block or b"\0" in block:
         return None
+    crs = block.count(b"\r")
+    if crs:  # csv.writer ends its lines with \r\n
+        if crs != block.count(b"\r\n"):
+            return None
+        block = block.replace(b"\r\n", b"\n")
+    if not block.isascii():
+        try:
+            block.decode()
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(block, np.uint8)
+    end = np.flatnonzero((buf == _COMMA) | (buf == _LF))  # each field's end
+    start = np.concatenate(([0], end[:-1] + 1))
+    at_eol = buf[end] == _LF
+    if np.diff(end[at_eol], prepend=-1).max() >= limit:
+        return None
+    # a blank line is one empty field right after a line end
+    blank = at_eol & (start == end) & np.concatenate(([True], at_eol[:-1]))
+    if blank.any():
+        start, end, at_eol = start[~blank], end[~blank], at_eol[~blank]
+    n = np.count_nonzero(at_eol)  # every line holds width fields
+    if len(end) != n * width or not at_eol[width - 1::width].all():
+        return None
+    if not n:
+        return np.empty(0, BOOKING_DTYPE)
+    start, end = start.reshape(n, width), end.reshape(n, width)
     date, lead, canceled, cancel_lead, stay, walkin = (
-        flat[i::stride] for i in order)
+        (buf, start[:, i], end[:, i]) for i in order)
     try:
-        for d in set(date).difference(ordinals):
-            ordinals[d] = datetime.date.fromisoformat(d).toordinal()
-        lead, stay = _int64(lead, n), _int64(stay, n)
-        cancel_lead = list(map(str.strip, cancel_lead))
-        present = np.fromiter(map(bool, cancel_lead), np.bool_, n)
-        values = np.zeros(n, np.int64)
-        values[present] = _int64(filter(None, cancel_lead),
-                                 np.count_nonzero(present))
+        day = _dates(*date, ordinals)
+        lead, stay = _integers(*lead), _integers(*stay)
+        present, values = _optional(*cancel_lead)
     except (ValueError, OverflowError):
         return None
-    canceled, walkin = _flags(canceled), _flags(walkin)
+    canceled, walkin = _flags(*canceled), _flags(*walkin)
     if canceled is None or walkin is None or not np.all(
             (lead >= 0) & (stay >= 1) & (canceled == present)
             & (values >= 0) & (values <= lead) & ~(walkin & (lead != 0))):
         return None
     out = np.empty(n, BOOKING_DTYPE)
-    out["arrival_date"] = np.fromiter(map(ordinals.__getitem__, date),
-                                      np.int64, n)
-    out["lead_days"], out["is_canceled"] = lead, canceled
-    out["cancel_lead_days"], out["stay_nights"] = values, stay
-    out["is_walk_in"] = walkin
+    out["arrival_date"], out["lead_days"] = day, lead
+    out["is_canceled"], out["cancel_lead_days"] = canceled, values
+    out["stay_nights"], out["is_walk_in"] = stay, walkin
     return out
 
 
+def _blocks(fh):
+    """The rest of fh as blocks of whole lines, read CHUNK_BYTES at a time
+    and cut after the last line end, the rest carried into the next block;
+    a last line without its line end gets one."""
+    pieces = []
+    while data := fh.read(CHUNK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pieces, memoryview(data)[:cut]])
+            pieces = [data[cut:]]
+        else:
+            pieces.append(data)
+    if rest := b"".join(pieces):
+        yield rest + b"\n"
+
+
 def _ingest_columns(path):
-    """The dataset as ingest_bookings returns it, read a chunk of lines at
+    """The dataset as ingest_bookings returns it, read a block of bytes at
     a time and checked a column at a time; None when the file needs the
     per-row path, which alone reads quoted fields and words errors."""
     limit = csv.field_size_limit()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, "rb") as fh:
+        line = fh.readline()
         try:
-            line = fh.readline()
-            header = line.removesuffix("\n").removesuffix("\r").split(",")
-            if ('"' in line or "\0" in line or len(line) >= limit
-                    or set(COLUMNS) - set(header)):
-                return None
-            order, width = _column_order(header), len(header)
-            parts, ordinals = [], {}
-            while lines := list(itertools.islice(fh, CHUNK_LINES)):
-                if max(map(len, lines)) >= limit:
-                    return None
-                part = _columns_chunk(lines, width, order, ordinals)
-                if part is None:
-                    return None
-                parts.append(part)
+            header = line.decode().removesuffix("\n").removesuffix("\r")
         except UnicodeDecodeError:
             return None
+        if len(line) >= limit or any(c in header for c in '"\0\r'):
+            return None
+        header = header.split(",")
+        if set(COLUMNS) - set(header):
+            return None
+        order, width = _column_order(header), len(header)
+        parts, ordinals = [], {}
+        for part in (_columns_block(block, width, order, ordinals, limit)
+                     for block in _blocks(fh)):
+            if part is None:
+                return None
+            parts.append(part)
     return np.concatenate(parts) if parts else np.empty(0, BOOKING_DTYPE)
 
 
@@ -237,10 +328,11 @@ def ingest_bookings(path):
     """Parse and validate a booking dataset into one BOOKING_DTYPE array;
     every malformed row is reported with its line number.
 
-    A file of plain records is checked and converted a column at a time
-    (_ingest_columns). Any other file, and every file that breaks a rule,
-    is read again record by record, and that path words the errors: both
-    paths return the same array, or the same error."""
+    A file of plain records is read in binary, a block of CHUNK_BYTES cut
+    after its last line end at a time, and checked and converted a column
+    at a time (_ingest_columns). Any other file, and every file that
+    breaks a rule, is read again record by record, and that path words the
+    errors: both paths return the same array, or the same error."""
     data = _ingest_columns(path)
     return _ingest_rows(path) if data is None else data
 

@@ -28,21 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, islice
 
 import numpy as np
 
 
-# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
-# 128-bit multiplier, as documented by numpy and the PCG report
+# numpy's SeedSequence hash (a pool of four 32-bit words), as documented
+# by numpy
 _MASK32 = 0xFFFF_FFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _BLOCK = 1024  # paths hashed together, so memory stays flat in their number
 # the largest whole Beta shape whose tail mass `RateFunction.mass_after`
 # sums, in about 4a + b array operations a call
@@ -57,26 +55,37 @@ def streams(master_seed, tails):
     Distinct paths give independent streams. Each stream is numpy's
     default_rng(SeedSequence([master, *tail])) bit for bit, but the
     SeedSequence hash runs in numpy lanes over blocks of tails (each entry
-    below 2**32, and all tails of one length, or ValueError) and the
-    result is set into one Generator that is re-seeded and yielded again for
-    every tail. A caller is done with one stream when it asks for the next.
+    below 2**32, and all tails of one length, or ValueError), and each
+    path's fresh Generator seeds PCG64 from its row of the hashed states.
     """
     head = _words(master_seed)
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    row_seed = _row_seed()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     tails, width = iter(tails), None  # width: the first block's tail length
     while block := list(islice(tails, _BLOCK)):
-        for seed_hi, seed_lo, seq_hi, seq_lo in _generate_states(head, block,
-                                                                 width):
-            # PCG64's set-seed step for (seed, sequence), both 128 bits
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT
-                     + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+        for row in _generate_states(head, block, width):
+            yield generator(pcg64(row_seed(row)))
         width = len(block[0])
+
+
+@cache
+def _row_seed():
+    """The seed sequence class of `streams`: it hands PCG64 one row of
+    _generate_states, which PCG64 asks for as generate_state(4, uint64).
+    Built on first use, so that importing this module loads no
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a stream's seed is 4 uint64 words")
+            return self.row
+
+    return RowSeed
 
 
 def _words(x):
@@ -92,9 +101,10 @@ def _words(x):
 
 
 def _generate_states(head, block, width):
-    """SeedSequence([*head words, *tail]).generate_state(4, uint64) as four
-    Python ints, for the tails of `block` in order, hashed as one matrix:
-    tails of one length (`width` unless None) with 32-bit word entries."""
+    """SeedSequence([*head words, *tail]).generate_state(4, uint64) for
+    the tails of `block` in order, one C-contiguous row each of an (n, 4)
+    uint64 matrix, hashed as one: tails of one length (`width` unless
+    None) with 32-bit word entries."""
     try:
         words = np.array(block, dtype=np.uint64)
     except (ValueError, OverflowError, TypeError):  # ragged or negative
@@ -145,7 +155,8 @@ def _hash(head, tails):
         value = value * hash_const & _MASK32
         out.append(value ^ (value >> 16))
     # four uint64s, each from two words, low word first
-    return zip(*((out[j] | out[j + 1] << 32).tolist() for j in range(0, 8, 2)))
+    return np.stack([out[j] | out[j + 1] << 32 for j in range(0, 8, 2)],
+                    axis=1)
 
 
 class RateFunction:

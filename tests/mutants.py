@@ -25,6 +25,13 @@ RATE_MASS = "tests/test_properties.py::TestRateMass::" \
 COMMAND_LINES = "tests/test_cli.py::TestBenchmarkCommandLines::" \
     "test_workload_command_lines_parse"
 LAZY_IMPORTS = "tests/test_cli.py::TestLazyImports"
+COLUMNAR_PATH = "tests/test_calibration.py::TestColumnarPath"
+DIALECT = "tests/test_calibration.py::TestIngestion::test_dialect"
+INGEST_REFERENCE = "tests/test_calibration.py::" \
+    "TestColumnarIngestMatchesReference::test_equals_reference"
+BATCHED_EM = "tests/test_calibration.py::TestBatchedEMMatchesReference::" \
+    "test_equals_restarts_one_after_another"
+FIT_BYTES = "tests/test_cli.py::TestFit::test_output_bytes_pinned"
 
 MUTANTS = [
     # accept while alive < cap rather than alive + 1 <= cap: caps rounded
@@ -83,6 +90,62 @@ MUTANTS = [
     # scipy imported with the module again, by every command
     ("flows.py", "import numpy as np\n",
      "import numpy as np\nimport scipy.special  # noqa: F401\n",
+     (LAZY_IMPORTS,)),
+    # a cancellation on the arrival day's lead refused by the columnar
+    # rule mask: every clean file with one goes to the per-row path
+    ("calibration.py", "(values <= lead)", "(values < lead)",
+     (COLUMNAR_PATH,)),
+    # \r\n line ends left in the block: a CRLF blank line is then one
+    # field, not a blank line
+    ("calibration.py", '        block = block.replace(b"\\r\\n", b"\\n")\n',
+     "", (f"{COLUMNAR_PATH}::test_file_end",)),
+    # a header line holding a bare CR read as the header: in a file of
+    # bare-CR line ends it swallows every record
+    ("calibration.py", """any(c in header for c in '"\\0\\r')""",
+     """any(c in header for c in '"\\0')""", (INGEST_REFERENCE,)),
+    # blank lines kept as one-field records: a clean file with one goes to
+    # the per-row path
+    ("calibration.py", "    if blank.any():\n"
+     "        start, end, at_eol = "
+     "start[~blank], end[~blank], at_eol[~blank]\n",
+     "", (f"{COLUMNAR_PATH}::test_file_end",)),
+    # any byte of 1 to 18 read as a digit: padded, signed or underscored
+    # integers convert to wrong values instead of by int's grammar
+    ("calibration.py", "    if np.any(digit > 9):\n        return None\n", "",
+     (DIALECT,)),
+    # the EM restarts that stopped improving kept in the iteration, so they
+    # run on past a lone run's stop
+    ("calibration.py", "        active = active[go]\n"
+     "        if not len(active):\n"
+     "            break\n"
+     "        resp = np.exp(comp[go] - lse[go])\n",
+     "        if not go.any():\n"
+     "            break\n"
+     "        resp = np.exp(comp - lse)\n",
+     (BATCHED_EM,)),
+    # the flags read unstripped: a padded 0 or 1 sends a clean file to the
+    # per-row path
+    ("calibration.py",
+     "        fields = list(map(str.strip, _texts(buf, start, end)))\n"
+     "        if not _FLAGS.issuperset(fields):\n",
+     "        fields = _texts(buf, start, end)\n"
+     "        if not _FLAGS.issuperset(fields):\n", (INGEST_REFERENCE,)),
+    # scipy imported with calibration again, by every command
+    ("calibration.py", "import numpy as np\n",
+     "import numpy as np\nimport scipy.special  # noqa: F401\n",
+     (LAZY_IMPORTS,)),
+    # every EM restart started from restart 0's start point
+    ("calibration.py", "streams(seed, ((r,) for r in range(n_restarts)))",
+     "streams(seed, ((0,) for r in range(n_restarts)))",
+     (BATCHED_EM, FIT_BYTES)),
+    # the process pool imported with the command again, by every run
+    ("cli.py", "import numpy as np\n",
+     "import numpy as np\n"
+     "from concurrent.futures import ProcessPoolExecutor  # noqa: F401\n",
+     (LAZY_IMPORTS,)),
+    # numpy.random imported with flows again, by every command
+    ("flows.py", "import numpy as np\n",
+     "import numpy as np\nimport numpy.random  # noqa: F401\n",
      (LAZY_IMPORTS,)),
     # `fit` without --jobs, which the fit-bookings workload passes
     ("cli.py", '            p.add_argument("--jobs", type=int, default=1)',

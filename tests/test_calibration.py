@@ -277,18 +277,24 @@ def booking_texts(draw):
 class TestColumnarIngestMatchesReference:
     """ingest_bookings against the reference's one-record-at-a-time
     reader: the same array bytes or the same error message. A clean file
-    must not reach the per-row path at all. The chunk size is drawn
-    small, so most files span several chunks."""
+    must not reach the per-row path at all. The block size is drawn
+    small, so most files span several blocks, and lines and multi-byte
+    UTF-8 fields straddle reads."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=booking_texts(), chunk=st.integers(1, 5))
+    @given(case=booking_texts(), chunk=st.integers(1, 64))
+    @example(case=(HEADER + "2017-01-01,5, 1 ,\t3 ,2,\u30000\n", True),
+             chunk=64).via("padded flags and cancel lead")
+    @example(case=("hotel," + HEADER.replace("\n", ",hotel\r")
+                   + "x,2017-01-01,5,0,,2,0,y\r", False),
+             chunk=64).via("bare CR line ends, no line feed in the file")
     def test_equals_reference(self, case, chunk):
         text, clean = case
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "b.csv"
             p.write_bytes(text.encode())
             expected = ingested(R.ingest_bookings, p)
-            with mock.patch.object(C, "CHUNK_LINES", chunk):
+            with mock.patch.object(C, "CHUNK_BYTES", chunk):
                 assert ingested(C.ingest_bookings, p) == expected
                 if clean:
                     assert not isinstance(expected, str)
@@ -301,16 +307,19 @@ class TestColumnarIngestMatchesReference:
         ("2017-01-02,3,0,,2", "fewer fields than the header"),
     ], ids=["broken-rule", "quoted", "short-row"])
     def test_bad_line_in_second_chunk(self, tmp_path, bad, message):
-        # at the shipped chunk size: the first chunk is clean
-        n = C.CHUNK_LINES + 10
-        lines = ["2017-01-01,5,0,,2,0"] * n
-        lines[C.CHUNK_LINES + 3] = bad
+        # at the shipped block size: the first block, of whole lines, is
+        # clean
+        line = "2017-01-01,5,0,,2,0\n"
+        first = C.CHUNK_BYTES // len(line)
+        n = first + 10
+        lines = [line] * n
+        lines[first + 3] = bad + "\n"
         p = tmp_path / "b.csv"
-        p.write_text(HEADER + "\n".join(lines) + "\n")
+        p.write_text(HEADER + "".join(lines))
         expected = ingested(R.ingest_bookings, p)
         assert ingested(C.ingest_bookings, p) == expected
         if message:
-            assert expected == f"line {C.CHUNK_LINES + 5}: {message}"
+            assert expected == f"line {first + 5}: {message}"
         else:
             assert len(C.ingest_bookings(p)) == n
 
@@ -361,6 +370,20 @@ class TestColumnarPath:
             row(), row(10, True, 4, 1, day=1), row(0, stay=3, walkin=True,
                                                    day=2)]
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("blank", [0, 3],
+                             ids=["no-last-line-end", "blank-lines"])
+    def test_file_end(self, tmp_path, end, blank):
+        # the last record without its line end, or followed by blank lines
+        records = ["2017-01-01,5,0,,2,0", "2017-01-02,10,1,4,1,0",
+                   "2017-01-03,0,0,,3,1"]
+        p = tmp_path / "b.csv"
+        p.write_bytes((HEADER.replace("\n", end) + end.join(records)
+                       + end * blank).encode())
+        assert self.check(p).tolist() == [
+            row(), row(10, True, 4, 1, day=1), row(0, stay=3, walkin=True,
+                                                   day=2)]
+
     def test_written_crlf_file(self, tmp_path):
         # a generated dataset written again by csv.writer, which ends its
         # lines with \r\n
@@ -376,7 +399,8 @@ class TestColumnarPath:
     def test_benchmark_dataset(self, tmp_path):
         p = tmp_path / "b.csv"
         rows = R.load_perfbench_workloads().write_bookings(p, 20240401)
-        assert len(self.check(p)) == rows > C.CHUNK_LINES
+        assert len(self.check(p)) == rows
+        assert p.stat().st_size > C.CHUNK_BYTES
 
 
 class TestFitGamma:

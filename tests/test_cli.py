@@ -434,15 +434,16 @@ class TestSweep:
 
 class TestLazyImports:
     def test_scipy_and_pool_load_only_where_used(self, tmp_path):
-        # every module of the package loads with the command, scipy and the
-        # process pool do not; a lower-bound run (no Beta rate, one job)
-        # reaches neither
+        # every module of the package loads with the command, scipy, the
+        # process pool and numpy.random do not; a lower-bound run (no Beta
+        # rate, one job) reaches neither of the first two
         cfg = write_cfg(tmp_path, "[scenario]\nT = 40\n")
         code = "\n".join([
             "import sys",
             "import roomflow.cli as cli",
             "heavy = ('scipy', 'concurrent.futures.process')",
-            "print(*(m for m in heavy if m in sys.modules), sep=',')",
+            "print(*(m for m in (*heavy, 'numpy.random')"
+            " if m in sys.modules), sep=',')",
             "print(*sorted(m for m in sys.modules if m.startswith('roomflow')),"
             " sep=',')",
             f"argv = ['simulate', '--preset', 'lower-bound', '--config', "

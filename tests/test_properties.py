@@ -508,8 +508,9 @@ class TestStreams:
         for tail, rng in zip(tails, streams(master, tails)):
             fresh = substream(master, *tail)
             assert rng.bit_generator.state == fresh.bit_generator.state, tail
-            # the reused Generator keeps nothing of the previous stream:
-            # binomial's cached setup and the buffered 32-bit half-word
+            # each path's Generator is fresh and keeps nothing of the
+            # previous stream: binomial's cached setup and the buffered
+            # 32-bit half-word
             n1, n2 = (data.draw(st.integers(0, 500)) for _ in range(2))
             assert engine_draws(rng, n1, n2) == engine_draws(fresh, n1, n2)
             n += 1
