@@ -5,11 +5,12 @@ durations a Geometric law, and daily walk-in counts a Poisson mixture. The
 fitted model is written as key=value text (`save_model`) beside a quality
 report (`fit_report`).
 
-A booking dataset of plain rows is ingested from its bytes a block of
-whole lines at a time: numpy finds the fields, converts each column of
-plain fields from its bytes (any other column through int, str.strip and
-fromisoformat) and checks each rule over the whole block. Any other file
-(quoted fields, bare CR line ends, ragged rows, bytes that are not UTF-8)
+A booking dataset of plain rows and plain fields (ASCII digits, flags of
+one byte, YYYY-MM-DD dates) is ingested from its bytes a block of whole
+lines at a time: numpy finds the fields, converts each column from its
+bytes and checks each rule over the whole block. Any other file (padded,
+signed or underscored integers, other Unicode digits, compact dates,
+quoted fields, bare CR line ends, ragged rows, bytes that are not UTF-8)
 and any file that breaks a rule is read again by the per-row csv loop,
 which words the line-numbered errors; both give the same array or the
 same error (`tests/reference.py` holds the per-row reader).
@@ -95,8 +96,6 @@ def _parse_row(raw, lineno, ordinals):
     tuple; a broken rule raises IngestError naming the line. ordinals
     caches the ordinal of every date string that has parsed."""
     try:
-        if len(raw) < len(COLUMNS):
-            raise ValueError("fewer fields than the header")
         date, lead, canceled, cancel_lead, stay, walkin = raw
         day = ordinals.get(date)
         if day is None:
@@ -143,22 +142,9 @@ def _column_order(header):
 # bytes of a dataset that _ingest_columns reads, checks and converts
 # together; a block ends at its last line end
 CHUNK_BYTES = 1 << 16
-_FLAGS = frozenset(("0", "1"))
 _COMMA, _LF, _ZERO, _ONE = b",\n01"  # byte values
 # 10**k for the k-th digit from a field's end: 18 digits stay below 2**63
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
-
-
-def _int64(fields, n):
-    """The fields as int's grammar reads them; ValueError or OverflowError
-    when one is not an integer or lies outside int64."""
-    return np.fromiter(map(int, fields), np.int64, n)
-
-
-def _texts(buf, start, end):
-    """The fields buf[start:end] as str."""
-    return [buf[i:j].tobytes().decode()
-            for i, j in zip(start.tolist(), end.tolist())]
 
 
 def _digits(buf, start, end):
@@ -177,63 +163,39 @@ def _digits(buf, start, end):
                            first)
 
 
-def _integers(buf, start, end):
-    """The integer fields buf[start:end] as int64, as _int64 reads them."""
-    values = _digits(buf, start, end)
-    if values is None:
-        values = _int64(_texts(buf, start, end), len(start))
-    return values
-
-
-def _optional(buf, start, end):
-    """(present, values) of cancel_lead_days: a field is present when it
-    is not empty once stripped, and an absent one reads 0."""
-    present, values = end > start, np.zeros(len(start), np.int64)
-    given = _digits(buf, start[present], end[present])
-    if given is None:
-        fields = list(map(str.strip, _texts(buf, start, end)))
-        present = np.fromiter(map(bool, fields), np.bool_, len(fields))
-        given = _int64(filter(None, fields), np.count_nonzero(present))
-    values[present] = given
-    return present, values
-
-
 def _flags(buf, start, end):
-    """The stripped 0/1 fields as bool, or None when one is neither."""
+    """The fields as bool when each is the byte 0 or 1, else None."""
     first = buf[start]
     if not np.all((end - start == 1) & ((first == _ZERO) | (first == _ONE))):
-        fields = list(map(str.strip, _texts(buf, start, end)))
-        if not _FLAGS.issuperset(fields):
-            return None
-        first = np.frombuffer("".join(fields).encode(), np.uint8)
+        return None
     return first == _ONE
 
 
 def _dates(buf, start, end, ordinals):
-    """The proleptic ordinals of the date fields as fromisoformat reads
-    them; ValueError when one is not a date. ordinals caches them by text,
-    and a column of 10-byte fields (YYYY-MM-DD) looks one up per run of
-    equal fields."""
-    n = len(start)
-    if np.all(end - start == 10):
-        key = sliding_window_view(buf, 10)[start].view("S10").ravel()
-        run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        texts = [k.decode() for k in key[run].tolist()]  # each run's first
-        counts = np.diff(run, append=n)
-    else:
-        texts, counts = _texts(buf, start, end), 1
-    for d in set(texts).difference(ordinals):
-        ordinals[d] = datetime.date.fromisoformat(d).toordinal()
+    """The proleptic ordinals of the fields when each is 10 bytes
+    (YYYY-MM-DD) that fromisoformat reads, else None. ordinals caches them
+    by text, looked up once per run of equal fields."""
+    if not np.all(end - start == 10):
+        return None
+    key = sliding_window_view(buf, 10)[start].view("S10").ravel()
+    run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    texts = [k.decode() for k in key[run].tolist()]  # each run's first
+    try:
+        for d in set(texts).difference(ordinals):
+            ordinals[d] = datetime.date.fromisoformat(d).toordinal()
+    except ValueError:
+        return None
     return np.repeat(np.fromiter(map(ordinals.__getitem__, texts), np.int64,
-                                 len(texts)), counts)
+                                 len(texts)), np.diff(run, append=len(key)))
 
 
 def _columns_block(block, width, order, ordinals, limit):
     """The records of a block of whole lines as a BOOKING_DTYPE array, or
     None when the block needs the per-row path: a quote, a NUL, a bare
     carriage return, bytes that are not UTF-8, a line of at least limit
-    bytes, a field count other than width, or a value that breaks a rule
-    of _parse_row."""
+    bytes, a field count other than width, a field that is not plain
+    (_digits, _flags, _dates, and a cancel_lead_days empty or digits), or
+    a value that breaks a rule of _parse_row."""
     if b'"' in block or b"\0" in block:
         return None
     crs = block.count(b"\r")
@@ -262,18 +224,19 @@ def _columns_block(block, width, order, ordinals, limit):
     if not n:
         return np.empty(0, BOOKING_DTYPE)
     start, end = start.reshape(n, width), end.reshape(n, width)
-    date, lead, canceled, cancel_lead, stay, walkin = (
-        (buf, start[:, i], end[:, i]) for i in order)
-    try:
-        day = _dates(*date, ordinals)
-        lead, stay = _integers(*lead), _integers(*stay)
-        present, values = _optional(*cancel_lead)
-    except (ValueError, OverflowError):
+    date, lead, canceled, (first, last), stay, walkin = (
+        (start[:, i], end[:, i]) for i in order)
+    day = _dates(buf, *date, ordinals)
+    lead, stay = _digits(buf, *lead), _digits(buf, *stay)
+    canceled, walkin = _flags(buf, *canceled), _flags(buf, *walkin)
+    present = last > first  # an empty cancel_lead_days reads 0
+    given = _digits(buf, first[present], last[present])
+    if any(x is None for x in (day, lead, stay, canceled, walkin, given)):
         return None
-    canceled, walkin = _flags(*canceled), _flags(*walkin)
-    if canceled is None or walkin is None or not np.all(
-            (lead >= 0) & (stay >= 1) & (canceled == present)
-            & (values >= 0) & (values <= lead) & ~(walkin & (lead != 0))):
+    values = np.zeros(n, np.int64)
+    values[present] = given
+    if not np.all((stay >= 1) & (canceled == present) & (values <= lead)
+                  & ~(walkin & (lead != 0))):
         return None
     out = np.empty(n, BOOKING_DTYPE)
     out["arrival_date"], out["lead_days"] = day, lead
@@ -328,11 +291,12 @@ def ingest_bookings(path):
     """Parse and validate a booking dataset into one BOOKING_DTYPE array;
     every malformed row is reported with its line number.
 
-    A file of plain records is read in binary, a block of CHUNK_BYTES cut
-    after its last line end at a time, and checked and converted a column
-    at a time (_ingest_columns). Any other file, and every file that
-    breaks a rule, is read again record by record, and that path words the
-    errors: both paths return the same array, or the same error."""
+    A file of plain records with plain fields is read in binary, a block
+    of CHUNK_BYTES cut after its last line end at a time, and checked and
+    converted a column at a time (_ingest_columns). Any other file, and
+    every file that breaks a rule, is read again record by record, and
+    that path words the errors: both paths return the same array, or the
+    same error."""
     data = _ingest_columns(path)
     return _ingest_rows(path) if data is None else data
 
@@ -350,10 +314,13 @@ def _ingest_rows(path):
             pick, width = operator.itemgetter(*order), max(order) + 1
             ordinals = {}
             for raw in filter(None, reader):  # a blank line holds no record
+                if len(raw) < width:
+                    problems.append(f"line {reader.line_num}: "
+                                    "fewer fields than the header")
+                    continue
                 try:
-                    fields = (pick(raw) if len(raw) >= width
-                              else [raw[i] for i in order if i < len(raw)])
-                    rows.append(_parse_row(fields, reader.line_num, ordinals))
+                    rows.append(_parse_row(pick(raw), reader.line_num,
+                                           ordinals))
                 except IngestError as exc:
                     problems.append(str(exc))
         except UnicodeDecodeError as exc:

@@ -123,13 +123,14 @@ MUTANTS = [
      "            break\n"
      "        resp = np.exp(comp - lse)\n",
      (BATCHED_EM,)),
-    # the flags read unstripped: a padded 0 or 1 sends a clean file to the
-    # per-row path
+    # the flags read unstripped by the per-row reader: a padded 0 or 1 is
+    # then rejected
     ("calibration.py",
-     "        fields = list(map(str.strip, _texts(buf, start, end)))\n"
-     "        if not _FLAGS.issuperset(fields):\n",
-     "        fields = _texts(buf, start, end)\n"
-     "        if not _FLAGS.issuperset(fields):\n", (INGEST_REFERENCE,)),
+     "        canceled, walkin = canceled.strip(), walkin.strip()\n", "",
+     (DIALECT,)),
+    # a flag's first byte read whatever its length: 01 reads as 0 on the
+    # columnar path, where the per-row reader rejects it
+    ("calibration.py", "(end - start == 1) & (", "(", (DIALECT,)),
     # scipy imported with calibration again, by every command
     ("calibration.py", "import numpy as np\n",
      "import numpy as np\nimport scipy.special  # noqa: F401\n",

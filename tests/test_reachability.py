@@ -1,9 +1,10 @@
 """Guard against test-only API: every top-level function and class in
 `src/roomflow` must be reachable from the `roomflow` command (`cli.main`),
 the only entry point, every method, property and classmethod must be named
-by the package outside its own body, every parameter must be read, and
-every dataclass field must be read as an attribute. A name that only tests
-reach is code the program does not need."""
+by the package outside its own body (or be listed as one a library calls),
+every parameter must be read, and every dataclass field must be read as an
+attribute. A name that only tests reach is code the program does not
+need."""
 
 import ast
 from pathlib import Path
@@ -99,16 +100,17 @@ def test_guard_flags_test_only_chains():
 def unreferenced_members(sources):
     """(module, class, name) of each non-dunder method, property and
     classmethod of `sources` that no attribute reference outside its own
-    body names. `Cls.name` names the member of the class `Cls` (defined in
-    the module or imported from the package); any other `expr.name` names
-    `name` on every class."""
+    body names; classes defined inside a function count too. `Cls.name`
+    names the member of the class `Cls` (defined in the module or
+    imported from the package); any other `expr.name` names `name` on
+    every class."""
     trees = {m: ast.parse(code) for m, code in sources.items()}
     spans = {}  # (module, class) -> {member: (first line, last line)}
     for module, tree in trees.items():
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                spans[(module, stmt.name)] = {
-                    f.name: (f.lineno, f.end_lineno) for f in stmt.body
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                spans[(module, node.name)] = {
+                    f.name: (f.lineno, f.end_lineno) for f in node.body
                     if isinstance(f, ast.FunctionDef)
                     and not (f.name.startswith("__")
                              and f.name.endswith("__"))}
@@ -135,9 +137,32 @@ def unreferenced_members(sources):
             for n in members} - named
 
 
+# members that a library calls, and no code of the package names
+CALLED_BY_LIBRARIES = {
+    ("flows", "RowSeed", "generate_state"):
+        "numpy's PCG64 asks its seed sequence for its state",
+}
+
+
 def test_every_member_is_named_outside_its_body():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert sorted(unreferenced_members(sources)) == []
+    # equality: an allowlist entry that the guard no longer flags is stale
+    assert unreferenced_members(sources) == set(CALLED_BY_LIBRARIES)
+
+
+def test_member_guard_sees_function_local_classes():
+    sources = {
+        "flows": ("def seeds():\n"
+                  "    class Seed:\n"
+                  "        def __init__(self, row):\n"
+                  "            self.row = row\n"
+                  "        def state(self):\n            return self.row\n"
+                  "        def spare(self):\n            return 0\n"
+                  "    return Seed\n"),
+        "cli": ("from .flows import seeds\n"
+                "def main():\n    return seeds()(1).state()\n"),
+    }
+    assert unreferenced_members(sources) == {("flows", "Seed", "spare")}
 
 
 def test_member_guard_resolves_class_names():
