@@ -17,10 +17,13 @@ same error (`tests/reference.py` holds the per-row reader).
 
 The mixture's EM restarts run together, one array pass per iteration over
 the restarts still improving, and each restart's numbers equal those of a
-lone run (`tests/reference.py` holds the one-after-another loop).
+lone run (`tests/reference.py` holds the one-after-another loop). Its
+logsumexp over components is computed here (`_logsumexp`), with
+scipy.special.logsumexp's rounding.
 
-scipy is imported only inside the fitters and the report that call it, so
-importing this module (as `roomflow.cli` does) does not load it.
+scipy is imported only inside the fitters and the report that call it
+(`gammaln`, `digamma`, `polygamma`, `gammainc`), so importing this module
+(as `roomflow.cli` does) does not load it.
 """
 
 from __future__ import annotations
@@ -409,26 +412,56 @@ def fit_geometric(durations):
     return float(1.0 - len(d) / d.sum())
 
 
+def _logsumexp(a):
+    """scipy.special.logsumexp over a's leading axis, to the bit: the
+    result scipy gives for a copy of a with that axis moved last.
+
+    scipy's steps, in numpy: the maximum, its tie count m, the sum s of
+    exp(a - max) over the other terms (a tie's term times 0, where scipy
+    takes exp(-inf)), log1p(s / m) + log(m) + max, and log(sum(exp(a)))
+    where that is not finite (all terms -inf, or an inf or NaN term).
+    scipy's other steps (a guard on s == 0, signs) change no finite result.
+    Only s depends on the order of its terms; the fallback's sums are 0,
+    inf or NaN in any order. numpy sums a last axis one term after another
+    below 8 terms, as a leading-axis sum adds its rows; from 8 terms it
+    keeps 8 partial sums, so there s is taken on a contiguous copy with
+    that axis last, which is shorter than writing numpy's order out and
+    costs only fits of 8 or more components.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=0)
+        tie = a == a_max
+        m = tie.sum(axis=0, dtype=float)
+        e = np.exp(a - a_max) * ~tie
+        s = (e.sum(axis=0) if len(a) < 8
+             else np.moveaxis(e, 0, -1).copy().sum(axis=-1))
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+    return out
+
+
 def _mixture_loglik(counts, log_factorial, log_w, rates):
     """Log-likelihood of daily counts under several Poisson mixtures at once.
 
     counts and log_factorial (gammaln(counts + 1)) hold one value per day;
-    log_w and rates hold one mixture per row. Returns comp, the log joint
-    of (mixture, day, component); lse, comp's logsumexp over components
-    with that axis kept; and each mixture's log-likelihood, its lse summed
-    over days. Every day and component reduction runs along the last axis,
-    so each row's numbers equal a lone mixture's.
+    log_w and rates hold one mixture per row, (mixture, component). Returns
+    comp, the log joint laid out as (component, mixture, day); lse, comp's
+    logsumexp over components, (mixture, day); and each mixture's
+    log-likelihood, its lse summed over days. Components lead, so their
+    reductions are cheap leading-axis passes (`_logsumexp` keeps scipy's
+    rounding), and the sum over days runs along the last axis, so each
+    mixture's numbers equal a lone mixture's.
     """
-    from scipy.special import logsumexp
-    rates = rates[:, None, :]
+    rates = rates.T[:, :, None]
     # log pmf, guarding the rate-0 atom at zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp = counts[:, None] * np.log(rates) - rates - log_factorial[:, None]
-    lp = np.where(rates == 0.0,
-                  np.where(counts[:, None] == 0, 0.0, -np.inf), lp)
-    comp = lp + log_w[:, None, :]
-    lse = logsumexp(comp, axis=-1, keepdims=True)
-    return comp, lse, lse[..., 0].sum(axis=-1)
+        lp = counts * np.log(rates) - rates - log_factorial
+    lp = np.where(rates == 0.0, np.where(counts == 0, 0.0, -np.inf), lp)
+    comp = lp + log_w.T[:, :, None]
+    lse = _logsumexp(comp)
+    return comp, lse, lse.sum(axis=-1)
 
 
 def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
@@ -440,6 +473,12 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
     leaves that set where its gain in log-likelihood falls below _EM_TOL,
     and its numbers equal a lone run's. The result is the first restart of
     greatest log-likelihood, its components in increasing rate.
+
+    The responsibilities are held as (component, restart, day), as
+    `_mixture_loglik` lays out the log joint. A lone run sums them over
+    days one day after another and over components in numpy's last-axis
+    order, so the batch does too: each component's mass nk is a running
+    sum along the days, and `_logsumexp` keeps the component order.
     """
     from scipy.special import gammaln
     counts = np.asarray(daily_counts, dtype=float)
@@ -480,11 +519,13 @@ def fit_poisson_mixture(daily_counts, n_components=2, n_restarts=50,
         active = active[go]
         if not len(active):
             break
-        resp = np.exp(comp[go] - lse[go])
-        nk = resp.sum(axis=1)
+        resp = np.exp(comp[:, go] - lse[go])
+        nk = np.cumsum(resp, axis=-1)[..., -1].T
         nk = np.maximum(nk, 1e-300)
-        # one matrix-vector product per restart, as a lone run rounds it
-        rates[active] = np.array([r.T @ counts for r in resp]) / nk
+        # one matrix-vector product per restart on its contiguous (day,
+        # component) block, as a lone run rounds it
+        blocks = np.moveaxis(resp, 0, -1).copy()
+        rates[active] = np.array([r.T @ counts for r in blocks]) / nk
         log_w[active] = np.log(nk / len(counts))
     best = max(range(n_restarts), key=ll.__getitem__)  # first of the greatest
     w, rates = np.exp(log_w[best]), rates[best]

@@ -32,6 +32,7 @@ INGEST_REFERENCE = "tests/test_calibration.py::" \
 BATCHED_EM = "tests/test_calibration.py::TestBatchedEMMatchesReference::" \
     "test_equals_restarts_one_after_another"
 FIT_BYTES = "tests/test_cli.py::TestFit::test_output_bytes_pinned"
+LOGSUMEXP = "tests/test_calibration.py::TestLogsumexp"
 
 MUTANTS = [
     # accept while alive < cap rather than alive + 1 <= cap: caps rounded
@@ -118,11 +119,19 @@ MUTANTS = [
     ("calibration.py", "        active = active[go]\n"
      "        if not len(active):\n"
      "            break\n"
-     "        resp = np.exp(comp[go] - lse[go])\n",
+     "        resp = np.exp(comp[:, go] - lse[go])\n",
      "        if not go.any():\n"
      "            break\n"
      "        resp = np.exp(comp - lse)\n",
      (BATCHED_EM,)),
+    # each component's mass summed over days pairwise, not one day after
+    # another as a lone run sums it
+    ("calibration.py", "nk = np.cumsum(resp, axis=-1)[..., -1].T",
+     "nk = resp.sum(axis=-1).T", (BATCHED_EM, FIT_BYTES)),
+    # the logsumexp terms summed one after another from 8 components on,
+    # where numpy's last-axis sum keeps 8 partial sums
+    ("calibration.py", "else np.moveaxis(e, 0, -1).copy().sum(axis=-1))",
+     "else e.sum(axis=0))", (LOGSUMEXP, BATCHED_EM)),
     # the flags read unstripped by the per-row reader: a padded 0 or 1 is
     # then rejected
     ("calibration.py",

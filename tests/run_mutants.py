@@ -1,7 +1,12 @@
 """Apply each known mutant of `mutants.py` to a copy of the tree and report
 whether its tests kill it.
 
-    python tests/run_mutants.py
+    python tests/run_mutants.py                  # every mutant
+    python tests/run_mutants.py calibration.py   # those of one module file
+
+With module file names (as `mutants.py` names them, under src/roomflow)
+it runs only those files' mutants, numbered as in the whole list; with
+none it runs them all.
 
 For each mutant, in the order listed, the runner copies `src`, `tests` and
 `perfbench` (without caches) into a new temporary directory, replaces the
@@ -64,9 +69,15 @@ def run_mutant(file, old, new, tests):
     return {0: "survived", 1: "killed"}.get(code, "error")
 
 
-def main():
+def main(files=()):
+    known = {file for file, _, _, _ in MUTANTS}
+    if set(files) - known:
+        sys.exit(f"no mutants of {', '.join(sorted(set(files) - known))}; "
+                 f"known files: {', '.join(sorted(known))}")
     start, faults = time.perf_counter(), 0
     for i, (file, old, new, tests) in enumerate(MUTANTS):
+        if files and file not in files:
+            continue
         expected = "killed" if tests else "survived"
         t0, ran = time.perf_counter(), tests or neighbour_tests(file)
         outcome = run_mutant(file, old, new, ran)
@@ -80,4 +91,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

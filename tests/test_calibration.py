@@ -179,7 +179,7 @@ BROKEN = [("lead_days", "-1"), ("lead_days", ""), ("lead_days", "x"),
           ("cancel_lead_days", "x"), ("cancel_lead_days", str(2 ** 64)),
           ("arrival_date", "2017-13-01"), ("arrival_date", " 2017-01-01"),
           ("arrival_date", ""), ("lead_days", "5\0"), ("is_canceled", "01"),
-          ("is_walk_in", "10")]
+          ("is_canceled", "00"), ("is_walk_in", "10"), ("is_walk_in", "11")]
 
 
 def plain(name, text):
@@ -297,6 +297,25 @@ def booking_texts(draw):
     return "".join(map(str.__add__, lines, ends)), clean
 
 
+@st.composite
+def one_broken_field(draw):
+    """(text, False): a file of plain records and LF or CRLF line ends in
+    which exactly one field is a BROKEN entry. The rest of the file keeps
+    it on the columnar path, so that path's own checks must find the
+    field; booking_texts puts a broken field into an otherwise clean file
+    too rarely to test them."""
+    header = draw(st.permutations(C.COLUMNS))
+    records = draw(st.lists(record_fields(True), min_size=1, max_size=12))
+    lines = [header] + [[r[name] for name in header] for r in records]
+    # a column first, then one of its broken entries: the two flags'
+    # entries are drawn as often as the other columns' are
+    name = draw(st.sampled_from(C.COLUMNS))
+    text = draw(st.sampled_from([t for n, t in BROKEN if n == name]))
+    lines[draw(st.integers(1, len(records)))][header.index(name)] = text
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(line) + end for line in lines), False
+
+
 class TestColumnarIngestMatchesReference:
     """ingest_bookings against the reference's one-record-at-a-time
     reader: the same array bytes or the same error message. A clean file
@@ -305,7 +324,8 @@ class TestColumnarIngestMatchesReference:
     UTF-8 fields straddle reads."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=booking_texts(), chunk=st.integers(1, 64))
+    @given(case=st.one_of(booking_texts(), one_broken_field()),
+           chunk=st.integers(1, 64))
     @example(case=(HEADER + "2017-01-01,5, 1 ,\t3 ,2,\u30000\n", False),
              chunk=64).via("padded flags and cancel lead")
     @example(case=("hotel," + HEADER.replace("\n", ",hotel\r")
@@ -544,7 +564,7 @@ class TestBatchedEMMatchesReference:
         return mixture, [str(w.message) for w in caught]
 
     @settings(max_examples=100, deadline=None)
-    @given(counts=DAILY_COUNTS, k=st.integers(1, 4),
+    @given(counts=DAILY_COUNTS, k=st.integers(1, 12),
            restarts=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
            cap=st.integers(1, 40))
     @example(counts=[0] * 8 + [30, 40] * 3, k=3, restarts=4, seed=0,
@@ -554,6 +574,9 @@ class TestBatchedEMMatchesReference:
     @example(counts=[i % 7 + 20 * (i % 3 == 0) for i in range(240)], k=2,
              restarts=5, seed=3, cap=C._EM_MAX_ITER).via(
         "more days than numpy's pairwise-summation block of 128")
+    @example(counts=[i % 7 + 20 * (i % 3 == 0) for i in range(240)], k=9,
+             restarts=3, seed=3, cap=C._EM_MAX_ITER).via(
+        "9 components, which numpy sums with 8 partial sums")
     def test_equals_restarts_one_after_another(self, counts, k, restarts,
                                                seed, cap):
         with mock.patch.object(C, "_EM_MAX_ITER", cap):
@@ -567,6 +590,26 @@ class TestBatchedEMMatchesReference:
         counts = [0] * 8 + [30, 40] * 3
         mixture = C.fit_poisson_mixture(counts, 3, n_restarts=4, seed=0)
         assert 0.0 in [rate for _, rate in mixture]
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("k", [*range(1, 21), 130])
+    def test_equals_scipy_over_the_last_axis(self, k):
+        # over the leading axis, against scipy over the last axis of a
+        # contiguous copy, as the reference's lone run calls it: continuous
+        # values, whose sums round by their order, values on a grid of 0.5,
+        # which tie for the maximum, and -inf terms and all -inf columns
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(k)
+        a = np.concatenate([rng.normal(0.0, 20.0, (k, 3, 40)),
+                            rng.integers(-4, 1, (k, 3, 40)) * 0.5], axis=-1)
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[:, 0, :3] = -np.inf
+        expected = logsumexp(np.moveaxis(a, 0, -1).copy(), axis=-1)
+        assert C._logsumexp(a).tobytes() == expected.tobytes()
+        top = a.max(axis=0)
+        ties = (a == top).sum(axis=0)[np.isfinite(top)]
+        assert k == 1 or ties.max() >= 2
 
 
 class TestModelPersistence:
