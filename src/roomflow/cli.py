@@ -280,7 +280,7 @@ def _profiles(f, lam1, p0, k0):
 
     def day_rate(prefix, shape, mass):  # Beta(a, b), flat when a = b = 1
         a, b = (f.get(f"{prefix}_beta_{x}", shape, 1.0) for x in "ab")
-        return (RateFunction.constant(mass, 0.0, 1.0) if a == b == 1.0
+        return (RateFunction.constant(mass) if a == b == 1.0
                 else RateFunction.beta_shaped(mass, a, b))
 
     # only rng.beta reads the arrival shapes; the walk-in rate's tail mass
@@ -294,8 +294,8 @@ def _profiles(f, lam1, p0, k0):
         law = DurationLaw(kind, q_stay=f.get(
             "q_stay", _real("in [0, 1)", lambda x: 0.0 <= x < 1.0), 0.0))
     return StageProfiles(
-        stage1_rate=RateFunction.constant(lam1 / k0, 0.0, k0),
-        keep_curve=KeepCurve.linear(p0, 0.0, k0), show_prob=q1,
+        stage1_rate=RateFunction.constant(lam1 / k0, k0),
+        keep_curve=KeepCurve(p0, k0), show_prob=q1,
         arrival_density=arrival, walkin_rate=walkin, duration_law=law)
 
 

@@ -160,7 +160,8 @@ def _hash(head, tails):
 
 
 class RateFunction:
-    """Nonnegative arrival intensity over an interval.
+    """Nonnegative arrival intensity over a domain [0, t1], t1 > 0: the
+    booking window [0, k0] or the service day [0, 1].
 
     Stored as (mass, normalized density). Supported shapes: flat, and a
     Beta(a, b) density scaled to a total mass. Any positive shapes can be
@@ -168,29 +169,28 @@ class RateFunction:
     [1, MAX_SHAPE].
     """
 
-    def __init__(self, kind, t0, t1, mass, a=None, b=None):
-        if t1 < t0:
-            raise ValueError("empty domain")
+    def __init__(self, kind, t1, mass, a=None, b=None):
+        if not t1 > 0:
+            raise ValueError("the domain [0, t1] needs t1 > 0")
         if mass < 0:
             raise ValueError("negative total mass")
         self.kind = kind
-        self.t0 = float(t0)
         self.t1 = float(t1)
         self.mass = float(mass)
         self.a = a
         self.b = b
 
     @classmethod
-    def constant(cls, rate, t0=0.0, t1=1.0):
+    def constant(cls, rate, t1=1.0):
         if rate < 0:
             raise ValueError("negative rate")
-        return cls("flat", t0, t1, rate * (t1 - t0))
+        return cls("flat", t1, rate * t1)
 
     @classmethod
-    def beta_shaped(cls, mass, a, b, t0=0.0, t1=1.0):
+    def beta_shaped(cls, mass, a, b, t1=1.0):
         if not (0 < a < np.inf and 0 < b < np.inf):
             raise ValueError("Beta parameters must be finite and positive")
-        return cls("beta", t0, t1, mass, a=a, b=b)
+        return cls("beta", t1, mass, a=a, b=b)
 
     def draw(self, n, rng):
         """The variates of n i.i.d. times from the normalized density, for
@@ -207,13 +207,13 @@ class RateFunction:
         """Times of `draw` variates, or of several draws joined on axis -1."""
         if self.kind == "flat":
             raw = raw[1]
-        return self.t0 + (self.t1 - self.t0) * raw
+        return self.t1 * raw
 
     def mass_after(self, u):
         """Mass over [u, t1]; u may be an array. A point's mass depends on
         that point alone, not on the array it sits in."""
-        lo = np.maximum(u, self.t0)
-        z = (lo - self.t0) / (self.t1 - self.t0)
+        lo = np.maximum(u, 0.0)
+        z = lo / self.t1
         if self.kind == "beta":  # z > 1 only past t1, which is masked
             mass = self.mass * self._upper_tail(np.minimum(z, 1.0))
         else:
@@ -252,57 +252,27 @@ class RateFunction:
 
 
 class KeepCurve:
-    """Nondecreasing keep probability p over the booking window.
+    """Keep probability p over the booking window [0, k0]: p0 at the
+    window's start, rising linearly to 1 at its end.
 
     A request alive at time t ultimately survives the window with
-    probability p(t); the curve must end at 1. Piecewise linear between
-    knots; a repeated knot time encodes a jump. Flat segments carry no
-    cancellation mass, so the conditional cancel-time law
-    P(cancel by tau | booked at s) = 1 - p(s)/p(tau) is sampled by inverting
-    the curve.
+    probability p(t), so the conditional cancel-time law
+    P(cancel by tau | booked at s) = 1 - p(s)/p(tau) is sampled by
+    inverting the line.
     """
 
-    def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ValueError("times/values shape mismatch")
-        if len(self.times) < 2:
-            raise ValueError("need at least two knots")
-        if np.any(np.diff(self.times) < 0):
-            raise ValueError("knot times must be nondecreasing")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("keep probability must be nondecreasing")
-        if np.any((self.values < 0) | (self.values > 1)):
+    def __init__(self, p0, k0):
+        if not 0.0 <= p0 <= 1.0:
             raise ValueError("keep probability outside [0, 1]")
-        if self.values[-1] != 1.0:
-            raise ValueError("keep probability must equal 1 at the window end")
-
-    @classmethod
-    def linear(cls, p0, t0, t1):
-        """p0 at t0, rising linearly to 1 at t1."""
-        return cls([t0, t1], [p0, 1.0])
-
-    @property
-    def t_start(self):
-        return float(self.times[0])
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
+        if not k0 > 0:
+            raise ValueError("the booking window [0, k0] needs k0 > 0")
+        self.p0 = float(p0)
+        self.k0 = float(k0)
 
     def value(self, t):
-        return np.interp(t, self.times, self.values)
-
-    def _inverse(self, y):
-        """inf{t : p(t) >= y} for each y in (0, 1]."""
-        i = np.searchsorted(self.values, y, side="left")
-        j = np.maximum(i, 1)
-        v0, v1 = self.values[j - 1], self.values[j]
-        t0, t1 = self.times[j - 1], self.times[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(v1 == v0, t0, t0 + (y - v0) / (v1 - v0) * (t1 - t0))
-        return np.where(i == 0, self.times[0], t)
+        """p(t) on [0, k0], bit for bit np.interp(t, [0, k0], [p0, 1])."""
+        return np.where(t < self.k0,
+                        (1.0 - self.p0) / self.k0 * t + self.p0, 1.0)
 
     def cancel_times(self, s, p, u):
         """Cancellation times of non-surviving requests booked at times s,
@@ -313,13 +283,13 @@ class KeepCurve:
         """
         if np.any(p >= 1.0):
             raise ValueError("a request with keep probability 1 cannot cancel")
-        out = np.minimum(self.t_end,
-                         s + 1e-12 * max(1.0, self.t_end - self.t_start))
+        out = np.minimum(self.k0, s + 1e-12 * max(1.0, self.k0))
         live = p > 0.0
         if live.any():
             p_s = p[live]
-            y = p_s / (1.0 - (1.0 - u) * (1.0 - p_s))  # 1 - u is in (0, 1]
-            out[live] = np.maximum(self._inverse(np.minimum(y, 1.0)), s[live])
+            y = np.minimum(p_s / (1.0 - (1.0 - u) * (1.0 - p_s)), 1.0)
+            t = (y - self.p0) / (1.0 - self.p0) * self.k0  # p(t) = y
+            out[live] = np.maximum(np.where(y > self.p0, t, 0.0), s[live])
         return out
 
 
@@ -362,7 +332,7 @@ class StageProfiles:
     """Per-day generative profile of the two-stage customer flow."""
 
     stage1_rate: RateFunction      # over the booking window [0, k0]
-    keep_curve: KeepCurve          # same domain; ends at 1
+    keep_curve: KeepCurve          # same window; ends at 1
     show_prob: float               # q1: Type-I show probability
     arrival_density: RateFunction  # mass 1 over the service day [0, 1]
     walkin_rate: RateFunction      # over the service day [0, 1]
@@ -373,7 +343,7 @@ class StageProfiles:
             raise ValueError("show probability must be in (0, 1]")
         if abs(self.arrival_density.mass - 1.0) > 1e-9:
             raise ValueError("arrival density must integrate to 1")
-        if abs(self.keep_curve.t_end - self.stage1_rate.t1) > 1e-9:
+        if abs(self.keep_curve.k0 - self.stage1_rate.t1) > 1e-9:
             raise ValueError("keep curve and booking rate domains differ")
 
 

@@ -4,8 +4,9 @@ Each entry is (file under src/roomflow, exact old text, new text, the
 tests that must fail once the old text is replaced by the new). A mutant
 whose test tuple is empty is equivalent: no input tells it apart from the
 program, and its note says why. Each old text occurs exactly once in its
-file (`test_mutants.py` checks it), so a refactor that rewrites one must
-port its mutant here, as a deleted test is ported.
+file, and each killing test id names a test that exists (`test_mutants.py`
+checks both), so a refactor that rewrites one must port its mutant here,
+as a deleted test is ported.
 
 `python tests/run_mutants.py` checks every mutant: it applies each to its
 own copy of the tree and runs its tests there with a fresh hypothesis
@@ -33,6 +34,13 @@ BATCHED_EM = "tests/test_calibration.py::TestBatchedEMMatchesReference::" \
     "test_equals_restarts_one_after_another"
 FIT_BYTES = "tests/test_cli.py::TestFit::test_output_bytes_pinned"
 LOGSUMEXP = "tests/test_calibration.py::TestLogsumexp"
+CANCEL_UNIFORMS = "tests/test_flows.py::TestCancelUniforms::" \
+    "test_only_requests_with_p_above_0_take_one"
+HARD_CAP = "tests/test_policies.py::TestDass1Decide::test_p_one_hard_cap"
+BOOKING_CAPS = "tests/test_properties.py::TestArrayEngineMatchesReference::" \
+    "test_booking_caps_match_scalar_closed_form"
+UNDERFLOW = "tests/test_policies.py::TestMaxBookingsWithin::" \
+    "test_underflowing_estimate_returns_promptly"
 
 MUTANTS = [
     # accept while alive < cap rather than alive + 1 <= cap: caps rounded
@@ -71,12 +79,19 @@ MUTANTS = [
     # not among those with p > 0
     ("flows.py", "first + np.arange(len(live)) - live.searchsorted(first)",
      "first + gone.searchsorted(live) - gone.searchsorted(first)",
-     (SAMPLING,)),
+     (CANCEL_UNIFORMS,)),
     # a flat rate's tail mass with the product regrouped: equal in exact
     # arithmetic, not in floats
     ("flows.py", "mass = self.mass - z * self.mass",
-     "mass = self.mass - (lo - self.t0) * (self.mass / (self.t1 - self.t0))",
-     (RATE_MASS,)),
+     "mass = self.mass - lo * (self.mass / self.t1)", (RATE_MASS,)),
+    # the keep curve's slope as a product with 1 / k0, not np.interp's
+    # quotient: equal for k0 a power of two, not for k0 = 3
+    ("flows.py", "(1.0 - self.p0) / self.k0 * t",
+     "(1.0 - self.p0) * (1.0 / self.k0) * t", (SAMPLING,)),
+    # the inverse of the keep curve regrouped: equal in exact arithmetic,
+    # not in floats for k0 = 3
+    ("flows.py", "(y - self.p0) / (1.0 - self.p0) * self.k0",
+     "(y - self.p0) * self.k0 / (1.0 - self.p0)", (SAMPLING,)),
     # a flat rate's times read from the unread row of its draws
     ("flows.py", "raw = raw[1]", "raw = raw[0]", (SAMPLING, FINGERPRINTS)),
     # the upper tail as 1 minus the lower binomial sum: equal in exact
@@ -162,4 +177,11 @@ MUTANTS = [
      '            if name != "fit":\n'
      '                p.add_argument("--jobs", type=int, default=1)',
      (COMMAND_LINES,)),
+    # a Stage-I cap whose threshold equals the capacity estimate refused
+    ("policies.py", "& (_threshold(n, q, iota, np.sqrt) <= hat_C))",
+     "& (_threshold(n, q, iota, np.sqrt) < hat_C))",
+     (HARD_CAP, BOOKING_CAPS)),
+    # the cap's bisection stopped with a gap of 2: lo may be one short
+    ("policies.py", "while (hi - lo > 1.0).any():",
+     "while (hi - lo > 2.0).any():", (UNDERFLOW,)),
 ]

@@ -2,18 +2,20 @@
 
 One object per customer, a scalar keep-curve lookup and a scalar threshold
 per request, a sorted event list per service day, and a dict ledger with
-one entry per room-night. It is slow and obvious on purpose: the property
-tests hold the struct-of-arrays engine in `roomflow.engine` to it, day by
-day, on the same realizations. The Stage-II check-in rules are this
-module's own copies, one running-counter state per customer, so the engine's
-replay is never compared with itself; `mass_between` is the two-sided
-walk-in mass those rules read (scipy's `betainc` for a Beta rate), where
-the engine's `RateFunction.mass_after` holds the upper end at the day's end
-and sums the binomial tail of whole shapes, which `exact_mass_after` sums
-in rational arithmetic. `pre_call_mass` gives the engine's `replay_stage2`
-the walk-in masses that the single-day cell asks for once per chunk.
-`brute_force_day_optimal` is the enumeration oracle for the offline day
-optimum, and
+one entry per room-night. The keep curve is read by np.interp and inverted
+by a search of its two knots (`keep_value`, `cancel_time`), where
+`KeepCurve` writes the line out in closed form. It is slow and obvious on
+purpose: the property tests hold the struct-of-arrays engine in
+`roomflow.engine` to it, day by day, on the same realizations. The Stage-II
+check-in rules are this module's own copies, one running-counter state per
+customer, so the engine's replay is never compared with itself;
+`mass_between` is the two-sided walk-in mass those rules read (scipy's
+`betainc` for a Beta rate), where the engine's `RateFunction.mass_after`
+holds the upper end at the day's end and sums the binomial tail of whole
+shapes, which `exact_mass_after` sums in rational arithmetic.
+`pre_call_mass` gives the engine's `replay_stage2` the walk-in masses that
+the single-day cell asks for once per chunk. `brute_force_day_optimal` is
+the enumeration oracle for the offline day optimum, and
 `estimated_capacity_bisection` solves for the capacity estimate by
 bisection where the engine inverts the threshold in closed form, and
 `max_bookings_within` finds a request's Stage-I cap the same way.
@@ -161,9 +163,9 @@ def sample_times(rate, n, rng):
     if n == 0:
         return np.empty(0)
     if rate.kind == "beta":
-        return rate.t0 + (rate.t1 - rate.t0) * rng.beta(rate.a, rate.b, n)
+        return rate.t1 * rng.beta(rate.a, rate.b, n)
     rng.random(n)  # drawn and unread, as the seed contract fixes
-    return rate.t0 + (rate.t1 - rate.t0) * rng.random(n)
+    return rate.t1 * rng.random(n)
 
 
 def sample_nhpp(rate, rng):
@@ -175,12 +177,10 @@ def sample_nhpp(rate, rng):
 def mass_between(rate, lo, hi):
     """Mass of a RateFunction over [lo, hi], from its cumulative mass at
     each end; lo and hi may be arrays of the same shape."""
-    lo = np.maximum(lo, rate.t0)
+    lo = np.maximum(lo, 0.0)
     hi = np.minimum(hi, rate.t1)
     if rate.kind == "beta":
-        span = rate.t1 - rate.t0
-        zlo = (lo - rate.t0) / span
-        zhi = (hi - rate.t0) / span
+        zlo, zhi = lo / rate.t1, hi / rate.t1
         mass = rate.mass * (betainc(rate.a, rate.b, zhi)
                             - betainc(rate.a, rate.b, zlo))
     else:
@@ -200,38 +200,42 @@ def exact_mass_after(rate, u):
     """The exact mass of a Beta rate (whole shapes) over [u, t1], for a
     float u, as a Fraction: the binomial sum of its upper tail,
     sum_{j<a} C(n, j) z^j (1 - z)^(n-j), n = a + b - 1, at the float
-    z = (max(u, t0) - t0) / (t1 - t0) that the engine computes."""
-    lo = max(u, rate.t0)
+    z = max(u, 0) / t1 that the engine computes."""
+    lo = max(u, 0.0)
     if rate.t1 <= lo:
         return Fraction(0)
-    z = Fraction(min((lo - rate.t0) / (rate.t1 - rate.t0), 1.0))
+    z = Fraction(min(lo / rate.t1, 1.0))
     a, n = int(rate.a), int(rate.a + rate.b) - 1
     return Fraction(rate.mass) * sum(math.comb(n, j) * z ** j
                                      * (1 - z) ** (n - j) for j in range(a))
 
 
 def _flat_mass_to(rate, x):
-    """Flat mass over [t0, x], for x inside the domain."""
-    return (x - rate.t0) / (rate.t1 - rate.t0) * rate.mass
+    """Flat mass over [0, x], for x inside the domain."""
+    return x / rate.t1 * rate.mass
+
+
+def keep_value(curve, t):
+    """p(t) of a KeepCurve, by np.interp on its two knots."""
+    return float(np.interp(t, [0.0, curve.k0], [curve.p0, 1.0]))
 
 
 def _inverse(curve, y):
-    i = int(np.searchsorted(curve.values, y, side="left"))
+    """inf{t : p(t) >= y} for y in (0, 1], by a search of the knots."""
+    times, values = [0.0, curve.k0], [curve.p0, 1.0]
+    i = int(np.searchsorted(values, y, side="left"))
     if i == 0:
-        return float(curve.times[0])
-    v0, v1 = curve.values[i - 1], curve.values[i]
-    t0, t1 = curve.times[i - 1], curve.times[i]
-    if v1 == v0:
-        return float(t0)
+        return times[0]
+    v0, v1 = values[i - 1], values[i]
+    t0, t1 = times[i - 1], times[i]
     return float(t0 + (y - v0) / (v1 - v0) * (t1 - t0))
 
 
 def cancel_time(curve, s, rng):
     """Cancellation time of one non-surviving request booked at s."""
-    p_s = float(curve.value(s))
+    p_s = keep_value(curve, s)
     if p_s <= 0.0:
-        return min(curve.t_end, s + 1e-12 * max(1.0, curve.t_end
-                                                - curve.t_start))
+        return min(curve.k0, s + 1e-12 * max(1.0, curve.k0))
     u = 1.0 - rng.random()
     y = p_s / (1.0 - u * (1.0 - p_s))
     return max(_inverse(curve, min(y, 1.0)), s)
@@ -244,12 +248,13 @@ def sample_stage1(profiles, rng):
     curve = profiles.keep_curve
     times = sample_nhpp(profiles.stage1_rate, rng)
     n = len(times)
-    survives = rng.random(n) < np.atleast_1d(curve.value(times))
+    survives = rng.random(n) < np.array([keep_value(curve, t)
+                                         for t in times.tolist()])
     durations = profiles.duration_law.sample(rng, n)
     out = [(float(times[i]), bool(survives[i]),
             None if survives[i] else cancel_time(curve, times[i], rng),
             int(durations[i])) for i in range(n)]
-    drawn = sum(not s and curve.value(t) > 0 for t, s, _, _ in out)
+    drawn = sum(not s and keep_value(curve, t) > 0 for t, s, _, _ in out)
     rng.random(n - drawn)
     return out
 
@@ -367,7 +372,7 @@ def stage1_accept(policy, bookings, profiles, C):
                                    profiles.show_prob, policy.iota)
 
         def decide(t, alive):
-            p = float(curve.value(t))
+            p = keep_value(curve, t)
             return stage1_threshold(alive + 1, p, policy.iota) <= hat_C
     else:
         # the heuristic's fixed cap (1 + beta) * delta * C / q1

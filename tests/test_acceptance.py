@@ -41,8 +41,8 @@ checks = load_checks()
 
 def reference_profiles(lam1=300.0, lam2=30.0, q1=0.4, q_stay=0.3, p0=0.5):
     return StageProfiles(
-        stage1_rate=RateFunction.constant(lam1, 0.0, 1.0),
-        keep_curve=KeepCurve.linear(p0, 0.0, 1.0),
+        stage1_rate=RateFunction.constant(lam1),
+        keep_curve=KeepCurve(p0, 1.0),
         show_prob=q1,
         arrival_density=RateFunction.beta_shaped(1.0, 6, 6),
         walkin_rate=RateFunction.beta_shaped(lam2, 6, 6),

@@ -1,5 +1,8 @@
 """Sampling laws: frozen oracle values, statistical checks, determinism."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,7 +19,14 @@ from roomflow.flows import (
     sample_blocks,
     sample_walkins,
 )
-from reference import day_streams, pre_call_mass, sampled_days, substream
+from reference import (
+    cancel_time,
+    day_streams,
+    keep_value,
+    pre_call_mass,
+    sampled_days,
+    substream,
+)
 
 
 def sample_nhpp(rate, rng):
@@ -27,23 +37,23 @@ def sample_nhpp(rate, rng):
 def simple_profiles(q1=0.5, keep=None, lam1=30.0, lam2=30.0,
                     law=DurationLaw("constant", d=1)):
     return StageProfiles(
-        stage1_rate=RateFunction.constant(lam1, 0.0, 1.0),
-        keep_curve=keep or KeepCurve.linear(1.0, 0.0, 1.0),
+        stage1_rate=RateFunction.constant(lam1),
+        keep_curve=keep or KeepCurve(1.0, 1.0),
         show_prob=q1,
-        arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
-        walkin_rate=RateFunction.constant(lam2, 0.0, 1.0),
+        arrival_density=RateFunction.constant(1.0),
+        walkin_rate=RateFunction.constant(lam2),
         duration_law=law,
     )
 
 
 class TestRateFunction:
     def test_zero_mass_returns_empty(self):
-        rate = RateFunction.constant(0.0, 0.0, 1.0)
+        rate = RateFunction.constant(0.0)
         assert len(sample_nhpp(rate, substream(0))) == 0
 
     def test_constant_mass_law(self):
         # empirical mean count over many draws matches the total mass
-        rate = RateFunction.constant(30.0, 0.0, 1.0)
+        rate = RateFunction.constant(30.0)
         rng = substream(1)
         counts = rng.poisson(rate.mass, 200_000)
         assert abs(counts.mean() - 30.0) < 0.1
@@ -59,7 +69,7 @@ class TestRateFunction:
         assert abs(t.mean() - 0.5) < 0.002
 
     def test_mass_between(self):
-        rate = RateFunction.constant(15.0, 0.0, 1.0)
+        rate = RateFunction.constant(15.0)
         assert rate.mass == pytest.approx(15.0)
         assert rate.mass_after(0.25) - rate.mass_after(0.75) == (
             pytest.approx(7.5))
@@ -91,28 +101,39 @@ class TestRateFunction:
         with pytest.raises(ValueError):
             RateFunction.constant(-1.0)
         with pytest.raises(ValueError):
-            RateFunction.constant(1.0, 1.0, 0.0)
+            RateFunction.constant(1.0, 0.0)  # the domain [0, 0]
+        with pytest.raises(ValueError):
+            RateFunction.beta_shaped(1.0, 2, 2, -1.0)
         with pytest.raises(ValueError):
             RateFunction.beta_shaped(1.0, 0, 6)
 
 
 class TestKeepCurve:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KeepCurve([0.0, 1.0], [0.5, 0.5])  # does not end at 1
-        with pytest.raises(ValueError):
-            KeepCurve([0.0, 1.0], [0.9, 0.8])  # decreasing
+        for p0, k0 in ((-0.1, 1.0), (1.1, 1.0), (math.nan, 1.0), (0.5, 0.0),
+                       (0.5, -1.0)):
+            with pytest.raises(ValueError):
+                KeepCurve(p0, k0)
 
-    def test_constant_curve_cancels_at_window_end(self):
-        curve = KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0])
+    def test_value_is_the_line_from_p0_to_1(self):
+        curve = KeepCurve(0.5, 2.0)
+        t = np.array([0.0, 1.0, 2.0, 3.0])
+        assert curve.value(t).tolist() == [0.5, 0.75, 1.0, 1.0]
+        assert curve.value(0.5) == 0.625
+
+    def test_cancels_within_the_window(self):
+        # a cancel lies in [s, k0]; the uniform 0 cancels at the window end
+        curve = KeepCurve(0.5, 1.0)
         s = np.full(50, 0.3)
-        tau = curve.cancel_times(s, curve.value(s), substream(4).random(50))
-        assert tau == pytest.approx(np.ones(50))
+        u = substream(4).random(50)
+        u[0] = 0.0
+        tau = curve.cancel_times(s, curve.value(s), u)
+        assert np.all((tau >= 0.3) & (tau <= 1.0)) and tau[0] == 1.0
 
     def test_linear_curve_survival_law(self):
         # p(t) = t on [0, 1], booked at s=0.25:
         # P(uncancelled at 0.5) = p(s)/p(0.5) = 0.5
-        curve = KeepCurve.linear(0.0, 0.0, 1.0)
+        curve = KeepCurve(0.0, 1.0)
         rng = substream(5)
         n = 100_000
         s = np.full(n, 0.25)
@@ -149,14 +170,14 @@ class TestDurationLaw:
 
 class TestStage1Day:
     def test_no_cancellation(self):
-        profiles = simple_profiles(keep=KeepCurve.linear(1.0, 0.0, 1.0))
+        profiles = simple_profiles(keep=KeepCurve(1.0, 1.0))
         day = next(sampled_days(profiles, 9, [1])).bookings
         assert len(day) > 0
         assert np.isnan(day.cancel_time).all()
 
-    def test_constant_half_survival(self):
-        profiles = simple_profiles(
-            keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]), lam1=100.0)
+    def test_half_survival(self):
+        # flat requests under p(t) = t survive with probability 1/2
+        profiles = simple_profiles(keep=KeepCurve(0.0, 1.0), lam1=100.0)
         total = survived = 0
         for day in sampled_days(profiles, 10, range(1, 2000)):
             if total >= 100_000:
@@ -167,7 +188,7 @@ class TestStage1Day:
         assert abs(survived / total - 0.5) < 0.005
 
     def test_records_sorted_and_consistent(self):
-        profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0))
+        profiles = simple_profiles(keep=KeepCurve(0.2, 1.0))
         day = next(sampled_days(profiles, 11, [1])).bookings
         times = day.time.tolist()
         assert times == sorted(times)
@@ -177,7 +198,7 @@ class TestStage1Day:
 
     def test_survival_fraction_matches_curve_midwindow(self):
         # among bookings alive at t, the fraction ultimately surviving is p(t)
-        curve = KeepCurve.linear(0.2, 0.0, 1.0)
+        curve = KeepCurve(0.2, 1.0)
         profiles = simple_profiles(keep=curve, lam1=50.0)
         t = 0.6
         alive = surv = 0
@@ -217,8 +238,8 @@ class TestStage2Day:
 
     def test_beta_arrival_means(self):
         profiles = StageProfiles(
-            stage1_rate=RateFunction.constant(30.0, 0.0, 1.0),
-            keep_curve=KeepCurve.linear(1.0, 0.0, 1.0),
+            stage1_rate=RateFunction.constant(30.0),
+            keep_curve=KeepCurve(1.0, 1.0),
             show_prob=0.5,
             arrival_density=RateFunction.beta_shaped(1.0, 6, 6),
             walkin_rate=RateFunction.beta_shaped(30.0, 6, 6),
@@ -274,7 +295,7 @@ def day_arrays(day):
 
 class TestDeterminism:
     def test_identical_seeds_identical_streams(self):
-        profiles = simple_profiles(keep=KeepCurve.linear(0.3, 0.0, 1.0),
+        profiles = simple_profiles(keep=KeepCurve(0.3, 1.0),
                                    law=DurationLaw("geometric", q_stay=0.3))
         d1 = next(sampled_days(profiles, 42, [3]))
         d2 = next(sampled_days(profiles, 42, [3]))
@@ -292,7 +313,7 @@ class TestRecords:
     def test_booking_record_invariants(self):
         # cancel_time is present (not nan) iff the booking cancels, and
         # never before its request
-        profiles = simple_profiles(keep=KeepCurve.linear(0.2, 0.0, 1.0),
+        profiles = simple_profiles(keep=KeepCurve(0.2, 1.0),
                                    lam1=200.0)
         day = next(sampled_days(profiles, 20, [1])).bookings
         gone = ~np.isnan(day.cancel_time)
@@ -314,8 +335,7 @@ class TestRecords:
 
     def test_reserved_outcomes_cover_all_bookings(self):
         # the sampler draws an outcome for every request, admitted or not
-        profiles = simple_profiles(
-            keep=KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0]))
+        profiles = simple_profiles(keep=KeepCurve(0.5, 1.0))
         batch = next(sample_batches(profiles, iter(
             [substream(18), substream(19)]), 1, 1))
         day = next(sample_blocks(profiles, batch, iter(
@@ -339,3 +359,31 @@ class TestRecords:
             assert block.bookings.starts[-2] + block.wk_starts[-2] < 100
         for block in blocks[:-1]:
             assert len(block.bookings) + len(block.wk_time) >= 100
+
+
+class TestCancelUniforms:
+    def test_only_requests_with_p_above_0_take_one(self):
+        # a day's j-th cancelling request with p > 0 takes the day's j-th
+        # cancel uniform; under p0 = 0 a request at t = 0 has p = 0 and
+        # cancels at once without one. Hand-made raw draws of two days,
+        # each mixing both kinds, against the reference's one scalar draw
+        # per cancelling request with p > 0, day by day
+        profiles = simple_profiles(keep=KeepCurve(0.0, 1.0))
+        positions = [[0.0, 0.0, 0.5, 0.7], [0.0, 0.25, 0.6, 0.8, 0.9]]
+        u_survive = [[0.5, 0.5, 0.9, 0.9], [0.5, 0.1, 0.9, 0.2, 0.95]]
+        u_cancel = [[0.11, 0.22, 0.33, 0.44], [0.55, 0.66, 0.77, 0.88, 0.99]]
+        days = []
+        for x, u_s, u_c in zip(positions, u_survive, u_cancel):
+            n = len(x)
+            days.append((n, np.array([np.zeros(n), x]), np.array(u_s),
+                         np.ones(n, dtype=int), np.array(u_c),
+                         np.zeros((2, n)), np.zeros(n)))
+        got = F._request_batch(profiles, days).cancel_time
+        curve, want = profiles.keep_curve, []
+        for x, u_s, u_c in zip(positions, u_survive, u_cancel):
+            rng = types.SimpleNamespace(random=iter(u_c).__next__)
+            want += [math.nan if u < keep_value(curve, s)
+                     else cancel_time(curve, s, rng) for s, u in zip(x, u_s)]
+        assert np.array_equal(got, want, equal_nan=True)
+        # both kinds occur on each day
+        assert (got == 1e-12).sum() == 3 and np.isnan(got).sum() == 2

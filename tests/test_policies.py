@@ -159,21 +159,21 @@ class TestDass1Decide:
     def test_p_one_hard_cap(self):
         # p = 1: the threshold is B itself, so the 50th booking fits a
         # capacity estimate of 50 and the 51st does not
-        curve = KeepCurve.linear(1.0, 0.0, 1.0)
+        curve = KeepCurve(1.0, 1.0)
         accepted = stage1_accepted(np.linspace(0.0, 0.9, 51), curve, 50.0,
                                    2.0)
         assert accepted == list(range(50))
 
     def test_boundary_reject(self):
         hat_C = estimated_capacity(GEO, 100, 0.4, 2.0)
-        curve = KeepCurve([0.0, 1.0, 1.0], [0.5, 0.5, 1.0])
-        accepted = stage1_accepted(np.full(216, 0.5), curve, hat_C, 2.0)
+        curve = KeepCurve(0.5, 1.0)  # p = 0.5 at t = 0
+        accepted = stage1_accepted(np.zeros(216), curve, hat_C, 2.0)
         assert len(accepted) == 215  # B_t+1 = 215 accepted, 216 rejected
 
     def test_invariant_after_decisions(self):
         # after any accept, the threshold at the current state stays within hat_C
         hat_C = estimated_capacity(GEO, 100, 0.4, 2.0)
-        curve = KeepCurve.linear(0.3, 0.0, 1.0)
+        curve = KeepCurve(0.3, 1.0)
         times = np.arange(0.0, 1.0, 0.01)
         accepted = set(stage1_accepted(times, curve, hat_C, 2.0))
         B_t = 0
@@ -191,10 +191,10 @@ def day_profiles(q1=0.5, lam2=30.0):
     """A service day's profiles with show probability q1 and a flat walk-in
     rate, lam2 over the day, so the walk-in mass after u is lam2 (1 - u)."""
     return StageProfiles(
-        stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-        keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
-        arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
-        walkin_rate=RateFunction.constant(lam2, 0.0, 1.0),
+        stage1_rate=RateFunction.constant(1.0),
+        keep_curve=KeepCurve(1.0, 1.0), show_prob=q1,
+        arrival_density=RateFunction.constant(1.0),
+        walkin_rate=RateFunction.constant(lam2),
         duration_law=GEO)
 
 

@@ -48,21 +48,15 @@ def rates(draw, mass, t1=1.0):
     [0, t1]."""
     if draw(st.booleans()):
         return RateFunction.beta_shaped(mass, draw(st.integers(1, 6)),
-                                        draw(st.integers(1, 6)), 0.0, t1)
-    return RateFunction.constant(mass / t1, 0.0, t1)
+                                        draw(st.integers(1, 6)), t1)
+    return RateFunction.constant(mass / t1, t1)
 
 
 @st.composite
 def keep_curves(draw, k0):
-    kind = draw(st.sampled_from(["constant", "linear", "late", "always"]))
-    p0 = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.95))
-    if kind == "constant":
-        return KeepCurve([0.0, k0, k0], [p0, p0, 1.0])
-    if kind == "linear":
-        return KeepCurve.linear(p0, 0.0, k0)
-    if kind == "late":  # one day mixes cancels with p = 0 and p > 0
-        return KeepCurve([0.0, k0 / 2, k0 / 2, k0], [0.0, 0.0, 0.5, 1.0])
-    return KeepCurve.linear(1.0, 0.0, k0)
+    """The line from p0 at 0 to 1 at k0; p0 = 1 never cancels."""
+    p0 = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 0.95))
+    return KeepCurve(p0, k0)
 
 
 @st.composite
@@ -83,7 +77,7 @@ def profiles(draw, k0):
 
 @st.composite
 def scenarios(draw):
-    k0 = draw(st.sampled_from([1, 2]))
+    k0 = draw(st.sampled_from([1, 2, 3]))
     v = draw(st.sampled_from([-0.5, 0.0]) | st.floats(0.01, 0.99)
              | st.just(1.0))
     return E.ScenarioConfig(
@@ -91,6 +85,19 @@ def scenarios(draw):
         reward=draw(st.sampled_from([1.0, 2.5])),
         overbook_penalty=draw(st.sampled_from([1.0, 0.5])),
         profiles=draw(profiles(k0)), seed=draw(st.integers(0, 2 ** 32)))
+
+
+# a booking window of k0 = 3 under p0 = 0.26, whose slope 0.74 / 3 is not
+# 0.74 * (1 / 3) in floats: the keep values and the inverse must follow
+# np.interp's arithmetic
+WINDOW_OF_3 = E.ScenarioConfig(
+    T=3, C=5, v=0.5, reward=1.0, overbook_penalty=1.0, seed=7,
+    profiles=StageProfiles(
+        stage1_rate=RateFunction.constant(10.0, 3.0),
+        keep_curve=KeepCurve(0.26, 3.0), show_prob=0.5,
+        arrival_density=RateFunction.constant(1.0),
+        walkin_rate=RateFunction.constant(5.0),
+        duration_law=DurationLaw("geometric", q_stay=0.3)))
 
 
 @st.composite
@@ -143,14 +150,18 @@ class TestArrayEngineMatchesReference:
 
     @SETTINGS
     @given(sc=scenarios())
+    @example(sc=WINDOW_OF_3)
     def test_sampling_is_bit_identical_to_scalar_draws(self, sc):
         # vectorized draws against one scalar draw per record, stream by
         # stream
+        curve = sc.profiles.keep_curve
         days = sampled_days(sc.profiles, sc.seed, range(1, sc.T + 1))
         for k, day in zip(range(1, sc.T + 1), days):
             bookings, walkins = R.realize_day(sc, 0, k)
             b = day.bookings
             assert b.time.tolist() == [r.request_time for r in bookings]
+            assert b.keep.tolist() == [R.keep_value(curve, r.request_time)
+                                       for r in bookings]
             assert np.isnan(b.cancel_time).tolist() == [r.survives
                                                         for r in bookings]
             assert [None if math.isnan(c) else c for c in
@@ -190,9 +201,9 @@ class TestArrayEngineMatchesReference:
         policy = (AdaptivePolicy(0.0, alpha) if adaptive
                   else HeuristicPolicy(0.0))
         prof = StageProfiles(
-            stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-            keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
-            arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+            stage1_rate=RateFunction.constant(1.0),
+            keep_curve=KeepCurve(1.0, 1.0), show_prob=q1,
+            arrival_density=RateFunction.constant(1.0),
             walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
             duration_law=DurationLaw("geometric"))
         walkin_time = np.array(walkins, dtype=float)
@@ -309,9 +320,9 @@ class TestBlockCheckinsMatchReference:
         sc = E.ScenarioConfig(
             T=n_days, C=C, v=v, reward=1.0, overbook_penalty=2.0,
             profiles=StageProfiles(
-                stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-                keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
-                arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
+                stage1_rate=RateFunction.constant(1.0),
+                keep_curve=KeepCurve(1.0, 1.0), show_prob=q1,
+                arrival_density=RateFunction.constant(1.0),
                 walkin_rate=RateFunction.beta_shaped(8.0, 2.0, 3.0),
                 duration_law=law))
         policy = (AdaptivePolicy(0.0, alpha) if adaptive
@@ -390,10 +401,10 @@ class TestBatchSurvivors:
         sc = E.ScenarioConfig(
             T=len(batch.starts) - 1, C=C, v=0.5, reward=1.0,
             overbook_penalty=1.0, profiles=StageProfiles(
-                stage1_rate=RateFunction.constant(1.0, 0.0, 1.0),
-                keep_curve=KeepCurve.linear(1.0, 0.0, 1.0), show_prob=q1,
-                arrival_density=RateFunction.constant(1.0, 0.0, 1.0),
-                walkin_rate=RateFunction.constant(1.0, 0.0, 1.0),
+                stage1_rate=RateFunction.constant(1.0),
+                keep_curve=KeepCurve(1.0, 1.0), show_prob=q1,
+                arrival_density=RateFunction.constant(1.0),
+                walkin_rate=RateFunction.constant(1.0),
                 duration_law=law))
         policies = [AdaptivePolicy(iota, 0.4),
                     *(HeuristicPolicy(b) for b in betas)]
@@ -551,23 +562,22 @@ class TestStreams:
 
 @st.composite
 def any_rates(draw):
-    """A Beta-shaped (whole shapes) or flat rate over a domain starting
-    anywhere in [-2, 2]; domains may have zero width, and rates may be
-    zero."""
-    t0 = draw(st.sampled_from([0.0, -1.5]) | st.floats(-2.0, 2.0))
-    t1 = t0 + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0))
+    """A Beta-shaped (whole shapes) or flat rate over a domain [0, t1],
+    from the narrowest float width to 4; rates may be zero."""
+    t1 = draw(st.sampled_from([0.5, 1.0, 3.0])
+              | st.floats(0.0, 4.0, exclude_min=True))
     if draw(st.booleans()):
         return RateFunction.beta_shaped(
             draw(st.floats(0.0, 50.0)), draw(st.integers(1, 8)),
-            draw(st.integers(1, 8)), t0, t1)
-    return RateFunction.constant(draw(st.floats(0.0, 50.0)), t0, t1)
+            draw(st.integers(1, 8)), t1)
+    return RateFunction.constant(draw(st.floats(0.0, 50.0)), t1)
 
 
 def mass_points(rate):
-    """Points u for mass_after: the domain's knots, inside and outside it,
+    """Points u for mass_after: the domain's ends, inside and outside it,
     and +-inf."""
-    return (st.sampled_from([rate.t0, rate.t1])
-            | st.floats(rate.t0, rate.t1) | st.floats(-3.0, 5.0)
+    return (st.sampled_from([0.0, rate.t1])
+            | st.floats(0.0, rate.t1) | st.floats(-3.0, 5.0)
             | st.sampled_from([-math.inf, math.inf]))
 
 
@@ -604,8 +614,8 @@ class TestRateMass:
         points = mass_points(rate)
         for u in (data.draw(points), np.empty(0),
                   np.array(data.draw(st.lists(points, max_size=6)))):
-            # a zero-width domain divides by zero, and u = inf makes an
-            # infinite fraction of the domain; both are masked
+            # u = inf makes an infinite fraction of the domain, and a
+            # subnormal t1 may too; both are masked
             with np.errstate(all="ignore"):
                 got = rate.mass_after(u)
                 want = R.mass_between(rate, u, rate.t1)
